@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-ingest bench-chaos bench-stampede bench-analytics bench-fig5sharded bench-timetravel bench-tablesscale torture chaos fuzz check
+.PHONY: build test race bench benchmark benchmark-compare bench-ingest bench-chaos bench-stampede bench-analytics bench-fig5sharded bench-timetravel bench-tablesscale torture chaos fuzz check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,18 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
+
+# benchmark runs the measurement spine (benchmark/README.md): all four
+# standing workloads, unthrottled, writing benchmark/out/result-<seed>.json.
+# This, not the bench-* paper-shape experiments below, is what a
+# performance claim is a before/after on.
+benchmark:
+	bash benchmark/run.sh
+
+# benchmark-compare diffs two result files, one row per metric x workload,
+# and exits 1 on a breach: make benchmark-compare A=before.json B=after.json
+benchmark-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 # bench-ingest measures the fast ingest path (serial vs grouped vs
 # pipeline, local and over dbnet) and records BENCH_tables.json.

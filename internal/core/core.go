@@ -75,6 +75,17 @@ type Node struct {
 	Frontend *pl.Frontend
 	Web      *web.Server
 	Synoptic *synoptic.Searcher
+
+	anaMu     sync.Mutex
+	analyzing map[string]*analyzeCall // Analyze calls in progress, by user and request
+}
+
+// analyzeCall is one Analyze in progress. The same user submitting the
+// same request again meanwhile waits for it and shares its result.
+type analyzeCall struct {
+	done chan struct{}
+	id   string
+	err  error
 }
 
 // Start builds and wires a node.
@@ -326,6 +337,11 @@ func (n *Node) ImportSession() (*dm.Session, error) {
 
 // Analyze submits one analysis and waits for it, returning the committed
 // analysis id — the programmatic equivalent of the web UI's execute form.
+// A user's identical submission while the first is still running joins it
+// and gets the same id: the §3.5 redundant-work check
+// (FindExistingAnalysis) only sees committed analyses, and with staged
+// data served from memory a quick request can come round again before a
+// slow one (imaging) has committed.
 func (n *Node) Analyze(sess *dm.Session, anaType, hleID string, params map[string]interface{}) (string, error) {
 	if params == nil {
 		params = map[string]interface{}{}
@@ -338,11 +354,38 @@ func (n *Node) Analyze(sess *dm.Session, anaType, hleID string, params map[strin
 		params["tstart"], params["tstop"] = h.TStart, h.TStop
 	}
 	params["hle_id"] = hleID
+	user := ""
+	if sess != nil {
+		user = sess.User
+	}
+	key := fmt.Sprint(user, "|", anaType, "|", params) // fmt prints a map in key order
+
+	n.anaMu.Lock()
+	if c, ok := n.analyzing[key]; ok {
+		n.anaMu.Unlock()
+		<-c.done
+		return c.id, c.err
+	}
+	c := &analyzeCall{done: make(chan struct{})}
+	if n.analyzing == nil {
+		n.analyzing = make(map[string]*analyzeCall)
+	}
+	n.analyzing[key] = c
+	n.anaMu.Unlock()
+	defer func() {
+		n.anaMu.Lock()
+		delete(n.analyzing, key)
+		n.anaMu.Unlock()
+		close(c.done)
+	}()
+
 	ticket, err := n.Frontend.Submit(&pl.Request{
 		Type: anaType, Session: sess, Params: params,
 	})
 	if err != nil {
+		c.err = err
 		return "", err
 	}
-	return ticket.Wait(context.Background())
+	c.id, c.err = ticket.Wait(context.Background())
+	return c.id, c.err
 }

@@ -222,7 +222,9 @@ func TestNodeSoak(t *testing.T) {
 					anaType = schema.AnaLightcurve
 				}
 				if _, err := n.Analyze(sess, anaType, hleID, map[string]interface{}{
-					"energy_bins": 8 + i + j, // distinct params: no dedup
+					// Distinct across both analysts: an identical request in
+					// flight would be joined, not run and committed twice.
+					"energy_bins": 8 + 5*i + j,
 				}); err != nil {
 					errs <- err
 					return
@@ -297,5 +299,69 @@ func TestMaintenanceKeepsManagerLive(t *testing.T) {
 			t.Fatalf("manager went stale despite maintenance beats")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A user's identical submission while the first is still running joins it
+// (same id, one committed analysis); another user's does not.
+func TestAnalyzeJoinsIdenticalSubmissionInFlight(t *testing.T) {
+	n := startNode(t, Config{})
+	reports, err := n.LoadDay(1, smallTelemetry(), 1200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hle := reports[0].HLEs[0]
+	sessions := make([]*dm.Session, 2)
+	for i, name := range []string{"alice", "bob"} {
+		if err := n.DM.CreateUser(name, "pw", dm.GroupScientist,
+			dm.RightBrowse, dm.RightAnalyze, dm.RightUpload); err != nil {
+			t.Fatal(err)
+		}
+		if sessions[i], err = n.DM.Authenticate(name, "pw", "10.0.0.1", dm.SessionHLE); err != nil {
+			t.Fatal(err)
+		}
+	}
+	params := func() map[string]interface{} {
+		return map[string]interface{}{"tstart": 0.0, "tstop": 600.0, "image_size": 32}
+	}
+	type answer struct {
+		id  string
+		err error
+	}
+	submit := func(s *dm.Session, out chan<- answer) {
+		id, err := n.Analyze(s, schema.AnaImaging, hle, params())
+		out <- answer{id, err}
+	}
+	first := make(chan answer, 1)
+	go submit(sessions[0], first)
+	for registered := false; !registered; time.Sleep(50 * time.Microsecond) {
+		n.anaMu.Lock()
+		registered = len(n.analyzing) == 1
+		n.anaMu.Unlock()
+	}
+	const joiners = 4
+	same, other := make(chan answer, joiners), make(chan answer, 1)
+	for i := 0; i < joiners; i++ {
+		go submit(sessions[0], same)
+	}
+	go submit(sessions[1], other)
+
+	want := <-first
+	if want.err != nil {
+		t.Fatal(want.err)
+	}
+	for i := 0; i < joiners; i++ {
+		if got := <-same; got.err != nil || got.id != want.id {
+			t.Fatalf("joiner %d: %q %v, want %q", i, got.id, got.err, want.id)
+		}
+	}
+	if got := <-other; got.err != nil || got.id == want.id {
+		t.Fatalf("another user's submission: %q %v (first was %q)", got.id, got.err, want.id)
+	}
+	n.anaMu.Lock()
+	left := len(n.analyzing)
+	n.anaMu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d calls still registered", left)
 	}
 }

@@ -65,9 +65,9 @@ type Stats struct {
 	Queries     atomic.Int64 // database queries issued
 	Edits       atomic.Int64 // database mutations issued
 	FilesStored atomic.Int64
-	FilesRead   atomic.Int64
+	FilesRead   atomic.Int64 // real archive reads only: a decoded-item cache hit reads no file
 	BytesStored atomic.Int64
-	BytesRead   atomic.Int64
+	BytesRead   atomic.Int64 // bytes of those archive reads
 	NameLookups atomic.Int64
 	CacheHits   atomic.Int64 // session-cache hits
 	CacheMisses atomic.Int64
@@ -79,6 +79,14 @@ type Stats struct {
 	// StaleServes counts reads answered from a stale-epoch cache entry
 	// while the brownout ladder has stale serving enabled (SetServeStale).
 	StaleServes atomic.Int64
+	// Decoded-item cache (itemcache.go): raw units and wavelet views served
+	// to RawPhotons/ViewsInRange without an archive read or a decode, the
+	// decodes it could not avoid, entries dropped for room, and the decoded
+	// bytes resident now.
+	UnitCacheHits      atomic.Int64
+	UnitCacheMisses    atomic.Int64
+	UnitCacheEvictions atomic.Int64
+	UnitCacheBytes     atomic.Int64
 	// Analytics path (analytics.go): vectorized runs served by a columnar
 	// runner vs row-at-a-time fallbacks, plus cache hits by epoch.
 	AnalyticsQueries   atomic.Int64
@@ -109,6 +117,7 @@ type DM struct {
 
 	sessions  *sessionCache
 	cache     *queryCache
+	decoded   *itemCache
 	analytics colseg.Runner // nil = resolve per call (engine or row fallback)
 
 	seqMu  sync.Mutex
@@ -180,6 +189,7 @@ func Open(opts Options) (*DM, error) {
 		seqHi:     make(map[string]int64),
 		seqMax:    make(map[string]int64),
 	}
+	d.decoded = newItemCache(decodedBudget, &d.stats)
 	if d.domain == nil {
 		d.domain = d.meta
 	}

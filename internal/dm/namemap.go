@@ -190,6 +190,20 @@ func (d *DM) transformFor(format string) (string, bool) {
 // ReadItem resolves and reads the file behind an item id, enforcing the
 // item's visibility against the session.
 func (d *DM) ReadItem(s *Session, itemID string) ([]byte, *ResolvedName, error) {
+	rn, arch, err := d.openItem(s, itemID)
+	if err != nil {
+		return nil, nil, err
+	}
+	data, err := d.readResolved(arch, rn)
+	if err != nil {
+		return nil, nil, err
+	}
+	return data, rn, nil
+}
+
+// openItem is everything ReadItem does short of touching the archive:
+// name resolution, the visibility check and the mounted-archive lookup.
+func (d *DM) openItem(s *Session, itemID string) (*ResolvedName, *archive.Archive, error) {
 	rn, err := d.Resolve(itemID, schema.NameFile)
 	if err != nil {
 		return nil, nil, err
@@ -202,13 +216,37 @@ func (d *DM) ReadItem(s *Session, itemID string) ([]byte, *ResolvedName, error) 
 	if arch == nil {
 		return nil, nil, fmt.Errorf("dm: archive %s not mounted", rn.ArchiveID)
 	}
+	return rn, arch, nil
+}
+
+// readResolved reads a resolved item's bytes and counts the archive read.
+func (d *DM) readResolved(arch *archive.Archive, rn *ResolvedName) ([]byte, error) {
 	data, err := arch.Read(rn.Path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	d.stats.FilesRead.Add(1)
 	d.stats.BytesRead.Add(int64(len(data)))
-	return data, rn, nil
+	return data, nil
+}
+
+// readDecoded returns item itemID decoded, through the decoded-item cache.
+// A hit still pays openItem — a relocated, hidden, unmapped or unmounted
+// item behaves exactly as under ReadItem — and skips only the archive read
+// and decode (which returns the value and its resident size). The value
+// is shared with other callers: read it, never write it.
+func (d *DM) readDecoded(s *Session, itemID string, decode func(data []byte) (any, int64, error)) (any, error) {
+	rn, arch, err := d.openItem(s, itemID)
+	if err != nil {
+		return nil, err
+	}
+	return d.decoded.get(itemID, func() (any, int64, error) {
+		data, err := d.readResolved(arch, rn)
+		if err != nil {
+			return nil, 0, err
+		}
+		return decode(data)
+	})
 }
 
 // RegisterArchive mounts an archive and records it in both the operational

@@ -3,6 +3,7 @@ package dm
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/analysis"
@@ -265,97 +266,183 @@ type UnitInfo struct {
 	ItemID       string
 }
 
-// UnitsInRange lists loaded units whose windows overlap [t0, t1).
+// overlapping is the predicate pair of rows whose [tstart, tstop) window
+// overlaps [t0, t1).
+func overlapping(t0, t1 float64) []minidb.Pred {
+	return []minidb.Pred{
+		{Col: "tstart", Op: minidb.OpLt, Val: minidb.F(t1)},
+		{Col: "tstop", Op: minidb.OpGt, Val: minidb.F(t0)},
+	}
+}
+
+// UnitsInRange lists loaded units whose windows overlap [t0, t1), by start
+// time and then unit id.
 func (d *DM) UnitsInRange(t0, t1 float64) ([]*UnitInfo, error) {
-	res, err := d.query(minidb.Query{
-		Table: schema.TableRawUnits,
-		Where: []minidb.Pred{{Col: "tstart", Op: minidb.OpLt, Val: minidb.F(t1)}},
+	res, err := d.query(minidb.Query{Table: schema.TableRawUnits, Where: overlapping(t0, t1)})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*UnitInfo, 0, len(res.Rows))
+	for _, row := range res.Rows {
+		out = append(out, &UnitInfo{
+			UnitID: row[0].Str(), Day: row[1].Int(), Seq: row[2].Int(),
+			TStart: row[3].Float(), TStop: row[4].Float(),
+			Photons: row[5].Int(), CalibVersion: row[6].Int(), ItemID: row[7].Str(),
+		})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].TStart != out[j].TStart {
+			return out[i].TStart < out[j].TStart
+		}
+		return out[i].UnitID < out[j].UnitID
+	})
+	return out, nil
+}
+
+// rawUnit is a decoded raw unit as the decoded-item cache holds it.
+type rawUnit struct {
+	recs   []byte // fits.PhotonRecordSize-byte photon records, sorted by time
+	gzSize int64  // length of the archived .fits.gz, what a read of it costs
+}
+
+// decodeRawUnit inflates and parses an archived raw unit into its photon
+// record table. Units are written time-sorted; one that is not (or that
+// carries NaN time tags, which no window can match) is repaired here, once,
+// so that window extraction can binary-search every entry.
+func decodeRawUnit(data []byte) (*rawUnit, error) {
+	var f *fits.File
+	err := telemetry.WithGzipReader(data, func(r io.Reader) error {
+		var derr error
+		f, derr = fits.Decode(r)
+		return derr
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []*UnitInfo
-	for _, row := range res.Rows {
-		u := &UnitInfo{
-			UnitID: row[0].Str(), Day: row[1].Int(), Seq: row[2].Int(),
-			TStart: row[3].Float(), TStop: row[4].Float(),
-			Photons: row[5].Int(), CalibVersion: row[6].Int(), ItemID: row[7].Str(),
-		}
-		if u.TStop <= t0 {
-			continue
-		}
-		out = append(out, u)
+	u, err := telemetry.ParseUnit(f)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TStart < out[j].TStart })
-	return out, nil
+	recs := f.HDUs[1].Data
+	sorted, prev := true, math.Inf(-1)
+	for _, p := range u.Photons {
+		if !(p.Time >= prev) { // false for a NaN too
+			sorted = false
+			break
+		}
+		prev = p.Time
+	}
+	if !sorted {
+		kept := u.Photons[:0]
+		for _, p := range u.Photons {
+			if p.Time == p.Time {
+				kept = append(kept, p)
+			}
+		}
+		sort.SliceStable(kept, func(i, j int) bool { return kept[i].Time < kept[j].Time })
+		recs = fits.EncodePhotons(kept).Data
+	}
+	return &rawUnit{recs: recs, gzSize: int64(len(data))}, nil
 }
 
 // RawPhotons reads and decodes the raw units overlapping [t0, t1),
-// returning the photons within the window. This is the I/O path the
+// returning the photons within the window in time order (ties: by unit
+// start, unit id, then position in the unit). This is the I/O path the
 // processing tests stress: the caller never sees file formats or archive
-// locations (§2.3).
+// locations (§2.3). Units come through the decoded-item cache; the second
+// result is the compressed bytes of the units consulted, cached or not.
+// The returned slice is the caller's own.
 func (d *DM) RawPhotons(s *Session, t0, t1 float64) ([]fits.Photon, int64, error) {
 	units, err := d.UnitsInRange(t0, t1)
 	if err != nil {
 		return nil, 0, err
 	}
-	var photons []fits.Photon
 	var bytesRead int64
+	var runs [][]byte // per unit, the records inside the window
+	total := 0
 	for _, u := range units {
-		data, _, err := d.ReadItem(s, u.ItemID)
+		v, err := d.readDecoded(s, u.ItemID, func(data []byte) (any, int64, error) {
+			ru, err := decodeRawUnit(data)
+			if err != nil {
+				return nil, 0, fmt.Errorf("dm: unit %s: %w", u.UnitID, err)
+			}
+			return ru, int64(len(ru.recs)), nil
+		})
 		if err != nil {
 			return nil, 0, err
 		}
-		bytesRead += int64(len(data))
-		var f *fits.File
-		err = telemetry.WithGzipReader(data, func(r io.Reader) error {
-			var derr error
-			f, derr = fits.Decode(r)
-			return derr
-		})
-		if err != nil {
-			return nil, 0, fmt.Errorf("dm: unit %s: %w", u.UnitID, err)
+		ru, ok := v.(*rawUnit)
+		if !ok {
+			return nil, 0, fmt.Errorf("dm: unit %s: item %s is not a raw unit", u.UnitID, u.ItemID)
 		}
-		parsed, err := telemetry.ParseUnit(f)
-		if err != nil {
-			return nil, 0, fmt.Errorf("dm: unit %s: %w", u.UnitID, err)
-		}
-		for _, p := range parsed.Photons {
-			if p.Time >= t0 && p.Time < t1 {
-				photons = append(photons, p)
-			}
+		bytesRead += ru.gzSize
+		n := len(ru.recs) / fits.PhotonRecordSize
+		lo := sort.Search(n, func(i int) bool { return fits.PhotonTimeAt(ru.recs, i) >= t0 })
+		hi := lo + sort.Search(n-lo, func(i int) bool { return fits.PhotonTimeAt(ru.recs, lo+i) >= t1 })
+		if hi > lo {
+			runs = append(runs, ru.recs[lo*fits.PhotonRecordSize:hi*fits.PhotonRecordSize])
+			total += hi - lo
 		}
 	}
-	sort.Slice(photons, func(i, j int) bool { return photons[i].Time < photons[j].Time })
-	return photons, bytesRead, nil
+	return mergeRuns(runs, total), bytesRead, nil
+}
+
+// mergeRuns merges time-sorted photon record runs holding total records
+// into one new time-sorted slice; on equal times the earlier run wins.
+// Windows span a handful of units, so the smallest head is found by a
+// linear scan. No in-window time tag is +Inf (the window's end is
+// exclusive), which makes +Inf the mark of an exhausted run.
+func mergeRuns(runs [][]byte, total int) []fits.Photon {
+	if total == 0 {
+		return nil
+	}
+	out := make([]fits.Photon, 0, total)
+	pos := make([]int, len(runs))
+	head := make([]float64, len(runs))
+	for j, r := range runs {
+		head[j] = fits.PhotonTimeAt(r, 0)
+	}
+	for len(out) < total {
+		best := 0
+		for j := 1; j < len(head); j++ {
+			if head[j] < head[best] {
+				best = j
+			}
+		}
+		out = append(out, fits.PhotonAt(runs[best], pos[best]))
+		pos[best]++
+		if pos[best]*fits.PhotonRecordSize < len(runs[best]) {
+			head[best] = fits.PhotonTimeAt(runs[best], pos[best])
+		} else {
+			head[best] = math.Inf(1)
+		}
+	}
+	return out
 }
 
 // ViewsInRange returns the stored wavelet views overlapping [t0, t1),
-// decoded and ready for approximated analysis.
+// decoded and ready for approximated analysis. The encodings come through
+// the decoded-item cache and are shared: read them, never write them.
 func (d *DM) ViewsInRange(s *Session, t0, t1 float64) ([]*wavelet.View, error) {
-	res, err := d.query(minidb.Query{
-		Table: schema.TableViews,
-		Where: []minidb.Pred{{Col: "tstart", Op: minidb.OpLt, Val: minidb.F(t1)}},
-	})
+	res, err := d.query(minidb.Query{Table: schema.TableViews, Where: overlapping(t0, t1)})
 	if err != nil {
 		return nil, err
 	}
 	var out []*wavelet.View
 	for _, row := range res.Rows {
-		tstop := row[3].Float()
-		if tstop <= t0 {
-			continue
-		}
-		data, _, err := d.ReadItem(s, row[9].Str())
+		v, err := d.readDecoded(s, row[9].Str(), func(data []byte) (any, int64, error) {
+			enc, err := wavelet.Parse(data)
+			return enc, int64(len(data)), err
+		})
 		if err != nil {
 			return nil, err
 		}
-		enc, err := wavelet.Parse(data)
-		if err != nil {
-			return nil, err
+		enc, ok := v.(*wavelet.Encoded)
+		if !ok {
+			return nil, fmt.Errorf("dm: view %s: item %s is not a wavelet view", row[0].Str(), row[9].Str())
 		}
 		out = append(out, &wavelet.View{
-			TStart: row[2].Float(), TStop: tstop,
+			TStart: row[2].Float(), TStop: row[3].Float(),
 			EMin: row[4].Float(), EMax: row[5].Float(),
 			TimeBins: int(row[6].Int()), EnergyBins: int(row[7].Int()),
 			Enc: enc,

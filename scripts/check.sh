@@ -1,8 +1,10 @@
 #!/bin/sh
 # Full verification: vet, build, the full test suite (which includes the
 # sharded-cell smoke and the scaled-down Figure 5 sharded sweep with its
-# bit-identical scatter-gather oracle), a short-mode race lane, the
-# crash-recovery and network-chaos harnesses under -race (both enumerate
+# bit-identical scatter-gather oracle), a short-mode race lane (which
+# carries the decoded-unit cache's oracle and warm-path safety tests) plus
+# ten rounds of its concurrent single-decode test, the crash-recovery and
+# network-chaos harnesses under -race (both enumerate
 # sharded schedules too; torture includes the lake journal/compaction/GC
 # crash sites and chaos the ten lake storm schedules), one iteration each
 # of the parallel query and ingest benchmarks (smoke-checks the concurrent
@@ -27,6 +29,9 @@ go test ./...
 
 echo "==> go test -race -short (race lane)"
 go test -race -short ./...
+
+echo "==> decoded-unit cache: concurrent misses decode once (-race, 10 rounds)"
+go test -race -count=10 -run 'TestRawPhotonsConcurrentMissesDecodeOnce' ./internal/dm/
 
 echo "==> processing-farm smoke (stealing, preemption, hedging, memoization; -race)"
 go test -race -count=1 -run 'TestTablesScaleSmoke' ./internal/bench/
