@@ -196,7 +196,7 @@ func BenchmarkAblationLOBvsFile(b *testing.B) {
 	})
 
 	b.Run("file-in-archive", func(b *testing.B) {
-		arch, err := archive.New("bench", archive.Disk, b.TempDir(), 0)
+		arch, err := archive.NewLake("bench", archive.Disk, b.TempDir(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func benchDM(b *testing.B) (*dm.DM, string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	arch, err := archive.New("disk-0", archive.Disk, b.TempDir(), 0)
+	arch, err := archive.NewLake("disk-0", archive.Disk, b.TempDir(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

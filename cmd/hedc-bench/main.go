@@ -423,7 +423,7 @@ func dmOpenEngine(dir string) (*engineHandles, error) {
 	if err != nil {
 		return nil, err
 	}
-	arch, err := archive.New("disk-0", archive.Disk, dir, 0)
+	arch, err := archive.NewLake("disk-0", archive.Disk, dir, 0)
 	if err != nil {
 		return nil, err
 	}

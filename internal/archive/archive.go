@@ -1,21 +1,24 @@
 // Package archive implements HEDC's file store: the actual data (raw units
 // and derived products, mostly images) lives in file archives while only
 // meta data lives in the DBMS (§4.1). "All file data is read only" — an
-// archive enforces write-once semantics, keeps per-file CRC32 checksums in
-// a manifest, tracks capacity, and models the three storage tiers the paper
-// deploys: local disk (RAID), NFS-linked remote archives, and a tape
-// archive for data not needed on-line (§2.3).
+// archive enforces write-once semantics and models the three storage tiers
+// the paper deploys: local disk (RAID), NFS-linked remote archives, and a
+// tape archive for data not needed on-line (§2.3).
+//
+// An Archive is tier policy only — identity, kind and its simulated access
+// latency, the online flag, a byte capacity — over one internal/lake
+// store. How the bytes are laid out, checksummed and made durable (the
+// commit journal, immutable containers, compaction, GC, time travel) is
+// known by internal/lake alone. The one other thing in this package is the
+// read-only importer for the retired manifest format (legacy.go).
 package archive
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"io/fs"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -29,14 +32,6 @@ import (
 // implementation (internal/fault) can torture both tiers in a single
 // scripted workload. Production archives use minidb.OSFS.
 type VFS = minidb.VFS
-
-// opener is the optional streaming extension: a VFS that can hand out a
-// reader without materializing the whole file (the OS filesystem and
-// internal/fault both can't/can respectively; archives fall back to
-// ReadFile when the VFS lacks it).
-type opener interface {
-	Open(path string) (io.ReadCloser, error)
-}
 
 // Kind classifies the storage tier backing an archive.
 type Kind int
@@ -84,60 +79,43 @@ var (
 	ErrCorrupt  = errors.New("archive: checksum mismatch")
 )
 
-type fileMeta struct {
-	size int64
-	crc  uint32
-	pack string // container file (archive-relative) holding the bytes; "" = own file
-	off  int64  // byte offset within pack
-}
-
 // Archive is one storage unit rooted at a directory.
 type Archive struct {
-	id   string
-	kind Kind
-	root string
-	fsys VFS
+	id       string
+	kind     Kind
+	root     string
+	capacity int64 // bytes; 0 = unlimited
+	lk       *lake.Lake
 
 	mu       sync.RWMutex
 	online   bool
-	capacity int64 // bytes; 0 = unlimited
-	used     int64
-	files    map[string]fileMeta
-	pending  map[string]bool // paths reserved by an in-flight StoreBatch
-	packSeq  int64           // next container-file sequence number
-
-	// lk, when non-nil, puts the archive in lake mode: the commit journal
-	// (not MANIFEST.crc) is the source of truth and every data method
-	// delegates to it. See lakemode.go.
-	lk *lake.Lake
+	reserved int64 // bytes of in-flight StoreBatch calls, held against capacity
 }
 
-const manifestName = "MANIFEST.crc"
-
-// New opens (or creates) an archive rooted at dir. capacityBytes of 0 means
-// unlimited. An existing manifest is loaded, so archives survive restarts.
-func New(id string, kind Kind, dir string, capacityBytes int64) (*Archive, error) {
-	return NewVFS(minidb.OSFS, id, kind, dir, capacityBytes)
+// NewLake opens (or creates) an archive rooted at dir. capacityBytes of 0
+// means unlimited. The journal under dir is replayed, so archives survive
+// restarts.
+func NewLake(id string, kind Kind, dir string, capacityBytes int64) (*Archive, error) {
+	return NewLakeVFS(minidb.OSFS, id, kind, dir, capacityBytes)
 }
 
-// NewVFS is New with an explicit filesystem; crash-recovery tests pass a
-// fault-injecting one so every store/remove I/O becomes a crash site.
-func NewVFS(fsys VFS, id string, kind Kind, dir string, capacityBytes int64) (*Archive, error) {
+// NewLakeVFS is NewLake with an explicit filesystem, so crash-recovery
+// tests can make every journal/container/GC I/O a crash site.
+func NewLakeVFS(fsys VFS, id string, kind Kind, dir string, capacityBytes int64) (*Archive, error) {
 	if id == "" {
 		return nil, fmt.Errorf("archive: empty id")
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	lk, err := lake.Open(fsys, dir)
+	if err != nil {
 		return nil, err
 	}
-	a := &Archive{
-		id: id, kind: kind, root: dir, fsys: fsys, online: true,
-		capacity: capacityBytes, files: make(map[string]fileMeta),
-		pending: make(map[string]bool),
+	// A directory from a pre-lake deployment is imported into the journal
+	// before first use: opening it as an empty lake would orphan every
+	// file the location tables still reference.
+	if err := migrateManifest(fsys, dir, lk); err != nil {
+		return nil, fmt.Errorf("archive: manifest→lake migration of %s: %w", dir, err)
 	}
-	if err := a.loadManifest(); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return &Archive{id: id, kind: kind, root: dir, capacity: capacityBytes, lk: lk, online: true}, nil
 }
 
 // ID returns the archive identifier referenced by the location tables.
@@ -148,6 +126,11 @@ func (a *Archive) Kind() Kind { return a.kind }
 
 // Root returns the archive's directory.
 func (a *Archive) Root() string { return a.root }
+
+// Lake returns the journal store behind the archive. Callers use it for
+// time travel, compaction, GC and stats; the Archive surface covers
+// everything else.
+func (a *Archive) Lake() *lake.Lake { return a.lk }
 
 // SetOnline flips the archive's availability; offline archives reject all
 // data operations (a disk being repaired or a tape dismounted, §4.3).
@@ -164,612 +147,171 @@ func (a *Archive) Online() bool {
 	return a.online
 }
 
-// Used returns bytes stored; CapacityLeft returns remaining bytes
-// (MaxInt64 when unlimited).
-func (a *Archive) Used() int64 {
-	if a.lk != nil {
-		return a.lk.LiveBytes()
-	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.used
-}
+// Used returns the bytes of the live files.
+func (a *Archive) Used() int64 { return a.lk.LiveBytes() }
 
-// CapacityLeft returns the remaining capacity in bytes.
+// CapacityLeft returns the remaining capacity in bytes (MaxInt64 when
+// unlimited). Physical bytes count, history included: a removed file
+// occupies the tier until compaction and GC retire its container.
 func (a *Archive) CapacityLeft() int64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	if a.capacity == 0 {
 		return 1<<63 - 1
 	}
-	if a.lk != nil {
-		// Lake mode: physical bytes (history included) occupy the tier
-		// until GC retires them.
-		return a.capacity - a.lk.PhysBytes()
-	}
-	return a.capacity - a.used
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.capacity - a.lk.PhysBytes() - a.reserved
 }
 
 // Len returns the number of stored files.
-func (a *Archive) Len() int {
-	if a.lk != nil {
-		return a.lk.Len()
-	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.files)
-}
+func (a *Archive) Len() int { return a.lk.Len() }
 
-// cleanRel validates a relative path (no escapes, no absolutes).
-func cleanRel(rel string) (string, error) {
-	if rel == "" || strings.HasPrefix(rel, "/") {
-		return "", fmt.Errorf("archive: invalid path %q", rel)
-	}
-	c := filepath.Clean(rel)
-	if c == "." || strings.HasPrefix(c, "..") {
-		return "", fmt.Errorf("archive: path %q escapes archive", rel)
-	}
-	return c, nil
-}
+// BatchFile is one file of a StoreBatch. Day is the mission-day partition
+// key: compaction sorts merged containers by (Day, Rel), so bulk
+// reprocessing of a time range touches few containers.
+type BatchFile = lake.BatchFile
 
 // Store writes a new file. Overwrites are rejected: file data is read only.
 func (a *Archive) Store(rel string, data []byte) error {
-	if a.lk != nil {
-		return a.lakeStoreBatch([]BatchFile{{Rel: rel, Data: data}})
+	return a.StoreBatch([]BatchFile{{Rel: rel, Data: data}})
+}
+
+// StoreBatch stores several new files as ONE container plus ONE journal
+// commit — the bulk form the ingest pipeline uses: a raw unit and its
+// wavelet views arrive together, and storing each on its own pays the
+// small-file penalty (create, fsync, commit) five times over. The batch is
+// all-or-nothing, and concurrent callers overlap their container fsyncs.
+func (a *Archive) StoreBatch(files []BatchFile) error {
+	if len(files) == 0 {
+		return nil
 	}
-	rel, err := cleanRel(rel)
-	if err != nil {
+	var total int64
+	for _, f := range files {
+		total += int64(len(f.Data))
+	}
+	if err := a.reserve(total); err != nil {
 		return err
 	}
+	_, err := a.lk.StoreBatch(files)
+	a.release(total)
+	return mapLakeErr(err)
+}
+
+// reserve admits a store of n bytes: the archive must be online and, when
+// bounded, have room for n beyond the physical bytes and every store
+// already in flight. Checking without reserving would let two concurrent
+// batches near the limit both pass and overshoot it.
+func (a *Archive) reserve(n int64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.online {
 		return ErrOffline
 	}
-	if _, exists := a.files[rel]; exists {
-		return fmt.Errorf("%w: %s", ErrExists, rel)
-	}
-	if a.pending[rel] {
-		return fmt.Errorf("%w: %s (store in flight)", ErrExists, rel)
-	}
-	if a.capacity > 0 && a.used+int64(len(data)) > a.capacity {
-		return fmt.Errorf("%w: %s needs %d bytes, %d left", ErrFull, rel, len(data), a.capacity-a.used)
-	}
-	abs := filepath.Join(a.root, rel)
-	if err := a.fsys.MkdirAll(filepath.Dir(abs), 0o755); err != nil {
-		return err
-	}
-	// Durability order: data file written AND fsynced before its manifest
-	// line is appended (and itself fsynced). A manifest entry therefore
-	// always points at durable bytes; a crash between the two leaves only
-	// an orphaned data file, never an acknowledged-but-lost store.
-	if err := a.writeFileSync(abs, data, 0o444); err != nil {
-		return err
-	}
-	meta := fileMeta{size: int64(len(data)), crc: crc32.ChecksumIEEE(data)}
-	if err := a.appendManifest(rel, meta); err != nil {
-		// The store is not acknowledged: drop the data file so the
-		// in-memory state, the manifest and the directory stay aligned.
-		_ = a.fsys.Remove(abs)
-		return err
-	}
-	a.files[rel] = meta
-	a.used += meta.size
-	return nil
-}
-
-// BatchFile is one file of a StoreBatch. Day is the mission-day partition
-// key used by lake-mode archives to time-sort compacted containers;
-// manifest-mode archives ignore it.
-type BatchFile struct {
-	Rel  string
-	Day  int64
-	Data []byte
-}
-
-// StoreBatch stores several new files as ONE container ("pack") file plus
-// ONE manifest append — two fsyncs for the whole group instead of two per
-// file. This is the bulk form the ingest pipeline uses: a raw unit and its
-// wavelet views arrive together, and storing each as its own file pays the
-// small-file penalty (per-file create, fsync, journal commit) five times
-// over. Mass-storage systems solve this by aggregating small members into
-// containers; the manifest records each member as rel→(pack, offset, size,
-// crc), so readers address members exactly as if they were plain files.
-//
-// The durability order of Store is preserved: the pack's bytes are written
-// AND fsynced before any manifest line referencing them, so a crash
-// mid-batch leaves at most an orphaned container. The batch is
-// all-or-nothing: on any failure the container is removed and the manifest
-// keeps its prior tail.
-//
-// Unlike Store, the container write and fsync happen OUTSIDE the archive
-// lock: the batch's paths are reserved first (so concurrent stores conflict
-// deterministically), then written, then registered under the lock together
-// with the manifest append. Concurrent StoreBatch callers therefore overlap
-// their data fsyncs and serialize only on the shared manifest.
-func (a *Archive) StoreBatch(files []BatchFile) error {
-	if len(files) == 0 {
+	if a.capacity == 0 {
 		return nil
 	}
-	if a.lk != nil {
-		return a.lakeStoreBatch(files)
+	if left := a.capacity - a.lk.PhysBytes() - a.reserved; n > left {
+		return fmt.Errorf("%w: batch needs %d bytes, %d left", ErrFull, n, left)
 	}
-	// Phase 1 (locked): validate, reserve the paths and the capacity.
-	rels := make([]string, len(files))
-	var total int64
-	a.mu.Lock()
-	if !a.online {
-		a.mu.Unlock()
-		return ErrOffline
-	}
-	for i, f := range files {
-		rel, err := cleanRel(f.Rel)
-		if err != nil {
-			a.mu.Unlock()
-			return err
-		}
-		if _, exists := a.files[rel]; exists {
-			a.mu.Unlock()
-			return fmt.Errorf("%w: %s", ErrExists, rel)
-		}
-		if a.pending[rel] {
-			a.mu.Unlock()
-			return fmt.Errorf("%w: %s (store in flight)", ErrExists, rel)
-		}
-		for j := 0; j < i; j++ {
-			if rels[j] == rel {
-				a.mu.Unlock()
-				return fmt.Errorf("%w: %s duplicated in batch", ErrExists, rel)
-			}
-		}
-		rels[i] = rel
-		total += int64(len(f.Data))
-	}
-	if a.capacity > 0 && a.used+total > a.capacity {
-		left := a.capacity - a.used
-		a.mu.Unlock()
-		return fmt.Errorf("%w: batch needs %d bytes, %d left", ErrFull, total, left)
-	}
-	for _, rel := range rels {
-		a.pending[rel] = true
-	}
-	a.used += total // reserved; released again if the batch fails
-	packRel := fmt.Sprintf("packs/p%08d.pack", a.packSeq)
-	a.packSeq++
-	a.mu.Unlock()
-
-	undo := func(packWritten bool) {
-		if packWritten {
-			_ = a.fsys.Remove(filepath.Join(a.root, packRel))
-		}
-		a.mu.Lock()
-		for _, rel := range rels {
-			delete(a.pending, rel)
-		}
-		a.used -= total
-		a.mu.Unlock()
-	}
-
-	// Phase 2 (unlocked): concatenate the members and write the container
-	// with one fsync. Safe without the lock — the reservation guarantees
-	// nobody else touches these paths, and the sequence number guarantees
-	// the container name is fresh (a crash-orphaned container of the same
-	// name is unreferenced and safe to overwrite).
-	metas := make([]fileMeta, len(files))
-	blob := make([]byte, 0, total)
-	for i, f := range files {
-		metas[i] = fileMeta{
-			size: int64(len(f.Data)), crc: crc32.ChecksumIEEE(f.Data),
-			pack: packRel, off: int64(len(blob)),
-		}
-		blob = append(blob, f.Data...)
-	}
-	abs := filepath.Join(a.root, packRel)
-	if err := a.fsys.MkdirAll(filepath.Dir(abs), 0o755); err != nil {
-		undo(false)
-		return err
-	}
-	if err := a.writeFileSync(abs, blob, 0o444); err != nil {
-		undo(true)
-		return err
-	}
-
-	// Phase 3 (locked): seal the batch in the manifest and register it.
-	a.mu.Lock()
-	if err := a.appendManifestBatch(rels, metas); err != nil {
-		a.mu.Unlock()
-		undo(true)
-		return err
-	}
-	for i := range rels {
-		a.files[rels[i]] = metas[i]
-		delete(a.pending, rels[i])
-	}
-	a.mu.Unlock()
+	a.reserved += n
 	return nil
 }
 
-// appendManifestBatch appends one line per file and fsyncs once. A failed
-// append truncates back to the prior tail, as in appendManifest.
-func (a *Archive) appendManifestBatch(rels []string, metas []fileMeta) error {
-	f, err := a.fsys.OpenAppend(a.manifestPath(), 0o644)
-	if err != nil {
-		return err
+// release drops a reservation once its store has finished either way. A
+// successful store's bytes are physical by now, so for an instant a racing
+// reserve counts them twice: the check errs toward ErrFull, never toward
+// overshoot.
+func (a *Archive) release(n int64) {
+	if a.capacity == 0 {
+		return
 	}
-	size, err := f.Size()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	for i := range rels {
-		if _, err = fmt.Fprintf(f, "%s\t%d\t%d\t%s\t%d\n",
-			rels[i], metas[i].size, metas[i].crc, metas[i].pack, metas[i].off); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		_ = f.Truncate(size)
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeFileSync creates abs with data and forces it to stable storage.
-// Data files are created read-only (0444), so a crash-orphaned file of a
-// reused name is unlinked first — Create alone would fail with EACCES on
-// the 0444 leftover for non-root users, wedging the recovery paths that
-// rely on overwriting orphans.
-func (a *Archive) writeFileSync(abs string, data []byte, perm fs.FileMode) error {
-	if err := a.fsys.Remove(abs); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	f, err := a.fsys.Create(abs, perm)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	a.mu.Lock()
+	a.reserved -= n
+	a.mu.Unlock()
 }
 
 // Read returns the file's contents after verifying its checksum. Tape and
 // NFS tiers incur their access latency here.
 func (a *Archive) Read(rel string) ([]byte, error) {
-	if a.lk != nil {
-		return a.lakeRead(rel)
-	}
-	rel, err := cleanRel(rel)
-	if err != nil {
-		return nil, err
-	}
-	a.mu.RLock()
-	online := a.online
-	meta, exists := a.files[rel]
-	a.mu.RUnlock()
-	if !online {
+	if !a.Online() {
 		return nil, ErrOffline
-	}
-	if !exists {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, rel)
 	}
 	if d := a.kind.latency(); d > 0 {
 		time.Sleep(d)
 	}
-	data, err := a.readMember(rel, meta)
-	if err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(data) != meta.crc {
-		return nil, fmt.Errorf("%w: %s", ErrCorrupt, rel)
-	}
-	return data, nil
+	data, err := a.lk.Read(rel)
+	return data, mapLakeErr(err)
 }
 
-// readMember fetches a file's raw bytes: its own file for plain entries,
-// the right slice of the container for pack members.
-func (a *Archive) readMember(rel string, meta fileMeta) ([]byte, error) {
-	if meta.pack == "" {
-		return a.fsys.ReadFile(filepath.Join(a.root, rel))
-	}
-	blob, err := a.fsys.ReadFile(filepath.Join(a.root, meta.pack))
-	if err != nil {
-		return nil, err
-	}
-	if meta.off < 0 || meta.off+meta.size > int64(len(blob)) {
-		return nil, fmt.Errorf("%w: %s (container %s truncated)", ErrCorrupt, rel, meta.pack)
-	}
-	return blob[meta.off : meta.off+meta.size], nil
-}
-
-// Open returns a reader over the file without checksum verification (used
-// for streaming large units). Prefer Read when integrity matters.
+// Open returns a reader over the file. Members live inside containers, so
+// the (checksum-verified) bytes are materialized once and served from
+// memory; there is no per-member file to stream.
 func (a *Archive) Open(rel string) (io.ReadCloser, error) {
-	if a.lk != nil {
-		return a.lakeOpen(rel)
-	}
-	rel, err := cleanRel(rel)
+	data, err := a.Read(rel)
 	if err != nil {
 		return nil, err
 	}
-	a.mu.RLock()
-	online := a.online
-	meta, exists := a.files[rel]
-	a.mu.RUnlock()
-	if !online {
+	return io.NopCloser(bytes.NewReader(data)), nil
+}
+
+// OpenAt opens a read-only view of the archive as of commit seq (0 = the
+// current head), durably pinned against GC until the view is closed.
+func (a *Archive) OpenAt(seq uint64) (*lake.View, error) {
+	if !a.Online() {
 		return nil, ErrOffline
 	}
-	if !exists {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, rel)
-	}
-	if d := a.kind.latency(); d > 0 {
-		time.Sleep(d)
-	}
-	if meta.pack == "" {
-		abs := filepath.Join(a.root, rel)
-		if o, ok := a.fsys.(opener); ok {
-			return o.Open(abs)
-		}
-	}
-	data, err := a.readMember(rel, meta)
-	if err != nil {
-		return nil, err
-	}
-	return io.NopCloser(strings.NewReader(string(data))), nil
+	return a.lk.OpenAt(seq)
 }
 
 // Stat returns the size of a stored file.
 func (a *Archive) Stat(rel string) (int64, error) {
-	if a.lk != nil {
-		n, err := a.lk.Stat(rel)
-		return n, mapLakeErr(err)
-	}
-	rel, err := cleanRel(rel)
-	if err != nil {
-		return 0, err
-	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	meta, exists := a.files[rel]
-	if !exists {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, rel)
-	}
-	return meta.size, nil
+	n, err := a.lk.Stat(rel)
+	return n, mapLakeErr(err)
 }
 
 // Exists reports whether the file is stored here.
-func (a *Archive) Exists(rel string) bool {
-	if a.lk != nil {
-		return a.lk.Exists(rel)
-	}
-	rel, err := cleanRel(rel)
-	if err != nil {
-		return false
-	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	_, ok := a.files[rel]
-	return ok
-}
+func (a *Archive) Exists(rel string) bool { return a.lk.Exists(rel) }
 
-// Remove deletes a file. Only system processes (archive relocation,
-// purging, §5.2) call this; it is not exposed to users.
+// Remove deletes a file: a tombstone commit. Only system processes
+// (archive relocation, purging, §5.2) call this; it is not exposed to
+// users. The bytes stay readable through pinned older commits, and keep
+// counting against the capacity, until compaction and GC retire them.
 func (a *Archive) Remove(rel string) error {
-	if a.lk != nil {
-		return a.lakeRemove(rel)
-	}
-	rel, err := cleanRel(rel)
-	if err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.online {
+	if !a.Online() {
 		return ErrOffline
 	}
-	meta, exists := a.files[rel]
-	if !exists {
-		return fmt.Errorf("%w: %s", ErrNotFound, rel)
-	}
-	// Crash-safe order: publish the shrunken manifest first (atomic tmp +
-	// rename), then delete the data file. A crash in between leaves an
-	// orphaned unreferenced file — never a manifest entry whose bytes are
-	// gone.
-	delete(a.files, rel)
-	a.used -= meta.size
-	if err := a.rewriteManifest(); err != nil {
-		a.files[rel] = meta // manifest unchanged on disk; restore state
-		a.used += meta.size
-		return err
-	}
-	if meta.pack != "" {
-		// A pack member owns no file of its own. The container is deleted
-		// only when its last member goes; until then its bytes stay (the
-		// space is reclaimed at the end, like a tape aggregate).
-		for _, m := range a.files {
-			if m.pack == meta.pack {
-				return nil
-			}
-		}
-		if err := a.fsys.Remove(filepath.Join(a.root, meta.pack)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return err
-		}
-		return nil
-	}
-	if err := a.fsys.Remove(filepath.Join(a.root, rel)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
+	_, err := a.lk.Delete([]string{rel})
+	return mapLakeErr(err)
 }
 
 // List returns stored paths in sorted order.
-func (a *Archive) List() []string {
-	if a.lk != nil {
-		return a.lk.List()
-	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]string, 0, len(a.files))
-	for p := range a.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
+func (a *Archive) List() []string { return a.lk.List() }
 
-// Verify re-reads every file and checks it against the manifest, returning
-// the paths that fail.
-func (a *Archive) Verify() []string {
-	if a.lk != nil {
-		return a.lk.Verify()
-	}
-	var bad []string
-	for _, p := range a.List() {
-		if _, err := a.Read(p); err != nil {
-			bad = append(bad, p)
-		}
-	}
-	return bad
-}
+// Verify re-reads every file against its checksum, returning the paths
+// that fail.
+func (a *Archive) Verify() []string { return a.lk.Verify() }
 
-// Manifest persistence: "path<TAB>size<TAB>crc" lines, appended (and
-// fsynced) on store, atomically rewritten on remove. The manifest is the
-// archive's source of truth across restarts, so it gets the same durability
-// discipline as the database redo log.
-
-func (a *Archive) manifestPath() string { return filepath.Join(a.root, manifestName) }
-
-func (a *Archive) appendManifest(rel string, meta fileMeta) error {
-	f, err := a.fsys.OpenAppend(a.manifestPath(), 0o644)
-	if err != nil {
-		return err
-	}
-	size, err := f.Size()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if _, err = fmt.Fprintf(f, "%s\t%d\t%d\n", rel, meta.size, meta.crc); err == nil {
-		// Fsync before acknowledging: without this, a crash after Store
-		// returned could silently lose the file's registration.
-		err = f.Sync()
-	}
-	if err != nil {
-		// Keep a clean tail: a half-appended line must not sit in front of
-		// lines a later Store would add.
-		_ = f.Truncate(size)
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func (a *Archive) rewriteManifest() error {
-	var sb strings.Builder
-	paths := make([]string, 0, len(a.files))
-	for p := range a.files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		m := a.files[p]
-		if m.pack != "" {
-			fmt.Fprintf(&sb, "%s\t%d\t%d\t%s\t%d\n", p, m.size, m.crc, m.pack, m.off)
-		} else {
-			fmt.Fprintf(&sb, "%s\t%d\t%d\n", p, m.size, m.crc)
-		}
-	}
-	// Atomic replace: write aside, fsync, rename over the old manifest. A
-	// crash at any point leaves either the old or the new manifest, never
-	// a half-rewritten one.
-	tmp := a.manifestPath() + ".tmp"
-	if err := a.writeFileSync(tmp, []byte(sb.String()), 0o644); err != nil {
-		return err
-	}
-	return a.fsys.Rename(tmp, a.manifestPath())
-}
-
-func (a *Archive) loadManifest() error {
-	data, err := a.fsys.ReadFile(a.manifestPath())
-	if errors.Is(err, fs.ErrNotExist) {
+// mapLakeErr translates lake sentinel errors into the archive's, so
+// callers match errors.Is(err, archive.ErrNotFound) etc. without knowing
+// the store underneath.
+func mapLakeErr(err error) error {
+	if err == nil {
 		return nil
 	}
-	if err != nil {
-		return err
-	}
-	lines := strings.Split(string(data), "\n")
-	for i, line := range lines {
-		if line == "" {
-			continue
-		}
-		parts := strings.Split(line, "\t")
-		bad := ""
-		// 3 fields: a plain file. 5 fields: a pack member — rel, size, crc,
-		// container path, offset within the container.
-		if len(parts) != 3 && len(parts) != 5 {
-			bad = "shape"
-		}
-		var size, off int64
-		var crc uint64
-		pack := ""
-		if bad == "" {
-			if size, err = strconv.ParseInt(parts[1], 10, 64); err != nil {
-				bad = "size"
+	for _, m := range [...]struct{ from, to error }{
+		{lake.ErrNotFound, ErrNotFound},
+		{lake.ErrExists, ErrExists},
+		{lake.ErrCorrupt, ErrCorrupt},
+	} {
+		if errors.Is(err, m.from) {
+			// Keep the detail after the sentinel's own text (the path).
+			s := err.Error()
+			if i := strings.LastIndex(s, ": "); i >= 0 {
+				s = s[i+2:]
 			}
-		}
-		if bad == "" {
-			if crc, err = strconv.ParseUint(parts[2], 10, 32); err != nil {
-				bad = "crc"
-			}
-		}
-		if bad == "" && len(parts) == 5 {
-			pack = parts[3]
-			if off, err = strconv.ParseInt(parts[4], 10, 64); err != nil {
-				bad = "offset"
-			}
-		}
-		if bad != "" {
-			// A malformed FINAL line with no newline terminator is the torn
-			// tail of an append interrupted by a crash — the store it
-			// belonged to was never acknowledged, so drop it. Malformed
-			// lines anywhere else (or a terminated bad line) are real
-			// corruption and must not be silently skipped.
-			if i == len(lines)-1 {
-				return nil
-			}
-			return fmt.Errorf("archive: malformed manifest %s in line %q", bad, line)
-		}
-		a.files[parts[0]] = fileMeta{size: size, crc: uint32(crc), pack: pack, off: off}
-		a.used += size
-		// Keep the container sequence ahead of every referenced container
-		// so fresh batches never collide with live pack files.
-		if n := packSeqOf(pack); n >= a.packSeq {
-			a.packSeq = n + 1
+			return fmt.Errorf("%w: %s", m.to, s)
 		}
 	}
-	return nil
-}
-
-// packSeqOf extracts the sequence number from a "packs/p%08d.pack" path,
-// returning -1 for plain files or foreign names.
-func packSeqOf(pack string) int64 {
-	if !strings.HasPrefix(pack, "packs/p") || !strings.HasSuffix(pack, ".pack") {
-		return -1
-	}
-	n, err := strconv.ParseInt(pack[len("packs/p"):len(pack)-len(".pack")], 10, 64)
-	if err != nil {
-		return -1
-	}
-	return n
+	return err
 }
 
 // Copy moves one file's contents from src to dst (both ends verified).

@@ -103,7 +103,7 @@ func newIngestEnv(engine string) (*ingestEnv, error) {
 		}
 		eng = env.cl
 	}
-	arch, err := archive.New("disk-0", archive.Disk, filepath.Join(dir, "arch"), 0)
+	arch, err := archive.NewLake("disk-0", archive.Disk, filepath.Join(dir, "arch"), 0)
 	if err != nil {
 		env.Close()
 		return nil, err

@@ -185,7 +185,7 @@ func newFarmRig(p TablesScaleParams) (*farmRig, error) {
 	if err != nil {
 		return fail(err)
 	}
-	arch, err := archive.New("disk-0", archive.Disk, tmp, 0)
+	arch, err := archive.NewLake("disk-0", archive.Disk, tmp, 0)
 	if err != nil {
 		return fail(err)
 	}

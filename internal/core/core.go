@@ -135,13 +135,11 @@ func Start(cfg Config) (*Node, error) {
 	if archDir == "" {
 		return nil, fmt.Errorf("core: DataDir is required (archives need a directory)")
 	}
-	// The ingest archive is journal-backed (a lake): every store/delete is
-	// a commit, so the node serves time-travel reads and survives crashes
-	// by journal replay. A data directory from a pre-lake deployment
-	// (MANIFEST.crc, pack files) is imported into the journal on first
-	// open, so members the location tables reference stay readable across
-	// the upgrade. Old manifest-mode archives keep working as secondary
-	// tiers (tape), registered separately.
+	// The ingest archive: every store/delete is a journal commit, so the
+	// node serves time-travel reads and survives crashes by journal
+	// replay. A data directory from a pre-lake deployment is imported into
+	// the journal on first open (internal/archive/legacy.go), so members
+	// the location tables reference stay readable across the upgrade.
 	arch, err := archive.NewLake("disk-0", archive.Disk, archDir, 0)
 	if err != nil {
 		return nil, err
@@ -276,10 +274,8 @@ func (n *Node) StartMaintenance(interval time.Duration) (stop func()) {
 				// Lake housekeeping: merge small ingest containers, then
 				// let GC retire history past the keep window — never past
 				// a durable pin.
-				if a := n.DM.DefaultArchive(); a != nil && a.Lake() != nil {
-					if _, _, err := n.DM.LakeMaintenance(lake.DefaultCompactOptions(), n.cfg.LakeKeepHistory); err != nil {
-						n.cfg.Logger.Printf("maintenance lake: %v", err)
-					}
+				if err := n.DM.LakeMaintenance(lake.DefaultCompactOptions(), n.cfg.LakeKeepHistory); err != nil {
+					n.cfg.Logger.Printf("maintenance lake: %v", err)
 				}
 			}
 		}

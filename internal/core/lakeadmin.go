@@ -8,7 +8,7 @@ import (
 	"repro/internal/lake"
 )
 
-// Operator surface for the journal-backed archive. Everything here is
+// Operator surface for the default archive's journal. Everything here is
 // plumbing over internal/lake — the policy (what to compact, how much
 // history to keep) stays with the operator:
 //
@@ -32,20 +32,13 @@ func (n *Node) lakeAdminHandler() http.Handler {
 		w.WriteHeader(code)
 		_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 	}
-	// withLake rejects the whole surface cleanly when disk-0 is not
-	// journal-backed (e.g. a node configured around a legacy archive).
 	withLake := func(method string, fn func(w http.ResponseWriter, r *http.Request, lk *lake.Lake)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != method {
 				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 				return
 			}
-			a := n.DM.DefaultArchive()
-			if a == nil || a.Lake() == nil {
-				http.Error(w, "default archive is not journal-backed", http.StatusNotFound)
-				return
-			}
-			fn(w, r, a.Lake())
+			fn(w, r, n.DM.DefaultArchive().Lake())
 		}
 	}
 

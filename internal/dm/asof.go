@@ -41,7 +41,6 @@ func (d *DM) DefaultArchive() *archive.Archive {
 }
 
 // AsOf opens the catalog as of commit (0 = current head) for the session.
-// The default archive must be journal-backed.
 func (d *DM) AsOf(s *Session, commit uint64) (*AsOfView, error) {
 	if s == nil {
 		return nil, errDenied("as-of read", "catalog")
@@ -67,8 +66,8 @@ func (d *DM) AsOfAttach(s *Session, token string) (*AsOfView, error) {
 		return nil, errDenied("as-of read", "catalog")
 	}
 	arch := d.DefaultArchive()
-	if arch == nil || arch.Lake() == nil {
-		return nil, fmt.Errorf("dm: default archive %q is not journal-backed", d.defArch)
+	if arch == nil {
+		return nil, fmt.Errorf("dm: default archive %q not registered", d.defArch)
 	}
 	v, err := arch.Lake().AttachPin(token)
 	if err != nil {
@@ -85,9 +84,9 @@ func (v *AsOfView) Commit() uint64 { return v.view.Seq() }
 func (v *AsOfView) Token() string { return v.view.Token() }
 
 // ReadItem resolves an item id and reads its bytes as of the pinned
-// commit. Items whose file has been relocated off the journal-backed
-// tier (retention moved them to tape) are read from their current
-// archive — safe because archive file data is write-once on every tier.
+// commit. Items whose file has been relocated off the default archive
+// (retention moved them to tape) are read from their current archive —
+// safe because archive file data is write-once on every tier.
 func (v *AsOfView) ReadItem(itemID string) ([]byte, *ResolvedName, error) {
 	rn, err := v.d.Resolve(itemID, schema.NameFile)
 	if err != nil {
@@ -127,32 +126,38 @@ func (v *AsOfView) List() []string { return v.view.List() }
 // Close releases the durable pin, letting GC pass the commit again.
 func (v *AsOfView) Close() error { return v.view.Close() }
 
-// LakeMaintenance runs one compaction + GC round on the default archive's
-// journal, bounded by the durable pin set. keepHistory limits how far GC
-// may advance: the horizon moves at most to head-keepHistory commits (so
-// operators keep a time-travel window even with no pins open).
-func (d *DM) LakeMaintenance(opts lake.CompactOptions, keepHistory uint64) (lake.CompactResult, lake.GCResult, error) {
-	arch := d.DefaultArchive()
-	if arch == nil || arch.Lake() == nil {
-		return lake.CompactResult{}, lake.GCResult{}, fmt.Errorf("dm: default archive is not journal-backed")
+// LakeMaintenance runs one compaction + GC round on every registered
+// archive's journal, bounded by each one's durable pin set — relocation and
+// tape targets included: a Remove there is a tombstone whose bytes (and
+// capacity) only this reclaims. keepHistory limits how far GC may advance:
+// the horizon moves at most to head-keepHistory commits (so operators keep
+// a time-travel window even with no pins open). One archive's failure does
+// not stop the round; the first error is returned.
+func (d *DM) LakeMaintenance(opts lake.CompactOptions, keepHistory uint64) error {
+	var first error
+	for _, id := range d.archives.IDs() {
+		a := d.archives.Get(id)
+		if !a.Online() {
+			continue // a dismounted tier is not touched
+		}
+		lk := a.Lake()
+		cr, err := lk.Compact(opts)
+		var gr lake.GCResult
+		if err == nil {
+			target := lk.Head()
+			if target > keepHistory {
+				target -= keepHistory
+			} else {
+				target = 0
+			}
+			gr, err = lk.GC(target)
+		}
+		if err != nil && first == nil {
+			first = fmt.Errorf("dm: lake maintenance of archive %s: %w", id, err)
+		}
+		if cr.Seq != 0 || gr.Deleted > 0 {
+			d.logOp("info", "lake", "%s: %s; %s", id, cr, gr)
+		}
 	}
-	lk := arch.Lake()
-	cr, err := lk.Compact(opts)
-	if err != nil {
-		return cr, lake.GCResult{}, err
-	}
-	target := lk.Head()
-	if target > keepHistory {
-		target -= keepHistory
-	} else {
-		target = 0
-	}
-	gr, err := lk.GC(target)
-	if err != nil {
-		return cr, gr, err
-	}
-	if cr.Seq != 0 || gr.Deleted > 0 {
-		d.logOp("info", "lake", "%s; %s", cr, gr)
-	}
-	return cr, gr, nil
+	return first
 }

@@ -2,54 +2,20 @@ package dm
 
 import (
 	"bytes"
-	"io"
-	"log"
+	"errors"
 	"testing"
 
 	"repro/internal/archive"
 	"repro/internal/lake"
-	"repro/internal/minidb"
-	"repro/internal/schema"
 )
-
-// newLakeDM is newTestDM with a journal-backed default archive, so the
-// time-travel paths are live.
-func newLakeDM(t *testing.T) *DM {
-	t.Helper()
-	db, err := minidb.Open("", schema.AllSchemas()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arch, err := archive.NewLake("disk-0", archive.Disk, t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Open(Options{
-		Node:           "dm-lake-test",
-		MetaDB:         db,
-		DefaultArchive: "disk-0",
-		URLRoot:        "http://hedc.test",
-		Logger:         log.New(io.Discard, "", 0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RegisterArchive(arch, "/archives/disk-0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Bootstrap("secret"); err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
 
 // TestAsOfPinnedReprocessing is the full reprocessing story: pin the
 // catalog, then let retention relocate old units off the lake and
 // compaction+GC churn the containers — the pinned session keeps reading
 // the exact original bytes.
 func TestAsOfPinnedReprocessing(t *testing.T) {
-	d := newLakeDM(t)
-	tape, err := archive.New("tape-0", archive.Tape, t.TempDir(), 0)
+	d := newTestDM(t)
+	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +47,8 @@ func TestAsOfPinnedReprocessing(t *testing.T) {
 	}
 	pinned := v.Commit()
 
-	// Retention moves days 1-2 to tape (lake-mode Remove = tombstone
-	// commit), then maintenance compacts and GCs as far as pins allow.
+	// Retention moves days 1-2 to tape (Remove = tombstone commit), then
+	// maintenance compacts and GCs as far as pins allow.
 	if err := d.SetRetentionRule(RetentionRule{MaxAgeDays: 1, ToArchive: "tape-0"}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +57,7 @@ func TestAsOfPinnedReprocessing(t *testing.T) {
 		t.Fatalf("retention: %+v, %v", rep, err)
 	}
 	opts := lake.CompactOptions{SmallBytes: 1 << 20, MinMerge: 2, MaxMerge: 100}
-	if _, _, err := d.LakeMaintenance(opts, 0); err != nil {
+	if err := d.LakeMaintenance(opts, 0); err != nil {
 		t.Fatalf("maintenance: %v", err)
 	}
 
@@ -124,7 +90,7 @@ func TestAsOfPinnedReprocessing(t *testing.T) {
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.LakeMaintenance(opts, 0); err != nil {
+	if err := d.LakeMaintenance(opts, 0); err != nil {
 		t.Fatal(err)
 	}
 	v2, err := d.AsOf(sys, 0) // pin at the new head
@@ -148,8 +114,8 @@ func TestAsOfPinnedReprocessing(t *testing.T) {
 // rule must never delete a container still referenced by a pinned
 // time-travel commit.
 func TestRetentionNeverDeletesPinnedContainers(t *testing.T) {
-	d := newLakeDM(t)
-	tape, err := archive.New("tape-0", archive.Tape, t.TempDir(), 0)
+	d := newTestDM(t)
+	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +152,7 @@ func TestRetentionNeverDeletesPinnedContainers(t *testing.T) {
 	}
 	opts := lake.CompactOptions{SmallBytes: 1 << 30, MinMerge: 2, MaxMerge: 1000, DeadFraction: 0.01}
 	for i := 0; i < 3; i++ {
-		if _, _, err := d.LakeMaintenance(opts, 0); err != nil {
+		if err := d.LakeMaintenance(opts, 0); err != nil {
 			t.Fatalf("maintenance %d: %v", i, err)
 		}
 	}
@@ -207,7 +173,7 @@ func TestRetentionNeverDeletesPinnedContainers(t *testing.T) {
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.LakeMaintenance(opts, 0); err != nil {
+	if err := d.LakeMaintenance(opts, 0); err != nil {
 		t.Fatal(err)
 	}
 	if after := lk.PhysBytes(); after >= before {
@@ -218,7 +184,7 @@ func TestRetentionNeverDeletesPinnedContainers(t *testing.T) {
 // TestAsOfAttachResumesAfterRestartToken checks the checkpoint flow: a
 // reprocessing job records v.Token(), crashes, and resumes via AsOfAttach.
 func TestAsOfAttachResumesAfterRestartToken(t *testing.T) {
-	d := newLakeDM(t)
+	d := newTestDM(t)
 	loadDays(t, d, 1)
 	sys := d.systemSession()
 	units, _ := d.UnitsInRange(0, 600)
@@ -252,16 +218,69 @@ func TestAsOfAttachResumesAfterRestartToken(t *testing.T) {
 	}
 }
 
-// TestAsOfRequiresLakeArchive: manifest-mode archives refuse time travel
-// with a clear error, and as-of reads require a session.
-func TestAsOfRequiresLakeArchive(t *testing.T) {
+// TestAsOfRequiresSession: as-of reads are never anonymous.
+func TestAsOfRequiresSession(t *testing.T) {
 	d := newTestDM(t)
-	sys := d.systemSession()
-	if _, err := d.AsOf(sys, 0); err == nil {
-		t.Fatal("AsOf on manifest-mode archive succeeded")
-	}
-	dl := newLakeDM(t)
-	if _, err := dl.AsOf(nil, 0); err == nil {
+	if _, err := d.AsOf(nil, 0); err == nil {
 		t.Fatal("AsOf without session succeeded")
+	}
+	if _, err := d.AsOfAttach(nil, "pin-1"); err == nil {
+		t.Fatal("AsOfAttach without session succeeded")
+	}
+}
+
+// TestLakeMaintenanceCoversEveryArchive: a relocation target is a lake
+// too, so purging a file from it only tombstones the bytes; maintenance
+// must reach every registered archive — not only the default one — for
+// the tier's capacity to come back.
+func TestLakeMaintenanceCoversEveryArchive(t *testing.T) {
+	d := newTestDM(t)
+	const tapeCap = 1 << 10
+	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), tapeCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RegisterArchive(tape, "/archives/tape-0"); err != nil {
+		t.Fatal(err)
+	}
+	itemID, _ := d.nextID("item")
+	payload := bytes.Repeat([]byte("u"), 600)
+	if err := d.StoreItemFiles(itemID, ImportUser, true, []StoredFile{
+		{Suffix: ".fits.gz", Format: "fits.gz", Data: payload},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RelocateItem(itemID, "tape-0"); err != nil {
+		t.Fatal(err)
+	}
+	// Purge the tape copy by relocating the item back to disk.
+	if err := d.RelocateItem(itemID, "disk-0"); err != nil {
+		t.Fatal(err)
+	}
+	if tape.Len() != 0 || tape.CapacityLeft() != tapeCap-int64(len(payload)) {
+		t.Fatalf("after purge: tape holds %d files, %d bytes left (a remove alone frees nothing)",
+			tape.Len(), tape.CapacityLeft())
+	}
+	if err := d.RelocateItem(itemID, "tape-0"); !errors.Is(err, archive.ErrFull) {
+		t.Fatalf("relocation into the unreclaimed tier: %v, want ErrFull", err)
+	}
+
+	if err := d.LakeMaintenance(lake.DefaultCompactOptions(), 0); err != nil {
+		t.Fatalf("maintenance: %v", err)
+	}
+	if left := tape.CapacityLeft(); left != tapeCap {
+		t.Fatalf("tape capacity after maintenance = %d, want %d back", left, tapeCap)
+	}
+	if err := d.RelocateItem(itemID, "tape-0"); err != nil {
+		t.Fatalf("relocation after maintenance: %v", err)
+	}
+	if data, _, err := d.ReadItem(d.systemSession(), itemID); err != nil || !bytes.Equal(data, payload) {
+		t.Fatalf("read after the round trip: %d bytes, %v", len(data), err)
+	}
+
+	// A dismounted tier is skipped, not an error.
+	tape.SetOnline(false)
+	if err := d.LakeMaintenance(lake.DefaultCompactOptions(), 0); err != nil {
+		t.Fatalf("maintenance with tape offline: %v", err)
 	}
 }

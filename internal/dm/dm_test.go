@@ -18,7 +18,7 @@ func newTestDM(t *testing.T) *DM {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, err := archive.New("disk-0", archive.Disk, t.TempDir(), 0)
+	arch, err := archive.NewLake("disk-0", archive.Disk, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestNameMappingResolve(t *testing.T) {
 
 func TestRelocateItemLive(t *testing.T) {
 	d := newTestDM(t)
-	tape, err := archive.New("tape-0", archive.Tape, t.TempDir(), 0)
+	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +630,7 @@ func TestVerticalPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _ := archive.New("disk-0", archive.Disk, t.TempDir(), 0)
+	arch, _ := archive.NewLake("disk-0", archive.Disk, t.TempDir(), 0)
 	d, err := Open(Options{
 		MetaDB: metaDB, DomainDB: domainDB,
 		DefaultArchive: "disk-0", Logger: log.New(io.Discard, "", 0),

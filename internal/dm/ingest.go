@@ -277,8 +277,8 @@ func (d *DM) storeUnit(dv *derivedUnit) (*LoadReport, error) {
 	for i, f := range files {
 		batch[i] = archive.BatchFile{Rel: f.relPath, Day: int64(u.Day), Data: data[i]}
 	}
-	// One bulk store: per-file data fsyncs plus a single manifest fsync for
-	// the unit's whole file group, instead of a manifest fsync per file.
+	// One bulk store: one container fsync plus one journal commit for the
+	// unit's whole file group, instead of a commit per file.
 	if err := arch.StoreBatch(batch); err != nil {
 		return nil, fmt.Errorf("dm: store files for %s: %w", dv.unitID, err)
 	}

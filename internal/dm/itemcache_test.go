@@ -324,7 +324,7 @@ func editLocEntries(t *testing.T, d *DM, itemID string, edit func(minidb.Row) mi
 
 func TestWarmUnitStillChecksNameMapAccessAndMount(t *testing.T) {
 	d := newTestDM(t)
-	tape, err := archive.New("tape-0", archive.Tape, t.TempDir(), 0)
+	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,11 +44,11 @@ type StoredFile struct {
 // reference them. On any failure, previously stored files are removed —
 // the compensation the DM's transactional entity handling requires (§4.4).
 //
-// Durability contract: archive.Store fsyncs both the data file and its
-// manifest line before returning, and the location-entry transaction is
-// sealed by a redo-log fsync before this method returns — so once
-// StoreItemFiles acknowledges, a crash at any later instant loses neither
-// the bytes nor the name mapping. A crash *during* the call leaves at most
+// Durability contract: archive.Store fsyncs both the container holding
+// the bytes and its journal record before returning, and the
+// location-entry transaction is sealed by a redo-log fsync before this
+// method returns — so once StoreItemFiles acknowledges, a crash at any
+// later instant loses neither the bytes nor the name mapping. A crash *during* the call leaves at most
 // orphaned archive files (never location entries pointing at missing
 // data), because files are made durable strictly before the entries that
 // reference them. internal/torture enumerates every crash point of this

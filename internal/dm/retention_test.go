@@ -113,7 +113,7 @@ func loadDays(t *testing.T, d *DM, days int) {
 
 func TestRetentionMigratesOldUnitsToTape(t *testing.T) {
 	d := newTestDM(t)
-	tape, err := archive.New("tape-0", archive.Tape, t.TempDir(), 0)
+	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRetentionValidation(t *testing.T) {
 		t.Fatal("retention without a rule ran")
 	}
 	// Rule update overwrites, not duplicates.
-	tape, _ := archive.New("tape-0", archive.Tape, t.TempDir(), 0)
+	tape, _ := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
 	if err := d.RegisterArchive(tape, "/t"); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestRetentionValidation(t *testing.T) {
 
 func TestRetentionSurvivesOfflineTarget(t *testing.T) {
 	d := newTestDM(t)
-	tape, _ := archive.New("tape-0", archive.Tape, t.TempDir(), 0)
+	tape, _ := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
 	if err := d.RegisterArchive(tape, "/t"); err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func newShardedTestDM(t *testing.T) (*DM, *shard.Router) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
-	arch, err := archive.New("disk-0", archive.Disk, t.TempDir(), 0)
+	arch, err := archive.NewLake("disk-0", archive.Disk, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,7 +328,7 @@ func (f *FS) ReadFile(p string) ([]byte, error) {
 	return out, nil
 }
 
-// Open returns a reader over p's current content (archive streaming path).
+// Open returns a reader over p's current content.
 func (f *FS) Open(p string) (io.ReadCloser, error) {
 	data, err := f.ReadFile(p)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // and the payload is a fixed-order binary rendering of one Record. The
 // framing gives the reader two independent integrity signals: the length
 // (a truncated final frame is a torn append, dropped silently, exactly the
-// discipline the archive manifest and the WAL already follow) and the
+// discipline the WAL already follows) and the
 // checksum (a damaged payload inside a complete frame is detected, never
 // silently decoded). Records are strictly sequential — record N carries
 // Seq == N — so a CRC-valid record with the wrong sequence number is

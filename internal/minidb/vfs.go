@@ -81,7 +81,7 @@ func (osFS) OpenAppend(path string, perm fs.FileMode) (File, error) {
 func (osFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
 
 // Open streams a file for reading. Not part of VFS — consumers that can
-// stream (internal/archive) discover it by type assertion.
+// read a byte range (internal/lake) discover it by type assertion.
 func (osFS) Open(path string) (io.ReadCloser, error) { return os.Open(path) }
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }

@@ -32,7 +32,7 @@ func newHEDCRig(t *testing.T) *hedcRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, err := archive.New("disk-0", archive.Disk, t.TempDir(), 0)
+	arch, err := archive.NewLake("disk-0", archive.Disk, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

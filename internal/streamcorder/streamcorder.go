@@ -116,7 +116,7 @@ func New(opts Options) (*Client, error) {
 		if err != nil {
 			return nil, err
 		}
-		arch, err := archive.New("local-0", archive.Disk, filepath.Join(opts.Dir, "archive"), 0)
+		arch, err := archive.NewLake("local-0", archive.Disk, filepath.Join(opts.Dir, "archive"), 0)
 		if err != nil {
 			return nil, err
 		}

@@ -31,13 +31,16 @@
 //     after space is freed recover to serving exactly the operations that
 //     succeeded.
 //
-// The archive side is slightly weaker than the database side in the strict
-// modes: its commit points are metadata renames and appends (atomic in the
-// simulated filesystem, as on a journalled one) rather than fsync-gated
-// record seals, so an unacknowledged store/remove may legally be visible
-// after recovery — but an acknowledged one must never be damaged or lost,
-// and a manifest entry must never point at missing or silently corrupt
-// bytes.
+// The archive side runs on the production engine (the lake behind
+// archive.NewLakeVFS) and holds the same contract: a store or remove is
+// acknowledged only after its journal record is fsynced, so the strict
+// modes never surface an in-flight one; the lenient modes may surface it
+// whole or not at all (a commit is one CRC-framed record); recovery never
+// lists a path that was never stored; and a flipped bit yields the right
+// bytes or a typed refusal (archive.ErrCorrupt, *lake.CorruptError) —
+// never wrong bytes. A crash in the I/O that follows the acknowledgement
+// point (the advisory head-pointer publish) leaves the operation
+// acknowledged: the workload then dies at its next operation instead.
 package torture
 
 import (
@@ -49,6 +52,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/fault"
+	"repro/internal/lake"
 	"repro/internal/minidb"
 )
 
@@ -232,7 +236,7 @@ func payload(tag string, size int) []byte {
 // Steps returns the scripted workload. It is deliberately varied: single-
 // and multi-op transactions, cross-table transactions, rollbacks,
 // checkpoints (twice, so the stale-log path runs), archive stores in nested
-// directories, and removes that rewrite the manifest.
+// directories, and removes (tombstone commits).
 func Steps() []step {
 	var s []step
 	add := func(name string, fn func(*run) error) { s = append(s, step{name, fn}) }
@@ -415,7 +419,7 @@ func Run(fs *fault.FS, continueOnError bool) (m *Model, firstErr error) {
 	if err != nil {
 		return m, fmt.Errorf("open db: %w", err)
 	}
-	arch, err := archive.NewVFS(fs, ArchID, archive.Disk, ArchDir, 0)
+	arch, err := archive.NewLakeVFS(fs, ArchID, archive.Disk, ArchDir, 0)
 	if err != nil {
 		return m, fmt.Errorf("open archive: %w", err)
 	}
@@ -630,20 +634,21 @@ func Verify(fs *fault.FS, m *Model, mode fault.Mode) error {
 		}
 	}
 
-	arch, err := archive.NewVFS(fs, ArchID, archive.Disk, ArchDir, 0)
+	arch, err := archive.NewLakeVFS(fs, ArchID, archive.Disk, ArchDir, 0)
 	if err != nil {
-		if mode == fault.ModeBitFlip {
-			return nil
+		var ce *lake.CorruptError
+		if mode == fault.ModeBitFlip && (errors.As(err, &ce) || errors.Is(err, archive.ErrCorrupt)) {
+			return nil // a typed refusal to open: an acceptable bitflip outcome
 		}
 		return fmt.Errorf("reopen archive: %v", err)
 	}
 	// Every acknowledged file must be present, readable and byte-identical
-	// — except one whose un-acknowledged removal was in flight, which may
-	// legally be gone already (its commit point is a rename).
+	// — except one whose un-acknowledged removal was in flight, which a
+	// lenient mode may already show gone (its record reached the disk).
 	for rel, want := range m.Files {
 		data, err := arch.Read(rel)
 		if err != nil {
-			if rel == m.PendingRemove && errors.Is(err, archive.ErrNotFound) {
+			if lenient && rel == m.PendingRemove && errors.Is(err, archive.ErrNotFound) {
 				continue
 			}
 			return fmt.Errorf("acknowledged file %s unreadable after recovery: %v", rel, err)
@@ -652,26 +657,25 @@ func Verify(fs *fault.FS, m *Model, mode fault.Mode) error {
 			return fmt.Errorf("acknowledged file %s has wrong content after recovery", rel)
 		}
 	}
-	// Anything extra in the manifest must be the in-flight store — and its
-	// manifest entry may only exist if the data beneath it is durable
-	// (readable with matching checksum) or detectably corrupt in bitflip.
+	// Anything extra must be the in-flight store, in a lenient mode, whole:
+	// its bytes intact or — when the flipped bit landed in them — refused
+	// with ErrCorrupt, never served wrong.
 	for _, rel := range arch.List() {
 		if _, acked := m.Files[rel]; acked {
 			continue
 		}
-		if rel != m.PendingStore && mode != fault.ModeBitFlip {
-			return fmt.Errorf("recovered manifest lists %s, which was never stored", rel)
+		if rel != m.PendingStore {
+			return fmt.Errorf("recovered archive lists %s, which was never stored", rel)
 		}
-		// The entry is the in-flight store — or, in bitflip mode, possibly
-		// its manifest line with the flip inside (a mangled path). Either
-		// way its un-acknowledged data may surface only intact or as a
-		// *detected* error, never as silently wrong bytes.
+		if !lenient {
+			return fmt.Errorf("un-acknowledged store %s surfaced in %s mode", rel, mode)
+		}
 		data, err := arch.Read(rel)
 		if err != nil {
-			if rel != m.PendingStore || (mode == fault.ModeBitFlip && errors.Is(err, archive.ErrCorrupt)) {
+			if mode == fault.ModeBitFlip && errors.Is(err, archive.ErrCorrupt) {
 				continue
 			}
-			return fmt.Errorf("manifest lists in-flight store %s but its bytes are not durable: %v", rel, err)
+			return fmt.Errorf("archive lists in-flight store %s but its bytes are not durable: %v", rel, err)
 		}
 		if !reflect.DeepEqual(data, m.PendingData) {
 			return fmt.Errorf("in-flight store %s recovered with wrong content", rel)

@@ -121,7 +121,7 @@ func dmRun(fs *fault.FS) (acked map[string]bool, err error) {
 	if err != nil {
 		return acked, err
 	}
-	arch, err := archive.NewVFS(fs, dmArchID, archive.Disk, dmArchDir, 0)
+	arch, err := archive.NewLakeVFS(fs, dmArchID, archive.Disk, dmArchDir, 0)
 	if err != nil {
 		return acked, err
 	}
@@ -158,7 +158,7 @@ func verifyDM(t *testing.T, fs *fault.FS, acked map[string]bool, mode fault.Mode
 		t.Fatalf("site %d (%s): reopen db: %v", site, mode, err)
 	}
 	defer db.Close()
-	arch, err := archive.NewVFS(fs, dmArchID, archive.Disk, dmArchDir, 0)
+	arch, err := archive.NewLakeVFS(fs, dmArchID, archive.Disk, dmArchDir, 0)
 	if err != nil {
 		t.Fatalf("site %d (%s): reopen archive: %v", site, mode, err)
 	}

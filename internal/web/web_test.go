@@ -42,7 +42,7 @@ func newWebRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _ := archive.New("disk-0", archive.Disk, t.TempDir(), 0)
+	arch, _ := archive.NewLake("disk-0", archive.Disk, t.TempDir(), 0)
 	d, err := dm.Open(dm.Options{
 		MetaDB: db, DefaultArchive: "disk-0",
 		URLRoot: "http://hedc.test", Logger: log.New(io.Discard, "", 0),

@@ -1,6 +1,8 @@
 #!/bin/sh
-# Full verification: vet, build, the full test suite (which includes the
-# sharded-cell smoke and the scaled-down Figure 5 sharded sweep with its
+# Full verification: vet, build, a structural guard that the retired
+# manifest + pack-file archive format is referenced only by its read-only
+# importer (internal/archive/legacy.go), the full test suite (which
+# includes the sharded-cell smoke and the scaled-down Figure 5 sharded sweep with its
 # bit-identical scatter-gather oracle), a short-mode race lane (which
 # carries the decoded-unit cache's oracle and warm-path safety tests) plus
 # ten rounds of its concurrent single-decode test, the crash-recovery and
@@ -23,6 +25,9 @@ go vet ./...
 
 echo "==> go build"
 go build ./...
+
+echo "==> one archive engine (manifest/pack-file names only in the legacy reader)"
+if grep -rnE 'MANIFEST\.crc|packs/p' --include='*.go' --exclude='*_test.go' internal/ | grep -v '^internal/archive/legacy\.go:'; then exit 1; fi
 
 echo "==> go test"
 go test ./...
