@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"log"
 	"sort"
 	"strings"
 	"time"
@@ -126,65 +124,35 @@ func RunChaos(logf func(string, ...any)) (*ChaosResult, error) {
 // and records the degradation contract.
 func runDBLossDemo() (ChaosDegraded, error) {
 	var out ChaosDegraded
-	db, err := minidb.Open("", schema.AllSchemas()...)
+	b, err := cluster.StartBackends(1, dbnet.Options{}, func(db minidb.Engine) error {
+		for i := 0; i < 24; i++ {
+			h := &schema.HLE{
+				ID: fmt.Sprintf("hle-demo-%04d", i), Version: 1, Owner: "sci", Public: true,
+				KindHint: "flare", TStart: float64(i), TStop: float64(i + 1),
+				Day: int64(i % 8), CalibVersion: 1,
+			}
+			if _, err := db.Insert(schema.TableHLE, h.ToRow()); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return out, err
 	}
-	defer db.Close()
-	dbSrv, err := dbnet.Listen("127.0.0.1:0", dbnet.Options{DB: db})
+	defer b.Close()
+	cell, err := cluster.StartCell(b.Addrs(), cluster.CellOptions{
+		Replicas: 2,
+		Gateway:  cluster.GatewayOptions{HealthInterval: time.Minute},
+		Client: dbnet.ClientOptions{
+			CallTimeout: 200 * time.Millisecond, DialTimeout: 200 * time.Millisecond,
+		},
+	})
 	if err != nil {
 		return out, err
 	}
-	defer dbSrv.Close()
-	boot, err := dm.Open(dm.Options{Node: "boot", MetaDB: db, Logger: log.New(io.Discard, "", 0)})
-	if err != nil {
-		return out, err
-	}
-	if err := boot.Bootstrap("secret"); err != nil {
-		return out, err
-	}
-	if err := boot.CreateUser("sci", "pw", dm.GroupScientist,
-		dm.RightBrowse, dm.RightDownload, dm.RightAnalyze, dm.RightUpload); err != nil {
-		return out, err
-	}
-	for i := 0; i < 24; i++ {
-		h := &schema.HLE{
-			ID: fmt.Sprintf("hle-demo-%04d", i), Version: 1, Owner: "sci", Public: true,
-			KindHint: "flare", TStart: float64(i), TStop: float64(i + 1),
-			Day: int64(i % 8), CalibVersion: 1,
-		}
-		if _, err := db.Insert(schema.TableHLE, h.ToRow()); err != nil {
-			return out, err
-		}
-	}
-
-	gw := cluster.NewGateway(cluster.GatewayOptions{HealthInterval: time.Minute})
-	defer gw.Close()
-	var reps []*cluster.Replica
-	var clients []*dbnet.Client
-	defer func() {
-		for _, r := range reps {
-			r.Stop()
-		}
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
-	for i := 0; i < 2; i++ {
-		cl, err := dbnet.Dial(dbnet.ClientOptions{
-			Addr: dbSrv.Addr(), CallTimeout: 200 * time.Millisecond, DialTimeout: 200 * time.Millisecond,
-		})
-		if err != nil {
-			return out, err
-		}
-		clients = append(clients, cl)
-		rep, err := cluster.StartReplica(cluster.ReplicaOptions{Name: fmt.Sprintf("replica-%d", i), DB: cl})
-		if err != nil {
-			return out, err
-		}
-		reps = append(reps, rep)
-		gw.AddReplica(rep.Name(), dm.NewRemote(rep.URL(), nil))
-	}
+	defer cell.Close()
+	gw := cell.GW
 
 	f := dm.HLEFilter{Kind: "flare"}
 	warm, err := gw.QueryHLEs("", "10.8.0.1", f)
@@ -196,7 +164,7 @@ func runDBLossDemo() (ChaosDegraded, error) {
 		return out, fmt.Errorf("auth: %w", err)
 	}
 
-	dbSrv.Close() // the partition: every replica loses the shared database
+	b.Srvs[0].Close() // the partition: every replica loses the shared database
 
 	rows, err := gw.QueryHLEs("", "10.8.0.1", f)
 	out.BrowseServed = len(rows) == len(warm)

@@ -3,14 +3,7 @@ package bench
 import (
 	"fmt"
 	"log"
-	"sync"
 	"time"
-
-	"repro/internal/cluster"
-	"repro/internal/dbnet"
-	"repro/internal/dm"
-	"repro/internal/minidb"
-	"repro/internal/schema"
 )
 
 // Live Figure 5: the same sweep as Figure5, but measured instead of
@@ -76,243 +69,31 @@ type LivePoint struct {
 }
 
 // Figure5Live measures the live replicated middle tier at each replica
-// count. One shared networked database persists across the sweep;
-// replicas and the gateway are rebuilt per point.
+// count: the sharded sweep's one-shard case, where every replica dials
+// the one shared networked database directly. The database persists
+// across the sweep; replicas and the gateway are rebuilt per point.
 func Figure5Live(p LiveParams, logger *log.Logger) ([]LivePoint, error) {
-	if p.Clients <= 0 {
-		p.Clients = 96
-	}
 	if len(p.Nodes) == 0 {
 		p.Nodes = []int{1, 2, 3, 5}
 	}
-	if p.TimeScale <= 0 {
-		p.TimeScale = 1
+	sp := ShardedParams{
+		Base: p.Base, Clients: p.Clients, Nodes: p.Nodes, HLEs: p.HLEs, Filters: p.Filters,
+		Warmup: p.Warmup, Measure: p.Measure, TimeScale: p.TimeScale, WriteEveryMS: p.WriteEveryMS,
 	}
-	if p.HLEs <= 0 {
-		p.HLEs = 400
-	}
-	if p.Filters <= 0 {
-		p.Filters = 20
-	}
-
-	db, err := minidb.Open("", schema.AllSchemas()...)
+	sp.defaults()
+	pts, _, err := runShardedSweep(sp, 1, logger)
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
-	// The shared database: the calibrated ceiling, sped up by TimeScale.
-	dbSrv, err := dbnet.Listen("127.0.0.1:0", dbnet.Options{
-		DB:           db,
-		MaxOpsPerSec: p.Base.DBMaxQueriesPerSec / p.TimeScale,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer dbSrv.Close()
-
-	if err := seedLiveHLEs(db, p.HLEs, p.Filters); err != nil {
-		return nil, err
-	}
-
-	out := make([]LivePoint, 0, len(p.Nodes))
-	for _, n := range p.Nodes {
-		pt, err := runLivePoint(p, dbSrv, db, n, logger)
-		if err != nil {
-			return nil, err
+	out := make([]LivePoint, len(pts))
+	for i, pt := range pts {
+		out[i] = LivePoint{
+			Nodes: pt.Nodes, Clients: pt.Clients,
+			RequestsPerSec: pt.RequestsPerSec, DBOpsPerSec: pt.DBOpsPerSec,
+			MeanResponseS: pt.MeanResponseS, Failovers: pt.failovers, ClientErrors: pt.ClientErrors,
 		}
-		if logger != nil {
-			logger.Printf("bench: live fig5 point nodes=%d req/s=%.1f db=%.1f", n, pt.RequestsPerSec, pt.DBOpsPerSec)
-		}
-		out = append(out, pt)
 	}
 	return out, nil
-}
-
-func seedLiveHLEs(db *minidb.DB, nHLEs, filters int) error {
-	for i := 0; i < nHLEs; i++ {
-		h := &schema.HLE{
-			ID: fmt.Sprintf("hle-live-%05d", i), Version: 1, Owner: "loader", Public: true,
-			KindHint: "flare", TStart: float64(i), TStop: float64(i + 1),
-			Day: int64(i % filters), CalibVersion: 1,
-		}
-		if _, err := db.Insert(schema.TableHLE, h.ToRow()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func runLivePoint(p LiveParams, dbSrv *dbnet.Server, db *minidb.DB, nodes int, logger *log.Logger) (LivePoint, error) {
-	// Per-call CPU burst: the page's calibrated demand split over its
-	// API calls, exactly as the simulator splits it over slices.
-	perCall := time.Duration(p.Base.WebCPUDemand / float64(p.Base.QueriesPerRequest) *
-		p.TimeScale * float64(time.Second))
-	capModel := cluster.Capacity{
-		Workers:         int(p.Base.WebCores),
-		CPUPerCall:      perCall,
-		ThrashThreshold: int(p.Base.Thrash.Threshold),
-		ThrashFactor:    p.Base.Thrash.Factor,
-	}
-
-	gw := cluster.NewGateway(cluster.GatewayOptions{HealthInterval: 200 * time.Millisecond})
-	defer gw.Close()
-	var replicas []*cluster.Replica
-	var clients []*dbnet.Client
-	defer func() {
-		for _, r := range replicas {
-			r.Stop()
-		}
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
-	for i := 0; i < nodes; i++ {
-		cl, err := dbnet.Dial(dbnet.ClientOptions{Addr: dbSrv.Addr()})
-		if err != nil {
-			return LivePoint{}, err
-		}
-		clients = append(clients, cl)
-		rep, err := cluster.StartReplica(cluster.ReplicaOptions{
-			Name: fmt.Sprintf("live-%d-%d", nodes, i), DB: cl, Capacity: capModel, Logger: logger,
-		})
-		if err != nil {
-			return LivePoint{}, err
-		}
-		replicas = append(replicas, rep)
-		gw.AddReplica(rep.Name(), dm.NewRemote(rep.URL(), nil))
-	}
-
-	stop := make(chan struct{})
-	// Background writer: live ingest keeps committing, bumping the HLE
-	// epoch so replica caches must revalidate — without it, every count
-	// becomes a cache hit and the DB ceiling never binds.
-	writerDone := make(chan struct{})
-	if p.WriteEveryMS > 0 {
-		go func() {
-			defer close(writerDone)
-			cadence := time.Duration(float64(p.WriteEveryMS) * p.TimeScale * float64(time.Millisecond))
-			i := 0
-			for {
-				select {
-				case <-stop:
-					return
-				case <-time.After(cadence):
-				}
-				// Rewriting an existing row commits a transaction (epoch
-				// bump) without growing the table.
-				res, err := db.Query(minidb.Query{
-					Table: schema.TableHLE,
-					Where: []minidb.Pred{{Col: "hle_id", Op: minidb.OpEq,
-						Val: minidb.S(fmt.Sprintf("hle-live-%05d", i%p.HLEs))}},
-				})
-				if err != nil || len(res.RowIDs) == 0 {
-					continue
-				}
-				_ = db.Update(schema.TableHLE, res.RowIDs[0], res.Rows[0])
-				i++
-			}
-		}()
-	} else {
-		close(writerDone)
-	}
-
-	type window struct {
-		pages   int64
-		respSum time.Duration
-		errs    int64
-	}
-	results := make([]window, p.Clients)
-	measuring := make(chan struct{})
-	done := make(chan struct{})
-	var clientWG sync.WaitGroup
-
-	for c := 0; c < p.Clients; c++ {
-		clientWG.Add(1)
-		go func(c int) {
-			defer clientWG.Done()
-			w := &results[c]
-			for i := c; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				start := time.Now()
-				// One browse page, the §7.2 anatomy: a result-list query,
-				// its count, and detail fetches — QueriesPerRequest calls
-				// against the shared database.
-				f := dm.HLEFilter{
-					Kind: "flare", HasDay: true, Day: int64(i % p.Filters),
-					Limit: p.Base.QueriesPerRequest - 2,
-				}
-				ok := true
-				hles, err := gw.QueryHLEs("", "10.1.0.1", f)
-				if err != nil {
-					ok = false
-				}
-				if ok {
-					if _, err := gw.CountHLEs("", "10.1.0.1", f); err != nil {
-						ok = false
-					}
-				}
-				for j := 0; ok && j < len(hles); j++ {
-					if _, err := gw.GetHLE("", "10.1.0.1", hles[j].ID); err != nil {
-						ok = false
-					}
-				}
-				inWindow := false
-				select {
-				case <-measuring:
-					select {
-					case <-done:
-					default:
-						inWindow = true
-					}
-				default:
-				}
-				if inWindow {
-					if ok {
-						w.pages++
-						w.respSum += time.Since(start)
-					} else {
-						w.errs++
-					}
-				}
-			}
-		}(c)
-	}
-
-	time.Sleep(p.Warmup)
-	ops0 := dbSrv.Ops()
-	failovers0 := gw.Failovers()
-	close(measuring)
-	time.Sleep(p.Measure)
-	close(done)
-	opsDelta := dbSrv.Ops() - ops0
-	close(stop)
-	<-writerDone
-	clientWG.Wait()
-
-	var pages, errs int64
-	var respSum time.Duration
-	for i := range results {
-		pages += results[i].pages
-		errs += results[i].errs
-		respSum += results[i].respSum
-	}
-	meas := p.Measure.Seconds()
-	pt := LivePoint{
-		Nodes:          nodes,
-		Clients:        p.Clients,
-		RequestsPerSec: float64(pages) / meas * p.TimeScale,
-		DBOpsPerSec:    float64(opsDelta) / meas * p.TimeScale,
-		Failovers:      gw.Failovers() - failovers0,
-		ClientErrors:   errs,
-	}
-	if pages > 0 {
-		pt.MeanResponseS = respSum.Seconds() / float64(pages) / p.TimeScale
-	}
-	return pt, nil
 }
 
 // FormatLive renders live points next to the simulated curve.

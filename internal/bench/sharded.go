@@ -13,23 +13,23 @@ import (
 	"repro/internal/dm"
 	"repro/internal/minidb"
 	"repro/internal/schema"
-	"repro/internal/shard"
 )
 
 // Sharded Figure 5: the measured live sweep with the single shared
 // database replaced by N shard databases behind a shard.Router in every
-// replica. Each shard server carries the same calibrated ~120 ops/s
-// ceiling the single database had, so with 2 shards the aggregate
-// database budget doubles and throughput must keep climbing past the
-// replica counts where the single-DB curve went flat — the ROADMAP
-// item 1 claim, measured.
+// replica (one shard is the single-database baseline: replicas dial it
+// directly, which is also how Figure5Live runs). Each shard server
+// carries the same calibrated ~120 ops/s ceiling the single database
+// had, so with 2 shards the aggregate database budget doubles and
+// throughput must keep climbing past the replica counts where the
+// single-DB curve went flat — the ROADMAP item 1 claim, measured.
 //
 // Correctness is not assumed: before and after every shard count's
 // sweep, a battery of scatter queries, counts and columnar analytics
-// runs through the router AND through a single unsharded oracle holding
-// identical rows, and the run hard-fails unless every result is
-// bit-identical (math.Float64bits on every float, exact match on
-// everything else).
+// runs through the cell's database engine (the router, or the one
+// database) AND through a single unsharded oracle holding identical
+// rows, and the run hard-fails unless every result is bit-identical
+// (math.Float64bits on every float, exact match on everything else).
 
 // ShardedParams configures the sharded measured sweep.
 type ShardedParams struct {
@@ -93,9 +93,7 @@ type ShardedResult struct {
 	OracleChecks int `json:"oracle_checks"`
 }
 
-// Figure5Sharded measures the sharded cell at every (shards, nodes)
-// configuration.
-func Figure5Sharded(p ShardedParams, logger *log.Logger) (*ShardedResult, error) {
+func (p *ShardedParams) defaults() {
 	if p.Clients <= 0 {
 		p.Clients = 96
 	}
@@ -114,105 +112,99 @@ func Figure5Sharded(p ShardedParams, logger *log.Logger) (*ShardedResult, error)
 	if p.Filters <= 0 {
 		p.Filters = 20
 	}
+}
 
+// Figure5Sharded measures the sharded cell at every (shards, nodes)
+// configuration.
+func Figure5Sharded(p ShardedParams, logger *log.Logger) (*ShardedResult, error) {
+	p.defaults()
 	out := &ShardedResult{}
 	for _, nShards := range p.Shards {
-		if err := runShardedSweep(p, nShards, logger, out); err != nil {
+		pts, checks, err := runShardedSweep(p, nShards, logger)
+		if err != nil {
 			return nil, err
 		}
+		for _, pt := range pts {
+			out.Points = append(out.Points, pt.ShardedPoint)
+		}
+		out.OracleChecks += checks
 	}
 	return out, nil
 }
 
-// runShardedSweep stands up one shard count's databases, seeds them and
-// the oracle identically, proves the router bit-identical, sweeps the
-// node counts, and proves it again after the writer has churned epochs.
-func runShardedSweep(p ShardedParams, nShards int, logger *log.Logger, out *ShardedResult) error {
-	var dbs []*minidb.DB
-	var srvs []*dbnet.Server
-	var addrs []string
-	engines := make(map[int]minidb.Engine, nShards)
-	defer func() {
-		for _, s := range srvs {
-			s.Close()
-		}
-		for _, db := range dbs {
-			db.Close()
-		}
-	}()
-	for i := 0; i < nShards; i++ {
-		db, err := minidb.Open("", schema.AllSchemas()...)
-		if err != nil {
-			return err
-		}
-		dbs = append(dbs, db)
-		// Every shard server carries the same calibrated ceiling the
-		// single shared database had: sharding multiplies the aggregate
-		// budget instead of splitting it.
-		srv, err := dbnet.Listen("127.0.0.1:0", dbnet.Options{
-			DB:           db,
-			MaxOpsPerSec: p.Base.DBMaxQueriesPerSec / p.TimeScale,
-		})
-		if err != nil {
-			return err
-		}
-		srvs = append(srvs, srv)
-		addrs = append(addrs, srv.Addr())
-		engines[i] = db
-	}
-
-	boot, err := shard.NewRouter(shard.Options{Shards: engines})
-	if err != nil {
-		return err
-	}
-	oracle, err := minidb.Open("", schema.AllSchemas()...)
-	if err != nil {
-		return err
-	}
-	defer oracle.Close()
-	for i := 0; i < p.HLEs; i++ {
-		h := &schema.HLE{
-			ID: fmt.Sprintf("hle-shrd-%05d", i), Version: 1, Owner: "loader", Public: true,
-			KindHint: "flare", TStart: float64(i), TStop: float64(i + 1),
-			PeakRate: float64(100 + i%7), Day: int64(i % p.Filters), CalibVersion: 1,
-		}
-		if _, err := boot.Insert(schema.TableHLE, h.ToRow()); err != nil {
-			return err
-		}
-		if _, err := oracle.Insert(schema.TableHLE, h.ToRow()); err != nil {
-			return err
-		}
-	}
-
-	checks, err := verifyShardedOracle(boot, oracle, p)
-	if err != nil {
-		return fmt.Errorf("shards=%d pre-sweep oracle: %w", nShards, err)
-	}
-	out.OracleChecks += checks
-
-	for _, n := range p.Nodes {
-		pt, err := runShardedPoint(p, nShards, n, addrs, srvs, boot, logger)
-		if err != nil {
-			return err
-		}
-		if logger != nil {
-			logger.Printf("bench: fig5sharded point shards=%d nodes=%d req/s=%.1f db=%.1f",
-				nShards, n, pt.RequestsPerSec, pt.DBOpsPerSec)
-		}
-		out.Points = append(out.Points, pt)
-	}
-
-	checks, err = verifyShardedOracle(boot, oracle, p)
-	if err != nil {
-		return fmt.Errorf("shards=%d post-sweep oracle: %w", nShards, err)
-	}
-	out.OracleChecks += checks
-	return nil
+// sweepPoint is a measured point plus what only the live sweep reports.
+type sweepPoint struct {
+	ShardedPoint
+	failovers int64
 }
 
+// runShardedSweep stands up one shard count's databases, seeds them and
+// the oracle identically, proves the cell's database engine bit-identical
+// to the oracle, sweeps the node counts, and proves it again after the
+// writer has churned epochs. It returns the points and the number of
+// oracle checks passed.
+func runShardedSweep(p ShardedParams, nShards int, logger *log.Logger) ([]sweepPoint, int, error) {
+	oracle, err := minidb.Open("", schema.AllSchemas()...)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer oracle.Close()
+	// Every shard server carries the same calibrated ceiling the single
+	// shared database had, sped up by TimeScale: sharding multiplies the
+	// aggregate budget instead of splitting it.
+	srv := dbnet.Options{MaxOpsPerSec: p.Base.DBMaxQueriesPerSec / p.TimeScale}
+	b, err := cluster.StartBackends(nShards, srv, func(boot minidb.Engine) error {
+		for i := 0; i < p.HLEs; i++ {
+			h := &schema.HLE{
+				ID: sweepHLEID(i), Version: 1, Owner: "loader", Public: true,
+				KindHint: "flare", TStart: float64(i), TStop: float64(i + 1),
+				PeakRate: float64(100 + i%7), Day: int64(i % p.Filters), CalibVersion: 1,
+			}
+			if _, err := boot.Insert(schema.TableHLE, h.ToRow()); err != nil {
+				return err
+			}
+			if _, err := oracle.Insert(schema.TableHLE, h.ToRow()); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	defer b.Close()
+
+	checks, err := verifyShardedOracle(b.Boot, oracle, p)
+	if err != nil {
+		return nil, 0, fmt.Errorf("shards=%d pre-sweep oracle: %w", nShards, err)
+	}
+
+	var pts []sweepPoint
+	for _, n := range p.Nodes {
+		pt, err := runShardedPoint(p, b, n, logger)
+		if err != nil {
+			return nil, 0, err
+		}
+		if logger != nil {
+			logger.Printf("bench: fig5 point shards=%d nodes=%d req/s=%.1f db=%.1f",
+				nShards, n, pt.RequestsPerSec, pt.DBOpsPerSec)
+		}
+		pts = append(pts, pt)
+	}
+
+	post, err := verifyShardedOracle(b.Boot, oracle, p)
+	if err != nil {
+		return nil, 0, fmt.Errorf("shards=%d post-sweep oracle: %w", nShards, err)
+	}
+	return pts, checks + post, nil
+}
+
+func sweepHLEID(i int) string { return fmt.Sprintf("hle-shrd-%05d", i) }
+
 // verifyShardedOracle runs the scatter-gather battery through the
-// router and the oracle and demands bit-identical results.
-func verifyShardedOracle(r *shard.Router, oracle *minidb.DB, p ShardedParams) (int, error) {
+// cell's boot engine (the shard router, or the one database itself) and
+// the oracle and demands bit-identical results.
+func verifyShardedOracle(r minidb.Engine, oracle *minidb.DB, p ShardedParams) (int, error) {
 	checks := 0
 	queries := []minidb.Query{
 		{Table: schema.TableHLE, OrderBy: []minidb.Order{{Col: "tstart"}}},
@@ -232,7 +224,7 @@ func verifyShardedOracle(r *shard.Router, oracle *minidb.DB, p ShardedParams) (i
 	for qi, q := range queries {
 		got, err := r.Query(q)
 		if err != nil {
-			return checks, fmt.Errorf("router query %d: %w", qi, err)
+			return checks, fmt.Errorf("cell query %d: %w", qi, err)
 		}
 		want, err := oracle.Query(q)
 		if err != nil {
@@ -250,10 +242,14 @@ func verifyShardedOracle(r *shard.Router, oracle *minidb.DB, p ShardedParams) (i
 		{Table: schema.TableHLE, Agg: colseg.AggHist, Col: "tstart",
 			Bins: 16, Lo: 0, Hi: float64(p.HLEs)},
 	}
+	run := func(q colseg.Query) (*colseg.Result, error) { return colseg.RunRows(r, q) }
+	if rn, ok := r.(colseg.Runner); ok {
+		run = rn.RunAnalytics
+	}
 	for qi, q := range analytics {
-		got, err := r.RunAnalytics(q)
+		got, err := run(q)
 		if err != nil {
-			return checks, fmt.Errorf("router analytics %d: %w", qi, err)
+			return checks, fmt.Errorf("cell analytics %d: %w", qi, err)
 		}
 		want, err := colseg.RunRows(oracle, q)
 		if err != nil {
@@ -331,13 +327,15 @@ func sameAnalytics(got, want *colseg.Result) error {
 	return nil
 }
 
-func runShardedPoint(p ShardedParams, nShards, nodes int, addrs []string,
-	srvs []*dbnet.Server, writerDB minidb.Engine, logger *log.Logger) (ShardedPoint, error) {
+// runShardedPoint measures one node count over the sweep's backends:
+// p.Clients closed-loop browsers through a fresh gateway and replicas.
+func runShardedPoint(p ShardedParams, b *cluster.Backends, nodes int, logger *log.Logger) (sweepPoint, error) {
+	// Per-call CPU burst: the page's calibrated demand split over its
+	// API calls, exactly as the simulator splits it over slices.
 	perCall := time.Duration(p.Base.WebCPUDemand / float64(p.Base.QueriesPerRequest) *
 		p.TimeScale * float64(time.Second))
-	cell, err := cluster.StartShardCell(cluster.ShardCellOptions{
-		ShardAddrs: addrs,
-		Replicas:   nodes,
+	cell, err := cluster.StartCell(b.Addrs(), cluster.CellOptions{
+		Replicas: nodes,
 		Capacity: cluster.Capacity{
 			Workers:         int(p.Base.WebCores),
 			CPUPerCall:      perCall,
@@ -345,20 +343,23 @@ func runShardedPoint(p ShardedParams, nShards, nodes int, addrs []string,
 			ThrashFactor:    p.Base.Thrash.Factor,
 		},
 		Gateway:    cluster.GatewayOptions{HealthInterval: 200 * time.Millisecond},
-		NamePrefix: fmt.Sprintf("shrd-%d-%d", nShards, nodes),
+		NamePrefix: fmt.Sprintf("shrd-%d-%d", len(b.DBs), nodes),
 		Logger:     logger,
 	})
 	if err != nil {
-		return ShardedPoint{}, err
+		return sweepPoint{}, err
 	}
 	defer cell.Close()
 
 	stop := make(chan struct{})
 	writerDone := make(chan struct{})
 	if p.WriteEveryMS > 0 {
-		// Background writer, as in the live sweep — but here each rewrite
-		// bumps only its row's shard epoch, so replicas' caches on other
-		// shards stay warm (the satellite-5 behavior, exercised at load).
+		// Background writer: live ingest keeps committing, bumping the HLE
+		// epoch so replica caches must revalidate — without it every count
+		// becomes a cache hit and the DB ceiling never binds. Rewriting an
+		// existing row commits (epoch bump) without growing the table, and
+		// on a sharded cell bumps only its row's shard epoch, so replicas'
+		// caches on other shards stay warm.
 		go func() {
 			defer close(writerDone)
 			cadence := time.Duration(float64(p.WriteEveryMS) * p.TimeScale * float64(time.Millisecond))
@@ -369,15 +370,15 @@ func runShardedPoint(p ShardedParams, nShards, nodes int, addrs []string,
 					return
 				case <-time.After(cadence):
 				}
-				res, err := writerDB.Query(minidb.Query{
+				res, err := b.Boot.Query(minidb.Query{
 					Table: schema.TableHLE,
 					Where: []minidb.Pred{{Col: "hle_id", Op: minidb.OpEq,
-						Val: minidb.S(fmt.Sprintf("hle-shrd-%05d", i%p.HLEs))}},
+						Val: minidb.S(sweepHLEID(i % p.HLEs))}},
 				})
 				if err != nil || len(res.RowIDs) == 0 {
 					continue
 				}
-				_ = writerDB.Update(schema.TableHLE, res.RowIDs[0], res.Rows[0])
+				_ = b.Boot.Update(schema.TableHLE, res.RowIDs[0], res.Rows[0])
 				i++
 			}
 		}()
@@ -406,6 +407,9 @@ func runShardedPoint(p ShardedParams, nShards, nodes int, addrs []string,
 				default:
 				}
 				start := time.Now()
+				// One browse page, the §7.2 anatomy: a result-list query,
+				// its count, and detail fetches — QueriesPerRequest calls
+				// against the database tier.
 				f := dm.HLEFilter{
 					Kind: "flare", HasDay: true, Day: int64(i % p.Filters),
 					Limit: p.Base.QueriesPerRequest - 2,
@@ -449,14 +453,15 @@ func runShardedPoint(p ShardedParams, nShards, nodes int, addrs []string,
 
 	time.Sleep(p.Warmup)
 	ops0 := int64(0)
-	for _, s := range srvs {
+	for _, s := range b.Srvs {
 		ops0 += s.Ops()
 	}
+	failovers0 := cell.GW.Failovers()
 	close(measuring)
 	time.Sleep(p.Measure)
 	close(done)
 	opsDelta := -ops0
-	for _, s := range srvs {
+	for _, s := range b.Srvs {
 		opsDelta += s.Ops()
 	}
 	close(stop)
@@ -471,14 +476,14 @@ func runShardedPoint(p ShardedParams, nShards, nodes int, addrs []string,
 		respSum += results[i].respSum
 	}
 	meas := p.Measure.Seconds()
-	pt := ShardedPoint{
-		Shards:         nShards,
+	pt := sweepPoint{failovers: cell.GW.Failovers() - failovers0, ShardedPoint: ShardedPoint{
+		Shards:         len(b.DBs),
 		Nodes:          nodes,
 		Clients:        p.Clients,
 		RequestsPerSec: float64(pages) / meas * p.TimeScale,
 		DBOpsPerSec:    float64(opsDelta) / meas * p.TimeScale,
 		ClientErrors:   errs,
-	}
+	}}
 	if pages > 0 {
 		pt.MeanResponseS = respSum.Seconds() / float64(pages) / p.TimeScale
 	}

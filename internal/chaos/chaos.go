@@ -1,35 +1,51 @@
 // Package chaos is the network-fault torture harness for the live middle
 // tier — the counterpart of internal/torture (which breaks the storage
-// under the database) for the wires between the tiers. A cell is a full
-// small deployment: one shared networked database, two replicas dialing
-// it, and a gateway fronting them. One hop of that deployment is wrapped
-// in a fault.Net rig, and a scripted browse+write workload runs while the
-// rig breaks the hop at exactly the Nth network operation in one of the
-// shapes real networks fail (latency, partition, reset, slow drip, black
-// hole, torn frame).
+// under the database) for the wires between the tiers. Every schedule
+// runs against one cell, the small deployment cluster.StartBackends and
+// cluster.StartCell build: shard databases behind dbnet, two replicas
+// dialing them, and a gateway in front. One hop of that deployment is
+// wrapped in a fault.Net rig, and a scripted browse+write workload runs
+// while the rig breaks the hop at exactly the Nth network operation in
+// one of the shapes real networks fail (latency, partition, reset, slow
+// drip, black hole, torn frame).
 //
-// For every enumerated schedule the harness asserts the end-to-end
-// resilience contract:
+// The hop decides the cell's shape. HopDB and HopHTTP rig replica-0's
+// link to one shared database, or the gateway's link to replica-0: one
+// flaky cable in an otherwise healthy cluster. HopShard runs a two-shard
+// cell whose replicas route through shard.Router and rigs EVERY
+// replica's link to shard 1: the shard itself partitioned away from the
+// middle tier, the failure the router's typed errors and breakers exist
+// for.
+//
+// One run loop asserts the end-to-end resilience contract for every
+// enumerated schedule:
 //
 //  1. Bounded latency: no request — served, degraded or failed — may
 //     exceed the harness deadline. A hang is the one unforgivable
 //     outcome; every timeout, breaker and deadline in the stack exists
 //     to prevent it.
 //  2. No duplicate effects: every write carries a unique marker value;
-//     after the run the shared database must hold at most one row per
-//     marker (exactly one if the write was acknowledged). Failover must
-//     never re-execute a mutation that may have landed.
+//     after the run the shard databases together must hold at most one
+//     row per marker (exactly one if the write was acknowledged).
+//     Failover must never re-execute a mutation that may have landed.
 //  3. Bounded failure, full recovery: every error during the fault
 //     window must be one of the typed, expected failures (transport,
 //     DB-unavailable, deadline, overload, denial, degraded); after the
 //     fault clears, the cluster must converge to serving everything
 //     cleanly again within the convergence deadline.
+//  4. Partial availability (HopShard only): while shard 1 is
+//     unreachable, point reads whose partition key routes to shard 0
+//     must still be served LIVE — not degraded, not failed. A router
+//     that lets one dead shard poison single-shard traffic has lost the
+//     point of sharding. Scatter reads may be served live (soft faults),
+//     degraded from the gateway's stale cache, or fail typed — and for
+//     the hard fault shapes (partition, black hole) at least one must
+//     actually be pushed off the live path, proving the schedule bit.
 package chaos
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"time"
@@ -40,6 +56,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/minidb"
 	"repro/internal/schema"
+	"repro/internal/shard"
 )
 
 // Hop names the network link a schedule breaks.
@@ -50,6 +67,9 @@ const (
 	HopDB Hop = "db"
 	// HopHTTP is the gateway's connection to replica-0 (dm RPC over HTTP).
 	HopHTTP Hop = "http"
+	// HopShard is the dbnet link from every replica's router to shard 1
+	// of a two-shard cell.
+	HopShard Hop = "shard1"
 )
 
 // Schedule is one enumerated fault: break one hop, one way, at the
@@ -72,11 +92,9 @@ var netModes = []fault.NetMode{
 
 var opIndices = []int{1, 5, 11, 23, 37}
 
-// Schedules enumerates the full fault matrix: every mode on every hop at
-// every armed op index — 6 × 2 × 5 = 60 distinct schedules.
-func Schedules() []Schedule {
+func schedulesOn(hops ...Hop) []Schedule {
 	var out []Schedule
-	for _, hop := range []Hop{HopDB, HopHTTP} {
+	for _, hop := range hops {
 		for _, mode := range netModes {
 			for _, at := range opIndices {
 				out = append(out, Schedule{Hop: hop, Mode: mode, At: at})
@@ -86,10 +104,27 @@ func Schedules() []Schedule {
 	return out
 }
 
+// Schedules enumerates the single-database fault matrix: every mode on
+// both hops at every armed op index — 6 × 2 × 5 = 60 distinct schedules.
+func Schedules() []Schedule { return schedulesOn(HopDB, HopHTTP) }
+
+// ShardSchedules enumerates the sharded-cell fault matrix: every mode
+// against the shard-1 hop at every armed op index — 30 schedules.
+func ShardSchedules() []Schedule { return schedulesOn(HopShard) }
+
+// hardMode reports whether a fault shape severs the hop persistently (as
+// opposed to slowing it, or breaking it once and letting the client's
+// reconnect absorb the hit, as a single reset does): for these, scatter
+// traffic cannot stay fully live once the fault fires.
+func hardMode(m fault.NetMode) bool {
+	return m == fault.NetPartition || m == fault.NetBlackHole
+}
+
 // Config tunes a run.
 type Config struct {
 	// Rounds is the number of fault-phase workload rounds (default 8;
-	// each round is two anonymous reads and one write).
+	// each round is two anonymous reads and one write, plus a point read
+	// per shard on the sharded cell).
 	Rounds int
 	// MinFaultTime keeps the fault phase running for at least this long
 	// regardless of Rounds — the CHAOSTIME knob.
@@ -131,7 +166,7 @@ func (r *Result) Available() float64 {
 
 // Harness timeouts. Everything is short: the cell exists to prove that
 // no fault shape can stall a request past its budget, and short budgets
-// keep 60 schedules affordable.
+// keep the schedules affordable.
 const (
 	httpTimeout    = 300 * time.Millisecond // gateway→replica RPC budget
 	dbCallTimeout  = 150 * time.Millisecond // replica→database call budget
@@ -147,21 +182,26 @@ const (
 
 	convergeDeadline = 5 * time.Second
 	maxPumpOps       = 60 // extra reads to push the op counter to At
+
+	// seededHLEs public events are seeded, split evenly over the shards.
+	seededHLEs = 16
 )
 
-// cell is one live deployment under test.
+// cell is the deployment under test plus the scripted client's state.
 type cell struct {
-	db       *minidb.DB
-	dbSrv    *dbnet.Server
-	rig      *fault.Net
-	clients  []*dbnet.Client
-	replicas []*cluster.Replica
-	gw       *cluster.Gateway
+	*cluster.Backends
+	*cluster.Cell
+	rig *fault.Net
 
 	token     string
 	ip        string
 	markerSeq int
 	markers   []marker
+
+	// shardIDs[s] are the seeded public HLE ids shard s owns. On the
+	// sharded cell shard 0's are the "healthy shard" probes (invariant
+	// 4) and shard 1's the partitioned ones.
+	shardIDs [][]string
 }
 
 // marker is one write's unique fingerprint: the TStart value it inserts.
@@ -171,109 +211,116 @@ type marker struct {
 }
 
 func (c *cell) close() {
-	if c.gw != nil {
-		c.gw.Close()
+	if c.Cell != nil {
+		c.Cell.Close()
 	}
-	for _, r := range c.replicas {
-		r.Stop()
+	c.Backends.Close()
+}
+
+// startCell builds a cell around rig (whose hooks o carries): shards
+// databases served with srv, seededHLEs public events spread evenly over
+// them — ids are probed until each shard has its share, so scatter
+// queries genuinely span every shard and each has known keys to probe —
+// and the replicas and gateway o describes.
+func startCell(rig *fault.Net, shards int, srv dbnet.Options, o cluster.CellOptions) (*cell, error) {
+	c := &cell{rig: rig, ip: "10.9.0.1", shardIDs: make([][]string, shards)}
+	var err error
+	c.Backends, err = cluster.StartBackends(shards, srv, func(boot minidb.Engine) error {
+		owner := func(string) int { return 0 }
+		if r, ok := boot.(*shard.Router); ok {
+			m := r.Map()
+			owner = func(id string) int { return m.ReadOwner(shard.SlotOf(minidb.S(id))) }
+		}
+		for seq, n := 0, 0; n < seededHLEs; seq++ {
+			id := fmt.Sprintf("hle-chaos-%04d", seq)
+			ids := &c.shardIDs[owner(id)]
+			if len(*ids) >= seededHLEs/shards {
+				continue
+			}
+			h := &schema.HLE{
+				ID: id, Version: 1, Owner: "sci", Public: true,
+				KindHint: []string{"flare", "burst"}[seq%2],
+				TStart:   float64(seq), TStop: float64(seq + 1),
+				Day: int64(seq % 8), CalibVersion: 1,
+			}
+			if _, err := boot.Insert(schema.TableHLE, h.ToRow()); err != nil {
+				return err
+			}
+			*ids = append(*ids, id)
+			n++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, cl := range c.clients {
-		cl.Close()
+	c.Cell, err = cluster.StartCell(c.Addrs(), o)
+	if err != nil {
+		c.close()
+		return nil, err
 	}
-	if c.dbSrv != nil {
-		c.dbSrv.Close()
-	}
-	if c.db != nil {
-		c.db.Close()
+	return c, nil
+}
+
+// rigReplica0 is the CellOptions.Transport hook that routes the
+// gateway's link to replica-0 through rig.
+func rigReplica0(rig *fault.Net) func(int) http.RoundTripper {
+	return func(replica int) http.RoundTripper {
+		if replica != 0 {
+			return nil
+		}
+		return &http.Transport{DialContext: rig.DialContext}
 	}
 }
 
-// newCell builds the deployment with the schedule's hop wrapped in the
-// rig. Only replica-0's hop is faulted: chaos asserts that a cluster with
-// one broken link keeps its promises, not that a fully dead one does
-// (internal/cluster's degraded-mode tests cover total database loss).
-func newCell(s Schedule, logger *log.Logger) (*cell, error) {
-	c := &cell{rig: fault.NewNet(), ip: "10.9.0.1"}
-	ok := false
-	defer func() {
-		if !ok {
-			c.close()
-		}
-	}()
-
-	var err error
-	c.db, err = minidb.Open("", schema.AllSchemas()...)
-	if err != nil {
-		return nil, err
+// cellFor builds the schedule's deployment with its hop wrapped in the
+// rig. On the single-database hops only replica-0's link is faulted:
+// chaos asserts that a cluster with one broken link keeps its promises,
+// not that a fully dead one does (internal/cluster's degraded-mode tests
+// cover total database loss). On HopShard shard 1's dial is rigged for
+// BOTH replicas, and the gateway→replica budget is left at its default:
+// a replica waiting out a dead shard is slow, not dead, and must not be
+// failed over.
+func cellFor(s Schedule, logger *log.Logger) (*cell, error) {
+	rig := fault.NewNet()
+	shards := 1
+	o := cluster.CellOptions{
+		Replicas: 2,
+		Gateway: cluster.GatewayOptions{
+			HealthInterval:   healthInterval,
+			RetryBackoff:     retryBackoff,
+			BreakerThreshold: 2,
+			BreakerCooldown:  breakerCool,
+			Logger:           logger,
+		},
+		Client:      dbnet.ClientOptions{DialTimeout: dbCallTimeout, CallTimeout: dbCallTimeout},
+		Router:      shard.Options{BreakerCooldown: breakerCool},
+		HTTPTimeout: httpTimeout,
+		Logger:      logger,
 	}
-	c.dbSrv, err = dbnet.Listen("127.0.0.1:0", dbnet.Options{DB: c.db})
-	if err != nil {
-		return nil, err
-	}
-
-	if logger == nil {
-		logger = log.New(io.Discard, "", 0)
-	}
-	boot, err := dm.Open(dm.Options{Node: "boot", MetaDB: c.db, Logger: logger})
-	if err != nil {
-		return nil, err
-	}
-	if err := boot.Bootstrap("secret"); err != nil {
-		return nil, err
-	}
-	if err := boot.CreateUser("sci", "pw", dm.GroupScientist,
-		dm.RightBrowse, dm.RightDownload, dm.RightAnalyze, dm.RightUpload); err != nil {
-		return nil, err
-	}
-	for i := 0; i < 16; i++ {
-		h := &schema.HLE{
-			ID: fmt.Sprintf("hle-chaos-%04d", i), Version: 1, Owner: "sci", Public: true,
-			KindHint: []string{"flare", "burst"}[i%2], TStart: float64(i), TStop: float64(i + 1),
-			Day: int64(i % 8), CalibVersion: 1,
+	switch s.Hop {
+	case HopDB:
+		o.Dial = func(replica, _ int) cluster.DialFunc {
+			if replica != 0 {
+				return nil
+			}
+			return rig.Dial
 		}
-		if _, err := c.db.Insert(schema.TableHLE, h.ToRow()); err != nil {
-			return nil, err
+	case HopHTTP:
+		o.Transport = rigReplica0(rig)
+	case HopShard:
+		shards = 2
+		o.HTTPTimeout = 0
+		o.Dial = func(_, sid int) cluster.DialFunc {
+			if sid != 1 {
+				return nil
+			}
+			return rig.Dial
 		}
+	default:
+		return nil, fmt.Errorf("unknown hop %q", s.Hop)
 	}
-
-	c.gw = cluster.NewGateway(cluster.GatewayOptions{
-		HealthInterval:   healthInterval,
-		RetryBackoff:     retryBackoff,
-		BreakerThreshold: 2,
-		BreakerCooldown:  breakerCool,
-		Logger:           logger,
-	})
-	for i := 0; i < 2; i++ {
-		opts := dbnet.ClientOptions{
-			Addr:        c.dbSrv.Addr(),
-			DialTimeout: dbCallTimeout,
-			CallTimeout: dbCallTimeout,
-		}
-		if i == 0 && s.Hop == HopDB {
-			opts.Dial = c.rig.Dial
-		}
-		cl, err := dbnet.Dial(opts)
-		if err != nil {
-			return nil, err
-		}
-		c.clients = append(c.clients, cl)
-		rep, err := cluster.StartReplica(cluster.ReplicaOptions{
-			Name: fmt.Sprintf("replica-%d", i), DB: cl,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.replicas = append(c.replicas, rep)
-
-		remote := dm.NewRemote(rep.URL(), nil)
-		remote.Client = &http.Client{Timeout: httpTimeout}
-		if i == 0 && s.Hop == HopHTTP {
-			remote.Client.Transport = &http.Transport{DialContext: c.rig.DialContext}
-		}
-		c.gw.AddReplica(rep.Name(), remote)
-	}
-	ok = true
-	return c, nil
+	return startCell(rig, shards, dbnet.Options{}, o)
 }
 
 // filterFor cycles the workload over distinct affinity keys so traffic
@@ -284,6 +331,22 @@ func filterFor(i int) dm.HLEFilter {
 		HasDay: true,
 		Day:    int64(i % 8),
 	}
+}
+
+// The anonymous reads the workload is scripted from.
+func (c *cell) query(i int) error {
+	_, err := c.GW.QueryHLEs("", c.ip, filterFor(i))
+	return err
+}
+
+func (c *cell) count(i int) error {
+	_, err := c.GW.CountHLEs("", c.ip, filterFor(i))
+	return err
+}
+
+func (c *cell) get(id string) error {
+	_, err := c.GW.GetHLE("", c.ip, id)
+	return err
 }
 
 // outcome classifies one request: "ok", "degraded", "typed", or "" for an
@@ -306,8 +369,9 @@ func outcome(err error) string {
 }
 
 // timed runs one workload request under invariant 1 and classifies it
-// under invariant 3, folding the outcome into res.
-func (c *cell) timed(res *Result, what string, fn func() error) error {
+// under invariant 3, folding the outcome into res and handing the
+// classification back so callers can layer stricter demands on it.
+func timed(res *Result, what string, fn func() error) (string, error) {
 	start := time.Now()
 	err := fn()
 	wall := time.Since(start)
@@ -316,9 +380,10 @@ func (c *cell) timed(res *Result, what string, fn func() error) error {
 		res.MaxWall = wall
 	}
 	if wall > reqDeadline {
-		return fmt.Errorf("%s: request took %v, past the %v deadline (err=%v)", what, wall, reqDeadline, err)
+		return "", fmt.Errorf("%s: request took %v, past the %v deadline (err=%v)", what, wall, reqDeadline, err)
 	}
-	switch outcome(err) {
+	o := outcome(err)
+	switch o {
 	case "ok":
 		res.OK++
 	case "degraded":
@@ -326,55 +391,87 @@ func (c *cell) timed(res *Result, what string, fn func() error) error {
 	case "typed":
 		res.TypedErr++
 	default:
-		return fmt.Errorf("%s: error outside the failure model: %v", what, err)
+		return "", fmt.Errorf("%s: error outside the failure model: %v", what, err)
 	}
+	return o, nil
+}
+
+// healthyRead is invariant 4: a point read keyed to shard 0 must be
+// served live whatever is happening to shard 1.
+func (c *cell) healthyRead(res *Result, i int) error {
+	id := c.shardIDs[0][i%len(c.shardIDs[0])]
+	o, err := timed(res, "healthy-shard read", func() error { return c.get(id) })
+	if err != nil {
+		return err
+	}
+	if o != "ok" {
+		return fmt.Errorf("healthy-shard read %s was %q, want live: one dead shard poisoned single-shard traffic", id, o)
+	}
+	res.HealthyOK++
 	return nil
 }
 
 // write creates one HLE carrying a fresh unique marker. A denial means
 // the session died with its replica (the documented demotion path): the
 // client re-authenticates and retries the same marker — safe, because a
-// denial is an answer, proof the write did not execute.
+// denial is an answer, proof the write did not execute. On the sharded
+// cell the new row's shard follows its generated id's hash, so during a
+// shard-1 fault roughly half the writes fail typed — and their markers
+// must still never surface twice.
 func (c *cell) write() error {
 	c.markerSeq++
 	m := marker{t: 50000 + float64(c.markerSeq)}
-	err := c.createHLE(m.t)
+	create := func() error {
+		_, err := c.GW.CreateHLE(c.token, c.ip, &schema.HLE{
+			KindHint: "flare", Day: 1, TStart: m.t, TStop: m.t + 0.5,
+			Version: 1, CalibVersion: 1,
+		})
+		return err
+	}
+	err := create()
 	if dm.IsDenied(err) {
-		si, aerr := c.gw.Authenticate("sci", "pw", c.ip, dm.SessionHLE)
-		if aerr != nil {
-			c.markers = append(c.markers, m)
-			return aerr
+		if err = c.auth(); err == nil {
+			err = create()
 		}
-		c.token = si.Token
-		err = c.createHLE(m.t)
 	}
 	m.acked = err == nil
 	c.markers = append(c.markers, m)
 	return err
 }
 
-func (c *cell) createHLE(t float64) error {
-	_, err := c.gw.CreateHLE(c.token, c.ip, &schema.HLE{
-		KindHint: "flare", Day: 1, TStart: t, TStop: t + 0.5,
-		Version: 1, CalibVersion: 1,
-	})
-	return err
-}
-
-// warm brings the cell to a healthy serving baseline: every filter
-// answers, a session exists, a write lands. Failures here are harness
-// bugs, not chaos findings.
-func (c *cell) warm() error {
-	for i := 0; i < 4; i++ {
-		if _, err := c.gw.QueryHLEs("", c.ip, filterFor(i)); err != nil {
-			return fmt.Errorf("warm query %d: %w", i, err)
-		}
-	}
-	si, err := c.gw.Authenticate("sci", "pw", c.ip, dm.SessionHLE)
+func (c *cell) auth() error {
+	si, err := c.GW.Authenticate("sci", "pw", c.ip, dm.SessionHLE)
 	if err != nil {
-		return fmt.Errorf("warm auth: %w", err)
+		return err
 	}
 	c.token = si.Token
+	return nil
+}
+
+// warm brings the cell to a healthy serving baseline: every filter's
+// query and count answer (priming the gateway's stale cache so hard
+// faults can degrade), every seeded row reads back by id, a session
+// exists, a write lands. Failures here are harness bugs, not chaos
+// findings.
+func (c *cell) warm() error {
+	for i := 0; i < 4; i++ {
+		if err := c.query(i); err != nil {
+			return fmt.Errorf("warm query %d: %w", i, err)
+		}
+		if err := c.count(i); err != nil {
+			return fmt.Errorf("warm count %d: %w", i, err)
+		}
+	}
+	for _, ids := range c.shardIDs {
+		for _, id := range ids {
+			if err := c.get(id); err != nil {
+				return fmt.Errorf("warm point read %s: %w", id, err)
+			}
+		}
+	}
+	if err := c.auth(); err != nil {
+		return fmt.Errorf("warm auth: %w", err)
+	}
 	if err := c.write(); err != nil {
 		return fmt.Errorf("warm write: %w", err)
 	}
@@ -382,7 +479,9 @@ func (c *cell) warm() error {
 }
 
 // converge waits for the healed cluster to serve a fully clean round:
-// every filter live (not degraded), a write accepted. Invariant 3's
+// every filter live (not degraded) so both replicas have answered, a
+// count, a point read on every shard (proving a router's breakers closed
+// and the partitioned shard rejoined), a write accepted. Invariant 3's
 // recovery half.
 func (c *cell) converge() error {
 	deadline := time.Now().Add(convergeDeadline)
@@ -390,8 +489,16 @@ func (c *cell) converge() error {
 	for time.Now().Before(deadline) {
 		last = func() error {
 			for i := 0; i < 4; i++ {
-				if _, err := c.gw.QueryHLEs("", c.ip, filterFor(i)); err != nil {
+				if err := c.query(i); err != nil {
 					return fmt.Errorf("query %d: %w", i, err)
+				}
+			}
+			if err := c.count(1); err != nil {
+				return fmt.Errorf("count: %w", err)
+			}
+			for _, ids := range c.shardIDs {
+				if err := c.get(ids[0]); err != nil {
+					return fmt.Errorf("point read %s: %w", ids[0], err)
 				}
 			}
 			if err := c.write(); err != nil {
@@ -407,20 +514,24 @@ func (c *cell) converge() error {
 	return fmt.Errorf("cluster did not converge within %v after heal: %v", convergeDeadline, last)
 }
 
-// verifyMarkers checks invariant 2 against the shared database directly:
-// at most one row per marker, exactly one for acknowledged writes.
+// verifyMarkers checks invariant 2 against the shard databases directly:
+// a marker may live on any shard (its row's id decides), must appear at
+// most once in the union, and exactly once if acknowledged.
 func (c *cell) verifyMarkers() error {
 	for _, m := range c.markers {
-		res, err := c.db.Query(minidb.Query{
-			Table: schema.TableHLE,
-			Where: []minidb.Pred{{Col: "tstart", Op: minidb.OpEq, Val: minidb.F(m.t)}},
-		})
-		if err != nil {
-			return fmt.Errorf("marker query: %w", err)
+		n := 0
+		for sid, db := range c.DBs {
+			res, err := db.Query(minidb.Query{
+				Table: schema.TableHLE,
+				Where: []minidb.Pred{{Col: "tstart", Op: minidb.OpEq, Val: minidb.F(m.t)}},
+			})
+			if err != nil {
+				return fmt.Errorf("marker query on shard %d: %w", sid, err)
+			}
+			n += len(res.Rows)
 		}
-		n := len(res.Rows)
 		if n > 1 {
-			return fmt.Errorf("marker %v: %d rows — a mutation was executed twice", m.t, n)
+			return fmt.Errorf("marker %v: %d rows across shards — a mutation was executed twice", m.t, n)
 		}
 		if m.acked && n != 1 {
 			return fmt.Errorf("marker %v: acknowledged write has %d rows, want 1", m.t, n)
@@ -437,7 +548,7 @@ func Run(s Schedule, cfg Config) (*Result, error) {
 	if rounds <= 0 {
 		rounds = 8
 	}
-	c, err := newCell(s, cfg.Logger)
+	c, err := cellFor(s, cfg.Logger)
 	if err != nil {
 		return nil, fmt.Errorf("cell: %w", err)
 	}
@@ -448,24 +559,43 @@ func Run(s Schedule, cfg Config) (*Result, error) {
 
 	res := &Result{Schedule: s}
 	c.rig.SetFault(c.rig.OpCount()+s.At, s.Mode)
+	sharded := s.Hop == HopShard
+
+	// scatter runs one anonymous read that fans out over every shard,
+	// counting the ones answered degraded or typed.
+	offLive := 0
+	scatter := func(what string, fn func() error) error {
+		o, err := timed(res, what, fn)
+		if o != "ok" {
+			offLive++
+		}
+		return err
+	}
 
 	start := time.Now()
-	for r := 0; r < rounds || time.Since(start) < cfg.MinFaultTime; r++ {
-		i := r
-		if err := c.timed(res, "anon query", func() error {
-			_, err := c.gw.QueryHLEs("", c.ip, filterFor(i))
-			return err
-		}); err != nil {
+	for i := 0; i < rounds || time.Since(start) < cfg.MinFaultTime; i++ {
+		if sharded {
+			if err := c.healthyRead(res, i); err != nil {
+				return res, err
+			}
+		}
+		if err := scatter("anon query", func() error { return c.query(i) }); err != nil {
 			return res, err
 		}
-		if err := c.timed(res, "anon count", func() error {
-			_, err := c.gw.CountHLEs("", c.ip, filterFor(i+1))
-			return err
-		}); err != nil {
+		if err := scatter("anon count", func() error { return c.count(i + 1) }); err != nil {
 			return res, err
+		}
+		if sharded {
+			// Point read on the partitioned shard: any classified outcome —
+			// live before the fault fires, degraded from the stale cache or
+			// typed after — as long as it stays inside the deadline.
+			sick := c.shardIDs[1]
+			if _, err := timed(res, "sick-shard read", func() error { return c.get(sick[i%len(sick)]) }); err != nil {
+				return res, err
+			}
 		}
 		var werr error
-		if err := c.timed(res, "write", func() error {
+		if _, err := timed(res, "write", func() error {
 			werr = c.write()
 			return werr
 		}); err != nil {
@@ -478,17 +608,33 @@ func Run(s Schedule, cfg Config) (*Result, error) {
 		}
 	}
 	// If the scripted rounds did not push the hop to its armed op (quiet
-	// hops count slowly), pump reads until the fault fires.
-	for p := 0; !c.rig.Faulted() && p < maxPumpOps; p++ {
-		if err := c.timed(res, "pump query", func() error {
-			_, err := c.gw.QueryHLEs("", c.ip, filterFor(p))
-			return err
-		}); err != nil {
+	// hops count slowly, and healthy-shard reads never touch a rigged
+	// shard link), pump scatter reads until the fault fires.
+	for i := 0; !c.rig.Faulted() && i < maxPumpOps; i++ {
+		if err := scatter("pump query", func() error { return c.query(i) }); err != nil {
 			return res, err
 		}
 	}
 	res.Fired = c.rig.Faulted()
+
+	// Post-fire probes: with the shard fault definitely live, invariant 4
+	// must hold right now, and hard fault shapes must push scatter
+	// traffic off the live path.
+	if sharded && res.Fired {
+		for i := 0; i < 2; i++ {
+			if err := c.healthyRead(res, i); err != nil {
+				return res, err
+			}
+			if err := scatter("post-fire count", func() error { return c.count(i) }); err != nil {
+				return res, err
+			}
+		}
+	}
 	c.rig.ClearFault()
+
+	if sharded && hardMode(s.Mode) && offLive == 0 {
+		return res, fmt.Errorf("%s fired but every scatter request stayed live — the fault never bit", s.Mode)
+	}
 
 	healed := time.Now()
 	if err := c.converge(); err != nil {

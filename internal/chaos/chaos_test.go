@@ -21,113 +21,72 @@ func chaosConfig(t *testing.T) Config {
 	return cfg
 }
 
-// TestScheduleMatrix pins the enumeration floor: the harness must cover
-// at least 50 distinct schedules.
+// scheduleSets are the two enumerated matrices with their floors: the
+// single-database hops and the sharded cell's shard-1 hop.
+var scheduleSets = []struct {
+	name    string
+	scheds  func() []Schedule
+	floor   int
+	sharded bool
+}{
+	{"db+http", Schedules, 50, false},
+	{"shard", ShardSchedules, 30, true},
+}
+
+// TestScheduleMatrix pins the enumeration floors: at least 50 distinct
+// single-database schedules and 30 sharded ones, the latter all on the
+// shard-1 hop.
 func TestScheduleMatrix(t *testing.T) {
-	scheds := Schedules()
-	if len(scheds) < 50 {
-		t.Fatalf("only %d fault schedules enumerated, want >= 50", len(scheds))
-	}
 	seen := make(map[string]bool)
-	for _, s := range scheds {
-		if seen[s.Name()] {
-			t.Fatalf("duplicate schedule %s", s.Name())
+	for _, set := range scheduleSets {
+		scheds := set.scheds()
+		if len(scheds) < set.floor {
+			t.Fatalf("%s: only %d fault schedules enumerated, want >= %d", set.name, len(scheds), set.floor)
 		}
-		seen[s.Name()] = true
-	}
-	t.Logf("%d distinct fault schedules", len(scheds))
-}
-
-// TestShardScheduleMatrix pins the sharded enumeration floor: every net
-// fault mode at every op index against the shard-1 hop.
-func TestShardScheduleMatrix(t *testing.T) {
-	scheds := ShardSchedules()
-	if len(scheds) < 30 {
-		t.Fatalf("only %d sharded fault schedules enumerated, want >= 30", len(scheds))
-	}
-	seen := make(map[string]bool)
-	for _, s := range scheds {
-		if s.Hop != HopShard {
-			t.Fatalf("schedule %s is not on the shard hop", s.Name())
-		}
-		if seen[s.Name()] {
-			t.Fatalf("duplicate schedule %s", s.Name())
-		}
-		seen[s.Name()] = true
-	}
-	t.Logf("%d distinct sharded fault schedules", len(scheds))
-}
-
-// TestShardChaosEnumeration runs every sharded schedule: one shard
-// partitioned away from the whole middle tier, with the extra invariant
-// that healthy-shard point reads stay live throughout.
-func TestShardChaosEnumeration(t *testing.T) {
-	cfg := chaosConfig(t)
-	scheds := ShardSchedules()
-	if testing.Short() {
-		var sub []Schedule
 		for _, s := range scheds {
-			if s.At == 5 {
-				sub = append(sub, s)
+			if (s.Hop == HopShard) != set.sharded {
+				t.Fatalf("%s: schedule %s is on the wrong hop", set.name, s.Name())
 			}
+			if seen[s.Name()] {
+				t.Fatalf("duplicate schedule %s", s.Name())
+			}
+			seen[s.Name()] = true
 		}
-		scheds = sub
-	}
-	for _, s := range scheds {
-		s := s
-		t.Run(s.Name(), func(t *testing.T) {
-			t.Parallel()
-			res, err := RunSharded(s, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Requests == 0 {
-				t.Fatal("fault phase issued no requests")
-			}
-			if res.HealthyOK == 0 {
-				t.Fatal("no healthy-shard reads were exercised")
-			}
-			t.Logf("%d requests: %d ok (%d healthy-shard) %d degraded %d typed; slowest %v; converged in %v; availability %.2f",
-				res.Requests, res.OK, res.HealthyOK, res.Degraded, res.TypedErr,
-				res.MaxWall.Round(time.Millisecond), res.Converged.Round(time.Millisecond),
-				res.Available())
-		})
+		t.Logf("%s: %d distinct fault schedules", set.name, len(scheds))
 	}
 }
 
-// TestChaosEnumeration is the tentpole: every schedule runs the scripted
-// workload against a live cell with its hop rigged to fail, and every
-// invariant — bounded latency, no duplicate effects, typed failures only,
-// convergence after heal — must hold.
+// TestChaosEnumeration is the tentpole: every schedule of both matrices
+// runs the scripted workload against a live cell with its hop rigged to
+// fail, and every invariant — bounded latency, no duplicate effects,
+// typed failures only, convergence after heal, and on the sharded cell
+// healthy-shard point reads live throughout — must hold.
 func TestChaosEnumeration(t *testing.T) {
 	cfg := chaosConfig(t)
-	scheds := Schedules()
-	if testing.Short() {
-		// One schedule per (hop, mode) pair keeps the short -race lane
-		// fast while still exercising every fault flavor.
-		var sub []Schedule
-		for _, s := range scheds {
-			if s.At == 5 {
-				sub = append(sub, s)
+	for _, set := range scheduleSets {
+		for _, s := range set.scheds() {
+			// -short keeps one schedule per (hop, mode) pair: the race
+			// lane stays fast while still exercising every fault flavor.
+			if testing.Short() && s.At != 5 {
+				continue
 			}
+			t.Run(s.Name(), func(t *testing.T) {
+				t.Parallel()
+				res, err := Run(s, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Requests == 0 {
+					t.Fatal("fault phase issued no requests")
+				}
+				if set.sharded && res.HealthyOK == 0 {
+					t.Fatal("no healthy-shard reads were exercised")
+				}
+				t.Logf("%d requests: %d ok (%d healthy-shard) %d degraded %d typed; slowest %v; converged in %v; availability %.2f",
+					res.Requests, res.OK, res.HealthyOK, res.Degraded, res.TypedErr,
+					res.MaxWall.Round(time.Millisecond), res.Converged.Round(time.Millisecond),
+					res.Available())
+			})
 		}
-		scheds = sub
-	}
-	for _, s := range scheds {
-		s := s
-		t.Run(s.Name(), func(t *testing.T) {
-			t.Parallel()
-			res, err := Run(s, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Requests == 0 {
-				t.Fatal("fault phase issued no requests")
-			}
-			t.Logf("%d requests: %d ok, %d degraded, %d typed errors; slowest %v; converged in %v; availability %.2f",
-				res.Requests, res.OK, res.Degraded, res.TypedErr,
-				res.MaxWall.Round(time.Millisecond), res.Converged.Round(time.Millisecond),
-				res.Available())
-		})
 	}
 }

@@ -24,10 +24,8 @@ package chaos
 
 import (
 	"fmt"
-	"io"
 	"log"
 	"math"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,11 +33,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dbnet"
-	"repro/internal/dm"
 	"repro/internal/fault"
-	"repro/internal/minidb"
 	"repro/internal/overload"
-	"repro/internal/schema"
 )
 
 // StampedeSchedule is one stampede scenario.
@@ -169,104 +164,28 @@ const (
 	probeCount          = 20
 )
 
-// stampedeCell is a live deployment under stampede: one queue-bounded
-// shared database, two replicas, a gateway under the selected policy.
-type stampedeCell struct {
-	db       *minidb.DB
-	dbSrv    *dbnet.Server
-	rig      *fault.Net
-	clients  []*dbnet.Client
-	replicas []*cluster.Replica
-	gw       *cluster.Gateway
-	token    string
-	ip       string
+// startStampedeCell builds the deployment: one queue-bounded shared
+// database, two replicas, a gateway under the selected policy. The
+// replica capacity model is the Figure 4 node (2 workers, thrash past
+// the knee) scaled so the 10x browse spike lands well past aggregate
+// capacity — the regime the policies must be told apart in.
+func startStampedeCell(s StampedeSchedule, cfg StampedeConfig) (*cell, error) {
+	rig := fault.NewNet()
+	rig.Delay = 120 * time.Millisecond
 
-	maxStage atomic.Int32
-}
-
-func (c *stampedeCell) close() {
-	if c.gw != nil {
-		c.gw.Close()
-	}
-	for _, r := range c.replicas {
-		r.Stop()
-	}
-	for _, cl := range c.clients {
-		cl.Close()
-	}
-	if c.dbSrv != nil {
-		c.dbSrv.Close()
-	}
-	if c.db != nil {
-		c.db.Close()
-	}
-}
-
-// newStampedeCell builds the deployment. The replica capacity model is
-// the Figure 4 node (2 workers, thrash past the knee) scaled so the
-// 10x browse spike lands well past aggregate capacity — the regime the
-// policies must be told apart in.
-func newStampedeCell(s StampedeSchedule, cfg StampedeConfig) (*stampedeCell, error) {
-	c := &stampedeCell{rig: fault.NewNet(), ip: "10.9.1.1"}
-	c.rig.Delay = 120 * time.Millisecond
-	ok := false
-	defer func() {
-		if !ok {
-			c.close()
-		}
-	}()
-
-	var err error
-	c.db, err = minidb.Open("", schema.AllSchemas()...)
-	if err != nil {
-		return nil, err
-	}
-	srvOpts := dbnet.Options{DB: c.db, MaxOpsPerSec: 400}
-	if cfg.Adaptive {
-		// The adaptive stack bounds the database queue: work whose
-		// projected wait exceeds the bound is refused at the socket with
-		// a retry-after hint instead of rotting in line.
-		srvOpts.MaxQueueDelay = 50 * time.Millisecond
-	}
-	c.dbSrv, err = dbnet.Listen("127.0.0.1:0", srvOpts)
-	if err != nil {
-		return nil, err
-	}
-
-	logger := cfg.Logger
-	if logger == nil {
-		logger = log.New(io.Discard, "", 0)
-	}
-	boot, err := dm.Open(dm.Options{Node: "boot", MetaDB: c.db, Logger: logger})
-	if err != nil {
-		return nil, err
-	}
-	if err := boot.Bootstrap("secret"); err != nil {
-		return nil, err
-	}
-	if err := boot.CreateUser("sci", "pw", dm.GroupScientist,
-		dm.RightBrowse, dm.RightDownload, dm.RightAnalyze, dm.RightUpload); err != nil {
-		return nil, err
-	}
-	for i := 0; i < 16; i++ {
-		h := &schema.HLE{
-			ID: fmt.Sprintf("hle-stamp-%04d", i), Version: 1, Owner: "sci", Public: true,
-			KindHint: []string{"flare", "burst"}[i%2], TStart: float64(i), TStop: float64(i + 1),
-			Day: int64(i % 8), CalibVersion: 1,
-		}
-		if _, err := c.db.Insert(schema.TableHLE, h.ToRow()); err != nil {
-			return nil, err
-		}
-	}
-
+	srv := dbnet.Options{MaxOpsPerSec: 400}
 	gopts := cluster.GatewayOptions{
 		HealthInterval:   25 * time.Millisecond,
 		RetryBackoff:     2 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  100 * time.Millisecond,
-		Logger:           logger,
+		Logger:           cfg.Logger,
 	}
 	if cfg.Adaptive {
+		// The adaptive stack bounds the database queue: work whose
+		// projected wait exceeds the bound is refused at the socket with
+		// a retry-after hint instead of rotting in line.
+		srv.MaxQueueDelay = 50 * time.Millisecond
 		gopts.AdaptiveLimit = &overload.Config{
 			Initial: 24, Min: 4, Max: 64,
 			MaxWait:       100 * time.Millisecond,
@@ -278,52 +197,39 @@ func newStampedeCell(s StampedeSchedule, cfg StampedeConfig) (*stampedeCell, err
 		// The pre-overload configuration: a generous fixed semaphore.
 		gopts.MaxInflight = 64
 	}
-	c.gw = cluster.NewGateway(gopts)
-
-	for i := 0; i < 2; i++ {
-		cl, err := dbnet.Dial(dbnet.ClientOptions{
-			Addr:        c.dbSrv.Addr(),
+	o := cluster.CellOptions{
+		Replicas: 2,
+		Gateway:  gopts,
+		Capacity: cluster.Capacity{
+			Workers: 2, CPUPerCall: 20 * time.Millisecond,
+			ThrashThreshold: 6, ThrashFactor: 0.2,
+		},
+		Client: dbnet.ClientOptions{
 			DialTimeout: 300 * time.Millisecond,
 			CallTimeout: 500 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.clients = append(c.clients, cl)
-		rep, err := cluster.StartReplica(cluster.ReplicaOptions{
-			Name: fmt.Sprintf("replica-%d", i), DB: cl,
-			Capacity: cluster.Capacity{
-				Workers: 2, CPUPerCall: 20 * time.Millisecond,
-				ThrashThreshold: 6, ThrashFactor: 0.2,
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.replicas = append(c.replicas, rep)
-
-		remote := dm.NewRemote(rep.URL(), nil)
-		remote.Client = &http.Client{Timeout: stampedeHTTPTimeout}
-		if i == 0 && s.SlowReplica {
-			remote.Client.Transport = &http.Transport{DialContext: c.rig.DialContext}
-		}
-		c.gw.AddReplica(rep.Name(), remote)
+		},
+		HTTPTimeout: stampedeHTTPTimeout,
+		Logger:      cfg.Logger,
 	}
-
+	if s.SlowReplica {
+		o.Transport = rigReplica0(rig)
+	}
+	c, err := startCell(rig, 1, srv, o)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Adaptive {
 		// Brownout wiring: stale-read rungs flip every replica's DM to
 		// commit-behind serving. The hedge/bulk rungs have no farm in
 		// this cell; reaching them is still recorded via maxStage.
-		reps := c.replicas
-		c.gw.SetBrownoutHook(overload.StageActions{
+		c.GW.SetBrownoutHook(overload.StageActions{
 			SetStale: func(on bool) {
-				for _, r := range reps {
+				for _, r := range c.Replicas {
 					r.DM().SetServeStale(on)
 				}
 			},
 		})
 	}
-	ok = true
 	return c, nil
 }
 
@@ -377,17 +283,17 @@ func pctile(ds []time.Duration, p float64) time.Duration {
 
 // request runs one arrival to completion under the client retry policy.
 // inSpike marks arrivals whose outcome scores the spike phase.
-func (c *stampedeCell) request(rec *recorder, cfg StampedeConfig, interactive, inSpike bool, seq int) {
+func (c *cell) request(rec *recorder, cfg StampedeConfig, interactive, inSpike bool, seq int) {
 	start := time.Now()
 	if inSpike {
 		rec.arrivals.Add(1)
 	}
 	do := func() error {
 		if interactive {
-			_, err := c.gw.CountHLEs(c.token, c.ip, filterFor(seq))
+			_, err := c.GW.CountHLEs(c.token, c.ip, filterFor(seq))
 			return err
 		}
-		_, err := c.gw.QueryHLEs("", c.ip, filterFor(seq))
+		_, err := c.GW.QueryHLEs("", c.ip, filterFor(seq))
 		return err
 	}
 	var err error
@@ -451,7 +357,7 @@ func (c *stampedeCell) request(rec *recorder, cfg StampedeConfig, interactive, i
 
 // generate runs one arrival class open-loop for d at rate rps: arrivals
 // are spawned on a 10ms metronome regardless of completions.
-func (c *stampedeCell) generate(rec *recorder, cfg StampedeConfig, interactive, inSpike bool, rps float64, d time.Duration, wg *sync.WaitGroup) {
+func (c *cell) generate(rec *recorder, cfg StampedeConfig, interactive, inSpike bool, rps float64, d time.Duration, wg *sync.WaitGroup) {
 	const tick = 10 * time.Millisecond
 	perTick := rps * tick.Seconds()
 	end := time.Now().Add(d)
@@ -471,15 +377,16 @@ func (c *stampedeCell) generate(rec *recorder, cfg StampedeConfig, interactive, 
 	}
 }
 
-// trackStage samples the brownout ladder, keeping the deepest rung seen.
-func (c *stampedeCell) trackStage(stop <-chan struct{}) {
+// trackStage samples the brownout ladder until stop closes, keeping the
+// deepest rung seen in max.
+func trackStage(gw *cluster.Gateway, max *atomic.Int32, stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
 			return
 		case <-time.After(10 * time.Millisecond):
-			if s := int32(c.gw.BrownoutStage()); s > c.maxStage.Load() {
-				c.maxStage.Store(s)
+			if s := int32(gw.BrownoutStage()); s > max.Load() {
+				max.Store(s)
 			}
 		}
 	}
@@ -492,27 +399,26 @@ func (c *stampedeCell) trackStage(stop <-chan struct{}) {
 // adaptive policy, the bench records both sides of the A/B.
 func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error) {
 	cfg.defaults(s)
-	c, err := newStampedeCell(s, cfg)
+	c, err := startStampedeCell(s, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("stampede cell: %w", err)
 	}
 	defer c.close()
 
 	// Warm: session, caches, baseline load.
-	si, err := c.gw.Authenticate("sci", "pw", c.ip, dm.SessionHLE)
-	if err != nil {
+	if err := c.auth(); err != nil {
 		return nil, fmt.Errorf("auth: %w", err)
 	}
-	c.token = si.Token
 	for i := 0; i < 8; i++ {
-		if _, err := c.gw.QueryHLEs("", c.ip, filterFor(i)); err != nil {
+		if err := c.query(i); err != nil {
 			return nil, fmt.Errorf("warm query %d: %w", i, err)
 		}
 	}
 
 	rec := &recorder{}
 	stopTrack := make(chan struct{})
-	go c.trackStage(stopTrack)
+	var maxStage atomic.Int32
+	go trackStage(c.GW, &maxStage, stopTrack)
 
 	var wg sync.WaitGroup
 	phase := func(inSpike bool, browseRPS float64, d time.Duration) {
@@ -528,7 +434,7 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 	if s.SlowReplica {
 		c.rig.SetFault(c.rig.OpCount()+1, fault.NetLatency)
 	}
-	db0 := c.dbSrv.OverloadRefusals()
+	db0 := c.Srvs[0].OverloadRefusals()
 	phase(true, cfg.BrowseRPS*cfg.SpikeFactor, cfg.Spike)
 	spikeEnd := time.Now()
 	if s.SlowReplica {
@@ -553,8 +459,8 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 		TypedErr:         int(rec.typed.Load()),
 		Retries:          rec.retries.Load(),
 		PrematureRetries: rec.premature.Load(),
-		DBRefusals:       int64(c.dbSrv.OverloadRefusals() - db0),
-		MaxStage:         overload.Stage(c.maxStage.Load()).String(),
+		DBRefusals:       int64(c.Srvs[0].OverloadRefusals() - db0),
+		MaxStage:         overload.Stage(maxStage.Load()).String(),
 	}
 	rec.mu.Lock()
 	res.InteractiveP99 = pctile(rec.interactive, 0.99)
@@ -562,27 +468,27 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 	res.BrowseP99 = pctile(rec.browse, 0.99)
 	rec.mu.Unlock()
 	res.GoodputRPS = float64(res.Served+res.Degraded) / cfg.Spike.Seconds()
-	for _, r := range c.replicas {
+	for _, r := range c.Replicas {
 		res.StaleServes += r.DM().Stats().StaleServes.Load()
 	}
-	if st := c.gw.Status().Overload; st.Adaptive {
+	if st := c.GW.Status().Overload; st.Adaptive {
 		res.Transitions = st.Transitions
 	}
 
 	// Recovery: wait for the ladder to stand down, then probe a quiet
 	// baseline round and score its tail.
 	deadline := time.Now().Add(recoverWall)
-	for c.gw.BrownoutStage() != overload.StageNormal {
+	for c.GW.BrownoutStage() != overload.StageNormal {
 		if time.Now().After(deadline) {
 			return res, fmt.Errorf("brownout ladder stuck at %v %v after the spike",
-				c.gw.BrownoutStage(), recoverWall)
+				c.GW.BrownoutStage(), recoverWall)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	var probes []time.Duration
 	for i := 0; i < probeCount; i++ {
 		t0 := time.Now()
-		if _, err := c.gw.CountHLEs(c.token, c.ip, filterFor(i)); err != nil {
+		if _, err := c.GW.CountHLEs(c.token, c.ip, filterFor(i)); err != nil {
 			if time.Now().Before(deadline) {
 				i-- // breaker cooldowns may still be draining; retry the probe
 				time.Sleep(25 * time.Millisecond)
@@ -592,7 +498,7 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 		}
 		probes = append(probes, time.Since(t0))
 	}
-	res.RecoveredStage = c.gw.BrownoutStage().String()
+	res.RecoveredStage = c.GW.BrownoutStage().String()
 	res.RecoverTime = time.Since(spikeEnd) - cfg.Recover // probe time beyond the scripted phase
 	if res.RecoverTime < 0 {
 		res.RecoverTime = 0

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,100 +9,21 @@ import (
 
 	"repro/internal/dbnet"
 	"repro/internal/dm"
-	"repro/internal/minidb"
 	"repro/internal/schema"
 )
 
-// testCluster is a live middle tier: one shared networked database, N
-// replicas each dialing it, and a gateway fronting them.
-type testCluster struct {
-	db       *minidb.DB
-	dbSrv    *dbnet.Server
-	replicas []*Replica
-	clients  []*dbnet.Client
-	gw       *Gateway
-}
-
-func (tc *testCluster) shutdown() {
-	tc.gw.Close()
-	for _, r := range tc.replicas {
-		r.Stop()
-	}
-	for _, c := range tc.clients {
-		c.Close()
-	}
-	tc.dbSrv.Close()
-	tc.db.Close()
-}
-
-// startCluster seeds nHLEs public events into a fresh shared database
-// and brings up n replicas behind a gateway.
-func startCluster(t *testing.T, n int, nHLEs int, gopts GatewayOptions, cap Capacity) *testCluster {
-	t.Helper()
-	db, err := minidb.Open("", schema.AllSchemas()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbSrv, err := dbnet.Listen("127.0.0.1:0", dbnet.Options{DB: db})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Bootstrap accounts once, directly against the shared database.
-	boot, err := dm.Open(dm.Options{Node: "boot", MetaDB: db})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := boot.Bootstrap("secret"); err != nil {
-		t.Fatal(err)
-	}
-	if err := boot.CreateUser("sci", "pw", dm.GroupScientist,
-		dm.RightBrowse, dm.RightDownload, dm.RightAnalyze, dm.RightUpload); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < nHLEs; i++ {
-		h := &schema.HLE{
-			ID: fmt.Sprintf("hle-live-%05d", i), Version: 1, Owner: "sci", Public: true,
-			KindHint: []string{"flare", "burst"}[i%2], TStart: float64(i), TStop: float64(i + 1),
-			Day: int64(i % 10), CalibVersion: 1,
-		}
-		if _, err := db.Insert(schema.TableHLE, h.ToRow()); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	tc := &testCluster{db: db, dbSrv: dbSrv, gw: NewGateway(gopts)}
-	for i := 0; i < n; i++ {
-		cl, err := dbnet.Dial(dbnet.ClientOptions{Addr: dbSrv.Addr()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.clients = append(tc.clients, cl)
-		rep, err := StartReplica(ReplicaOptions{
-			Name: fmt.Sprintf("replica-%d", i), DB: cl, Capacity: cap,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.replicas = append(tc.replicas, rep)
-		tc.gw.AddReplica(rep.Name(), dm.NewRemote(rep.URL(), nil))
-	}
-	t.Cleanup(tc.shutdown)
-	return tc
-}
-
 func TestGatewayBrowseAcrossReplicas(t *testing.T) {
-	tc := startCluster(t, 3, 40, GatewayOptions{}, Capacity{})
+	tc := startTestCell(t, 1, 40, dbnet.Options{}, CellOptions{Replicas: 3})
 
 	// Anonymous browse of public data through the gateway: correct
 	// results regardless of which replica serves.
 	for i := 0; i < 30; i++ {
 		f := dm.HLEFilter{Kind: "flare", HasDay: true, Day: int64(i % 10)}
-		hles, err := tc.gw.QueryHLEs("", "10.0.0.1", f)
+		hles, err := tc.GW.QueryHLEs("", "10.0.0.1", f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := tc.gw.CountHLEs("", "10.0.0.1", f)
+		n, err := tc.GW.CountHLEs("", "10.0.0.1", f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +31,7 @@ func TestGatewayBrowseAcrossReplicas(t *testing.T) {
 			t.Fatalf("count %d != query %d", n, len(hles))
 		}
 		for _, h := range hles {
-			got, err := tc.gw.GetHLE("", "10.0.0.1", h.ID)
+			got, err := tc.GW.GetHLE("", "10.0.0.1", h.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +44,7 @@ func TestGatewayBrowseAcrossReplicas(t *testing.T) {
 	// With 10 distinct filters, rendezvous hashing should have spread
 	// affinity keys over more than one replica.
 	busy := 0
-	for _, m := range tc.gw.Members() {
+	for _, m := range tc.GW.Members() {
 		if m.Served > 0 {
 			busy++
 		}
@@ -138,19 +58,19 @@ func TestGatewayBrowseAcrossReplicas(t *testing.T) {
 }
 
 func TestGatewayCacheAffinity(t *testing.T) {
-	tc := startCluster(t, 3, 20, GatewayOptions{}, Capacity{})
+	tc := startTestCell(t, 1, 20, dbnet.Options{}, CellOptions{Replicas: 3})
 
 	// The same filter must keep landing on the same replica so its
 	// epoch-keyed cache stays hot: repeated identical counts are served
 	// without new engine queries.
 	f := dm.HLEFilter{Kind: "burst"}
 	for i := 0; i < 12; i++ {
-		if _, err := tc.gw.CountHLEs("", "10.0.0.1", f); err != nil {
+		if _, err := tc.GW.CountHLEs("", "10.0.0.1", f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	served := 0
-	for _, m := range tc.gw.Members() {
+	for _, m := range tc.GW.Members() {
 		if m.Served > 0 {
 			served++
 		}
@@ -159,7 +79,7 @@ func TestGatewayCacheAffinity(t *testing.T) {
 		t.Fatalf("one affinity key hit %d replicas", served)
 	}
 	var hits int64
-	for _, r := range tc.replicas {
+	for _, r := range tc.Replicas {
 		hits += r.DM().Stats().QueryCacheHits.Load()
 	}
 	if hits < 10 {
@@ -172,8 +92,8 @@ func TestGatewayCacheAffinity(t *testing.T) {
 // client-visible errors, drain the dead node, and pick it back up when a
 // replacement appears.
 func TestGatewayFailover(t *testing.T) {
-	tc := startCluster(t, 3, 30,
-		GatewayOptions{HealthInterval: 50 * time.Millisecond}, Capacity{})
+	tc := startTestCell(t, 1, 30, dbnet.Options{}, CellOptions{
+		Replicas: 3, Gateway: GatewayOptions{HealthInterval: 50 * time.Millisecond}})
 
 	var pages, clientErrors atomic.Int64
 	stop := make(chan struct{})
@@ -189,17 +109,17 @@ func TestGatewayFailover(t *testing.T) {
 				default:
 				}
 				f := dm.HLEFilter{Kind: "flare", HasDay: true, Day: int64(i % 10)}
-				hles, err := tc.gw.QueryHLEs("", "10.0.0.2", f)
+				hles, err := tc.GW.QueryHLEs("", "10.0.0.2", f)
 				if err != nil {
 					clientErrors.Add(1)
 					continue
 				}
-				if _, err := tc.gw.CountHLEs("", "10.0.0.2", f); err != nil {
+				if _, err := tc.GW.CountHLEs("", "10.0.0.2", f); err != nil {
 					clientErrors.Add(1)
 					continue
 				}
 				for j := 0; j < len(hles) && j < 3; j++ {
-					if _, err := tc.gw.GetHLE("", "10.0.0.2", hles[j].ID); err != nil {
+					if _, err := tc.GW.GetHLE("", "10.0.0.2", hles[j].ID); err != nil {
 						clientErrors.Add(1)
 					}
 				}
@@ -208,43 +128,35 @@ func TestGatewayFailover(t *testing.T) {
 		}(w)
 	}
 
-	time.Sleep(300 * time.Millisecond)
-	tc.replicas[1].Stop() // machine failure mid-run
-	time.Sleep(500 * time.Millisecond)
-
-	// The dead replica must be out of rotation (drained) while traffic
-	// continues on the survivors.
-	var deadSeen bool
-	for _, m := range tc.gw.Members() {
-		if m.Name == "replica-1" {
-			deadSeen = true
-			if m.Healthy {
-				t.Error("dead replica still in rotation after health interval")
+	// The kill must land mid-run: wait until every replica carries traffic.
+	tc.waitFor(t, "traffic on every replica", func() bool {
+		for _, m := range tc.GW.Members() {
+			if m.Served == 0 {
+				return false
 			}
 		}
-	}
-	if !deadSeen {
-		t.Fatal("replica-1 missing from membership")
-	}
+		return true
+	})
+	tc.StopReplica("replica-1") // machine failure mid-run
+
+	// The dead replica must leave rotation (drained) while traffic
+	// continues on the survivors.
+	tc.waitFor(t, "dead replica out of rotation", func() bool {
+		m, ok := tc.member("replica-1")
+		return ok && !m.Healthy
+	})
 	before := pages.Load()
-	time.Sleep(300 * time.Millisecond)
-	if pages.Load() == before {
-		t.Fatal("traffic stopped after replica failure")
-	}
+	tc.waitFor(t, "pages advancing after the failure", func() bool { return pages.Load() > before })
 
 	// Recovery: a replacement joins and starts taking traffic.
-	cl, err := dbnet.Dial(dbnet.ClientOptions{Addr: tc.dbSrv.Addr()})
+	rep, err := tc.AddReplica()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.clients = append(tc.clients, cl)
-	rep, err := StartReplica(ReplicaOptions{Name: "replica-3", DB: cl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.replicas = append(tc.replicas, rep)
-	tc.gw.AddReplica(rep.Name(), dm.NewRemote(rep.URL(), nil))
-	time.Sleep(400 * time.Millisecond)
+	tc.waitFor(t, "replacement healthy and serving", func() bool {
+		m, ok := tc.member(rep.Name())
+		return ok && m.Healthy && m.Served > 0
+	})
 
 	close(stop)
 	wg.Wait()
@@ -252,25 +164,16 @@ func TestGatewayFailover(t *testing.T) {
 	if clientErrors.Load() != 0 {
 		t.Fatalf("%d client-visible errors during failover", clientErrors.Load())
 	}
-	if tc.gw.Failovers() == 0 {
+	if tc.GW.Failovers() == 0 {
 		t.Fatal("no failovers recorded — kill happened outside traffic?")
-	}
-	var joined bool
-	for _, m := range tc.gw.Members() {
-		if m.Name == "replica-3" && m.Healthy {
-			joined = true
-		}
-	}
-	if !joined {
-		t.Fatal("replacement replica not healthy in rotation")
 	}
 }
 
 func TestGatewaySessionPinning(t *testing.T) {
-	tc := startCluster(t, 3, 10,
-		GatewayOptions{HealthInterval: 50 * time.Millisecond}, Capacity{})
+	tc := startTestCell(t, 1, 10, dbnet.Options{}, CellOptions{
+		Replicas: 3, Gateway: GatewayOptions{HealthInterval: 50 * time.Millisecond}})
 
-	si, err := tc.gw.Authenticate("sci", "pw", "10.0.0.3", dm.SessionHLE)
+	si, err := tc.GW.Authenticate("sci", "pw", "10.0.0.3", dm.SessionHLE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +181,7 @@ func TestGatewaySessionPinning(t *testing.T) {
 	// there. CreateHLE requires the authenticated session.
 	var created []string
 	for i := 0; i < 5; i++ {
-		id, err := tc.gw.CreateHLE(si.Token, "10.0.0.3", &schema.HLE{
+		id, err := tc.GW.CreateHLE(si.Token, "10.0.0.3", &schema.HLE{
 			KindHint: "flare", Day: 1, TStart: float64(1000 + i), TStop: float64(1001 + i),
 			Version: 1, CalibVersion: 1,
 		})
@@ -288,7 +191,7 @@ func TestGatewaySessionPinning(t *testing.T) {
 		created = append(created, id)
 	}
 	for _, id := range created {
-		if _, err := tc.gw.GetHLE(si.Token, "10.0.0.3", id); err != nil {
+		if _, err := tc.GW.GetHLE(si.Token, "10.0.0.3", id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,23 +200,19 @@ func TestGatewaySessionPinning(t *testing.T) {
 	// continues (demoted to anonymous/public visibility), but writes are
 	// denied until re-authentication — never a transport error.
 	var pinned *member
-	tc.gw.pinMu.Lock()
-	pinned = tc.gw.pins[si.Token]
-	tc.gw.pinMu.Unlock()
+	tc.GW.pinMu.Lock()
+	pinned = tc.GW.pins[si.Token]
+	tc.GW.pinMu.Unlock()
 	if pinned == nil {
 		t.Fatal("token not pinned")
 	}
-	for _, r := range tc.replicas {
-		if r.Name() == pinned.name {
-			r.Stop()
-		}
-	}
+	tc.StopReplica(pinned.name)
 	time.Sleep(300 * time.Millisecond)
 
-	if _, err := tc.gw.CountHLEs(si.Token, "10.0.0.3", dm.HLEFilter{Kind: "flare"}); err != nil {
+	if _, err := tc.GW.CountHLEs(si.Token, "10.0.0.3", dm.HLEFilter{Kind: "flare"}); err != nil {
 		t.Fatalf("browse after pinned replica death: %v", err)
 	}
-	_, err = tc.gw.CreateHLE(si.Token, "10.0.0.3", &schema.HLE{
+	_, err = tc.GW.CreateHLE(si.Token, "10.0.0.3", &schema.HLE{
 		KindHint: "flare", Day: 2, TStart: 2000, TStop: 2001, Version: 1, CalibVersion: 1,
 	})
 	if err == nil {
@@ -324,31 +223,32 @@ func TestGatewaySessionPinning(t *testing.T) {
 	}
 
 	// Re-authentication restores write access on a surviving replica.
-	si2, err := tc.gw.Authenticate("sci", "pw", "10.0.0.3", dm.SessionHLE)
+	si2, err := tc.GW.Authenticate("sci", "pw", "10.0.0.3", dm.SessionHLE)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tc.gw.CreateHLE(si2.Token, "10.0.0.3", &schema.HLE{
+	if _, err := tc.GW.CreateHLE(si2.Token, "10.0.0.3", &schema.HLE{
 		KindHint: "flare", Day: 2, TStart: 3000, TStop: 3001, Version: 1, CalibVersion: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := tc.gw.Logout(si2.Token); err != nil {
+	if err := tc.GW.Logout(si2.Token); err != nil {
 		t.Fatal(err)
 	}
-	tc.gw.pinMu.Lock()
-	_, stillPinned := tc.gw.pins[si2.Token]
-	tc.gw.pinMu.Unlock()
+	tc.GW.pinMu.Lock()
+	_, stillPinned := tc.GW.pins[si2.Token]
+	tc.GW.pinMu.Unlock()
 	if stillPinned {
 		t.Fatal("logout left the token pinned")
 	}
 }
 
 func TestGatewayAdmissionControl(t *testing.T) {
-	tc := startCluster(t, 1, 5,
-		GatewayOptions{MaxInflight: 1, QueueTimeout: 50 * time.Millisecond},
-		Capacity{Workers: 1, CPUPerCall: 150 * time.Millisecond})
+	tc := startTestCell(t, 1, 5, dbnet.Options{}, CellOptions{
+		Replicas: 1,
+		Gateway:  GatewayOptions{MaxInflight: 1, QueueTimeout: 50 * time.Millisecond},
+		Capacity: Capacity{Workers: 1, CPUPerCall: 150 * time.Millisecond}})
 
 	var ok, shed atomic.Int64
 	var wg sync.WaitGroup
@@ -356,7 +256,7 @@ func TestGatewayAdmissionControl(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := tc.gw.CountHLEs("", "10.0.0.4", dm.HLEFilter{Kind: "flare"})
+			_, err := tc.GW.CountHLEs("", "10.0.0.4", dm.HLEFilter{Kind: "flare"})
 			switch {
 			case err == nil:
 				ok.Add(1)
@@ -374,8 +274,8 @@ func TestGatewayAdmissionControl(t *testing.T) {
 	if shed.Load() == 0 {
 		t.Fatal("overload did not shed — admission control inert")
 	}
-	if tc.gw.Shed() != shed.Load() {
-		t.Fatalf("Shed() = %d, observed %d", tc.gw.Shed(), shed.Load())
+	if tc.GW.Shed() != shed.Load() {
+		t.Fatalf("Shed() = %d, observed %d", tc.GW.Shed(), shed.Load())
 	}
 }
 
@@ -394,14 +294,15 @@ func TestReplicaCapacityModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	tc := startCluster(t, 1, 5, GatewayOptions{},
-		Capacity{Workers: 2, CPUPerCall: 5 * time.Millisecond, ThrashThreshold: 4, ThrashFactor: 0.5})
+	tc := startTestCell(t, 1, 5, dbnet.Options{}, CellOptions{
+		Replicas: 1,
+		Capacity: Capacity{Workers: 2, CPUPerCall: 5 * time.Millisecond, ThrashThreshold: 4, ThrashFactor: 0.5}})
 
 	// 1 client: ~5ms/call. 16 concurrent clients: inflight ~16, demand
 	// inflated ~(1+0.5*12)=7x, plus 2-worker queueing.
 	start := time.Now()
 	for i := 0; i < 10; i++ {
-		if _, err := tc.gw.CountHLEs("", "10.0.0.5", dm.HLEFilter{Kind: "flare"}); err != nil {
+		if _, err := tc.GW.CountHLEs("", "10.0.0.5", dm.HLEFilter{Kind: "flare"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,7 +316,7 @@ func TestReplicaCapacityModel(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if _, err := tc.gw.CountHLEs("", "10.0.0.5", dm.HLEFilter{Kind: "flare"}); err != nil {
+				if _, err := tc.GW.CountHLEs("", "10.0.0.5", dm.HLEFilter{Kind: "flare"}); err != nil {
 					t.Error(err)
 					return
 				}

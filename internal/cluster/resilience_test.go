@@ -3,8 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +11,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/dbnet"
 	"repro/internal/dm"
-	"repro/internal/minidb"
 	"repro/internal/overload"
 	"repro/internal/schema"
 )
@@ -145,30 +142,31 @@ func TestStaleCacheBounded(t *testing.T) {
 // tagged degraded — while writes fail fast with the typed DB-unavailable
 // error, and private reads are never served from cache.
 func TestGatewayDegradedBrowseOnDBLoss(t *testing.T) {
-	tc := startCluster(t, 2, 20,
+	tc := startTestCell(t, 1, 20, dbnet.Options{}, CellOptions{
+		Replicas: 2,
 		// Health stays quiet for the test window: the replicas themselves
 		// are fine, only the database behind them is gone.
-		GatewayOptions{HealthInterval: time.Minute}, Capacity{})
+		Gateway: GatewayOptions{HealthInterval: time.Minute}})
 
-	si, err := tc.gw.Authenticate("sci", "pw", "10.1.0.1", dm.SessionHLE)
+	si, err := tc.GW.Authenticate("sci", "pw", "10.1.0.1", dm.SessionHLE)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := dm.HLEFilter{Kind: "flare"}
-	warm, err := tc.gw.QueryHLEs("", "10.1.0.1", f)
+	warm, err := tc.GW.QueryHLEs("", "10.1.0.1", f)
 	if err != nil || len(warm) == 0 {
 		t.Fatalf("warm query: %v (%d rows)", err, len(warm))
 	}
-	warmCount, err := tc.gw.CountHLEs("", "10.1.0.1", f)
+	warmCount, err := tc.GW.CountHLEs("", "10.1.0.1", f)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Partition the shared database away from every replica.
-	tc.dbSrv.Close()
+	tc.Srvs[0].Close()
 
 	// Anonymous browse still answers, marked degraded, with the cached data.
-	got, err := tc.gw.QueryHLEs("", "10.1.0.1", f)
+	got, err := tc.GW.QueryHLEs("", "10.1.0.1", f)
 	if !IsDegraded(err) {
 		t.Fatalf("query with DB gone: err = %v, want degraded marker", err)
 	}
@@ -182,21 +180,21 @@ func TestGatewayDegradedBrowseOnDBLoss(t *testing.T) {
 	if de.Cause == nil || de.StaleWrites != 0 {
 		t.Fatalf("degraded tag incomplete: %+v", de)
 	}
-	n, err := tc.gw.CountHLEs("", "10.1.0.1", f)
+	n, err := tc.GW.CountHLEs("", "10.1.0.1", f)
 	if !IsDegraded(err) || n != warmCount {
 		t.Fatalf("degraded count = %d (err %v), want %d with degraded marker", n, err, warmCount)
 	}
 
 	// A filter never served before has nothing cached: the typed failure
 	// surfaces unmasked.
-	if _, err := tc.gw.QueryHLEs("", "10.1.0.1", dm.HLEFilter{Kind: "burst"}); err == nil || IsDegraded(err) {
+	if _, err := tc.GW.QueryHLEs("", "10.1.0.1", dm.HLEFilter{Kind: "burst"}); err == nil || IsDegraded(err) {
 		t.Fatalf("uncached filter served anyway: %v", err)
 	}
 
 	// Writes fail fast with the typed DB-unavailable error — no long
 	// timeout, no cross-replica retry storm.
 	start := time.Now()
-	_, err = tc.gw.CreateHLE(si.Token, "10.1.0.1", &schema.HLE{
+	_, err = tc.GW.CreateHLE(si.Token, "10.1.0.1", &schema.HLE{
 		KindHint: "flare", Day: 1, TStart: 9000, TStop: 9001, Version: 1, CalibVersion: 1,
 	})
 	elapsed := time.Since(start)
@@ -208,11 +206,11 @@ func TestGatewayDegradedBrowseOnDBLoss(t *testing.T) {
 	}
 
 	// Private reads never degrade to the anonymous cache.
-	if _, err := tc.gw.CountHLEs(si.Token, "10.1.0.1", f); err == nil || IsDegraded(err) {
+	if _, err := tc.GW.CountHLEs(si.Token, "10.1.0.1", f); err == nil || IsDegraded(err) {
 		t.Fatalf("tokened read served from anonymous cache: %v", err)
 	}
 
-	st := tc.gw.Status()
+	st := tc.GW.Status()
 	if st.DegradedServes < 2 {
 		t.Fatalf("DegradedServes = %d, want >= 2", st.DegradedServes)
 	}
@@ -236,22 +234,22 @@ func asDegraded(err error, out **DegradedError) bool {
 // breaker alone must take a dead replica out of rotation after threshold
 // consecutive transport failures, while traffic continues on the survivor.
 func TestGatewayCircuitOpensOnDeadReplica(t *testing.T) {
-	tc := startCluster(t, 2, 10, GatewayOptions{
+	tc := startTestCell(t, 1, 10, dbnet.Options{}, CellOptions{Replicas: 2, Gateway: GatewayOptions{
 		HealthInterval:   time.Minute, // breaker, not prober, does the work
 		BreakerThreshold: 2,
 		BreakerCooldown:  10 * time.Second,
 		RetryBackoff:     time.Millisecond,
-	}, Capacity{})
+	}})
 
-	tc.replicas[0].Stop()
+	tc.StopReplica("replica-0")
 	// Failures route around the dead node; every call still succeeds.
 	for i := 0; i < 12; i++ {
-		if _, err := tc.gw.CountHLEs("", "10.2.0.1", dm.HLEFilter{Kind: "flare", HasDay: true, Day: int64(i)}); err != nil {
+		if _, err := tc.GW.CountHLEs("", "10.2.0.1", dm.HLEFilter{Kind: "flare", HasDay: true, Day: int64(i)}); err != nil {
 			t.Fatalf("call %d failed despite live sibling: %v", i, err)
 		}
 	}
 	var dead MemberStatus
-	for _, m := range tc.gw.Members() {
+	for _, m := range tc.GW.Members() {
 		if m.Name == "replica-0" {
 			dead = m
 		}
@@ -264,7 +262,7 @@ func TestGatewayCircuitOpensOnDeadReplica(t *testing.T) {
 	if dead.Failed == 0 {
 		t.Fatal("no failures recorded against the dead replica")
 	}
-	if tc.gw.Failovers() == 0 {
+	if tc.GW.Failovers() == 0 {
 		t.Fatal("no failovers recorded")
 	}
 }
@@ -273,12 +271,12 @@ func TestGatewayCircuitOpensOnDeadReplica(t *testing.T) {
 // browse is shed immediately (it has a stale-cache lifeboat) while
 // authenticated work waits for a slot.
 func TestGatewayPrioritySheds(t *testing.T) {
-	tc := startCluster(t, 1, 5, GatewayOptions{
-		MaxInflight:  1,
-		QueueTimeout: 2 * time.Second,
-	}, Capacity{Workers: 1, CPUPerCall: 300 * time.Millisecond})
+	tc := startTestCell(t, 1, 5, dbnet.Options{}, CellOptions{
+		Replicas: 1,
+		Gateway:  GatewayOptions{MaxInflight: 1, QueueTimeout: 2 * time.Second},
+		Capacity: Capacity{Workers: 1, CPUPerCall: 300 * time.Millisecond}})
 
-	si, err := tc.gw.Authenticate("sci", "pw", "10.3.0.1", dm.SessionHLE)
+	si, err := tc.GW.Authenticate("sci", "pw", "10.3.0.1", dm.SessionHLE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,13 +285,13 @@ func TestGatewayPrioritySheds(t *testing.T) {
 	hold := make(chan struct{})
 	go func() {
 		defer close(hold)
-		tc.gw.CountHLEs("", "10.3.0.1", dm.HLEFilter{Kind: "flare"})
+		tc.GW.CountHLEs("", "10.3.0.1", dm.HLEFilter{Kind: "flare"})
 	}()
 	time.Sleep(50 * time.Millisecond)
 
 	// Anonymous: shed at once, far faster than QueueTimeout.
 	start := time.Now()
-	_, err = tc.gw.CountHLEs("", "10.3.0.2", dm.HLEFilter{Kind: "burst"})
+	_, err = tc.GW.CountHLEs("", "10.3.0.2", dm.HLEFilter{Kind: "burst"})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("anonymous read under full house: %v, want ErrOverloaded", err)
 	}
@@ -305,7 +303,7 @@ func TestGatewayPrioritySheds(t *testing.T) {
 	}
 
 	// Authenticated: waits out the slot and succeeds.
-	if _, err := tc.gw.CountHLEs(si.Token, "10.3.0.3", dm.HLEFilter{Kind: "flare"}); err != nil {
+	if _, err := tc.GW.CountHLEs(si.Token, "10.3.0.3", dm.HLEFilter{Kind: "flare"}); err != nil {
 		t.Fatalf("authenticated read was shed: %v", err)
 	}
 	<-hold
@@ -317,61 +315,13 @@ func TestGatewayPrioritySheds(t *testing.T) {
 // the moment the replica's circuit opens, the database server reaps the
 // orphaned transaction, and a re-authenticated session can write again.
 func TestPinnedCircuitOpenDemotesAndReaps(t *testing.T) {
-	db, err := minidb.Open("", schema.AllSchemas()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	dbSrv, err := dbnet.Listen("127.0.0.1:0", dbnet.Options{
-		DB:             db,
-		TxnIdleTimeout: 150 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dbSrv.Close()
-
-	boot, err := dm.Open(dm.Options{Node: "boot", MetaDB: db, Logger: log.New(io.Discard, "", 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := boot.Bootstrap("secret"); err != nil {
-		t.Fatal(err)
-	}
-	if err := boot.CreateUser("sci", "pw", dm.GroupScientist,
-		dm.RightBrowse, dm.RightDownload, dm.RightAnalyze, dm.RightUpload); err != nil {
-		t.Fatal(err)
-	}
-
-	gw := NewGateway(GatewayOptions{
-		HealthInterval:   time.Minute, // the breaker must do the demotion
-		BreakerThreshold: 1,
-		BreakerCooldown:  10 * time.Second,
-	})
-	defer gw.Close()
-	var replicas []*Replica
-	var clients []*dbnet.Client
-	for i := 0; i < 2; i++ {
-		cl, err := dbnet.Dial(dbnet.ClientOptions{Addr: dbSrv.Addr()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients = append(clients, cl)
-		rep, err := StartReplica(ReplicaOptions{Name: fmt.Sprintf("replica-%d", i), DB: cl})
-		if err != nil {
-			t.Fatal(err)
-		}
-		replicas = append(replicas, rep)
-		gw.AddReplica(rep.Name(), dm.NewRemote(rep.URL(), nil))
-	}
-	defer func() {
-		for _, r := range replicas {
-			r.Stop()
-		}
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
+	tc := startTestCell(t, 1, 0, dbnet.Options{TxnIdleTimeout: 150 * time.Millisecond},
+		CellOptions{Replicas: 2, Gateway: GatewayOptions{
+			HealthInterval:   time.Minute, // the breaker must do the demotion
+			BreakerThreshold: 1,
+			BreakerCooldown:  10 * time.Second,
+		}})
+	gw, dbSrv := tc.GW, tc.Srvs[0]
 
 	si, err := gw.Authenticate("sci", "pw", "10.4.0.1", dm.SessionHLE)
 	if err != nil {
@@ -400,11 +350,7 @@ func TestPinnedCircuitOpenDemotesAndReaps(t *testing.T) {
 	}
 	// ...and is never committed: the replica that owned it is dead.
 
-	for _, r := range replicas {
-		if r.Name() == pinned.name {
-			r.Stop()
-		}
-	}
+	tc.StopReplica(pinned.name)
 
 	// First tokened call hits the dead pin, fails, demotes the session,
 	// opens the circuit (threshold 1), and fails over to the sibling.

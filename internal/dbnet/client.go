@@ -194,6 +194,11 @@ func parseResponse(resp []byte, budget time.Duration) (*bytes.Reader, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dbnet: mangled overload response: %w", err)
 		}
+		// A hint is always positive, mirroring overloadFrame's floor on
+		// the encoding side: "retry after 0" would read as "no hint".
+		if ms == 0 {
+			ms = 1
+		}
 		if ms > uint64(time.Hour/time.Millisecond) {
 			ms = uint64(time.Hour / time.Millisecond)
 		}

@@ -1,9 +1,12 @@
 #!/bin/sh
-# Full verification: vet, build, a structural guard that the retired
+# Full verification: vet, build, three structural guards (the retired
 # manifest + pack-file archive format is referenced only by its read-only
-# importer (internal/archive/legacy.go), the full test suite (which
-# includes the sharded-cell smoke and the scaled-down Figure 5 sharded sweep with its
-# bit-identical scatter-gather oracle), a short-mode race lane (which
+# importer internal/archive/legacy.go; only the harness-cell builder
+# internal/cluster/cell.go wires replicas to a gateway; internal/sim is
+# imported only by the paper-shape reproductions), the full test suite
+# (which includes the harness-cell builder's tests and the scaled-down
+# Figure 5 live and sharded sweeps with their bit-identical oracle), a
+# short-mode race lane (which
 # carries the decoded-unit cache's oracle and warm-path safety tests) plus
 # ten rounds of its concurrent single-decode test, the crash-recovery and
 # network-chaos harnesses under -race (both enumerate
@@ -28,6 +31,12 @@ go build ./...
 
 echo "==> one archive engine (manifest/pack-file names only in the legacy reader)"
 if grep -rnE 'MANIFEST\.crc|packs/p' --include='*.go' --exclude='*_test.go' internal/ | grep -v '^internal/archive/legacy\.go:'; then exit 1; fi
+
+echo "==> one harness cell (only internal/cluster/cell.go wires replicas to a gateway)"
+if grep -rl 'StartReplica(' --include='*.go' internal | xargs grep -l 'NewGateway(' | grep -v '^internal/cluster/cell\.go$'; then exit 1; fi
+
+echo "==> internal/sim only behind the Figure 4/5 and Table 1 paper-shape reproductions"
+if grep -rl '"repro/internal/sim"' --include='*.go' --exclude='*_test.go' . | grep -vE '^\./internal/bench/(browse|processing)\.go$'; then exit 1; fi
 
 echo "==> go test"
 go test ./...
