@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/dm"
+	"repro/internal/epochcache"
 	"repro/internal/overload"
 	"repro/internal/schema"
 )
@@ -77,9 +78,6 @@ type GatewayOptions struct {
 	// bucket stops retries cluster-wide — the brake on retry storms.
 	RetryRefillPerSec float64
 	RetryBurst        int
-	// StaleCacheSize caps the degraded-mode cache of anonymous browse
-	// results (default 1024 entries).
-	StaleCacheSize int
 	// Logger receives health transitions and failovers. Nil discards.
 	Logger *log.Logger
 }
@@ -134,7 +132,7 @@ type Gateway struct {
 	hook   overload.StageActions // brownout side effects (SetBrownoutHook)
 
 	retry *retryBudget
-	stale *staleCache
+	stale *epochcache.Cache[uint64, staleValue] // anonymous read results, keyed on writeEpoch
 
 	shed           atomic.Int64
 	failovers      atomic.Int64
@@ -177,9 +175,6 @@ func NewGateway(opts GatewayOptions) *Gateway {
 	if opts.RetryBurst <= 0 {
 		opts.RetryBurst = 32
 	}
-	if opts.StaleCacheSize <= 0 {
-		opts.StaleCacheSize = 1024
-	}
 	if opts.ShedRetryAfter <= 0 {
 		opts.ShedRetryAfter = 250 * time.Millisecond
 	}
@@ -191,7 +186,7 @@ func NewGateway(opts GatewayOptions) *Gateway {
 		pins:  make(map[string]*member),
 		stop:  make(chan struct{}),
 		retry: newRetryBudget(opts.RetryRefillPerSec, opts.RetryBurst),
-		stale: newStaleCache(opts.StaleCacheSize),
+		stale: epochcache.New[uint64, staleValue](staleEntries),
 	}
 	if opts.AdaptiveLimit != nil {
 		cfg := *opts.AdaptiveLimit
@@ -335,6 +330,8 @@ type Status struct {
 	WriteEpoch       uint64  // writes accepted through this gateway
 	StaleEntries     int     // anonymous results held for degraded serving
 	Overload         OverloadStatus
+
+	Stale epochcache.Stats // the stale cache's whole counter set (StaleEntries is its Entries)
 }
 
 // OverloadStatus is the admission-control and brownout snapshot for
@@ -378,6 +375,7 @@ func (g *Gateway) Status() Status {
 	} else {
 		ov.Sheds = g.shed.Load()
 	}
+	stale := g.stale.Stats()
 	return Status{
 		Members:          g.Members(),
 		Shed:             g.shed.Load(),
@@ -389,7 +387,8 @@ func (g *Gateway) Status() Status {
 		SessionDemotions: g.demotions.Load(),
 		WritesFailedFast: g.writesFailed.Load(),
 		WriteEpoch:       g.writeEpoch.Load(),
-		StaleEntries:     g.stale.len(),
+		StaleEntries:     stale.Entries,
+		Stale:            stale,
 		Overload:         ov,
 	}
 }
@@ -573,6 +572,16 @@ func (g *Gateway) do(affinity, token string, mutation bool, fn func(api dm.API) 
 	return err
 }
 
+// call routes one API call that returns a value through g.do.
+func call[T any](g *Gateway, affinity, token string, mutation bool, fn func(dm.API) (T, error)) (T, error) {
+	var out T
+	err := g.do(affinity, token, mutation, func(api dm.API) (e error) {
+		out, e = fn(api)
+		return e
+	})
+	return out, err
+}
+
 // route picks replicas and drives the call; do() owns admission and
 // write-epoch accounting around it.
 func (g *Gateway) route(affinity, token string, mutation bool, fn func(api dm.API) error) error {
@@ -724,26 +733,22 @@ func (g *Gateway) canDegrade(err error) bool {
 // Authenticate routes to any healthy replica and pins the issued token
 // to it: the session cache is that node's memory.
 func (g *Gateway) Authenticate(user, password, ip, kind string) (*dm.SessionInfo, error) {
-	var out *dm.SessionInfo
-	var chosen *member
-	err := g.do("auth:"+user, "", true, func(api dm.API) error {
-		si, err := api.Authenticate(user, password, ip, kind)
-		if err != nil {
-			return err
-		}
-		out = si
-		g.mu.RLock()
-		for _, m := range g.members {
-			if m.api == api {
-				chosen = m
-			}
-		}
-		g.mu.RUnlock()
-		return nil
+	var answered dm.API
+	out, err := call(g, "auth:"+user, "", true, func(api dm.API) (*dm.SessionInfo, error) {
+		answered = api
+		return api.Authenticate(user, password, ip, kind)
 	})
 	if err != nil {
 		return nil, err
 	}
+	var chosen *member
+	g.mu.RLock()
+	for _, m := range g.members {
+		if m.api == answered {
+			chosen = m
+		}
+	}
+	g.mu.RUnlock()
 	if chosen != nil {
 		g.pinMu.Lock()
 		g.pins[out.Token] = chosen
@@ -767,116 +772,66 @@ func (g *Gateway) Logout(token string) error {
 // when the live path dies, the last public answer for this filter comes
 // back tagged with a DegradedError.
 func (g *Gateway) QueryHLEs(token, ip string, f dm.HLEFilter) ([]*schema.HLE, error) {
-	affinity := filterAffinity(f)
-	return serveRead(g, "query-hles", affinity, token, func() ([]*schema.HLE, error) {
-		var out []*schema.HLE
-		err := g.do(affinity, token, false, func(api dm.API) error {
-			var e error
-			out, e = api.QueryHLEs(token, ip, f)
-			return e
-		})
-		return out, err
+	return serveRead(g, "query-hles", filterAffinity(f), token, func(api dm.API) ([]*schema.HLE, error) {
+		return api.QueryHLEs(token, ip, f)
 	})
 }
 
 // CountHLEs implements dm.API (degradable like QueryHLEs; the method
 // prefix keeps its cache entries apart — both share the filter key).
 func (g *Gateway) CountHLEs(token, ip string, f dm.HLEFilter) (int, error) {
-	affinity := filterAffinity(f)
-	return serveRead(g, "count-hles", affinity, token, func() (int, error) {
-		var out int
-		err := g.do(affinity, token, false, func(api dm.API) error {
-			var e error
-			out, e = api.CountHLEs(token, ip, f)
-			return e
-		})
-		return out, err
+	return serveRead(g, "count-hles", filterAffinity(f), token, func(api dm.API) (int, error) {
+		return api.CountHLEs(token, ip, f)
 	})
 }
 
 // GetHLE implements dm.API (degradable).
 func (g *Gateway) GetHLE(token, ip, id string) (*schema.HLE, error) {
-	return serveRead(g, "get-hle", "hle:"+id, token, func() (*schema.HLE, error) {
-		var out *schema.HLE
-		err := g.do("hle:"+id, token, false, func(api dm.API) error {
-			var e error
-			out, e = api.GetHLE(token, ip, id)
-			return e
-		})
-		return out, err
+	return serveRead(g, "get-hle", "hle:"+id, token, func(api dm.API) (*schema.HLE, error) {
+		return api.GetHLE(token, ip, id)
 	})
 }
 
 // AnalysesForHLE implements dm.API (degradable).
 func (g *Gateway) AnalysesForHLE(token, ip, hleID string) ([]*schema.ANA, error) {
-	return serveRead(g, "analyses-for-hle", "hle:"+hleID, token, func() ([]*schema.ANA, error) {
-		var out []*schema.ANA
-		err := g.do("hle:"+hleID, token, false, func(api dm.API) error {
-			var e error
-			out, e = api.AnalysesForHLE(token, ip, hleID)
-			return e
-		})
-		return out, err
+	return serveRead(g, "analyses-for-hle", "hle:"+hleID, token, func(api dm.API) ([]*schema.ANA, error) {
+		return api.AnalysesForHLE(token, ip, hleID)
 	})
 }
 
 // GetANA implements dm.API (degradable).
 func (g *Gateway) GetANA(token, ip, id string) (*schema.ANA, error) {
-	return serveRead(g, "get-ana", "ana:"+id, token, func() (*schema.ANA, error) {
-		var out *schema.ANA
-		err := g.do("ana:"+id, token, false, func(api dm.API) error {
-			var e error
-			out, e = api.GetANA(token, ip, id)
-			return e
-		})
-		return out, err
+	return serveRead(g, "get-ana", "ana:"+id, token, func(api dm.API) (*schema.ANA, error) {
+		return api.GetANA(token, ip, id)
 	})
 }
 
 // ListCatalogs implements dm.API (degradable).
 func (g *Gateway) ListCatalogs(token, ip string) ([]*dm.Catalog, error) {
-	return serveRead(g, "list-catalogs", "catalogs", token, func() ([]*dm.Catalog, error) {
-		var out []*dm.Catalog
-		err := g.do("catalogs", token, false, func(api dm.API) error {
-			var e error
-			out, e = api.ListCatalogs(token, ip)
-			return e
-		})
-		return out, err
+	return serveRead(g, "list-catalogs", "catalogs", token, func(api dm.API) ([]*dm.Catalog, error) {
+		return api.ListCatalogs(token, ip)
 	})
 }
 
 // CreateHLE implements dm.API.
 func (g *Gateway) CreateHLE(token, ip string, h *schema.HLE) (string, error) {
-	var out string
-	err := g.do("create", token, true, func(api dm.API) error {
-		var e error
-		out, e = api.CreateHLE(token, ip, h)
-		return e
+	return call(g, "create", token, true, func(api dm.API) (string, error) {
+		return api.CreateHLE(token, ip, h)
 	})
-	return out, err
 }
 
 // ImportAnalysis implements dm.API.
 func (g *Gateway) ImportAnalysis(token, ip string, a *schema.ANA, files []dm.StoredFile) (string, error) {
-	var out string
-	err := g.do("import", token, true, func(api dm.API) error {
-		var e error
-		out, e = api.ImportAnalysis(token, ip, a, files)
-		return e
+	return call(g, "import", token, true, func(api dm.API) (string, error) {
+		return api.ImportAnalysis(token, ip, a, files)
 	})
-	return out, err
 }
 
 // FindExistingAnalysis implements dm.API.
 func (g *Gateway) FindExistingAnalysis(token, ip string, spec *schema.ANA) (*schema.ANA, error) {
-	var out *schema.ANA
-	err := g.do("find-ana", token, false, func(api dm.API) error {
-		var e error
-		out, e = api.FindExistingAnalysis(token, ip, spec)
-		return e
+	return call(g, "find-ana", token, false, func(api dm.API) (*schema.ANA, error) {
+		return api.FindExistingAnalysis(token, ip, spec)
 	})
-	return out, err
 }
 
 // Publish implements dm.API.
@@ -888,24 +843,16 @@ func (g *Gateway) Publish(token, ip, kind, id string) error {
 
 // ReadItem implements dm.API.
 func (g *Gateway) ReadItem(token, ip, itemID string) (*dm.ItemData, error) {
-	var out *dm.ItemData
-	err := g.do("item:"+itemID, token, false, func(api dm.API) error {
-		var e error
-		out, e = api.ReadItem(token, ip, itemID)
-		return e
+	return call(g, "item:"+itemID, token, false, func(api dm.API) (*dm.ItemData, error) {
+		return api.ReadItem(token, ip, itemID)
 	})
-	return out, err
 }
 
 // UnitsInRange implements dm.API.
 func (g *Gateway) UnitsInRange(token, ip string, t0, t1 float64) ([]*dm.UnitInfo, error) {
-	var out []*dm.UnitInfo
-	err := g.do(fmt.Sprintf("units:%g:%g", t0, t1), token, false, func(api dm.API) error {
-		var e error
-		out, e = api.UnitsInRange(token, ip, t0, t1)
-		return e
+	return call(g, fmt.Sprintf("units:%g:%g", t0, t1), token, false, func(api dm.API) ([]*dm.UnitInfo, error) {
+		return api.UnitsInRange(token, ip, t0, t1)
 	})
-	return out, err
 }
 
 // filterAffinity renders a browse filter as a routing key so identical

@@ -6,16 +6,19 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/dm"
 )
 
 // Resilience machinery the chaos harness demanded: a per-replica circuit
 // breaker (stop hammering a replica that keeps failing; probe it gently —
 // the breaker itself lives in internal/circuit, shared with the shard
 // router), a global retry budget (failover is a multiplier on offered
-// load — cap it before a partial outage becomes a retry storm), and an
-// epoch-tagged stale cache (when the shared database is gone, answering
-// yesterday's browse query beats answering nothing — the paper's archive
-// is append-mostly, so stale reads are wrong only in what they omit).
+// load — cap it before a partial outage becomes a retry storm), and a
+// stale cache keyed on the gateway write epoch (when the shared database
+// is gone, answering yesterday's browse query beats answering nothing —
+// the paper's archive is append-mostly, so stale reads are wrong only in
+// what they omit).
 
 // --- retry budget ---
 
@@ -107,83 +110,48 @@ func IsDegraded(err error) bool {
 	return errors.As(err, &d) && d.Degraded()
 }
 
-// staleEntry is one cached read result.
-type staleEntry struct {
-	val   any
-	epoch uint64 // gateway write epoch at caching time
-	at    time.Time
+// staleEntries bounds the degraded-mode cache of anonymous browse results.
+const staleEntries = 1024
+
+// staleValue is one cached read result; its epoch — the gateway write
+// epoch at caching time — is the one the cache stores it under.
+type staleValue struct {
+	val any
+	at  time.Time
 }
 
-// staleCache holds the most recent successful result of anonymous browse
-// reads, keyed by method+affinity. Only public (tokenless) results are
-// ever stored, so degradation can never leak a private row to the wrong
-// session. Bounded by arbitrary eviction: the cache is a lifeboat, not a
-// performance path.
-type staleCache struct {
-	mu      sync.RWMutex
-	max     int
-	entries map[string]staleEntry
-}
-
-func newStaleCache(max int) *staleCache {
-	return &staleCache{max: max, entries: make(map[string]staleEntry)}
-}
-
-func (c *staleCache) put(key string, val any, epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.entries[key]; !exists && len(c.entries) >= c.max {
-		for k := range c.entries { // evict one arbitrary entry
-			delete(c.entries, k)
-			break
-		}
-	}
-	c.entries[key] = staleEntry{val: val, epoch: epoch, at: time.Now()}
-}
-
-func (c *staleCache) get(key string) (staleEntry, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.entries[key]
-	return e, ok
-}
-
-func (c *staleCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}
-
-// serveRead wraps one anonymous-cacheable gateway read. Successful
-// anonymous results refresh the stale cache; a failure that means "the
-// serving path is gone" (no replicas, transport failure everywhere, the
-// shared database partitioned away) is converted — for anonymous callers
-// with a cached value — into that value plus a DegradedError tag.
-// Overload shedding is never converted: the data path works, the caller
-// should back off, and serving cache would hide saturation.
-func serveRead[T any](g *Gateway, method, affinity, token string, call func() (T, error)) (T, error) {
-	v, err := call()
+// serveRead routes one anonymous-cacheable gateway read. Successful
+// anonymous results refresh Gateway.stale — the most recent answer per
+// method+affinity, read back only with GetStale; only public (tokenless)
+// results are ever stored, so degradation can never leak a private row to
+// the wrong session. A failure that means "the serving path is gone" (no
+// replicas, transport failure everywhere, the shared database partitioned
+// away) is converted — for anonymous callers with a cached value — into
+// that value plus a DegradedError tag. Overload shedding is never
+// converted: the data path works, the caller should back off, and serving
+// cache would hide saturation.
+func serveRead[T any](g *Gateway, method, affinity, token string, fn func(dm.API) (T, error)) (T, error) {
+	v, err := call(g, affinity, token, false, fn)
 	if token != "" {
 		return v, err // private result: never cached, never degraded
 	}
 	key := method + "|" + affinity
 	if err == nil {
-		g.stale.put(key, v, g.writeEpoch.Load())
+		g.stale.Put(key, g.writeEpoch.Load(), staleValue{val: v, at: time.Now()}, 1)
 		return v, nil
 	}
 	if !g.canDegrade(err) {
 		return v, err
 	}
-	e, ok := g.stale.get(key)
+	e, epoch, ok := g.stale.GetStale(key)
 	if !ok {
 		return v, err
 	}
 	g.degradedServes.Add(1)
-	cur := g.writeEpoch.Load()
 	return e.val.(T), &DegradedError{
 		Age:         time.Since(e.at),
-		Epoch:       e.epoch,
-		StaleWrites: cur - e.epoch,
+		Epoch:       epoch,
+		StaleWrites: g.writeEpoch.Load() - epoch,
 		Cause:       err,
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,20 +116,6 @@ func TestJitterBounds(t *testing.T) {
 		if j < d/2 || j >= d/2*3 {
 			t.Fatalf("jitter(%v) = %v outside [d/2, 3d/2)", d, j)
 		}
-	}
-}
-
-func TestStaleCacheBounded(t *testing.T) {
-	c := newStaleCache(4)
-	for i := 0; i < 20; i++ {
-		c.put(fmt.Sprintf("k%d", i), i, uint64(i))
-	}
-	if c.len() > 4 {
-		t.Fatalf("cache grew to %d entries past max 4", c.len())
-	}
-	c.put("k19", 99, 21) // overwrite must not evict
-	if e, ok := c.get("k19"); !ok || e.val.(int) != 99 {
-		t.Fatal("overwrite lost the entry")
 	}
 }
 

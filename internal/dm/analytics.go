@@ -2,6 +2,7 @@ package dm
 
 import (
 	"repro/internal/colseg"
+	"repro/internal/minidb"
 )
 
 // Analytics serves a catalog-wide aggregate query through the read-optimized
@@ -14,43 +15,39 @@ import (
 //     dbnet.Client forwards the query over the wire to the server's store).
 //  3. colseg.RunRows over the routed engine — always correct, never fast.
 //
-// Results are cached under (query fingerprint, table commit epoch), the same
-// discipline as cachedQuery: the epoch is read BEFORE the query runs, so a
-// commit racing the execution turns the stored entry into a future miss
-// rather than a stale hit. Cached *colseg.Result values are shared between
-// callers and must be treated as immutable.
+// Results go through the same read-through cache as cachedQuery, under
+// ("ana|" + query fingerprint, table commit epoch): identical concurrent
+// misses run the query once, and brownout rung 2 serves a commit-behind
+// aggregate rather than scanning for a drowning tier.
 func (d *DM) Analytics(q colseg.Query) (*colseg.Result, error) {
 	d.stats.Requests.Add(1)
 	d.stats.AnalyticsQueries.Add(1)
 	db := d.routeDB(q.Table)
-	epoch := db.TableEpoch(q.Table)
-	key := "ana|" + colseg.Fingerprint(q)
-	if v, ok := d.cache.get(key, epoch); ok {
-		d.stats.AnalyticsCacheHits.Add(1)
-		return v.(*colseg.Result), nil
-	}
-	var res *colseg.Result
-	var err error
-	switch {
-	case d.analytics != nil:
-		res, err = d.analytics.RunAnalytics(q)
-	default:
-		if r, ok := db.(colseg.Runner); ok {
+	epoch := epochOf(db, minidb.Query{Table: q.Table})
+	v, err := d.readThrough("ana|"+colseg.Fingerprint(q), epoch, &d.stats.AnalyticsCacheHits, func() (any, error) {
+		var res *colseg.Result
+		var err error
+		if d.analytics != nil {
+			res, err = d.analytics.RunAnalytics(q)
+		} else if r, ok := db.(colseg.Runner); ok {
 			res, err = r.RunAnalytics(q)
 		} else {
 			res, err = colseg.RunRows(db, q)
 		}
-	}
+		if err != nil {
+			return nil, err
+		}
+		if res.Stats.Vectorized {
+			d.stats.AnalyticsVector.Add(1)
+		} else {
+			d.stats.AnalyticsRowFall.Add(1)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if res.Stats.Vectorized {
-		d.stats.AnalyticsVector.Add(1)
-	} else {
-		d.stats.AnalyticsRowFall.Add(1)
-	}
-	d.cache.put(key, epoch, res)
-	return res, nil
+	return v.(*colseg.Result), nil
 }
 
 // AnalyticsRunner exposes the resolved runner for diagnostics (the web tier

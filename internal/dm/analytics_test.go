@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/colseg"
@@ -89,6 +92,84 @@ func TestAnalyticsCacheByEpoch(t *testing.T) {
 	}
 	if d.Stats().AnalyticsCacheHits.Load() != 1 {
 		t.Fatal("post-commit query counted as a cache hit")
+	}
+}
+
+// TestAnalyticsServesStaleUnderBrownout: Analytics gets what cachedQuery
+// has — with SetServeStale on, an aggregate whose entry a commit
+// invalidated is answered commit-behind, without running.
+func TestAnalyticsServesStaleUnderBrownout(t *testing.T) {
+	d, db := newAnalyticsDM(t, nil)
+	insertTestEvents(t, db, 500, 0)
+	q := colseg.Query{Table: schema.TableEvents, Agg: colseg.AggStats, Col: "energy"}
+	r1, err := d.Analytics(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertTestEvents(t, db, 50, 500)
+
+	d.SetServeStale(true)
+	ran0 := d.Stats().AnalyticsRowFall.Load()
+	stale, err := d.Analytics(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale != r1 || d.Stats().AnalyticsRowFall.Load() != ran0 {
+		t.Fatalf("brownout ran the aggregate (rows %d) instead of serving the commit-behind result", stale.Rows)
+	}
+	if s := d.Stats().StaleServes.Load(); s != 1 {
+		t.Fatalf("StaleServes = %d, want 1", s)
+	}
+
+	d.SetServeStale(false)
+	if fresh, err := d.Analytics(q); err != nil || fresh.Rows != 550 {
+		t.Fatalf("fresh aggregate after brownout: %v rows %d, want 550", err, fresh.Rows)
+	}
+}
+
+// gatedRunner holds every run until open reports true, and counts them.
+type gatedRunner struct {
+	db   *minidb.DB
+	open func() bool
+	runs atomic.Int64
+}
+
+func (g *gatedRunner) RunAnalytics(q colseg.Query) (*colseg.Result, error) {
+	g.runs.Add(1)
+	for !g.open() {
+		runtime.Gosched()
+	}
+	return colseg.RunRows(g.db, q)
+}
+
+// TestAnalyticsConcurrentMissesRunOnce: eight identical aggregates arriving
+// while the first is still running share its one run.
+func TestAnalyticsConcurrentMissesRunOnce(t *testing.T) {
+	const callers = 8
+	runner := &gatedRunner{}
+	d, db := newAnalyticsDM(t, runner)
+	insertTestEvents(t, db, 500, 0)
+	runner.db = db
+	// The run in flight finishes only once every caller is inside Analytics.
+	runner.open = func() bool { return d.Stats().AnalyticsQueries.Load() == callers }
+
+	q := colseg.Query{Table: schema.TableEvents, Agg: colseg.AggStats, Col: "energy"}
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res, err := d.Analytics(q); err != nil || res.Rows != 500 {
+				t.Errorf("analytics: %v (%+v)", err, res)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := runner.runs.Load(); got != 1 {
+		t.Fatalf("%d identical concurrent aggregates ran %d times, want 1", callers, got)
+	}
+	if got := d.Stats().AnalyticsCacheHits.Load(); got != callers-1 {
+		t.Fatalf("AnalyticsCacheHits = %d, want %d", got, callers-1)
 	}
 }
 

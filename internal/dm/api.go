@@ -10,7 +10,7 @@ import (
 // presentation tier and remote DM nodes program against. It exists so that
 // "the calling methods do not know where the code is actually executed"
 // (§5.4): Local executes in-process, Remote ships the call to another DM
-// node over HTTP, and Dispatcher picks between them per configuration.
+// node over HTTP, and cluster.Gateway spreads calls over several Remotes.
 type API interface {
 	Authenticate(user, password, ip, kind string) (*SessionInfo, error)
 	Logout(token string) error

@@ -3,74 +3,21 @@ package dm
 import (
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/minidb"
 )
 
 // Read-through query cache for the DM's semantic layer. HEDC's hot reads —
 // catalog member counts, duplicate checks, dependency counts, member lists —
-// repeat the same structured query many times between writes. Each cached
-// entry is keyed by (canonical query fingerprint, table commit epoch): the
-// engine bumps a table's epoch on every committed transaction touching it,
-// so a cached result is valid exactly while the epoch it was computed
-// against is still current. No timers, no explicit invalidation calls — a
-// commit anywhere in the process makes the next lookup a miss.
-//
-// The epoch is read BEFORE the query runs. If a commit lands between the
-// epoch read and the query, the entry is stored under the older epoch and
-// the next lookup misses — conservative, never stale-serving.
+// repeat the same structured query many times between writes, and so do the
+// catalog-wide aggregates of analytics.go. Both are cached in one
+// epochcache.Cache under (canonical query fingerprint, table commit epoch):
+// the engine bumps a table's epoch on every committed transaction touching
+// it, so a commit anywhere in the process makes the next lookup a miss. The
+// invalidation contract is the package comment of internal/epochcache.
 
-type cacheEntry struct {
-	epoch uint64
-	val   any // *minidb.Result for row queries, *colseg.Result for analytics
-}
-
-type queryCache struct {
-	mu sync.Mutex
-	m  map[string]cacheEntry
-	// cap bounds memory: when the map grows past it, the whole map is
-	// dropped. Epoch churn retires entries anyway; this only guards
-	// against fingerprint cardinality blowup.
-	cap int
-}
-
-func newQueryCache(capacity int) *queryCache {
-	return &queryCache{m: make(map[string]cacheEntry), cap: capacity}
-}
-
-func (c *queryCache) get(key string, epoch uint64) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok || e.epoch != epoch {
-		return nil, false
-	}
-	return e.val, true
-}
-
-// getStale returns whatever entry sits under key regardless of its epoch
-// — the brownout ladder's stale-read rung. The caller decides whether a
-// commit-behind answer is acceptable; under overload it usually is, and
-// every stale serve is one less query against a tier that is drowning.
-func (c *queryCache) getStale(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	return e.val, true
-}
-
-func (c *queryCache) put(key string, epoch uint64, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.m) >= c.cap {
-		c.m = make(map[string]cacheEntry)
-	}
-	c.m[key] = cacheEntry{epoch: epoch, val: val}
-}
+const queryCacheEntries = 4096 // fingerprints resident at most
 
 // queryEpocher is the shard-aware refinement of TableEpoch: a sharded
 // engine (internal/shard.Router) scopes the epoch to the shards the query
@@ -81,67 +28,66 @@ type queryEpocher interface {
 	QueryEpoch(minidb.Query) uint64
 }
 
-// cachedQuery runs q through the cache. Results returned from the cache are
-// SHARED between callers: treat them as immutable (read rows, never write).
-// Only deterministic queries belong here — anything keyed on sessions is
-// fine because the visibility OR-clause is part of the fingerprint.
-func (d *DM) cachedQuery(q minidb.Query) (*minidb.Result, error) {
-	db := d.routeDB(q.Table)
-	// Epoch first, then lookup/query: a commit racing past this point makes
-	// the stored entry a future miss rather than a stale hit.
-	var epoch uint64
+// epochOf is the commit epoch a cached answer to q depends on.
+func epochOf(db minidb.Engine, q minidb.Query) uint64 {
 	if qe, ok := db.(queryEpocher); ok {
-		epoch = qe.QueryEpoch(q)
-	} else {
-		epoch = db.TableEpoch(q.Table)
+		return qe.QueryEpoch(q)
 	}
-	key := fingerprint(q)
-	if v, ok := d.cache.get(key, epoch); ok {
-		d.stats.QueryCacheHits.Add(1)
-		return v.(*minidb.Result), nil
-	}
-	// Brownout rung 2: under sustained overload the ladder flips this on,
-	// and a fresh-epoch miss falls back to whatever epoch the cache still
-	// holds. Serving a commit-behind result costs staleness; querying a
-	// drowning database tier costs everyone's latency.
+	return db.TableEpoch(q.Table)
+}
+
+// readThrough answers key from the query cache or runs load, once for
+// concurrent identical misses. The caller read epoch BEFORE this call and
+// load counts its own miss. Brownout rung 2: under sustained overload the
+// ladder flips serveStale on, and a fresh-epoch miss falls back to whatever
+// epoch the cache still holds — serving a commit-behind result costs
+// staleness; querying a drowning database tier costs everyone's latency.
+// Results are SHARED between callers: treat them as immutable.
+func (d *DM) readThrough(key string, epoch uint64, hits *atomic.Int64, load func() (any, error)) (any, error) {
 	if d.serveStale.Load() {
-		if v, ok := d.cache.getStale(key); ok {
+		if v, at, ok := d.cache.GetStale(key); ok && at != epoch {
 			d.stats.StaleServes.Add(1)
-			return v.(*minidb.Result), nil
+			return v, nil
 		}
 	}
-	d.stats.QueryCacheMisses.Add(1)
-	res, err := d.query(q)
+	v, hit, err := d.cache.Do(key, epoch, func() (any, int64, error) {
+		v, err := load()
+		return v, 1, err
+	})
+	if hit {
+		hits.Add(1)
+	}
+	return v, err
+}
+
+// cachedQuery runs q through the cache. Only deterministic queries belong
+// here — anything keyed on sessions is fine because the visibility
+// OR-clause is part of the fingerprint.
+func (d *DM) cachedQuery(q minidb.Query) (*minidb.Result, error) {
+	epoch := epochOf(d.routeDB(q.Table), q)
+	v, err := d.readThrough(fingerprint(q), epoch, &d.stats.QueryCacheHits, func() (any, error) {
+		d.stats.QueryCacheMisses.Add(1)
+		return d.query(q)
+	})
 	if err != nil {
 		return nil, err
 	}
-	d.cache.put(key, epoch, res)
-	return res, nil
+	return v.(*minidb.Result), nil
 }
 
 // DataEpoch renders the commit epochs of a set of tables into one opaque
 // tag, for callers that cache derived results outside the DM (the PL's
 // analysis memoization). The tag changes iff some listed table's epoch
 // changes: per-table epochs are rendered individually (never folded), so
-// distinct states cannot collide. Shard-aware engines contribute their
-// query-scoped epoch through the same queryEpocher seam cachedQuery uses.
-// Read the tag BEFORE computing the result being cached — a commit racing
-// the computation then parks the entry under the older tag, conservative,
-// never stale-serving.
+// distinct states cannot collide. Read the tag BEFORE computing the result
+// being cached (the epochcache contract).
 func (d *DM) DataEpoch(tables ...string) string {
 	var b strings.Builder
 	for i, table := range tables {
 		if i > 0 {
 			b.WriteByte('.')
 		}
-		db := d.routeDB(table)
-		var epoch uint64
-		if qe, ok := db.(queryEpocher); ok {
-			epoch = qe.QueryEpoch(minidb.Query{Table: table})
-		} else {
-			epoch = db.TableEpoch(table)
-		}
-		b.WriteString(strconv.FormatUint(epoch, 10))
+		b.WriteString(strconv.FormatUint(epochOf(d.routeDB(table), minidb.Query{Table: table}), 10))
 	}
 	return b.String()
 }

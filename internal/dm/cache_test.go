@@ -1,10 +1,10 @@
 package dm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/minidb"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
 )
@@ -210,22 +210,38 @@ func TestCatalogMemberListCached(t *testing.T) {
 	}
 }
 
-// TestCacheCapReset: overflowing the cap drops the map instead of growing
-// without bound; correctness is unaffected.
-func TestCacheCapReset(t *testing.T) {
-	c := newQueryCache(2)
-	r := &minidb.Result{Count: 7}
-	c.put("a", 1, r)
-	c.put("b", 1, r)
-	c.put("c", 1, r) // overflows: map reset, then c stored
-	if _, ok := c.get("a", 1); ok {
-		t.Fatal("entry a should have been dropped by the cap reset")
+// TestQueryCacheKeepsWarmKeyThroughOneShotFlood: more distinct one-shot
+// fingerprints than the cache holds evict cold entries one at a time — a
+// warm count is still a hit afterwards. (The cache this replaced dropped
+// every entry when the 4,097th fingerprint arrived.)
+func TestQueryCacheKeepsWarmKeyThroughOneShotFlood(t *testing.T) {
+	d := newTestDM(t)
+	alice := newScientist(t, d, "alice")
+	if _, err := d.CreateHLE(alice, &schema.HLE{
+		KindHint: "flare", TStop: 1, Version: 1, CalibVersion: 1,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if got, ok := c.get("c", 1); !ok || got.(*minidb.Result).Count != 7 {
-		t.Fatal("entry c should be present after the reset")
+	warm := HLEFilter{Kind: "flare"}
+	for i := 0; i < 2; i++ { // fill, then one hit: the entry holds a reference
+		if n, err := d.CountHLEs(alice, warm); err != nil || n != 1 {
+			t.Fatalf("warm count = %d (%v), want 1", n, err)
+		}
 	}
-	if _, ok := c.get("c", 2); ok {
-		t.Fatal("epoch mismatch must miss")
+	for i := 0; i < 5000; i++ {
+		if _, err := d.CountHLEs(alice, HLEFilter{Kind: fmt.Sprintf("one-shot-%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := d.cache.Stats(); st.Entries != queryCacheEntries || st.Evictions == 0 {
+		t.Fatalf("after the flood: %+v, want a full cache that evicted", st)
+	}
+	q0, hits0 := d.meta.Stats().Queries, d.stats.QueryCacheHits.Load()
+	if n, err := d.CountHLEs(alice, warm); err != nil || n != 1 {
+		t.Fatalf("warm count after the flood = %d (%v), want 1", n, err)
+	}
+	if got := d.meta.Stats().Queries - q0; got != 0 || d.stats.QueryCacheHits.Load() != hits0+1 {
+		t.Fatalf("warm count after the flood issued %d engine queries, want a cache hit", got)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/colseg"
+	"repro/internal/epochcache"
 	"repro/internal/minidb"
 	"repro/internal/schema"
 )
@@ -116,9 +117,11 @@ type DM struct {
 	pools map[minidb.Engine]*dbPools
 
 	sessions  *sessionCache
-	cache     *queryCache
-	decoded   *itemCache
 	analytics colseg.Runner // nil = resolve per call (engine or row fallback)
+
+	cache     *epochcache.Cache[uint64, any]   // query + analytics results (cache.go)
+	decoded   *epochcache.Cache[struct{}, any] // decoded archive items (itemcache.go)
+	decodedMu sync.Mutex                       // orders the UnitCache* mirror of decoded.Stats
 
 	seqMu  sync.Mutex
 	seqHi  map[string]int64 // next unpersisted id per prefix
@@ -184,12 +187,12 @@ func Open(opts Options) (*DM, error) {
 		logger:    opts.Logger,
 		pools:     make(map[minidb.Engine]*dbPools),
 		sessions:  newSessionCache(),
-		cache:     newQueryCache(4096),
+		cache:     epochcache.New[uint64, any](queryCacheEntries),
+		decoded:   epochcache.New[struct{}, any](decodedBudget),
 		analytics: opts.Analytics,
 		seqHi:     make(map[string]int64),
 		seqMax:    make(map[string]int64),
 	}
-	d.decoded = newItemCache(decodedBudget, &d.stats)
 	if d.domain == nil {
 		d.domain = d.meta
 	}
@@ -222,6 +225,10 @@ func (d *DM) Node() string { return d.node }
 
 // Stats exposes the counter block.
 func (d *DM) Stats() *Stats { return &d.stats }
+
+// QueryCacheStats snapshots the query/analytics cache's occupancy and
+// eviction counters (hits and misses are in Stats, split by caller).
+func (d *DM) QueryCacheStats() epochcache.Stats { return d.cache.Stats() }
 
 // Archives exposes the archive registry (process-layer tools use it).
 func (d *DM) Archives() *archive.Set { return d.archives }

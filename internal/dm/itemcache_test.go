@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/archive"
+	"repro/internal/epochcache"
 	"repro/internal/fits"
 	"repro/internal/minidb"
 	"repro/internal/schema"
@@ -254,7 +255,7 @@ func TestRawPhotonsMatchesDecodeAndSortOracle(t *testing.T) {
 	// A budget of a third of the load: the same answers while evicting
 	// (fewer windows: nearly every one of them inflates its units again).
 	budget := max(unitBytes/3, largest)
-	d.decoded = newItemCache(budget, st)
+	d.decoded = epochcache.New[struct{}, any](budget)
 	st.UnitCacheBytes.Store(0)
 	pass("evicting", len(windows)/3)
 	if st.UnitCacheEvictions.Load() == 0 {

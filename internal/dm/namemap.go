@@ -233,20 +233,35 @@ func (d *DM) readResolved(arch *archive.Archive, rn *ResolvedName) ([]byte, erro
 // readDecoded returns item itemID decoded, through the decoded-item cache.
 // A hit still pays openItem — a relocated, hidden, unmapped or unmounted
 // item behaves exactly as under ReadItem — and skips only the archive read
-// and decode (which returns the value and its resident size). The value
-// is shared with other callers: read it, never write it.
+// and decode (which returns the value and its resident size). Concurrent
+// misses on one item decode it once; a failed decode is not cached and an
+// item larger than the budget is returned, not cached. The value is shared
+// with other callers: read it, never write it.
 func (d *DM) readDecoded(s *Session, itemID string, decode func(data []byte) (any, int64, error)) (any, error) {
 	rn, arch, err := d.openItem(s, itemID)
 	if err != nil {
 		return nil, err
 	}
-	return d.decoded.get(itemID, func() (any, int64, error) {
+	v, hit, err := d.decoded.Do(itemID, struct{}{}, func() (any, int64, error) {
+		d.stats.UnitCacheMisses.Add(1)
 		data, err := d.readResolved(arch, rn)
 		if err != nil {
 			return nil, 0, err
 		}
 		return decode(data)
 	})
+	if hit {
+		d.stats.UnitCacheHits.Add(1)
+		return v, nil
+	}
+	// Only a load admits or evicts. The lock orders the mirror, so the last
+	// store is of the latest Stats.
+	d.decodedMu.Lock()
+	st := d.decoded.Stats()
+	d.stats.UnitCacheEvictions.Store(st.Evictions)
+	d.stats.UnitCacheBytes.Store(st.Cost)
+	d.decodedMu.Unlock()
+	return v, err
 }
 
 // RegisterArchive mounts an archive and records it in both the operational

@@ -441,91 +441,3 @@ func (r *Remote) UnitsInRange(token, ip string, t0, t1 float64) ([]*UnitInfo, er
 	}
 	return out, nil
 }
-
-// Dispatcher routes API calls to the local node or a remote one according
-// to its policy. ForceLocal overrides per call site ("the calling methods
-// ... can use overwrites to, e.g., force local execution", §5.4).
-type Dispatcher struct {
-	LocalAPI  API
-	RemoteAPI API
-	// UseRemote decides per method name; nil means always local.
-	UseRemote func(method string) bool
-}
-
-// pick returns the API to use for a method.
-func (d *Dispatcher) pick(method string) API {
-	if d.RemoteAPI != nil && d.UseRemote != nil && d.UseRemote(method) {
-		return d.RemoteAPI
-	}
-	return d.LocalAPI
-}
-
-var _ API = (*Dispatcher)(nil)
-
-// Authenticate implements API.
-func (d *Dispatcher) Authenticate(user, password, ip, kind string) (*SessionInfo, error) {
-	return d.pick("authenticate").Authenticate(user, password, ip, kind)
-}
-
-// Logout implements API.
-func (d *Dispatcher) Logout(token string) error { return d.pick("logout").Logout(token) }
-
-// QueryHLEs implements API.
-func (d *Dispatcher) QueryHLEs(token, ip string, f HLEFilter) ([]*schema.HLE, error) {
-	return d.pick("query-hles").QueryHLEs(token, ip, f)
-}
-
-// CountHLEs implements API.
-func (d *Dispatcher) CountHLEs(token, ip string, f HLEFilter) (int, error) {
-	return d.pick("count-hles").CountHLEs(token, ip, f)
-}
-
-// GetHLE implements API.
-func (d *Dispatcher) GetHLE(token, ip, id string) (*schema.HLE, error) {
-	return d.pick("get-hle").GetHLE(token, ip, id)
-}
-
-// AnalysesForHLE implements API.
-func (d *Dispatcher) AnalysesForHLE(token, ip, hleID string) ([]*schema.ANA, error) {
-	return d.pick("analyses-for-hle").AnalysesForHLE(token, ip, hleID)
-}
-
-// GetANA implements API.
-func (d *Dispatcher) GetANA(token, ip, id string) (*schema.ANA, error) {
-	return d.pick("get-ana").GetANA(token, ip, id)
-}
-
-// ListCatalogs implements API.
-func (d *Dispatcher) ListCatalogs(token, ip string) ([]*Catalog, error) {
-	return d.pick("list-catalogs").ListCatalogs(token, ip)
-}
-
-// CreateHLE implements API.
-func (d *Dispatcher) CreateHLE(token, ip string, h *schema.HLE) (string, error) {
-	return d.pick("create-hle").CreateHLE(token, ip, h)
-}
-
-// ImportAnalysis implements API.
-func (d *Dispatcher) ImportAnalysis(token, ip string, a *schema.ANA, files []StoredFile) (string, error) {
-	return d.pick("import-analysis").ImportAnalysis(token, ip, a, files)
-}
-
-// FindExistingAnalysis implements API.
-func (d *Dispatcher) FindExistingAnalysis(token, ip string, spec *schema.ANA) (*schema.ANA, error) {
-	return d.pick("find-existing-analysis").FindExistingAnalysis(token, ip, spec)
-}
-
-// Publish implements API.
-func (d *Dispatcher) Publish(token, ip, kind, id string) error {
-	return d.pick("publish").Publish(token, ip, kind, id)
-}
-
-// ReadItem implements API.
-func (d *Dispatcher) ReadItem(token, ip, itemID string) (*ItemData, error) {
-	return d.pick("read-item").ReadItem(token, ip, itemID)
-}
-
-// UnitsInRange implements API.
-func (d *Dispatcher) UnitsInRange(token, ip string, t0, t1 float64) ([]*UnitInfo, error) {
-	return d.pick("units-in-range").UnitsInRange(token, ip, t0, t1)
-}

@@ -142,55 +142,11 @@ func TestRemoteUnknownMethod(t *testing.T) {
 	}
 }
 
-func TestDispatcherPolicy(t *testing.T) {
+// TestRemoteFullSurface drives every API method through a Remote against
+// a Server, so each one crosses the wire exactly once.
+func TestRemoteFullSurface(t *testing.T) {
 	remote, d := newRemotePair(t)
-	// Local and remote views of the same node.
-	disp := &Dispatcher{
-		LocalAPI:  Local{DM: d},
-		RemoteAPI: remote,
-		UseRemote: func(method string) bool { return method == "count-hles" },
-	}
-	alice := newScientist(t, d, "alice")
-	if _, err := d.CreateHLE(alice, &schema.HLE{
-		KindHint: "flare", Public: false, TStop: 1, Version: 1, CalibVersion: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	before := d.Stats().RedirectsIn.Load()
-	// query-hles goes local; count-hles goes over the wire.
-	if _, err := disp.QueryHLEs(alice.Token, alice.IP, HLEFilter{}); err != nil {
-		t.Fatal(err)
-	}
-	if d.Stats().RedirectsIn.Load() != before {
-		t.Fatal("local call went remote")
-	}
-	n, err := disp.CountHLEs(alice.Token, alice.IP, HLEFilter{})
-	if err != nil || n != 1 {
-		t.Fatalf("count = %d %v", n, err)
-	}
-	if d.Stats().RedirectsIn.Load() != before+1 {
-		t.Fatal("remote call did not go over the wire")
-	}
-}
-
-func TestDispatcherDefaultsLocal(t *testing.T) {
-	d := newTestDM(t)
-	disp := &Dispatcher{LocalAPI: Local{DM: d}}
-	if _, err := disp.ListCatalogs("", ""); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDispatcherFullSurface drives every API method through a Dispatcher
-// with remote routing for all calls, covering the whole indirection layer.
-func TestDispatcherFullSurface(t *testing.T) {
-	remote, d := newRemotePair(t)
-	disp := &Dispatcher{
-		LocalAPI:  Local{DM: d},
-		RemoteAPI: remote,
-		UseRemote: func(string) bool { return true },
-	}
+	var disp API = remote
 	if err := d.CreateUser("dave", "pw", GroupScientist,
 		RightBrowse, RightDownload, RightAnalyze, RightUpload); err != nil {
 		t.Fatal(err)
@@ -209,6 +165,12 @@ func TestDispatcherFullSurface(t *testing.T) {
 	}
 	if _, err := disp.GetHLE(tok, ip, hleID); err != nil {
 		t.Fatal(err)
+	}
+	if hles, err := disp.QueryHLEs(tok, ip, HLEFilter{Kind: "flare"}); err != nil || len(hles) != 1 {
+		t.Fatalf("query = %v %v", hles, err)
+	}
+	if n, err := disp.CountHLEs(tok, ip, HLEFilter{Kind: "flare"}); err != nil || n != 1 {
+		t.Fatalf("count = %d %v", n, err)
 	}
 	anaID, err := disp.ImportAnalysis(tok, ip, &schema.ANA{
 		HLEID: hleID, Type: schema.AnaHistogram, TStop: 2, Version: 1, CalibVersion: 1,
@@ -241,8 +203,8 @@ func TestDispatcherFullSurface(t *testing.T) {
 	if err := disp.Logout(tok); err != nil {
 		t.Fatal(err)
 	}
-	if d.Stats().RedirectsIn.Load() < 10 {
-		t.Fatalf("only %d calls went remote", d.Stats().RedirectsIn.Load())
+	if got := d.Stats().RedirectsIn.Load(); got != 14 {
+		t.Fatalf("%d calls went remote, want one per API method (14)", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/dm"
+	"repro/internal/epochcache"
 	"repro/internal/idl"
 	"repro/internal/overload"
 )
@@ -256,7 +257,7 @@ type Frontend struct {
 	wake         *sync.Cond
 	closed       bool
 
-	memo   *memoCache
+	memo   *epochcache.Cache[string, *Delivery]
 	memoOn atomic.Bool
 
 	// shedBulk is the brownout ladder's deepest rung: refuse bulk
@@ -281,7 +282,7 @@ func NewFrontend(dir *Directory, workers, maxInSystem int) *Frontend {
 		dir: dir, strategies: make(map[string]Strategy),
 		workers: workers, maxInSystem: maxInSystem,
 		sched: NewScheduler(dir, DefaultHedgeConfig()),
-		memo:  newMemoCache(1024),
+		memo:  epochcache.New[string, *Delivery](memoEntries),
 	}
 	f.queue.tiered = true
 	f.reserve = interactiveReserve(maxInSystem)
@@ -559,7 +560,7 @@ func (f *Frontend) FarmStats() FarmStats {
 	fs := FarmStats{
 		Frontend: f.Stats(),
 		Sched:    f.sched.Stats(),
-		Memo:     f.memo.stats(),
+		Memo:     f.memo.Stats(),
 	}
 	for _, info := range f.dir.Managers("") {
 		if m := info.Manager(); m != nil {
@@ -614,7 +615,7 @@ func (f *Frontend) prepare(t *Ticket, s Strategy) {
 		if ck, ok := s.(CacheKeyer); ok {
 			if key, epoch, kOK := ck.CacheKey(t.Request); kOK {
 				t.memoKey, t.memoEpoch, t.memoOK = key, epoch, true
-				if del, hit := f.memo.get(key, epoch); hit {
+				if del, hit := f.memo.Get(key, epoch); hit {
 					f.deliver(t, s, del)
 					return
 				}
@@ -678,7 +679,7 @@ func (f *Frontend) finishExec(t *Ticket, s Strategy) {
 		return
 	}
 	if t.memoOK && f.memoOn.Load() {
-		f.memo.put(t.memoKey, t.memoEpoch, del)
+		f.memo.Put(t.memoKey, t.memoEpoch, del, 1)
 	}
 	f.deliver(t, s, del)
 }

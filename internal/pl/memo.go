@@ -1,18 +1,18 @@
 package pl
 
-import "sync"
+import "repro/internal/epochcache"
 
 // Result memoization for the processing farm. Repeated analyses of quiet
 // periods dominate scientific load (canned views, re-run reports), and an
 // analysis delivery is a pure function of its canonical parameters and
-// the state of the tables it reads — so a cached delivery keyed by
-// (routine, canonical params, data epoch) is valid exactly while those
-// tables' commit epochs are unchanged, the same invalidation contract as
-// the DM query cache (internal/dm/cache.go). No timers, no explicit
-// invalidation: a commit to an input table bumps its epoch and the next
-// lookup misses. The epoch is captured BEFORE any staging work, so a
-// commit racing a computation parks the entry under the older epoch —
-// conservative, never stale-serving.
+// the state of the tables it reads — so Frontend.memo caches deliveries
+// under (routine + canonical params, data epoch tag) in an epochcache.Cache,
+// whose package comment is the invalidation contract: a commit to an input
+// table changes the tag and the next lookup misses. The tag is captured
+// BEFORE any staging work. Deliveries are SHARED between callers —
+// immutable by contract.
+
+const memoEntries = 1024 // deliveries resident at most
 
 // CacheKeyer is implemented by strategies whose deliveries are memoizable:
 // CacheKey returns a canonical parameter key and the epoch tag of the data
@@ -23,110 +23,4 @@ type CacheKeyer interface {
 }
 
 // MemoStats counts result-cache traffic.
-type MemoStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Entries   int
-}
-
-// HitRate is hits over attempted lookups (0 when none).
-func (m MemoStats) HitRate() float64 {
-	if n := m.Hits + m.Misses; n > 0 {
-		return float64(m.Hits) / float64(n)
-	}
-	return 0
-}
-
-// memoSlot is one CLOCK ring position: the entry plus its reference bit.
-type memoSlot struct {
-	key   string
-	epoch string
-	del   *Delivery
-	ref   bool
-}
-
-// memoCache maps canonical keys to deliveries tagged with the data epoch
-// they were computed against. Capacity overflow evicts ONE entry by the
-// CLOCK (second-chance) rule: the hand sweeps the ring, spares each
-// recently-hit entry once by clearing its reference bit, and replaces the
-// first entry found cold. A stampede of one-shot keys therefore recycles
-// the same cold slots while the hot working set — exactly the entries a
-// flare-alert crowd keeps re-reading — survives, which the old
-// drop-the-whole-map policy destroyed at the worst possible moment.
-type memoCache struct {
-	mu           sync.Mutex
-	index        map[string]int // key -> ring position
-	ring         []memoSlot
-	hand         int
-	cap          int
-	hits, misses int64
-	evictions    int64
-}
-
-func newMemoCache(capacity int) *memoCache {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &memoCache{
-		index: make(map[string]int, capacity),
-		ring:  make([]memoSlot, 0, capacity),
-		cap:   capacity,
-	}
-}
-
-// get returns the cached delivery if its epoch tag still matches, marking
-// the entry recently-used for the eviction sweep. Deliveries are SHARED
-// between callers — immutable by contract.
-func (c *memoCache) get(key, epoch string) (*Delivery, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i, ok := c.index[key]
-	if !ok || c.ring[i].epoch != epoch {
-		c.misses++
-		return nil, false
-	}
-	c.ring[i].ref = true
-	c.hits++
-	return c.ring[i].del, true
-}
-
-func (c *memoCache) put(key, epoch string, del *Delivery) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i, ok := c.index[key]; ok {
-		// Same parameters, fresh epoch: overwrite in place. The slot keeps
-		// its ring position and earns a reference — it is demonstrably live.
-		c.ring[i].epoch = epoch
-		c.ring[i].del = del
-		c.ring[i].ref = true
-		return
-	}
-	if len(c.ring) < c.cap {
-		c.index[key] = len(c.ring)
-		c.ring = append(c.ring, memoSlot{key: key, epoch: epoch, del: del})
-		return
-	}
-	// Full: sweep the hand until a cold slot turns up. Terminates within
-	// two laps — the first lap clears every reference bit at worst.
-	for {
-		s := &c.ring[c.hand]
-		if s.ref {
-			s.ref = false
-			c.hand = (c.hand + 1) % len(c.ring)
-			continue
-		}
-		delete(c.index, s.key)
-		c.evictions++
-		*s = memoSlot{key: key, epoch: epoch, del: del}
-		c.index[key] = c.hand
-		c.hand = (c.hand + 1) % len(c.ring)
-		return
-	}
-}
-
-func (c *memoCache) stats() MemoStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return MemoStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.index)}
-}
+type MemoStats = epochcache.Stats

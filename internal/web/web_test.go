@@ -577,6 +577,7 @@ func TestStatsPage(t *testing.T) {
 		"Analytics (columnar)", "served vectorized",
 		"Processing farm", "local runs / steals", "preemptions",
 		"hedges won / lost", "result cache hits / misses", "manager mgr",
+		"query cache entries / evictions", "result cache entries / evictions",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("stats page missing %q", want)
@@ -607,6 +608,7 @@ func TestStatsClusterSection(t *testing.T) {
 	for _, want := range []string{
 		"Cluster gateway", "replica replica-0", "circuit closed",
 		"retry budget tokens", "degraded reads served", "writes failed fast",
+		"stale cache entries / evictions",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("stats page missing %q", want)

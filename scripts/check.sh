@@ -1,25 +1,26 @@
 #!/bin/sh
-# Full verification: vet, build, three structural guards (the retired
+# Full verification: vet, build, four structural guards (the retired
 # manifest + pack-file archive format is referenced only by its read-only
 # importer internal/archive/legacy.go; only the harness-cell builder
 # internal/cluster/cell.go wires replicas to a gateway; internal/sim is
-# imported only by the paper-shape reproductions), the full test suite
-# (which includes the harness-cell builder's tests and the scaled-down
-# Figure 5 live and sharded sweeps with their bit-identical oracle), a
-# short-mode race lane (which
-# carries the decoded-unit cache's oracle and warm-path safety tests) plus
-# ten rounds of its concurrent single-decode test, the crash-recovery and
-# network-chaos harnesses under -race (both enumerate
-# sharded schedules too; torture includes the lake journal/compaction/GC
-# crash sites and chaos the ten lake storm schedules), one iteration each
-# of the parallel query and ingest benchmarks (smoke-checks the concurrent
-# read and fast write paths), a miniature run of every processing-farm
-# phase (work stealing, preemption, hedging, epoch-keyed memoization with
-# its bit-identity oracle) under -race, a short-mode stampede smoke (the
-# adaptive overload stack under a 10x open-loop spike), and short runs of
-# the WAL, dbnet wire-decode (including the statusOverload response
-# parser), columnar segment, shard map/merge and lake journal fuzz
-# targets.
+# imported only by the paper-shape reproductions; internal/epochcache is
+# the only cache — the four types it replaced and container/list stay
+# gone), the full test suite (which includes the harness-cell builder's
+# tests and the scaled-down Figure 5 live and sharded sweeps with their
+# bit-identical oracle), a short-mode race lane (which carries the
+# decoded-unit cache's oracle and warm-path safety tests) plus ten rounds
+# of the cache's single-flight tests and of the decoded-unit cache's
+# concurrent single-decode test, the crash-recovery and network-chaos
+# harnesses under -race (both enumerate sharded schedules too; torture
+# includes the lake journal/compaction/GC crash sites and chaos the ten
+# lake storm schedules), one iteration each of the parallel query and
+# ingest benchmarks (smoke-checks the concurrent read and fast write
+# paths), a miniature run of every processing-farm phase (work stealing,
+# preemption, hedging, epoch-keyed memoization with its bit-identity
+# oracle) under -race, a short-mode stampede smoke (the adaptive overload
+# stack under a 10x open-loop spike), and short runs of the WAL, dbnet
+# wire-decode (including the statusOverload response parser), columnar
+# segment, shard map/merge and lake journal fuzz targets.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -38,13 +39,17 @@ if grep -rl 'StartReplica(' --include='*.go' internal | xargs grep -l 'NewGatewa
 echo "==> internal/sim only behind the Figure 4/5 and Table 1 paper-shape reproductions"
 if grep -rl '"repro/internal/sim"' --include='*.go' --exclude='*_test.go' . | grep -vE '^\./internal/bench/(browse|processing)\.go$'; then exit 1; fi
 
+echo "==> one cache (internal/epochcache; the four retired cache types and container/list stay gone)"
+if grep -rnE 'type (queryCache|memoCache|staleCache|itemCache)\b|"container/list"' --include='*.go' internal/; then exit 1; fi
+
 echo "==> go test"
 go test ./...
 
 echo "==> go test -race -short (race lane)"
 go test -race -short ./...
 
-echo "==> decoded-unit cache: concurrent misses decode once (-race, 10 rounds)"
+echo "==> epochcache single-flight, decoded-unit cache: concurrent misses load once (-race, 10 rounds)"
+go test -race -count=10 -run 'TestDo' ./internal/epochcache/
 go test -race -count=10 -run 'TestRawPhotonsConcurrentMissesDecodeOnce' ./internal/dm/
 
 echo "==> processing-farm smoke (stealing, preemption, hedging, memoization; -race)"
