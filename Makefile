@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWalOp$$' -fuzztime 30s ./internal/minidb/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime 30s ./internal/minidb/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWal$$' -fuzztime 30s ./internal/minidb/
+	$(GO) test -run '^$$' -fuzz '^FuzzPlannerEquivalence$$' -fuzztime 30s ./internal/minidb/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s ./internal/dbnet/
 	$(GO) test -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime 30s ./internal/dbnet/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 30s ./internal/dbnet/

@@ -642,43 +642,59 @@ func (d *DM) getCatalog(s *Session, id string) (*Catalog, error) {
 }
 
 // catalogHLEs returns visible HLEs that are members of the filter's catalog.
+// The visible member list is one cache entry per (catalog, visibility
+// clause). It depends on the membership rows and on the member events' rows
+// (who may read them, what they say), so its epoch folds both tables'
+// epochs: a warm page pays those few epoch reads instead of one per member.
+// Kind, offset and limit apply afterwards, to copies: cached values are
+// shared.
 func (d *DM) catalogHLEs(s *Session, f HLEFilter) ([]*schema.HLE, error) {
 	if _, err := d.getCatalog(s, f.Catalog); err != nil {
 		return nil, err
 	}
-	// Member list from the epoch-keyed cache: browsing a catalog page by
-	// page re-reads the same membership set until someone edits it. The
-	// cached Result is shared — rows are only read below.
-	members, err := d.cachedQuery(minidb.Query{
+	mq := minidb.Query{
 		Table: schema.TableCatalogMembers,
 		Where: []minidb.Pred{{Col: "catalog_id", Op: minidb.OpEq, Val: minidb.S(f.Catalog)}},
+	}
+	hq := minidb.Query{Table: schema.TableHLE}
+	epoch := minidb.FoldEpochs(epochOf(d.routeDB(mq.Table), mq), epochOf(d.routeDB(hq.Table), hq))
+	key := "cat|" + fingerprint(minidb.Query{Table: mq.Table, Where: mq.Where, Or: visibilityOr(s)})
+	v, err := d.readThrough(key, epoch, &d.stats.QueryCacheHits, func() (any, error) {
+		d.stats.QueryCacheMisses.Add(1)
+		members, err := d.cachedQuery(mq)
+		if err != nil {
+			return nil, err
+		}
+		var visible []schema.HLE
+		for _, row := range members.Rows {
+			h, err := d.GetHLE(s, row[2].Str())
+			if err != nil {
+				if IsDenied(err) {
+					continue // member visible to others, not to this session
+				}
+				return nil, err
+			}
+			visible = append(visible, *h)
+		}
+		return visible, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	var out []*schema.HLE
-	for _, row := range members.Rows {
-		h, err := d.GetHLE(s, row[2].Str())
-		if err != nil {
-			if IsDenied(err) {
-				continue // member visible to others, not to this session
-			}
-			return nil, err
-		}
+	skip := f.Offset
+	for _, h := range v.([]schema.HLE) {
 		if f.Kind != "" && h.KindHint != f.Kind {
 			continue
 		}
-		out = append(out, h)
-	}
-	if f.Offset > 0 {
-		if f.Offset >= len(out) {
-			out = nil
-		} else {
-			out = out[f.Offset:]
+		if skip > 0 {
+			skip--
+			continue
 		}
-	}
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[:f.Limit]
+		if f.Limit > 0 && len(out) == f.Limit {
+			break
+		}
+		out = append(out, &h)
 	}
 	return out, nil
 }

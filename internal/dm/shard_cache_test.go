@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/archive"
@@ -15,6 +16,23 @@ import (
 // newShardedTestDM builds a DM whose metadata engine is a 2-shard router —
 // the deployment shape the Figure 5 sharded experiment runs.
 func newShardedTestDM(t *testing.T) (*DM, *shard.Router) {
+	return newCountingShardedDM(t, new(atomic.Int64))
+}
+
+// epochCounter counts the TableEpoch reads of one shard engine.
+type epochCounter struct {
+	minidb.Engine
+	reads *atomic.Int64
+}
+
+func (e epochCounter) TableEpoch(name string) uint64 {
+	e.reads.Add(1)
+	return e.Engine.TableEpoch(name)
+}
+
+// newCountingShardedDM is newShardedTestDM with every shard's TableEpoch
+// reads counted into reads.
+func newCountingShardedDM(t *testing.T, reads *atomic.Int64) (*DM, *shard.Router) {
 	t.Helper()
 	shards := make(map[int]minidb.Engine, 2)
 	for i := 0; i < 2; i++ {
@@ -22,7 +40,7 @@ func newShardedTestDM(t *testing.T) (*DM, *shard.Router) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards[i] = db
+		shards[i] = epochCounter{db, reads}
 	}
 	r, err := shard.NewRouter(shard.Options{Shards: shards})
 	if err != nil {

@@ -71,3 +71,28 @@ var (
 // with an interface return type — existing callers of Begin keep the
 // concrete *Txn.
 func (db *DB) BeginTx() Tx { return db.Begin() }
+
+// FoldEpochs hashes a sequence of epochs (and whatever tags the caller
+// interleaves with them: map versions, shard ids) into one change-detecting
+// value, for cache keys that depend on several commit epochs at once. It is
+// order-sensitive and not monotone. A fresh table sits at epoch 0 until its
+// first commit, so 0 is a legitimate input; the fold itself never returns 0
+// (callers may reserve it for "unknown").
+func FoldEpochs(words ...uint64) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, v := range words {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= prime64
+			v >>= 8
+		}
+	}
+	if h == 0 {
+		h = 1
+	}
+	return h
+}

@@ -109,3 +109,18 @@ func FuzzReadWal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPlannerEquivalence drives the planner oracle of quick_test.go with
+// fuzzed tables and queries: whichever index the probe picks and whichever
+// of the early-stop, top-k or full-sort paths runs, the result must be the
+// brute-force filter, sort and slice, rowids included.
+func FuzzPlannerEquivalence(f *testing.F) {
+	f.Add(int64(1), uint16(400), uint16(0), uint16(7), uint16(0), uint16(10), false, false)
+	f.Add(int64(2), uint16(500), uint16(1), uint16(3), uint16(5), uint16(0), true, true)
+	f.Add(int64(3), uint16(90), uint16(4), uint16(44), uint16(40), uint16(1), false, true)
+	f.Fuzz(func(t *testing.T, seed int64, n, av, bv, off, lim uint16, swap, desc bool) {
+		if err := plannerCase(seed, n, av, bv, off, lim, swap, desc); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

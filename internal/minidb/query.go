@@ -134,7 +134,7 @@ func (k PlanKind) String() string {
 type PlanInfo struct {
 	Kind        PlanKind
 	Index       string // column whose index drove the scan ("" for full scan)
-	RowsScanned int    // index entries or heap rows visited
+	RowsScanned int    // index entries or heap rows the scan visited (planner probes excluded)
 }
 
 // Result carries query output. For Count queries only Count is set.
@@ -174,12 +174,15 @@ func execQuery(t *Table, v *tableView, q Query) (*Result, error) {
 		res.Plan.Index = q.Where[driver].Col
 	}
 
-	// orderedByIndex: single ORDER BY term on the driving index column.
+	// orderedByIndex: single ORDER BY term on the driving index column. Under
+	// an equality driver that term is constant, so the scan stays ascending:
+	// rowid order within the key is the (term, rowid) order either way, and
+	// which equality the planner picks never shows in the result.
 	orderedByIndex := false
 	desc := false
 	if driver >= 0 && len(q.OrderBy) == 1 && q.OrderBy[0].Col == q.Where[driver].Col {
 		orderedByIndex = true
-		desc = q.OrderBy[0].Desc
+		desc = q.OrderBy[0].Desc && q.Where[driver].Op != OpEq
 	}
 	if driver >= 0 && len(q.OrderBy) == 0 {
 		orderedByIndex = true // index order is as good as any
@@ -188,6 +191,10 @@ func execQuery(t *Table, v *tableView, q Query) (*Result, error) {
 	// canStopEarly: results already ordered, so offset+limit bounds the scan.
 	canStopEarly := orderedByIndex && q.Limit > 0 && !q.Count
 	want := q.Offset + q.Limit
+	// Otherwise ORDER BY sorts the matches. Under a LIMIT only the first
+	// offset+limit of them can be returned, so the scan keeps just those.
+	sorted := len(q.OrderBy) > 0 && !orderedByIndex
+	topK := sorted && q.Limit > 0 && !q.Count
 
 	// matches reports whether row r passes the residual predicates.
 	matches := func(r Row) bool {
@@ -215,9 +222,13 @@ func execQuery(t *Table, v *tableView, q Query) (*Result, error) {
 	}
 
 	// Count queries never materialize the match set: one integer suffices.
+	// Other matches are fetched once during the scan into m and reused
+	// below, so the comparator touches no storage.
 	count := 0
-	var matched []int64
-	var matchedRows []Row // rows fetched once during the scan, reused below
+	m := &rowSorter{}
+	if sorted {
+		m.less = orderLess(colIdx, q.OrderBy)
+	}
 	collect := func(rowid int64, r Row) bool {
 		if !matches(r) {
 			return true
@@ -226,9 +237,13 @@ func execQuery(t *Table, v *tableView, q Query) (*Result, error) {
 			count++
 			return true
 		}
-		matched = append(matched, rowid)
-		matchedRows = append(matchedRows, r)
-		return !(canStopEarly && len(matched) >= want)
+		if topK {
+			m.offer(want, rowid, r)
+			return true
+		}
+		m.ids = append(m.ids, rowid)
+		m.rows = append(m.rows, r)
+		return !(canStopEarly && len(m.ids) >= want)
 	}
 
 	switch {
@@ -268,30 +283,12 @@ func execQuery(t *Table, v *tableView, q Query) (*Result, error) {
 		return res, nil
 	}
 
-	// Sort when the index order does not already satisfy ORDER BY. Rows were
-	// fetched once during the scan, so the comparator touches no storage.
-	if len(q.OrderBy) > 0 && !orderedByIndex {
-		ords := make([]int, len(q.OrderBy))
-		for i, o := range q.OrderBy {
-			ords[i] = colIdx[o.Col]
-		}
-		sort.Sort(&rowSorter{
-			ids: matched, rows: matchedRows,
-			less: func(a, b int) bool {
-				ra, rb := matchedRows[a], matchedRows[b]
-				for i, ci := range ords {
-					c := Compare(ra[ci], rb[ci])
-					if q.OrderBy[i].Desc {
-						c = -c
-					}
-					if c != 0 {
-						return c < 0
-					}
-				}
-				return matched[a] < matched[b] // rowid tie-break: total order
-			},
-		})
+	// Sort when the index order does not already satisfy ORDER BY; a top-k
+	// scan sorts its heap with the same comparator.
+	if sorted {
+		sort.Sort(m)
 	}
+	matched, matchedRows := m.ids, m.rows
 
 	// Paging.
 	if q.Offset > 0 {
@@ -337,24 +334,91 @@ func execQuery(t *Table, v *tableView, q Query) (*Result, error) {
 	return res, nil
 }
 
-// rowSorter sorts parallel (rowid, row) slices with one comparator.
+// orderLess is the total order an ORDER BY defines: its terms in turn, then
+// rowid, so rows with equal keys still come out in one deterministic order.
+func orderLess(colIdx map[string]int, order []Order) func(ida int64, ra Row, idb int64, rb Row) bool {
+	ords := make([]int, len(order))
+	for i, o := range order {
+		ords[i] = colIdx[o.Col]
+	}
+	return func(ida int64, ra Row, idb int64, rb Row) bool {
+		for i, ci := range ords {
+			c := Compare(ra[ci], rb[ci])
+			if order[i].Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return ida < idb
+	}
+}
+
+// rowSorter holds parallel (rowid, row) slices under one comparator. It is
+// the sort.Interface of the final sort and, through offer, the bounded
+// max-heap a top-k scan keeps: one order for both, so a LIMIT query returns
+// exactly the prefix of the fully sorted result.
 type rowSorter struct {
 	ids  []int64
 	rows []Row
-	less func(a, b int) bool
+	less func(ida int64, ra Row, idb int64, rb Row) bool
 }
 
-func (s *rowSorter) Len() int           { return len(s.ids) }
-func (s *rowSorter) Less(a, b int) bool { return s.less(a, b) }
+func (s *rowSorter) Len() int { return len(s.ids) }
+func (s *rowSorter) Less(a, b int) bool {
+	return s.less(s.ids[a], s.rows[a], s.ids[b], s.rows[b])
+}
 func (s *rowSorter) Swap(a, b int) {
 	s.ids[a], s.ids[b] = s.ids[b], s.ids[a]
 	s.rows[a], s.rows[b] = s.rows[b], s.rows[a]
 }
 
+// offer keeps the k least pairs offered so far as a max-heap: the greatest
+// kept pair sits at index 0, and a newcomer not less than it is dropped.
+func (s *rowSorter) offer(k int, id int64, r Row) {
+	if len(s.ids) < k {
+		s.ids = append(s.ids, id)
+		s.rows = append(s.rows, r)
+		for i := len(s.ids) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !s.Less(parent, i) {
+				break
+			}
+			s.Swap(parent, i)
+			i = parent
+		}
+		return
+	}
+	if !s.less(id, r, s.ids[0], s.rows[0]) {
+		return
+	}
+	s.ids[0], s.rows[0] = id, r
+	for i := 0; ; {
+		top := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(s.ids) && s.Less(top, c) {
+				top = c
+			}
+		}
+		if top == i {
+			return
+		}
+		s.Swap(i, top)
+		i = top
+	}
+}
+
+// probeCap bounds the index entries one planner probe visits.
+const probeCap = 64
+
 // choosePlan picks the predicate whose index drives the scan. It returns the
-// predicate position (or -1) and the plan classification.
+// predicate position (or -1) and the plan classification. Operators rank
+// unique equality, then equality, then a closed range, then an open bound.
+// A tie between non-unique equalities goes to the narrowest index range
+// (narrowestEq); any other tie to the first predicate.
 func choosePlan(v *tableView, q Query) (int, PlanKind) {
-	best, bestScore := -1, 0
+	best, bestScore, ties := -1, 0, 0
 	for i, p := range q.Where {
 		idx, ok := v.indexes[p.Col]
 		if !ok {
@@ -374,12 +438,18 @@ func choosePlan(v *tableView, q Query) (int, PlanKind) {
 		default:
 			continue // OpNe cannot use an index
 		}
-		if score > bestScore {
-			best, bestScore = i, score
+		switch {
+		case score > bestScore:
+			best, bestScore, ties = i, score, 1
+		case score == bestScore:
+			ties++
 		}
 	}
 	if best < 0 {
 		return -1, PlanFullScan
+	}
+	if bestScore == 4 && ties > 1 {
+		best = narrowestEq(v, q, best)
 	}
 	switch q.Where[best].Op {
 	case OpEq:
@@ -389,6 +459,31 @@ func choosePlan(v *tableView, q Query) (int, PlanKind) {
 	default:
 		return best, PlanFullIndexScan // open-ended bound: §7.2's "full index scan"
 	}
+}
+
+// narrowestEq probes the index range of each non-unique equality from first
+// on and returns the one holding the fewest entries. A probe stops at
+// min(probeCap, smallest count so far), so it costs at most probeCap entries
+// and only a strictly smaller range displaces the current choice: when every
+// probe reaches the cap, first stands.
+func narrowestEq(v *tableView, q Query, first int) int {
+	best, bound := first, probeCap
+	for i := first; i < len(q.Where) && bound > 0; i++ {
+		p := q.Where[i]
+		idx, ok := v.indexes[p.Col]
+		if !ok || p.Op != OpEq || idx.unique {
+			continue
+		}
+		n := 0
+		idx.tree.scanRange(&p.Val, &p.Val, func(entry) bool {
+			n++
+			return n < bound
+		})
+		if n < bound {
+			best, bound = i, n
+		}
+	}
+	return best
 }
 
 // indexBounds translates a sargable predicate into inclusive scan bounds.

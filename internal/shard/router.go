@@ -729,18 +729,21 @@ func (r *Router) TableEpoch(name string) uint64 {
 		return nodes[m.Home()].eng.TableEpoch(name)
 	}
 	shards := m.ReadShards()
-	epochs := make([]uint64, len(shards))
+	// (version, shard id, epoch, shard id, epoch, ...) for minidb.FoldEpochs.
+	words := make([]uint64, 1+2*len(shards))
+	words[0] = m.Version
 	var wg sync.WaitGroup
 	for i, sid := range shards {
 		i, n := i, nodes[sid]
+		words[1+2*i] = uint64(sid)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			epochs[i] = n.eng.TableEpoch(name)
+			words[2+2*i] = n.eng.TableEpoch(name)
 		}()
 	}
 	wg.Wait()
-	return foldEpochs(m.Version, shards, epochs)
+	return minidb.FoldEpochs(words...)
 }
 
 // QueryEpoch is the shard-aware cache key the DM prefers over TableEpoch
@@ -753,38 +756,11 @@ func (r *Router) QueryEpoch(q minidb.Query) uint64 {
 		if _, sharded := KeyColumn(q.Table); sharded {
 			// Fold the owner id in: equal epochs on different owners must
 			// not collide after a map change re-homes the key.
-			return foldEpochs(m.Version, []int{sid}, []uint64{nodes[sid].eng.TableEpoch(q.Table)})
+			return minidb.FoldEpochs(m.Version, uint64(sid), nodes[sid].eng.TableEpoch(q.Table))
 		}
 		return nodes[m.Home()].eng.TableEpoch(q.Table)
 	}
 	return r.TableEpoch(q.Table)
-}
-
-// foldEpochs hashes (version, shard, epoch) tuples. A fresh table sits
-// at epoch 0 until its first commit, so 0 is a legitimate input; the
-// fold itself never returns 0 (callers may reserve it for "unknown").
-func foldEpochs(version uint64, shards []int, epochs []uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(version)
-	for i, sid := range shards {
-		mix(uint64(sid))
-		mix(epochs[i])
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
 }
 
 // Schema returns the cell schema for a table (identical on every shard,

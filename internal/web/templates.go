@@ -68,6 +68,7 @@ observations: raw data units, high level events (HLEs) and analyses.</p>
 <tr><th>Version</th><td>{{.HLE.Version}}</td><th>Quality</th><td>{{.HLE.Quality}}/5</td></tr>
 </table>
 <p class="meta">{{.AnaCount}} analyses on record; {{.SiblingCount}} events from the same unit.</p>
+<p class="meta">{{.KindCount}} events of this kind.</p>
 <h2>Analyses</h2>{{end}}
 
 {{define "ana_fragment"}}

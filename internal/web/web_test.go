@@ -741,3 +741,40 @@ func TestStatsShardSection(t *testing.T) {
 		}
 	}
 }
+
+// TestHLEPageShowsKindCount: the event page renders the kind count it
+// issues, and that count is the visitor's visible events of the event's
+// kind: a private event of the same kind stays out of an anonymous count.
+func TestHLEPageShowsKindCount(t *testing.T) {
+	r := newWebRig(t)
+	h, err := r.dm.GetHLE(nil, r.hleID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.dm.CreateUser("alice", "pw", dm.GroupScientist, dm.RightBrowse, dm.RightAnalyze); err != nil {
+		t.Fatal(err)
+	}
+	alice, err := r.dm.Authenticate("alice", "pw", "127.0.0.1", dm.SessionHLE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.dm.CreateHLE(alice, &schema.HLE{
+		KindHint: h.KindHint, TStop: 1, Version: 1, CalibVersion: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := r.dm.CountHLEs(nil, dm.HLEFilter{Kind: h.KindHint})
+	if err != nil || want == 0 {
+		t.Fatalf("anonymous count of kind %q = %d (%v), want > 0", h.KindHint, want, err)
+	}
+	if mine, err := r.dm.CountHLEs(alice, dm.HLEFilter{Kind: h.KindHint}); err != nil || mine != want+1 {
+		t.Fatalf("alice counts %d (%v) events of kind %q, want %d", mine, err, h.KindHint, want+1)
+	}
+	code, body := r.get(t, "/hle?id="+r.hleID)
+	if code != 200 {
+		t.Fatalf("status = %d", code)
+	}
+	if line := fmt.Sprintf(">%d events of this kind.<", want); !strings.Contains(body, line) {
+		t.Fatalf("event page lacks %q", line)
+	}
+}

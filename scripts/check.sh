@@ -13,13 +13,14 @@
 # concurrent single-decode test, the crash-recovery and network-chaos
 # harnesses under -race (both enumerate sharded schedules too; torture
 # includes the lake journal/compaction/GC crash sites and chaos the ten
-# lake storm schedules), one iteration each of the parallel query and
-# ingest benchmarks (smoke-checks the concurrent read and fast write
-# paths), a miniature run of every processing-farm phase (work stealing,
+# lake storm schedules), one iteration each of the parallel query,
+# browse-shape query and ingest benchmarks (smoke-checks the concurrent
+# read, index-probe/top-k and fast write paths), a miniature run of every processing-farm phase (work stealing,
 # preemption, hedging, epoch-keyed memoization with its bit-identity
 # oracle) under -race, a short-mode stampede smoke (the adaptive overload
-# stack under a 10x open-loop spike), and short runs of the WAL, dbnet
-# wire-decode (including the statusOverload response parser), columnar
+# stack under a 10x open-loop spike), and short runs of the WAL, planner
+# equivalence (index probe and bounded top-k against a brute-force
+# oracle), dbnet wire-decode (including the statusOverload response parser), columnar
 # segment, shard map/merge and lake journal fuzz targets.
 set -eu
 cd "$(dirname "$0")/.."
@@ -71,6 +72,9 @@ go test -race -short -count=1 -run 'TestStampede' ./internal/chaos/
 echo "==> parallel query benchmark (1 iteration)"
 go test -run '^$' -bench BenchmarkQueryParallel -benchtime=1x .
 
+echo "==> browse-shape query benchmark (1 iteration)"
+go test -run '^$' -bench BenchmarkBrowseShardQueries -benchtime=1x ./internal/minidb/
+
 echo "==> ingest benchmark (1 iteration)"
 go test -run '^$' -bench BenchmarkIngest -benchtime=1x .
 
@@ -82,6 +86,7 @@ for spec in \
 	"./internal/minidb/ FuzzDecodeWalOp" \
 	"./internal/minidb/ FuzzDecodeValue" \
 	"./internal/minidb/ FuzzReadWal" \
+	"./internal/minidb/ FuzzPlannerEquivalence" \
 	"./internal/dbnet/ FuzzReadFrame" \
 	"./internal/dbnet/ FuzzDispatch" \
 	"./internal/dbnet/ FuzzParseResponse" \
