@@ -1,7 +1,9 @@
 package dm
 
 import (
+	"bytes"
 	"cmp"
+	"compress/gzip"
 	"io"
 	"math"
 	"math/rand"
@@ -44,6 +46,12 @@ func storeRawUnit(t *testing.T, d *DM, u *telemetry.Unit) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	storeRawItem(t, d, u, raw)
+}
+
+// storeRawItem is storeRawUnit with the archived .fits.gz bytes given.
+func storeRawItem(t *testing.T, d *DM, u *telemetry.Unit, raw []byte) {
+	t.Helper()
 	itemID, err := d.nextID("item")
 	if err != nil {
 		t.Fatal(err)
@@ -263,6 +271,59 @@ func TestRawPhotonsMatchesDecodeAndSortOracle(t *testing.T) {
 	}
 	if got := st.UnitCacheBytes.Load(); got <= 0 || got > budget {
 		t.Fatalf("resident bytes %d outside (0, %d]", got, budget)
+	}
+}
+
+// Items archived before the pack level changed are BestSpeed gzip members
+// of the same FITS bytes: they read back photon for photon as PackGz's do.
+func TestRawPhotonsReadsBestSpeedItems(t *testing.T) {
+	gen := telemetry.GenerateDay(1, telemetry.Config{Seed: 77, DayLength: 1800, BackgroundRate: 3, Flares: 2, Bursts: 1})
+	units := telemetry.SegmentDay(gen, 300)
+	old, cur := newTestDM(t), newTestDM(t)
+	for _, u := range units {
+		var buf bytes.Buffer
+		zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := u.FITS().Encode(zw); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		packed, err := u.PackGz()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(buf.Bytes(), packed) {
+			t.Fatalf("unit %s: BestSpeed and PackGz items are the same bytes", u.Name())
+		}
+		storeRawItem(t, old, u, buf.Bytes())
+		storeRawItem(t, cur, u, packed)
+	}
+	seen := 0
+	for _, w := range seededWindows(2, 60) {
+		want, _, err := cur.RawPhotons(cur.systemSession(), w.t0, w.t1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := old.RawPhotons(old.systemSession(), w.t0, w.t1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("[%v,%v): %d photons, want %d", w.t0, w.t1, len(got), len(want))
+		}
+		for i := range want {
+			if photonKey(got[i]) != photonKey(want[i]) {
+				t.Fatalf("[%v,%v): photon %d = %+v, want %+v", w.t0, w.t1, i, got[i], want[i])
+			}
+		}
+		seen += len(want)
+	}
+	if seen == 0 {
+		t.Fatal("no window held a photon")
 	}
 }
 

@@ -11,10 +11,8 @@ package fits
 
 import (
 	"bufio"
-	"compress/gzip"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 )
@@ -245,6 +243,22 @@ func (f *File) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
+// EncodedLen returns the number of bytes Encode writes for f.
+func (f *File) EncodedLen() int {
+	n := 0
+	for _, h := range f.HDUs {
+		cards := len(h.Cards) + 1 // END
+		if _, ok := h.Get("NAXIS1"); !ok {
+			cards++ // Encode adds it
+		}
+		n += padded(cards*cardSize) + padded(len(h.Data))
+	}
+	return n
+}
+
+// padded rounds n up to a whole number of blocks.
+func padded(n int) int { return (n + blockSize - 1) / blockSize * blockSize }
+
 func pad(w io.Writer, written int) error {
 	rem := written % blockSize
 	if rem == 0 {
@@ -318,38 +332,4 @@ func decodeHDU(br *bufio.Reader) (*HDU, error) {
 		}
 	}
 	return h, nil
-}
-
-// WriteFileGz encodes f gzip-compressed to path, as raw-data units arrive at
-// HEDC (§2.1).
-func (f *File) WriteFileGz(path string) error {
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	zw := gzip.NewWriter(out)
-	if err := f.Encode(zw); err != nil {
-		out.Close()
-		return err
-	}
-	if err := zw.Close(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
-}
-
-// ReadFileGz reads a gzip-compressed file written by WriteFileGz.
-func ReadFileGz(path string) (*File, error) {
-	in, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Close()
-	zr, err := gzip.NewReader(in)
-	if err != nil {
-		return nil, err
-	}
-	defer zr.Close()
-	return Decode(zr)
 }

@@ -25,41 +25,66 @@ type View struct {
 // matrix (energy axis logarithmic, matching the instrument's decades of
 // range) and wavelet-compresses it, keeping the given coefficient fraction.
 func BuildView(photons []fits.Photon, tstart, tstop, emin, emax float64, timeBins, energyBins int, keep float64) *View {
+	g := newGrid(tstart, tstop, emin, emax, timeBins, energyBins)
+	for _, p := range photons {
+		g.add(p)
+	}
+	return g.view(keep)
+}
+
+// grid is a view's count matrix while photons are binned into it.
+type grid struct {
+	v            *View
+	rows         [][]float64
+	logLo, logHi float64
+}
+
+func newGrid(tstart, tstop, emin, emax float64, timeBins, energyBins int) *grid {
 	if timeBins < 1 {
 		timeBins = 1
 	}
 	if energyBins < 1 {
 		energyBins = 1
 	}
-	v := &View{
-		TStart: tstart, TStop: tstop, EMin: emin, EMax: emax,
-		TimeBins: timeBins, EnergyBins: energyBins,
+	g := &grid{
+		v: &View{
+			TStart: tstart, TStop: tstop, EMin: emin, EMax: emax,
+			TimeBins: timeBins, EnergyBins: energyBins,
+		},
+		rows:  make([][]float64, energyBins),
+		logLo: math.Log(emin), logHi: math.Log(emax),
 	}
-	rows := make([][]float64, energyBins)
-	for i := range rows {
-		rows[i] = make([]float64, timeBins)
+	for i := range g.rows {
+		g.rows[i] = make([]float64, timeBins)
 	}
-	logLo, logHi := math.Log(emin), math.Log(emax)
-	for _, p := range photons {
-		if p.Time < tstart || p.Time >= tstop || p.Energy < emin || p.Energy >= emax {
-			continue
-		}
-		tb := int(float64(timeBins) * (p.Time - tstart) / (tstop - tstart))
-		if tb >= timeBins {
-			tb = timeBins - 1
-		}
-		eb := int(float64(energyBins) * (math.Log(p.Energy) - logLo) / (logHi - logLo))
-		if eb >= energyBins {
-			eb = energyBins - 1
-		}
-		if eb < 0 {
-			eb = 0
-		}
-		rows[eb][tb]++
-		v.Total++
+	return g
+}
+
+// add counts p if it falls within the grid's time and energy ranges.
+func (g *grid) add(p fits.Photon) {
+	v := g.v
+	if p.Time < v.TStart || p.Time >= v.TStop || p.Energy < v.EMin || p.Energy >= v.EMax {
+		return
 	}
-	v.Enc = Encode2D(rows, keep)
-	return v
+	tb := int(float64(v.TimeBins) * (p.Time - v.TStart) / (v.TStop - v.TStart))
+	if tb >= v.TimeBins {
+		tb = v.TimeBins - 1
+	}
+	eb := int(float64(v.EnergyBins) * (math.Log(p.Energy) - g.logLo) / (g.logHi - g.logLo))
+	if eb >= v.EnergyBins {
+		eb = v.EnergyBins - 1
+	}
+	if eb < 0 {
+		eb = 0
+	}
+	g.rows[eb][tb]++
+	v.Total++
+}
+
+// view compresses the counts, keeping the given coefficient fraction.
+func (g *grid) view(keep float64) *View {
+	g.v.Enc = Encode2D(g.rows, keep)
+	return g.v
 }
 
 // Counts reconstructs the (approximated) count matrix from the first frac
@@ -105,20 +130,51 @@ func (v *View) Spectrum(frac float64) []float64 {
 
 // PartitionViews splits [tstart, tstop) into nParts consecutive views, the
 // "range partitioned" arrangement of §6.3: partitions are independently
-// compressed so a client fetches only the ranges it explores.
+// compressed so a client fetches only the ranges it explores. It makes one
+// pass over the photons and counts each one exactly where BuildView over
+// each partition's range would, including a photon on a boundary that the
+// rounded bounds of two neighbouring partitions both (or neither) accept.
 func PartitionViews(photons []fits.Photon, tstart, tstop, emin, emax float64, nParts, timeBins, energyBins int, keep float64) []*View {
 	if nParts < 1 {
 		nParts = 1
 	}
-	views := make([]*View, 0, nParts)
+	grids := make([]*grid, nParts)
 	step := (tstop - tstart) / float64(nParts)
-	for i := 0; i < nParts; i++ {
+	for i := range grids {
 		lo := tstart + float64(i)*step
 		hi := lo + step
 		if i == nParts-1 {
 			hi = tstop
 		}
-		views = append(views, BuildView(photons, lo, hi, emin, emax, timeBins, energyBins, keep))
+		grids[i] = newGrid(lo, hi, emin, emax, timeBins, energyBins)
+	}
+	// With step > 0 the lower bounds rise with the index: k, carried from
+	// photon to photon (time-sorted photons only move it forward), is the
+	// last partition starting at or before p. Below k the upper bounds (all
+	// but the last, which is tstop) fall too, so the partitions that accept
+	// p are k and the run just below it that ends after p. Otherwise no
+	// partition but the last can accept p: start there and let add decide.
+	last := nParts - 1
+	k := last
+	for _, p := range photons {
+		if step > 0 {
+			for k > 0 && p.Time < grids[k].v.TStart {
+				k--
+			}
+			for k < last && p.Time >= grids[k+1].v.TStart {
+				k++
+			}
+		}
+		for j := k; j >= 0; j-- {
+			if j < last && p.Time >= grids[j].v.TStop {
+				break
+			}
+			grids[j].add(p)
+		}
+	}
+	views := make([]*View, nParts)
+	for i, g := range grids {
+		views[i] = g.view(keep)
 	}
 	return views
 }

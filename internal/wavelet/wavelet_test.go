@@ -1,6 +1,7 @@
 package wavelet
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -305,6 +306,93 @@ func TestPartitionViewsCoverWithoutOverlap(t *testing.T) {
 	}
 }
 
+// partitionOracle is PartitionViews as one BuildView per partition, each
+// scanning every photon.
+func partitionOracle(photons []fits.Photon, tstart, tstop, emin, emax float64, nParts, timeBins, energyBins int, keep float64) []*View {
+	if nParts < 1 {
+		nParts = 1
+	}
+	var views []*View
+	step := (tstop - tstart) / float64(nParts)
+	for i := 0; i < nParts; i++ {
+		lo := tstart + float64(i)*step
+		hi := lo + step
+		if i == nParts-1 {
+			hi = tstop
+		}
+		views = append(views, BuildView(photons, lo, hi, emin, emax, timeBins, energyBins, keep))
+	}
+	return views
+}
+
+// Property: the one-pass PartitionViews builds bit-identical views to a
+// BuildView per partition, for unsorted photons drawn on, next to and
+// between the partition bounds, whose rounded ends need not meet.
+func TestPartitionViewsMatchPerPartitionOracle(t *testing.T) {
+	ranges := [][2]float64{
+		{0, 3600}, {0.1, 0.7}, {1e5 + 0.3, 1e5 + 600.7}, {-7.3, 11.9},
+		{86399.99, 86400 + 1.0/3}, {5, 5}, {9, 2},
+	}
+	seams := 0 // boundaries where lo+step and the next lo differ
+	rng := rand.New(rand.NewSource(11))
+	for _, r := range ranges {
+		tstart, tstop := r[0], r[1]
+		for _, nParts := range []int{0, 1, 2, 3, 4, 6, 7} {
+			n := max(nParts, 1)
+			step := (tstop - tstart) / float64(n)
+			var edges []float64
+			for i := 0; i <= n; i++ {
+				lo := tstart + float64(i)*step
+				edges = append(edges, lo, lo+step)
+				if i > 0 && i < n && tstart+float64(i-1)*step+step != lo {
+					seams++
+				}
+			}
+			edges = append(edges, tstop)
+			for _, size := range []int{0, 1, 50, 2000} {
+				photons := make([]fits.Photon, size)
+				for i := range photons {
+					p := &photons[i]
+					switch rng.Intn(4) {
+					case 0:
+						p.Time = tstart + (rng.Float64()*1.2-0.1)*(tstop-tstart)
+					case 1:
+						p.Time = edges[rng.Intn(len(edges))]
+					default:
+						e := edges[rng.Intn(len(edges))]
+						p.Time = math.Nextafter(e, math.Inf(2*rng.Intn(2)-1))
+					}
+					switch rng.Intn(8) {
+					case 0:
+						p.Energy = 3
+					case 1:
+						p.Energy = 20000
+					default:
+						p.Energy = 1.5 * math.Pow(20000/1.5*2, rng.Float64())
+					}
+					p.Detector = uint8(rng.Intn(9))
+				}
+				got := PartitionViews(photons, tstart, tstop, 3, 20000, nParts, 16, 8, 0.5)
+				want := partitionOracle(photons, tstart, tstop, 3, 20000, nParts, 16, 8, 0.5)
+				if len(got) != len(want) {
+					t.Fatalf("[%v,%v)/%d: %d views, want %d", tstart, tstop, nParts, len(got), len(want))
+				}
+				for i := range want {
+					g, w := got[i], want[i]
+					if g.TStart != w.TStart || g.TStop != w.TStop || g.Total != w.Total ||
+						!bytes.Equal(g.Enc.Bytes(), w.Enc.Bytes()) {
+						t.Fatalf("[%v,%v)/%d, %d photons: view %d counts %d, want %d (or its encoding differs)",
+							tstart, tstop, nParts, size, i, g.Total, w.Total)
+					}
+				}
+			}
+		}
+	}
+	if seams == 0 {
+		t.Fatal("no range has partition bounds that fail to meet; the boundary case is untested")
+	}
+}
+
 func TestViewCompressionWins(t *testing.T) {
 	// A realistic photon stream view at keep=0.05 should be much smaller
 	// than the raw photon records it summarizes.
@@ -374,5 +462,23 @@ func TestQuick2DRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var viewsSink []*View
+
+func BenchmarkPartitionViews(b *testing.B) {
+	day := telemetry.GenerateDay(1, telemetry.Config{Seed: 3, DayLength: 14400, Flares: 6, Bursts: 1})
+	units := telemetry.SegmentDay(day, 600)
+	u := units[0]
+	for _, x := range units {
+		if len(x.Photons) > len(u.Photons) {
+			u = x
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		viewsSink = PartitionViews(u.Photons, u.TStart, u.TStop, telemetry.EnergyMin, telemetry.EnergyMax, 4, 64, 16, 0.15)
 	}
 }

@@ -14,8 +14,10 @@
 # harnesses under -race (both enumerate sharded schedules too; torture
 # includes the lake journal/compaction/GC crash sites and chaos the ten
 # lake storm schedules), one iteration each of the parallel query,
-# browse-shape query and ingest benchmarks (smoke-checks the concurrent
-# read, index-probe/top-k and fast write paths), a miniature run of every processing-farm phase (work stealing,
+# browse-shape query, raw-unit pack (BenchmarkPackGz), partitioned-view
+# (BenchmarkPartitionViews) and ingest benchmarks (smoke-checks the
+# concurrent read, index-probe/top-k, gzip-FITS codec, wavelet view and
+# fast write paths), a miniature run of every processing-farm phase (work stealing,
 # preemption, hedging, epoch-keyed memoization with its bit-identity
 # oracle) under -race, a short-mode stampede smoke (the adaptive overload
 # stack under a 10x open-loop spike), and short runs of the WAL, planner
@@ -74,6 +76,12 @@ go test -run '^$' -bench BenchmarkQueryParallel -benchtime=1x .
 
 echo "==> browse-shape query benchmark (1 iteration)"
 go test -run '^$' -bench BenchmarkBrowseShardQueries -benchtime=1x ./internal/minidb/
+
+echo "==> raw-unit pack benchmark (1 iteration)"
+go test -run '^$' -bench BenchmarkPackGz -benchtime=1x ./internal/telemetry/
+
+echo "==> partitioned wavelet view benchmark (1 iteration)"
+go test -run '^$' -bench BenchmarkPartitionViews -benchtime=1x ./internal/wavelet/
 
 echo "==> ingest benchmark (1 iteration)"
 go test -run '^$' -bench BenchmarkIngest -benchtime=1x .
