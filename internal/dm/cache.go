@@ -50,6 +50,12 @@ func (d *DM) readThrough(key string, epoch uint64, hits *atomic.Int64, load func
 			return v, nil
 		}
 	}
+	return d.readFresh(key, epoch, hits, load)
+}
+
+// readFresh is readThrough without the stale fallback: the answer is
+// always the one at epoch.
+func (d *DM) readFresh(key string, epoch uint64, hits *atomic.Int64, load func() (any, error)) (any, error) {
 	v, hit, err := d.cache.Do(key, epoch, func() (any, int64, error) {
 		v, err := load()
 		return v, 1, err
@@ -64,8 +70,21 @@ func (d *DM) readThrough(key string, epoch uint64, hits *atomic.Int64, load func
 // here — anything keyed on sessions is fine because the visibility
 // OR-clause is part of the fingerprint.
 func (d *DM) cachedQuery(q minidb.Query) (*minidb.Result, error) {
+	return d.queryThrough(q, d.readThrough)
+}
+
+// freshQuery is cachedQuery for the integrity checks inside writes: it
+// never takes brownout rung 2's stale fallback, since a commit-behind
+// count would let a write break the very constraint it checks (a second
+// AddToCatalog inserting a duplicate member, a DeleteHLE passing the
+// dependents check). Writes are not what the stale rung sheds.
+func (d *DM) freshQuery(q minidb.Query) (*minidb.Result, error) {
+	return d.queryThrough(q, d.readFresh)
+}
+
+func (d *DM) queryThrough(q minidb.Query, read func(string, uint64, *atomic.Int64, func() (any, error)) (any, error)) (*minidb.Result, error) {
 	epoch := epochOf(d.routeDB(q.Table), q)
-	v, err := d.readThrough(fingerprint(q), epoch, &d.stats.QueryCacheHits, func() (any, error) {
+	v, err := read(fingerprint(q), epoch, &d.stats.QueryCacheHits, func() (any, error) {
 		d.stats.QueryCacheMisses.Add(1)
 		return d.query(q)
 	})

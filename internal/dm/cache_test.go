@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/minidb"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
 )
@@ -114,6 +115,76 @@ func TestStaleServeUnderBrownout(t *testing.T) {
 	d.SetServeStale(false)
 	if n, err := d.CountHLEs(alice, f); err != nil || n != 4 {
 		t.Fatalf("fresh count after brownout = %d (%v), want 4", n, err)
+	}
+}
+
+// TestAddToCatalogChecksFreshUnderBrownout: brownout rung 2 serves reads
+// commit-behind, but the integrity checks inside writes must not. A second
+// AddToCatalog of the same pair must see the first one's row: a stale zero
+// would insert a duplicate.
+func TestAddToCatalogChecksFreshUnderBrownout(t *testing.T) {
+	d := newTestDM(t)
+	alice := newScientist(t, d, "alice")
+	catID, err := d.CreateCatalog(alice, "work", "private", "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := d.CreateHLE(alice, &schema.HLE{KindHint: "flare", TStop: 1, Version: 1, CalibVersion: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d.SetServeStale(true)
+	defer d.SetServeStale(false)
+	for i := 0; i < 2; i++ {
+		if err := d.AddToCatalog(alice, catID, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair, err := d.query(minidb.Query{Table: schema.TableCatalogMembers, Count: true, Where: []minidb.Pred{
+		{Col: "catalog_id", Op: minidb.OpEq, Val: minidb.S(catID)},
+		{Col: "hle_id", Op: minidb.OpEq, Val: minidb.S(h)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pair.Count != 1 {
+		t.Fatalf("catalog holds the pair %d times, want 1", pair.Count)
+	}
+}
+
+// TestDeleteHLEChecksFreshUnderBrownout: at brownout rung 2, DeleteHLE must
+// still see an analysis imported after its dependents count was cached.
+func TestDeleteHLEChecksFreshUnderBrownout(t *testing.T) {
+	d := newTestDM(t)
+	alice := newScientist(t, d, "alice")
+	catID, err := d.CreateCatalog(alice, "work", "private", "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := d.CreateHLE(alice, &schema.HLE{KindHint: "flare", TStop: 1, Version: 1, CalibVersion: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddToCatalog(alice, catID, h); err != nil {
+		t.Fatal(err)
+	}
+
+	d.SetServeStale(true)
+	defer d.SetServeStale(false)
+	// The refused delete caches a dependents count of 0; the membership
+	// refuses it.
+	if err := d.DeleteHLE(alice, h); err == nil || !strings.Contains(err.Error(), "catalogs") {
+		t.Fatalf("delete of a catalog member: %v, want the membership refusal", err)
+	}
+	if _, err := d.ImportAnalysis(alice, &schema.ANA{
+		HLEID: h, Type: schema.AnaLightcurve, TStop: 1, Version: 1, CalibVersion: 1,
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Now the analysis is the first dependency the check must find.
+	if err := d.DeleteHLE(alice, h); err == nil || !strings.Contains(err.Error(), "dependent analyses") {
+		t.Fatalf("delete with an analysis: %v, want the dependents refusal", err)
 	}
 }
 

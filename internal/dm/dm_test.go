@@ -12,7 +12,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-func newTestDM(t *testing.T) *DM {
+func newTestDM(t testing.TB) *DM {
 	t.Helper()
 	db, err := minidb.Open("", schema.AllSchemas()...)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"time"
 
 	"repro/internal/overload"
@@ -18,14 +19,21 @@ import (
 // from one DM component to another. We use this feature to increase
 // capacity in HEDC by adding more nodes to the system." The wire protocol
 // is JSON over HTTP (the paper used RMI and HTTP between its Java
-// components). Every method of the API interface has a remote counterpart;
-// callers go through Dispatcher and cannot tell where execution happened.
+// components). Every method of the API interface has a remote counterpart:
+// Remote implements API by shipping each call to a Server, so callers hold
+// an API and cannot tell where execution happened.
+//
+// Each direction takes one JSON pass. The client marshals its arguments in
+// place inside the envelope, and the server decodes them straight into the
+// type the method (the URL path) names. The server marshals the result in
+// place inside the reply, and the client decodes it straight into the
+// caller's result.
 
-// rpc envelope shared by all methods.
+// rpcEnvelope is a request body; Args holds the method's argument value.
 type rpcEnvelope struct {
-	Token string          `json:"token,omitempty"`
-	IP    string          `json:"ip,omitempty"`
-	Args  json.RawMessage `json:"args,omitempty"`
+	Token string `json:"token,omitempty"`
+	IP    string `json:"ip,omitempty"`
+	Args  any    `json:"args,omitempty"`
 }
 
 type rpcReply struct {
@@ -42,9 +50,11 @@ type rpcReply struct {
 	// tiers can pace retries instead of stampeding. Overload is not a
 	// replica-health signal: failing over a shed request to a sibling
 	// only moves the stampede around.
-	Overloaded   bool            `json:"overloaded,omitempty"`
-	RetryAfterMS int64           `json:"retry_after_ms,omitempty"`
-	Result       json.RawMessage `json:"result,omitempty"`
+	Overloaded   bool  `json:"overloaded,omitempty"`
+	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
+	// Result holds the method's result value: the server's to marshal,
+	// or a pointer to the caller's result for the client to decode into.
+	Result any `json:"result,omitempty"`
 }
 
 // Server exposes a DM node's API over HTTP under prefix (default "/dm/").
@@ -84,16 +94,24 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var env rpcEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	result, err := s.dispatch(method, body)
+	var bad *badEnvelopeError
+	if errors.As(err, &bad) {
+		http.Error(w, bad.Error(), http.StatusBadRequest)
 		return
 	}
 	if s.dm != nil {
 		s.dm.stats.RedirectsIn.Add(1)
 	}
-	result, err := s.dispatch(method, env)
-	reply := rpcReply{}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(encodeReply(result, err))
+}
+
+// encodeReply renders a call's outcome as the reply body, newline-ended.
+// A result that cannot be marshalled (a NaN float, say) becomes the reply's
+// error.
+func encodeReply(result any, err error) []byte {
+	var reply rpcReply
 	if err != nil {
 		reply.Error = err.Error()
 		reply.Denied = IsDenied(err)
@@ -105,110 +123,143 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	} else {
-		raw, merr := json.Marshal(result)
-		if merr != nil {
-			reply.Error = merr.Error()
-		} else {
-			reply.Result = raw
+		reply.Result = result
+		if result == nil {
+			reply.Result = json.RawMessage("null") // still sent as "result":null
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(reply)
-}
-
-func decodeArgs(env rpcEnvelope, into interface{}) error {
-	if len(env.Args) == 0 {
-		return fmt.Errorf("dm: rpc call missing args")
+	b, merr := json.Marshal(reply)
+	if merr != nil {
+		b, _ = json.Marshal(rpcReply{Error: merr.Error()})
 	}
-	return json.Unmarshal(env.Args, into)
+	return append(b, '\n')
 }
 
-func (s *Server) dispatch(method string, env rpcEnvelope) (interface{}, error) {
+// badEnvelopeError marks a request body that is not a well-formed
+// envelope; the server answers it with HTTP 400.
+type badEnvelopeError struct{ err error }
+
+func (e *badEnvelopeError) Error() string { return e.err.Error() }
+
+// decodeBody decodes a request body into v in one pass. A body that is not
+// JSON, or whose token or ip has the wrong type, is a badEnvelopeError;
+// args of the wrong shape are the method's plain error.
+func decodeBody(body []byte, v any) error {
+	err := json.Unmarshal(body, v)
+	var te *json.UnmarshalTypeError
+	if err == nil || errors.As(err, &te) && inField(te.Field, "args") {
+		return err
+	}
+	return &badEnvelopeError{err}
+}
+
+// inField reports whether a json.UnmarshalTypeError's Field path lies in
+// the top-level field name.
+func inField(path, name string) bool {
+	return path == name || strings.HasPrefix(path, name+".")
+}
+
+// serve decodes body straight into the method's argument type A and runs
+// call. Args are required: an absent "args" is an error, while an explicit
+// null stands for A's zero value.
+func serve[A any](body []byte, call func(token, ip string, a *A) (any, error)) (any, error) {
+	var args *A
+	req := struct {
+		Token string `json:"token"`
+		IP    string `json:"ip"`
+		// Args stays pointing at a nil args when the key is absent and
+		// is set to nil by an explicit null.
+		Args **A `json:"args"`
+	}{Args: &args}
+	if err := decodeBody(body, &req); err != nil {
+		return nil, err
+	}
+	switch {
+	case req.Args == nil:
+		args = new(A)
+	case args == nil:
+		return nil, fmt.Errorf("dm: rpc call missing args")
+	}
+	return call(req.Token, req.IP, args)
+}
+
+// serveNoArgs decodes the envelope of a method that takes no arguments;
+// any args in the body are skipped.
+func serveNoArgs(body []byte, call func(token, ip string) (any, error)) (any, error) {
+	var req struct {
+		Token string `json:"token"`
+		IP    string `json:"ip"`
+	}
+	if err := decodeBody(body, &req); err != nil {
+		return nil, err
+	}
+	return call(req.Token, req.IP)
+}
+
+func (s *Server) dispatch(method string, body []byte) (any, error) {
 	switch method {
 	case "ping":
 		// Liveness probe for cluster health checks: no auth, no DB touch.
-		return "pong", nil
+		return serveNoArgs(body, func(string, string) (any, error) { return "pong", nil })
 	case "authenticate":
-		var a struct{ User, Password, Kind string }
-		if err := decodeArgs(env, &a); err != nil {
-			return nil, err
-		}
-		return s.api.Authenticate(a.User, a.Password, env.IP, a.Kind)
+		return serve(body, func(_, ip string, a *struct{ User, Password, Kind string }) (any, error) {
+			return s.api.Authenticate(a.User, a.Password, ip, a.Kind)
+		})
 	case "logout":
-		return nil, s.api.Logout(env.Token)
+		return serveNoArgs(body, func(token, _ string) (any, error) { return nil, s.api.Logout(token) })
 	case "query-hles":
-		var f HLEFilter
-		if err := decodeArgs(env, &f); err != nil {
-			return nil, err
-		}
-		return s.api.QueryHLEs(env.Token, env.IP, f)
+		return serve(body, func(token, ip string, f *HLEFilter) (any, error) {
+			return s.api.QueryHLEs(token, ip, *f)
+		})
 	case "count-hles":
-		var f HLEFilter
-		if err := decodeArgs(env, &f); err != nil {
-			return nil, err
-		}
-		return s.api.CountHLEs(env.Token, env.IP, f)
+		return serve(body, func(token, ip string, f *HLEFilter) (any, error) {
+			return s.api.CountHLEs(token, ip, *f)
+		})
 	case "get-hle":
-		var a struct{ ID string }
-		if err := decodeArgs(env, &a); err != nil {
-			return nil, err
-		}
-		return s.api.GetHLE(env.Token, env.IP, a.ID)
+		return serve(body, func(token, ip string, a *struct{ ID string }) (any, error) {
+			return s.api.GetHLE(token, ip, a.ID)
+		})
 	case "analyses-for-hle":
-		var a struct{ ID string }
-		if err := decodeArgs(env, &a); err != nil {
-			return nil, err
-		}
-		return s.api.AnalysesForHLE(env.Token, env.IP, a.ID)
+		return serve(body, func(token, ip string, a *struct{ ID string }) (any, error) {
+			return s.api.AnalysesForHLE(token, ip, a.ID)
+		})
 	case "get-ana":
-		var a struct{ ID string }
-		if err := decodeArgs(env, &a); err != nil {
-			return nil, err
-		}
-		return s.api.GetANA(env.Token, env.IP, a.ID)
+		return serve(body, func(token, ip string, a *struct{ ID string }) (any, error) {
+			return s.api.GetANA(token, ip, a.ID)
+		})
 	case "list-catalogs":
-		return s.api.ListCatalogs(env.Token, env.IP)
+		return serveNoArgs(body, func(token, ip string) (any, error) { return s.api.ListCatalogs(token, ip) })
 	case "create-hle":
-		var h schema.HLE
-		if err := decodeArgs(env, &h); err != nil {
-			return nil, err
-		}
-		return s.api.CreateHLE(env.Token, env.IP, &h)
+		return serve(body, func(token, ip string, h *schema.HLE) (any, error) {
+			return s.api.CreateHLE(token, ip, h)
+		})
 	case "import-analysis":
-		var a struct {
+		return serve(body, func(token, ip string, a *struct {
 			ANA   *schema.ANA
 			Files []StoredFile
-		}
-		if err := decodeArgs(env, &a); err != nil {
-			return nil, err
-		}
-		return s.api.ImportAnalysis(env.Token, env.IP, a.ANA, a.Files)
+		}) (any, error) {
+			return s.api.ImportAnalysis(token, ip, a.ANA, a.Files)
+		})
 	case "find-existing-analysis":
-		var spec schema.ANA
-		if err := decodeArgs(env, &spec); err != nil {
-			return nil, err
-		}
-		return s.api.FindExistingAnalysis(env.Token, env.IP, &spec)
+		return serve(body, func(token, ip string, spec *schema.ANA) (any, error) {
+			return s.api.FindExistingAnalysis(token, ip, spec)
+		})
 	case "publish":
-		var a struct{ Kind, ID string }
-		if err := decodeArgs(env, &a); err != nil {
-			return nil, err
-		}
-		return nil, s.api.Publish(env.Token, env.IP, a.Kind, a.ID)
+		return serve(body, func(token, ip string, a *struct{ Kind, ID string }) (any, error) {
+			return nil, s.api.Publish(token, ip, a.Kind, a.ID)
+		})
 	case "read-item":
-		var a struct{ ItemID string }
-		if err := decodeArgs(env, &a); err != nil {
-			return nil, err
-		}
-		return s.api.ReadItem(env.Token, env.IP, a.ItemID)
+		return serve(body, func(token, ip string, a *struct{ ItemID string }) (any, error) {
+			return s.api.ReadItem(token, ip, a.ItemID)
+		})
 	case "units-in-range":
-		var a struct{ T0, T1 float64 }
-		if err := decodeArgs(env, &a); err != nil {
-			return nil, err
-		}
-		return s.api.UnitsInRange(env.Token, env.IP, a.T0, a.T1)
+		return serve(body, func(token, ip string, a *struct{ T0, T1 float64 }) (any, error) {
+			return s.api.UnitsInRange(token, ip, a.T0, a.T1)
+		})
 	}
-	return nil, fmt.Errorf("dm: unknown rpc method %q", method)
+	return serveNoArgs(body, func(string, string) (any, error) {
+		return nil, fmt.Errorf("dm: unknown rpc method %q", method)
+	})
 }
 
 // Remote is an API implementation that ships every call to a DM server.
@@ -262,21 +313,14 @@ func IsDialError(err error) bool {
 	return errors.As(err, &op) && op.Op == "dial"
 }
 
-func (r *Remote) call(method, token, ip string, args, result interface{}) error {
+func (r *Remote) call(method, token, ip string, args, result any) error {
 	if r.Source != nil {
 		r.Source.stats.RedirectsOut.Add(1)
 	}
-	env := rpcEnvelope{Token: token, IP: ip}
-	if args != nil {
-		raw, err := json.Marshal(args)
-		if err != nil {
-			return err
-		}
-		env.Args = raw
-	} else {
-		env.Args = json.RawMessage("{}")
+	if args == nil {
+		args = json.RawMessage("{}")
 	}
-	body, err := json.Marshal(env)
+	body, err := json.Marshal(rpcEnvelope{Token: token, IP: ip, Args: args})
 	if err != nil {
 		return err
 	}
@@ -288,9 +332,17 @@ func (r *Remote) call(method, token, ip string, args, result interface{}) error 
 	if resp.StatusCode != http.StatusOK {
 		return &TransportError{Method: method, Err: fmt.Errorf("http %d", resp.StatusCode)}
 	}
-	var reply rpcReply
+	// One pass: the result decodes straight into the caller's value. A
+	// result of the wrong shape is a plain error, as from the remote DM;
+	// anything else that fails to decode means no well-formed reply came.
+	reply := rpcReply{Result: result}
+	var resultErr error
 	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return &TransportError{Method: method, Err: err}
+		var te *json.UnmarshalTypeError
+		if !errors.As(err, &te) || !inField(te.Field, "result") {
+			return &TransportError{Method: method, Err: err}
+		}
+		resultErr = err
 	}
 	if reply.Error != "" {
 		if reply.Denied {
@@ -307,10 +359,7 @@ func (r *Remote) call(method, token, ip string, args, result interface{}) error 
 		}
 		return fmt.Errorf("%s", reply.Error)
 	}
-	if result != nil && len(reply.Result) > 0 {
-		return json.Unmarshal(reply.Result, result)
-	}
-	return nil
+	return resultErr
 }
 
 // Ping probes the remote DM's liveness.

@@ -1,14 +1,17 @@
 package dm
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/overload"
 	"repro/internal/schema"
 )
 
@@ -355,5 +358,174 @@ func TestRemoteUnitsInRange(t *testing.T) {
 	}
 	if units[0].Photons == 0 || units[0].ItemID == "" {
 		t.Fatalf("unit = %+v", units[0])
+	}
+}
+
+// legacyReply and legacyReplyBytes are the reply as the two-pass server
+// built it: the result marshalled on its own into a RawMessage, which the
+// encoder then re-scanned. The one-pass encodeReply must produce the same
+// bytes, since StreamCorder and examples/cluster speak /dm/ too.
+type legacyReply struct {
+	Error        string          `json:"error,omitempty"`
+	Denied       bool            `json:"denied,omitempty"`
+	Unavailable  bool            `json:"unavailable,omitempty"`
+	Overloaded   bool            `json:"overloaded,omitempty"`
+	RetryAfterMS int64           `json:"retry_after_ms,omitempty"`
+	Result       json.RawMessage `json:"result,omitempty"`
+}
+
+func legacyReplyBytes(result any, err error) []byte {
+	var reply legacyReply
+	if err != nil {
+		reply.Error = err.Error()
+		reply.Denied = IsDenied(err)
+		reply.Unavailable = IsDBUnavailable(err)
+		if overload.IsOverload(err) {
+			reply.Overloaded = true
+			if ra, ok := overload.RetryAfterOf(err); ok {
+				reply.RetryAfterMS = int64(ra / time.Millisecond)
+			}
+		}
+	} else if raw, merr := json.Marshal(result); merr != nil {
+		reply.Error = merr.Error()
+	} else {
+		reply.Result = raw
+	}
+	var buf bytes.Buffer
+	_ = json.NewEncoder(&buf).Encode(reply)
+	return buf.Bytes()
+}
+
+func TestReplyBytesMatchTwoPassEncoding(t *testing.T) {
+	odd := "a<b>&c \"q\" — Ünïcödé ☀    \xff"
+	hle := &schema.HLE{ID: "hle-1", Owner: odd, KindHint: "flare", TStart: 1.5, TStop: 2e21, Public: true}
+	cases := []struct {
+		name   string
+		result any
+		err    error
+	}{
+		{"nil", nil, nil},
+		{"pong", "pong", nil},
+		{"escaped string", odd, nil},
+		{"int", 42, nil},
+		{"hle", hle, nil},
+		{"hle list", []*schema.HLE{hle, {ID: "hle-2"}}, nil},
+		{"nil slice", []*schema.HLE(nil), nil},
+		{"empty slice", []*schema.HLE{}, nil},
+		{"typed nil", (*schema.ANA)(nil), nil},
+		{"bytes", &ItemData{ItemID: "i", Bytes: []byte{0, 1, 2, '<'}}, nil},
+		{"NaN", &schema.HLE{ID: "hle-nan", TStart: math.NaN()}, nil},
+		{"NaN in list", []float64{1, math.Inf(1)}, nil},
+		{"plain error", nil, fmt.Errorf("dm: no such HLE %s", odd)},
+		{"denied", nil, errDenied("delete", "hle-1")},
+		{"unavailable", nil, &DBUnavailableError{Err: fmt.Errorf("dial refused")}},
+		{"overloaded", nil, &overload.Error{Tier: "dm", RetryAfter: 250 * time.Millisecond}},
+	}
+	for _, c := range cases {
+		got, want := encodeReply(c.result, c.err), legacyReplyBytes(c.result, c.err)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: one pass %q, two passes %q", c.name, got, want)
+		}
+	}
+	if got := string(encodeReply(math.NaN(), nil)); !strings.Contains(got, `"error":"json: unsupported value: NaN"`) {
+		t.Errorf("NaN result: reply %s, want the marshal error", got)
+	}
+
+	// Requests too: args marshalled in place equal args marshalled first.
+	type legacyEnvelope struct {
+		Token string          `json:"token,omitempty"`
+		IP    string          `json:"ip,omitempty"`
+		Args  json.RawMessage `json:"args,omitempty"`
+	}
+	for _, args := range []any{HLEFilter{Kind: odd, Limit: 100}, struct{ ID string }{odd}, hle,
+		(*schema.HLE)(nil), json.RawMessage("{}")} {
+		raw, err := json.Marshal(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(legacyEnvelope{Token: "tok", IP: "10.0.0.1", Args: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(rpcEnvelope{Token: "tok", IP: "10.0.0.1", Args: args})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("args %T: one pass %s, two passes %s", args, got, want)
+		}
+	}
+}
+
+// TestRemoteDecodeErrors: a reply whose result has the wrong shape is a
+// plain error, as the two-pass client reported it, so the gateway does not
+// fail over on it; a reply that is not JSON is a transport error. On the
+// server, explicit null args stand for the zero value.
+func TestRemoteDecodeErrors(t *testing.T) {
+	wrongShape := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, `{"result":"not a list"}`)
+	}))
+	defer wrongShape.Close()
+	r := NewRemote(wrongShape.URL+"/dm/", nil)
+	if _, err := r.ListCatalogs("", ""); err == nil || IsUnreachable(err) {
+		t.Fatalf("wrong-shaped result: err = %v, want a plain error", err)
+	}
+	truncated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"result":[{"ID":"cat-`)
+	}))
+	defer truncated.Close()
+	r = NewRemote(truncated.URL+"/dm/", nil)
+	if _, err := r.ListCatalogs("", ""); !IsUnreachable(err) {
+		t.Fatalf("truncated reply: err = %v, want a transport error", err)
+	}
+
+	remote, _ := newRemotePair(t)
+	resp, err := http.Post(remote.BaseURL+"count-hles", "application/json", strings.NewReader(`{"args":null}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply struct {
+		Error  string
+		Result *int
+	}
+	derr := json.NewDecoder(resp.Body).Decode(&reply)
+	resp.Body.Close()
+	if derr != nil || reply.Error != "" || reply.Result == nil || *reply.Result != 0 {
+		t.Fatalf("null args: reply %+v (decode %v), want a zero-filter count", reply, derr)
+	}
+	// A token of the wrong type is a malformed envelope, not an app error.
+	resp, err = http.Post(remote.BaseURL+"count-hles", "application/json", strings.NewReader(`{"token":5,"args":{}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("token of the wrong type: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// BenchmarkRedirectRoundTrip times one redirect hop as a browse page pays
+// it: a QueryHLEs call through Remote to a Server over loopback HTTP,
+// answered with 100 HLEs.
+func BenchmarkRedirectRoundTrip(b *testing.B) {
+	d := newTestDM(b)
+	sys := d.systemSession()
+	for i := 0; i < 100; i++ {
+		if _, err := d.CreateHLE(sys, &schema.HLE{KindHint: "flare", Public: true,
+			TStart: float64(i), TStop: float64(i + 1), Version: 1, CalibVersion: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(NewServer(Local{DM: d}, "/dm/").Mux())
+	defer srv.Close()
+	remote := NewRemote(srv.URL+"/dm/", nil)
+	f := HLEFilter{Kind: "flare", Limit: 100}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hles, err := remote.QueryHLEs("", "", f)
+		if err != nil || len(hles) != 100 {
+			b.Fatalf("%d HLEs, %v", len(hles), err)
+		}
 	}
 }

@@ -410,7 +410,7 @@ func (d *DM) DeleteHLE(s *Session, id string) error {
 		d.stats.AccessDenied.Add(1)
 		return errDenied("delete", id)
 	}
-	deps, err := d.cachedQuery(minidb.Query{
+	deps, err := d.freshQuery(minidb.Query{
 		Table: schema.TableANA, Count: true,
 		Where: []minidb.Pred{{Col: "hle_id", Op: minidb.OpEq, Val: minidb.S(id)}},
 	})
@@ -420,7 +420,7 @@ func (d *DM) DeleteHLE(s *Session, id string) error {
 	if deps.Count > 0 {
 		return fmt.Errorf("dm: HLE %s has %d dependent analyses", id, deps.Count)
 	}
-	members, err := d.cachedQuery(minidb.Query{
+	members, err := d.freshQuery(minidb.Query{
 		Table: schema.TableCatalogMembers, Count: true,
 		Where: []minidb.Pred{{Col: "hle_id", Op: minidb.OpEq, Val: minidb.S(id)}},
 	})
@@ -581,8 +581,9 @@ func (d *DM) AddToCatalog(s *Session, catalogID, hleID string) error {
 		return fmt.Errorf("dm: catalog member: %w", err)
 	}
 	// No duplicates. Cached: bulk catalog loads re-check the same pair
-	// shape repeatedly, and any insert bumps the members epoch.
-	dup, err := d.cachedQuery(minidb.Query{
+	// shape repeatedly, and any insert bumps the members epoch. Fresh: a
+	// stale zero would insert the pair twice.
+	dup, err := d.freshQuery(minidb.Query{
 		Table: schema.TableCatalogMembers, Count: true,
 		Where: []minidb.Pred{
 			{Col: "catalog_id", Op: minidb.OpEq, Val: minidb.S(catalogID)},

@@ -112,8 +112,8 @@ func FuzzReadWal(f *testing.F) {
 
 // FuzzPlannerEquivalence drives the planner oracle of quick_test.go with
 // fuzzed tables and queries: whichever index the probe picks and whichever
-// of the early-stop, top-k or full-sort paths runs, the result must be the
-// brute-force filter, sort and slice, rowids included.
+// of the early-stop, top-k, full-sort or ordered-walk paths runs, the result
+// must be the brute-force filter, sort and slice, rowids included.
 func FuzzPlannerEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(400), uint16(0), uint16(7), uint16(0), uint16(10), false, false)
 	f.Add(int64(2), uint16(500), uint16(1), uint16(3), uint16(5), uint16(0), true, true)

@@ -2,6 +2,7 @@ package minidb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -168,127 +169,31 @@ func execQuery(t *Table, v *tableView, q Query) (*Result, error) {
 		}
 	}
 
-	driver, kind := choosePlan(v, q)
-	res.Plan.Kind = kind
-	if driver >= 0 {
-		res.Plan.Index = q.Where[driver].Col
-	}
-
-	// orderedByIndex: single ORDER BY term on the driving index column. Under
-	// an equality driver that term is constant, so the scan stays ascending:
-	// rowid order within the key is the (term, rowid) order either way, and
-	// which equality the planner picks never shows in the result.
-	orderedByIndex := false
-	desc := false
-	if driver >= 0 && len(q.OrderBy) == 1 && q.OrderBy[0].Col == q.Where[driver].Col {
-		orderedByIndex = true
-		desc = q.OrderBy[0].Desc && q.Where[driver].Op != OpEq
-	}
-	if driver >= 0 && len(q.OrderBy) == 0 {
-		orderedByIndex = true // index order is as good as any
-	}
-
-	// canStopEarly: results already ordered, so offset+limit bounds the scan.
-	canStopEarly := orderedByIndex && q.Limit > 0 && !q.Count
+	driver, kind, span := choosePlan(v, q)
 	want := q.Offset + q.Limit
-	// Otherwise ORDER BY sorts the matches. Under a LIMIT only the first
-	// offset+limit of them can be returned, so the scan keeps just those.
-	sorted := len(q.OrderBy) > 0 && !orderedByIndex
-	topK := sorted && q.Limit > 0 && !q.Count
 
-	// matches reports whether row r passes the residual predicates.
-	matches := func(r Row) bool {
-		for i, p := range q.Where {
-			if i == driver {
-				continue // guaranteed by scan bounds except residual checks below
-			}
-			if !p.Match(r[colIdx[p.Col]]) {
-				return false
-			}
-		}
-		if len(q.Or) > 0 {
-			any := false
-			for _, p := range q.Or {
-				if p.Match(r[colIdx[p.Col]]) {
-					any = true
-					break
-				}
-			}
-			if !any {
-				return false
-			}
-		}
-		return true
+	var matched []int64
+	var matchedRows []Row
+	walked := false
+	if budget, ok := walkBudget(v, q, driver, span); ok {
+		matched, matchedRows, walked = walkOrder(v, q, colIdx, want, budget, &res.Plan)
 	}
-
-	// Count queries never materialize the match set: one integer suffices.
-	// Other matches are fetched once during the scan into m and reused
-	// below, so the comparator touches no storage.
-	count := 0
-	m := &rowSorter{}
-	if sorted {
-		m.less = orderLess(colIdx, q.OrderBy)
-	}
-	collect := func(rowid int64, r Row) bool {
-		if !matches(r) {
-			return true
+	if walked {
+		res.Plan.Kind, res.Plan.Index = PlanFullIndexScan, q.OrderBy[0].Col
+	} else {
+		// The chosen plan, from scratch: a walk that ran out of budget
+		// leaves only its visits in RowsScanned.
+		res.Plan.Kind = kind
+		if driver >= 0 {
+			res.Plan.Index = q.Where[driver].Col
 		}
+		count, ids, rows := scanPlan(v, q, colIdx, driver, want, &res.Plan)
 		if q.Count {
-			count++
-			return true
+			res.Count = count
+			return res, nil
 		}
-		if topK {
-			m.offer(want, rowid, r)
-			return true
-		}
-		m.ids = append(m.ids, rowid)
-		m.rows = append(m.rows, r)
-		return !(canStopEarly && len(m.ids) >= want)
+		matched, matchedRows = ids, rows
 	}
-
-	switch {
-	case driver >= 0:
-		p := q.Where[driver]
-		idx := v.indexes[p.Col]
-		lo, hi := indexBounds(p)
-		visit := func(e entry) bool {
-			res.Plan.RowsScanned++
-			r := v.get(e.rowid)
-			if r == nil {
-				return true
-			}
-			// Residual check for operators the bounds only approximate.
-			if p.Op == OpPrefix && !p.Match(e.key) {
-				return false // past the prefix region: stop
-			}
-			if (p.Op == OpGt || p.Op == OpLt) && !p.Match(e.key) {
-				return true // boundary entry excluded by the strict operator
-			}
-			return collect(e.rowid, r)
-		}
-		if desc {
-			idx.tree.scanDesc(lo, hi, visit)
-		} else {
-			idx.tree.scanRange(lo, hi, visit)
-		}
-	default:
-		v.scanAll(func(rowid int64, r Row) bool {
-			res.Plan.RowsScanned++
-			return collect(rowid, r)
-		})
-	}
-
-	if q.Count {
-		res.Count = count
-		return res, nil
-	}
-
-	// Sort when the index order does not already satisfy ORDER BY; a top-k
-	// scan sorts its heap with the same comparator.
-	if sorted {
-		sort.Sort(m)
-	}
-	matched, matchedRows := m.ids, m.rows
 
 	// Paging.
 	if q.Offset > 0 {
@@ -334,6 +239,153 @@ func execQuery(t *Table, v *tableView, q Query) (*Result, error) {
 	return res, nil
 }
 
+// scanPlan runs the plan choosePlan picked: a scan of the driving index's
+// range (driver >= 0) or of the heap, the other predicates checked per row.
+// It returns the match count of a Count query; otherwise the matches in
+// result order, at least the first want of them (all of them when q has no
+// LIMIT). Visits add to plan.RowsScanned.
+func scanPlan(v *tableView, q Query, colIdx map[string]int, driver, want int, plan *PlanInfo) (int, []int64, []Row) {
+	// orderedByIndex: single ORDER BY term on the driving index column. Under
+	// an equality driver that term is constant, so the scan stays ascending:
+	// rowid order within the key is the (term, rowid) order either way, and
+	// which equality the planner picks never shows in the result.
+	orderedByIndex := false
+	desc := false
+	if driver >= 0 && len(q.OrderBy) == 1 && q.OrderBy[0].Col == q.Where[driver].Col {
+		orderedByIndex = true
+		desc = q.OrderBy[0].Desc && q.Where[driver].Op != OpEq
+	}
+	if driver >= 0 && len(q.OrderBy) == 0 {
+		orderedByIndex = true // index order is as good as any
+	}
+
+	// canStopEarly: results already ordered, so offset+limit bounds the scan.
+	canStopEarly := orderedByIndex && q.Limit > 0 && !q.Count
+	// Otherwise ORDER BY sorts the matches. Under a LIMIT only the first
+	// offset+limit of them can be returned, so the scan keeps just those.
+	sorted := len(q.OrderBy) > 0 && !orderedByIndex
+	topK := sorted && q.Limit > 0 && !q.Count
+	matches := residual(q, colIdx, driver)
+
+	// Count queries never materialize the match set: one integer suffices.
+	// Other matches are fetched once during the scan into m and reused
+	// below, so the comparator touches no storage.
+	count := 0
+	m := &rowSorter{}
+	if sorted {
+		m.less = orderLess(colIdx, q.OrderBy)
+	}
+	collect := func(rowid int64, r Row) bool {
+		if !matches(r) {
+			return true
+		}
+		if q.Count {
+			count++
+			return true
+		}
+		if topK {
+			m.offer(want, rowid, r)
+			return true
+		}
+		m.ids = append(m.ids, rowid)
+		m.rows = append(m.rows, r)
+		// A descending scan stops only between runs of equal keys (tieRun).
+		return !(canStopEarly && !desc && len(m.ids) >= want)
+	}
+
+	switch {
+	case driver >= 0:
+		p := q.Where[driver]
+		idx := v.indexes[p.Col]
+		lo, hi := indexBounds(p)
+		var ties tieRun
+		visit := func(e entry) bool {
+			plan.RowsScanned++
+			if desc && ties.next(e.key, m) && canStopEarly && len(m.ids) >= want {
+				return false
+			}
+			r := v.get(e.rowid)
+			if r == nil {
+				return true
+			}
+			// Residual check for operators the bounds only approximate.
+			if p.Op == OpPrefix && !p.Match(e.key) {
+				return false // past the prefix region: stop
+			}
+			if (p.Op == OpGt || p.Op == OpLt) && !p.Match(e.key) {
+				return true // boundary entry excluded by the strict operator
+			}
+			return collect(e.rowid, r)
+		}
+		if desc {
+			idx.tree.scanDesc(lo, hi, visit)
+			m.flip(ties.start)
+		} else {
+			idx.tree.scanRange(lo, hi, visit)
+		}
+	default:
+		v.scanAll(func(rowid int64, r Row) bool {
+			plan.RowsScanned++
+			return collect(rowid, r)
+		})
+	}
+
+	// Sort when the index order does not already satisfy ORDER BY; a top-k
+	// scan sorts its heap with the same comparator.
+	if sorted {
+		sort.Sort(m)
+	}
+	return count, m.ids, m.rows
+}
+
+// residual returns the row filter for every Where predicate but the one at
+// skip (the driver, whose index bounds already hold; -1 checks them all),
+// ANDed with the Or group.
+func residual(q Query, colIdx map[string]int, skip int) func(Row) bool {
+	return func(r Row) bool {
+		for i, p := range q.Where {
+			if i == skip {
+				continue
+			}
+			if !p.Match(r[colIdx[p.Col]]) {
+				return false
+			}
+		}
+		if len(q.Or) == 0 {
+			return true
+		}
+		for _, p := range q.Or {
+			if p.Match(r[colIdx[p.Col]]) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// tieRun restores orderLess's tie rule under a descending index scan. The
+// index orders entries by (key, rowid), so a descending scan yields each
+// run of equal keys by descending rowid, while orderLess ranks ties by
+// ascending rowid. tieRun remembers where the current run's matches start
+// and flips them once the scan leaves the run.
+type tieRun struct {
+	start int   // position in the match slices where the run begins
+	key   Value // the run's key
+}
+
+// next moves the run to the key of the entry about to be visited. It
+// reports whether that entry starts a new run: the only point at which a
+// descending scan may stop, since every match of the finished run is then
+// held and in order.
+func (t *tieRun) next(key Value, m *rowSorter) bool {
+	if Compare(key, t.key) == 0 {
+		return false
+	}
+	m.flip(t.start)
+	t.start, t.key = len(m.ids), key
+	return true
+}
+
 // orderLess is the total order an ORDER BY defines: its terms in turn, then
 // rowid, so rows with equal keys still come out in one deterministic order.
 func orderLess(colIdx map[string]int, order []Order) func(ida int64, ra Row, idb int64, rb Row) bool {
@@ -372,6 +424,13 @@ func (s *rowSorter) Less(a, b int) bool {
 func (s *rowSorter) Swap(a, b int) {
 	s.ids[a], s.ids[b] = s.ids[b], s.ids[a]
 	s.rows[a], s.rows[b] = s.rows[b], s.rows[a]
+}
+
+// flip reverses the pairs from position from on.
+func (s *rowSorter) flip(from int) {
+	for i, j := from, len(s.ids)-1; i < j; i, j = i+1, j-1 {
+		s.Swap(i, j)
+	}
 }
 
 // offer keeps the k least pairs offered so far as a max-heap: the greatest
@@ -413,11 +472,13 @@ func (s *rowSorter) offer(k int, id int64, r Row) {
 const probeCap = 64
 
 // choosePlan picks the predicate whose index drives the scan. It returns the
-// predicate position (or -1) and the plan classification. Operators rank
-// unique equality, then equality, then a closed range, then an open bound.
-// A tie between non-unique equalities goes to the narrowest index range
-// (narrowestEq); any other tie to the first predicate.
-func choosePlan(v *tableView, q Query) (int, PlanKind) {
+// predicate position (or -1), the plan classification, and the entries a
+// planner probe found in the driving range (-1 when none ran; a count of
+// probeCap means at least that many). Operators rank unique equality, then
+// equality, then a closed range, then an open bound. A tie between
+// non-unique equalities goes to the narrowest index range (narrowestEq);
+// any other tie to the first predicate.
+func choosePlan(v *tableView, q Query) (int, PlanKind, int) {
 	best, bestScore, ties := -1, 0, 0
 	for i, p := range q.Where {
 		idx, ok := v.indexes[p.Col]
@@ -446,27 +507,29 @@ func choosePlan(v *tableView, q Query) (int, PlanKind) {
 		}
 	}
 	if best < 0 {
-		return -1, PlanFullScan
+		return -1, PlanFullScan, -1
 	}
+	span := -1
 	if bestScore == 4 && ties > 1 {
-		best = narrowestEq(v, q, best)
+		best, span = narrowestEq(v, q, best)
 	}
 	switch q.Where[best].Op {
 	case OpEq:
-		return best, PlanIndexEq
+		return best, PlanIndexEq, span
 	case OpBetween, OpPrefix:
-		return best, PlanIndexRange
+		return best, PlanIndexRange, span
 	default:
-		return best, PlanFullIndexScan // open-ended bound: §7.2's "full index scan"
+		return best, PlanFullIndexScan, span // open-ended bound: §7.2's "full index scan"
 	}
 }
 
 // narrowestEq probes the index range of each non-unique equality from first
-// on and returns the one holding the fewest entries. A probe stops at
-// min(probeCap, smallest count so far), so it costs at most probeCap entries
-// and only a strictly smaller range displaces the current choice: when every
-// probe reaches the cap, first stands.
-func narrowestEq(v *tableView, q Query, first int) int {
+// on and returns the one holding the fewest entries, with its count. A probe
+// stops at min(probeCap, smallest count so far), so it costs at most
+// probeCap entries and only a strictly smaller range displaces the current
+// choice: when every probe reaches the cap, first stands with a count of
+// probeCap.
+func narrowestEq(v *tableView, q Query, first int) (int, int) {
 	best, bound := first, probeCap
 	for i := first; i < len(q.Where) && bound > 0; i++ {
 		p := q.Where[i]
@@ -474,16 +537,111 @@ func narrowestEq(v *tableView, q Query, first int) int {
 		if !ok || p.Op != OpEq || idx.unique {
 			continue
 		}
-		n := 0
-		idx.tree.scanRange(&p.Val, &p.Val, func(entry) bool {
-			n++
-			return n < bound
-		})
-		if n < bound {
+		if n := rangeCount(idx, p, bound); n < bound {
 			best, bound = i, n
 		}
 	}
-	return best
+	return best, bound
+}
+
+// rangeCount counts the entries in p's index range, stopping at limit.
+func rangeCount(idx *tableIndex, p Pred, limit int) int {
+	lo, hi := indexBounds(p)
+	n := 0
+	idx.tree.scanRange(lo, hi, func(e entry) bool {
+		if p.Op == OpPrefix && !p.Match(e.key) {
+			return false // past the prefix region
+		}
+		n++
+		return n < limit
+	})
+	return n
+}
+
+// Ordered walk. ORDER BY one indexed column under a LIMIT can walk that
+// column's index in ORDER BY order, check every Where predicate and the Or
+// group against each row, and stop at the offset+limit-th match, instead of
+// scanning all matches and keeping a top-k. Ties come out by ascending
+// rowid, as orderLess ranks them: an ascending walk yields that order, and a
+// descending one flips each run of equal keys (tieRun). The walk reports
+// PlanFullIndexScan on the order column.
+
+// walkBudget decides whether q walks its ORDER BY column's index, and with
+// what visit budget. The walk needs a single indexed ORDER BY term, a
+// LIMIT, no Count, and a driver (if any) that does not already give the
+// order.
+//
+// With no driving predicate the walk replaces a heap scan of the N live
+// rows. The index holds one entry per live row, so the budget is N: the
+// walk never runs out and visits no more than that scan.
+//
+// With a driver of D entries, matches spread over the order turn up about
+// every N/D entries, so the walk expects want·N/D visits. That beats the
+// driver's D visits when D exceeds T = ⌈√(want·N)⌉. A probe counts the
+// driving range up to T entries, or reuses narrowestEq's count when that is
+// exact; a range below T drives as before. The walk's budget is T. When a
+// filter's matches sit at the far end of the order the budget runs out and
+// the driven plan runs from scratch, so the query visits at most T + D ≤ 2D
+// entries (rows fetched) where the driven plan alone visits D, plus the
+// probe's T index keys.
+func walkBudget(v *tableView, q Query, driver, span int) (int, bool) {
+	if len(q.OrderBy) != 1 || q.Limit <= 0 || q.Count {
+		return 0, false
+	}
+	col := q.OrderBy[0].Col
+	if _, ok := v.indexes[col]; !ok {
+		return 0, false
+	}
+	if driver < 0 {
+		return v.live, true
+	}
+	p := q.Where[driver]
+	if p.Col == col {
+		return 0, false // the driving scan already yields the order
+	}
+	t := int(math.Ceil(math.Sqrt(float64(q.Offset+q.Limit) * float64(v.live))))
+	// narrowestEq's count is exact below probeCap and a lower bound at it.
+	if span < 0 || (span == probeCap && span < t) {
+		span = rangeCount(v.indexes[p.Col], p, t)
+	}
+	return t, span >= t
+}
+
+// walkOrder walks q's ORDER BY column's index for the first want matches,
+// visiting at most budget entries; visits add to plan.RowsScanned. It
+// reports false, with partial matches, when the budget ran out first.
+func walkOrder(v *tableView, q Query, colIdx map[string]int, want, budget int, plan *PlanInfo) ([]int64, []Row, bool) {
+	o := q.OrderBy[0]
+	matches := residual(q, colIdx, -1)
+	m := &rowSorter{}
+	var ties tieRun
+	visits, spent := 0, false
+	visit := func(e entry) bool {
+		if visits == budget {
+			spent = true
+			return false
+		}
+		visits++
+		if o.Desc && ties.next(e.key, m) && len(m.ids) >= want {
+			return false
+		}
+		r := v.get(e.rowid)
+		if r == nil || !matches(r) {
+			return true
+		}
+		m.ids = append(m.ids, e.rowid)
+		m.rows = append(m.rows, r)
+		return o.Desc || len(m.ids) < want
+	}
+	tree := v.indexes[o.Col].tree
+	if o.Desc {
+		tree.scanDesc(nil, nil, visit)
+		m.flip(ties.start)
+	} else {
+		tree.scanRange(nil, nil, visit)
+	}
+	plan.RowsScanned += visits
+	return m.ids, m.rows, !spent
 }
 
 // indexBounds translates a sargable predicate into inclusive scan bounds.

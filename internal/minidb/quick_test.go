@@ -315,13 +315,15 @@ func TestQuickOrderLimitOffsetEquivalence(t *testing.T) {
 
 // plannerRig builds the planner-equivalence table from seed: n rows over two
 // indexed equality columns with skewed cardinalities (a takes four values,
-// 0 on about 70 % of the rows; b forty, about evenly) and an unindexed
-// ordering column o with many ties, so the rowid tie-break decides order.
+// 0 on about 70 % of the rows; b forty, about evenly), an unindexed
+// ordering column o with many ties, so the rowid tie-break decides order,
+// and oi, o's indexed twin.
 func plannerRig(seed int64, n int) (*DB, error) {
 	db, err := Open("", &Schema{
-		Name:    "pe",
-		Columns: []Column{{Name: "a", Type: IntType}, {Name: "b", Type: IntType}, {Name: "o", Type: IntType}},
-		Indexes: []string{"a", "b"},
+		Name: "pe",
+		Columns: []Column{{Name: "a", Type: IntType}, {Name: "b", Type: IntType},
+			{Name: "o", Type: IntType}, {Name: "oi", Type: IntType}},
+		Indexes: []string{"a", "b", "oi"},
 	})
 	if err != nil {
 		return nil, err
@@ -333,7 +335,8 @@ func plannerRig(seed int64, n int) (*DB, error) {
 		if rng.Intn(10) >= 7 {
 			a = 1 + int64(rng.Intn(3))
 		}
-		if _, err := tx.Insert("pe", Row{I(a), I(int64(rng.Intn(40))), I(int64(rng.Intn(20)))}); err != nil {
+		b, o := I(int64(rng.Intn(40))), I(int64(rng.Intn(20)))
+		if _, err := tx.Insert("pe", Row{I(a), b, o, o}); err != nil {
 			tx.Rollback()
 			return nil, err
 		}
@@ -344,26 +347,32 @@ func plannerRig(seed int64, n int) (*DB, error) {
 // plannerCase runs a = av AND b = bv (in either predicate order) ORDER BY o
 // (ascending or descending) with OFFSET/LIMIT (limit 0: none) over a fresh
 // plannerRig and checks it against the brute-force oracle. The values fold
-// into ranges that include keys no row holds.
+// into ranges that include keys no row holds. A b value folding to 44 drops
+// the b predicate and orders by oi instead: a alone ORDER BY an indexed
+// column, which walks oi's index when a's range is wide.
 func plannerCase(seed int64, n, av, bv, off, lim uint16, swap, desc bool) error {
 	db, err := plannerRig(seed, int(n%600))
 	if err != nil {
 		return err
 	}
 	defer db.Close()
-	where := []Pred{{Col: "a", Op: OpEq, Val: I(int64(av % 5))}, {Col: "b", Op: OpEq, Val: I(int64(bv % 45))}}
-	if swap {
-		where[0], where[1] = where[1], where[0]
+	where := []Pred{{Col: "a", Op: OpEq, Val: I(int64(av % 5))}}
+	order := "oi"
+	if b := int64(bv % 45); b != 44 {
+		where, order = append(where, Pred{Col: "b", Op: OpEq, Val: I(b)}), "o"
+		if swap {
+			where[0], where[1] = where[1], where[0]
+		}
 	}
 	return checkAgainstBruteForce(db, Query{
-		Table: "pe", Where: where, OrderBy: []Order{{Col: "o", Desc: desc}},
+		Table: "pe", Where: where, OrderBy: []Order{{Col: order, Desc: desc}},
 		Offset: int(off % 48), Limit: int(lim % 48),
 	})
 }
 
 // checkAgainstBruteForce runs q and demands exactly the rows, row order and
-// rowids of a brute-force filter, sort by (ORDER BY terms, rowid) and slice
-// over every row of the table.
+// rowids of a brute-force filter (Where and the Or group), sort by (ORDER BY
+// terms, rowid) and slice over every row of the table.
 func checkAgainstBruteForce(db *DB, q Query) error {
 	got, err := db.Query(q)
 	if err != nil {
@@ -385,6 +394,13 @@ rows:
 			if !p.Match(r[sc.ColIndex(p.Col)]) {
 				continue rows
 			}
+		}
+		anyOr := len(q.Or) == 0
+		for _, p := range q.Or {
+			anyOr = anyOr || p.Match(r[sc.ColIndex(p.Col)])
+		}
+		if !anyOr {
+			continue
 		}
 		want = append(want, match{all.RowIDs[i], r})
 	}
@@ -428,8 +444,9 @@ rows:
 
 // Property: with two indexed equality predicates the bounded probe may pick
 // either index to drive, and ORDER BY on an unindexed column runs the
-// bounded top-k (with a LIMIT) or the full sort (without). Whatever runs,
-// rows, row order and rowids equal the brute-force oracle.
+// bounded top-k (with a LIMIT) or the full sort (without); a lone wide
+// equality under ORDER BY oi may walk oi's index. Whatever runs, rows, row
+// order and rowids equal the brute-force oracle.
 func TestQuickPlannerProbeAndTopKEquivalence(t *testing.T) {
 	check := func(seed int64, n, av, bv, off, lim uint16, swap, desc bool) bool {
 		if err := plannerCase(seed, n, av, bv, off, lim, swap, desc); err != nil {

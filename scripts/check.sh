@@ -14,16 +14,18 @@
 # harnesses under -race (both enumerate sharded schedules too; torture
 # includes the lake journal/compaction/GC crash sites and chaos the ten
 # lake storm schedules), one iteration each of the parallel query,
-# browse-shape query, raw-unit pack (BenchmarkPackGz), partitioned-view
+# browse-shape query, redirect round-trip (BenchmarkRedirectRoundTrip),
+# raw-unit pack (BenchmarkPackGz), partitioned-view
 # (BenchmarkPartitionViews) and ingest benchmarks (smoke-checks the
-# concurrent read, index-probe/top-k, gzip-FITS codec, wavelet view and
-# fast write paths), a miniature run of every processing-farm phase (work stealing,
-# preemption, hedging, epoch-keyed memoization with its bit-identity
-# oracle) under -race, a short-mode stampede smoke (the adaptive overload
-# stack under a 10x open-loop spike), and short runs of the WAL, planner
-# equivalence (index probe and bounded top-k against a brute-force
-# oracle), dbnet wire-decode (including the statusOverload response parser), columnar
-# segment, shard map/merge and lake journal fuzz targets.
+# concurrent read, index-probe/top-k/ordered-walk, /dm/ JSON hop,
+# gzip-FITS codec, wavelet view and fast write paths), a miniature run of
+# every processing-farm phase (work stealing, preemption, hedging,
+# epoch-keyed memoization with its bit-identity oracle) under -race, a
+# short-mode stampede smoke (the adaptive overload stack under a 10x
+# open-loop spike), and short runs of the WAL, planner equivalence (index
+# probe, bounded top-k and ordered walk against a brute-force oracle),
+# dbnet wire-decode (including the statusOverload response parser),
+# columnar segment, shard map/merge and lake journal fuzz targets.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -76,6 +78,9 @@ go test -run '^$' -bench BenchmarkQueryParallel -benchtime=1x .
 
 echo "==> browse-shape query benchmark (1 iteration)"
 go test -run '^$' -bench BenchmarkBrowseShardQueries -benchtime=1x ./internal/minidb/
+
+echo "==> redirect round-trip benchmark (1 iteration)"
+go test -run '^$' -bench BenchmarkRedirectRoundTrip -benchtime=1x ./internal/dm/
 
 echo "==> raw-unit pack benchmark (1 iteration)"
 go test -run '^$' -bench BenchmarkPackGz -benchtime=1x ./internal/telemetry/
