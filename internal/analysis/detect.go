@@ -25,29 +25,20 @@ type Detection struct {
 	KindHint     string  // "flare" | "gamma-ray-burst" | "quiet-period"
 }
 
-// DetectConfig tunes the detector.
-type DetectConfig struct {
-	BinSeconds float64 // counting bin (default 10)
-	Sigma      float64 // detection threshold in sigma (default 4)
-	QuietFrac  float64 // rate below QuietFrac*background flags quiet periods (default 0.3)
-}
+// The detector's fixed tuning.
+const (
+	binSeconds = 10  // counting bin
+	sigmaCut   = 4   // detection threshold in sigma
+	quietFrac  = 0.3 // rate below quietFrac*background flags quiet periods
+)
 
-func (c *DetectConfig) defaults() {
-	if c.BinSeconds <= 0 {
-		c.BinSeconds = 10
-	}
-	if c.Sigma <= 0 {
-		c.Sigma = 4
-	}
-	if c.QuietFrac <= 0 {
-		c.QuietFrac = 0.3
-	}
-}
+// DetectConfig is empty: the detector's tuning is fixed. It stays in
+// DetectEvents' signature so existing callers compile unchanged.
+type DetectConfig struct{}
 
 // DetectEvents scans [tstart, tstop) of the photon stream.
-func DetectEvents(photons []fits.Photon, tstart, tstop float64, cfg DetectConfig) []Detection {
-	cfg.defaults()
-	nBins := int(math.Ceil((tstop - tstart) / cfg.BinSeconds))
+func DetectEvents(photons []fits.Photon, tstart, tstop float64, _ DetectConfig) []Detection {
+	nBins := int(math.Ceil((tstop - tstart) / binSeconds))
 	if nBins < 1 {
 		return nil
 	}
@@ -57,7 +48,7 @@ func DetectEvents(photons []fits.Photon, tstart, tstop float64, cfg DetectConfig
 		if p.Time < tstart || p.Time >= tstop {
 			continue
 		}
-		b := int((p.Time - tstart) / cfg.BinSeconds)
+		b := int((p.Time - tstart) / binSeconds)
 		if b >= nBins {
 			b = nBins - 1
 		}
@@ -70,7 +61,7 @@ func DetectEvents(photons []fits.Photon, tstart, tstop float64, cfg DetectConfig
 	if sigma == 0 {
 		sigma = 1
 	}
-	threshold := bg + cfg.Sigma*sigma
+	threshold := bg + sigmaCut*sigma
 
 	var out []Detection
 	i := 0
@@ -81,17 +72,17 @@ func DetectEvents(photons []fits.Photon, tstart, tstop float64, cfg DetectConfig
 			for j < nBins && counts[j] > bg+sigma { // extend to ~1-sigma edges
 				j++
 			}
-			out = append(out, summarizeDetection(counts, energy, i, j, tstart, bg, sigma, cfg, false))
+			out = append(out, summarizeDetection(counts, energy, i, j, tstart, bg, sigma, false))
 			i = j
-		case bg > 1 && counts[i] < cfg.QuietFrac*bg:
+		case bg > 1 && counts[i] < quietFrac*bg:
 			j := i
-			for j < nBins && counts[j] < cfg.QuietFrac*bg {
+			for j < nBins && counts[j] < quietFrac*bg {
 				j++
 			}
 			// Only long lulls count as quiet periods (SAA transits, pointing
 			// gaps); single low bins are Poisson noise.
-			if float64(j-i)*cfg.BinSeconds >= 60 {
-				out = append(out, summarizeDetection(counts, energy, i, j, tstart, bg, sigma, cfg, true))
+			if float64(j-i)*binSeconds >= 60 {
+				out = append(out, summarizeDetection(counts, energy, i, j, tstart, bg, sigma, true))
 			}
 			i = j
 		default:
@@ -101,11 +92,11 @@ func DetectEvents(photons []fits.Photon, tstart, tstop float64, cfg DetectConfig
 	return out
 }
 
-func summarizeDetection(counts, energy []float64, i, j int, tstart, bg, sigma float64, cfg DetectConfig, quiet bool) Detection {
+func summarizeDetection(counts, energy []float64, i, j int, tstart, bg, sigma float64, quiet bool) Detection {
 	d := Detection{
-		TStart:     tstart + float64(i)*cfg.BinSeconds,
-		TStop:      tstart + float64(j)*cfg.BinSeconds,
-		Background: bg / cfg.BinSeconds,
+		TStart:     tstart + float64(i)*binSeconds,
+		TStop:      tstart + float64(j)*binSeconds,
+		Background: bg / binSeconds,
 	}
 	var total, esum float64
 	peak := 0.0
@@ -117,7 +108,7 @@ func summarizeDetection(counts, energy []float64, i, j int, tstart, bg, sigma fl
 		}
 	}
 	d.TotalCounts = int64(total)
-	d.PeakRate = peak / cfg.BinSeconds
+	d.PeakRate = peak / binSeconds
 	d.Significance = (peak - bg) / sigma
 	if total > 0 {
 		d.MeanEnergy = esum / total

@@ -9,8 +9,7 @@
 // latency, the online flag, a byte capacity — over one internal/lake
 // store. How the bytes are laid out, checksummed and made durable (the
 // commit journal, immutable containers, compaction, GC, time travel) is
-// known by internal/lake alone. The one other thing in this package is the
-// read-only importer for the retired manifest format (legacy.go).
+// known by internal/lake alone.
 package archive
 
 import (
@@ -108,12 +107,6 @@ func NewLakeVFS(fsys VFS, id string, kind Kind, dir string, capacityBytes int64)
 	lk, err := lake.Open(fsys, dir)
 	if err != nil {
 		return nil, err
-	}
-	// A directory from a pre-lake deployment is imported into the journal
-	// before first use: opening it as an empty lake would orphan every
-	// file the location tables still reference.
-	if err := migrateManifest(fsys, dir, lk); err != nil {
-		return nil, fmt.Errorf("archive: manifest→lake migration of %s: %w", dir, err)
 	}
 	return &Archive{id: id, kind: kind, root: dir, capacity: capacityBytes, lk: lk, online: true}, nil
 }

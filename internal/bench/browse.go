@@ -100,7 +100,7 @@ func RunBrowse(p BrowseParams, nClients, nNodes int) BrowsePoint {
 
 	for c := 0; c < nClients; c++ {
 		node := nodes[c%nNodes] // requests spread evenly (§7.2)
-		k.Go(fmt.Sprintf("client-%d", c), func(proc *sim.Proc) {
+		k.Go(func(proc *sim.Proc) {
 			for {
 				if proc.Now() >= measEnd {
 					return

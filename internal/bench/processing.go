@@ -187,7 +187,7 @@ func RunProcessing(p ProcessingParams, w Workload, cfg ProcConfig) ProcPoint {
 	var queries, edits int64
 
 	for r := 0; r < w.Requests; r++ {
-		k.Go(fmt.Sprintf("req-%d", r), func(proc *sim.Proc) {
+		k.Go(func(proc *sim.Proc) {
 			admission.Acquire(proc) // ≤ 20 in system
 			start := proc.Now()
 

@@ -227,8 +227,7 @@ func (r *farmRig) newFarm(p TablesScaleParams, managers int) (*pl.Frontend, []*p
 	dir := pl.NewDirectory()
 	mgrs := make([]*pl.Manager, 0, managers)
 	for i := 0; i < managers; i++ {
-		m, err := pl.NewManager(fmt.Sprintf("farm-%d", i), "server",
-			p.ManagerServers, pl.Routines(), time.Minute)
+		m, err := pl.NewManager(fmt.Sprintf("farm-%d", i), p.ManagerServers, pl.Routines(), time.Minute)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -46,7 +46,6 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"time"
 
@@ -120,17 +119,16 @@ func hardMode(m fault.NetMode) bool {
 	return m == fault.NetPartition || m == fault.NetBlackHole
 }
 
+// faultRounds is the number of fault-phase workload rounds: each round is
+// two anonymous reads and one write, plus a point read per shard on the
+// sharded cell.
+const faultRounds = 8
+
 // Config tunes a run.
 type Config struct {
-	// Rounds is the number of fault-phase workload rounds (default 8;
-	// each round is two anonymous reads and one write, plus a point read
-	// per shard on the sharded cell).
-	Rounds int
 	// MinFaultTime keeps the fault phase running for at least this long
-	// regardless of Rounds — the CHAOSTIME knob.
+	// regardless of faultRounds — the CHAOSTIME knob.
 	MinFaultTime time.Duration
-	// Logger receives cell noise. Nil discards it.
-	Logger *log.Logger
 }
 
 // Result is one schedule's outcome.
@@ -281,7 +279,7 @@ func rigReplica0(rig *fault.Net) func(int) http.RoundTripper {
 // BOTH replicas, and the gateway→replica budget is left at its default:
 // a replica waiting out a dead shard is slow, not dead, and must not be
 // failed over.
-func cellFor(s Schedule, logger *log.Logger) (*cell, error) {
+func cellFor(s Schedule) (*cell, error) {
 	rig := fault.NewNet()
 	shards := 1
 	o := cluster.CellOptions{
@@ -291,12 +289,10 @@ func cellFor(s Schedule, logger *log.Logger) (*cell, error) {
 			RetryBackoff:     retryBackoff,
 			BreakerThreshold: 2,
 			BreakerCooldown:  breakerCool,
-			Logger:           logger,
 		},
 		Client:      dbnet.ClientOptions{DialTimeout: dbCallTimeout, CallTimeout: dbCallTimeout},
 		Router:      shard.Options{BreakerCooldown: breakerCool},
 		HTTPTimeout: httpTimeout,
-		Logger:      logger,
 	}
 	switch s.Hop {
 	case HopDB:
@@ -544,11 +540,7 @@ func (c *cell) verifyMarkers() error {
 // error is a violated invariant (or a harness failure); the Result is
 // the availability record for schedules that pass.
 func Run(s Schedule, cfg Config) (*Result, error) {
-	rounds := cfg.Rounds
-	if rounds <= 0 {
-		rounds = 8
-	}
-	c, err := cellFor(s, cfg.Logger)
+	c, err := cellFor(s)
 	if err != nil {
 		return nil, fmt.Errorf("cell: %w", err)
 	}
@@ -573,7 +565,7 @@ func Run(s Schedule, cfg Config) (*Result, error) {
 	}
 
 	start := time.Now()
-	for i := 0; i < rounds || time.Since(start) < cfg.MinFaultTime; i++ {
+	for i := 0; i < faultRounds || time.Since(start) < cfg.MinFaultTime; i++ {
 		if sharded {
 			if err := c.healthyRead(res, i); err != nil {
 				return res, err

@@ -24,7 +24,6 @@ package chaos
 
 import (
 	"fmt"
-	"log"
 	"math"
 	"sort"
 	"sync"
@@ -67,33 +66,25 @@ type StampedeConfig struct {
 	// fixed semaphore + naive-retry baseline, true is the limiter +
 	// brownout + hint-honoring stack.
 	Adaptive bool
-	// InteractiveRPS is the authenticated scientists' arrival rate,
-	// constant through every phase (default 8).
-	InteractiveRPS float64
-	// BrowseRPS is the anonymous crowd's baseline rate (default 30); the
-	// spike multiplies it by SpikeFactor (default 10).
-	BrowseRPS   float64
-	SpikeFactor float64
 	// Warm, Spike, Recover are the phase durations (defaults 600ms, 2s,
 	// 1.5s; RecoveryFocus schedules override Spike/Recover).
 	Warm, Spike, Recover time.Duration
-	// SLO is the goodput bound: a request answered within SLO of its
-	// arrival counts as good (default 2s).
-	SLO time.Duration
-	// Logger receives cell noise. Nil discards it.
-	Logger *log.Logger
 }
 
+const (
+	// interactiveRPS is the authenticated scientists' arrival rate,
+	// constant through every phase.
+	interactiveRPS = 8
+	// browseRPS is the anonymous crowd's baseline rate; the spike
+	// multiplies it by spikeFactor.
+	browseRPS   = 40
+	spikeFactor = 10
+	// stampedeSLO is the goodput bound: a request answered within it of
+	// its arrival counts as good.
+	stampedeSLO = 2 * time.Second
+)
+
 func (c *StampedeConfig) defaults(s StampedeSchedule) {
-	if c.InteractiveRPS <= 0 {
-		c.InteractiveRPS = 8
-	}
-	if c.BrowseRPS <= 0 {
-		c.BrowseRPS = 40
-	}
-	if c.SpikeFactor <= 0 {
-		c.SpikeFactor = 10
-	}
 	if c.Warm <= 0 {
 		c.Warm = 600 * time.Millisecond
 	}
@@ -106,9 +97,6 @@ func (c *StampedeConfig) defaults(s StampedeSchedule) {
 	if s.RecoveryFocus {
 		c.Spike = c.Spike / 2
 		c.Recover = c.Recover * 2
-	}
-	if c.SLO <= 0 {
-		c.SLO = 2 * time.Second
 	}
 }
 
@@ -179,7 +167,6 @@ func startStampedeCell(s StampedeSchedule, cfg StampedeConfig) (*cell, error) {
 		RetryBackoff:     2 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  100 * time.Millisecond,
-		Logger:           cfg.Logger,
 	}
 	if cfg.Adaptive {
 		// The adaptive stack bounds the database queue: work whose
@@ -209,7 +196,6 @@ func startStampedeCell(s StampedeSchedule, cfg StampedeConfig) (*cell, error) {
 			CallTimeout: 500 * time.Millisecond,
 		},
 		HTTPTimeout: stampedeHTTPTimeout,
-		Logger:      cfg.Logger,
 	}
 	if s.SlowReplica {
 		o.Transport = rigReplica0(rig)
@@ -319,7 +305,7 @@ func (c *cell) request(rec *recorder, cfg StampedeConfig, interactive, inSpike b
 		}
 		rec.retries.Add(1)
 		time.Sleep(pause)
-		if time.Since(start) > cfg.SLO {
+		if time.Since(start) > stampedeSLO {
 			// Past the SLO the answer is worthless either way; one more
 			// try at most keeps naive clients from looping forever.
 			try = stampedeMaxTries
@@ -421,28 +407,28 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 	go trackStage(c.GW, &maxStage, stopTrack)
 
 	var wg sync.WaitGroup
-	phase := func(inSpike bool, browseRPS float64, d time.Duration) {
+	phase := func(inSpike bool, crowdRPS float64, d time.Duration) {
 		var pw sync.WaitGroup
 		pw.Add(2)
-		go func() { defer pw.Done(); c.generate(rec, cfg, true, inSpike, cfg.InteractiveRPS, d, &wg) }()
-		go func() { defer pw.Done(); c.generate(rec, cfg, false, inSpike, browseRPS, d, &wg) }()
+		go func() { defer pw.Done(); c.generate(rec, cfg, true, inSpike, interactiveRPS, d, &wg) }()
+		go func() { defer pw.Done(); c.generate(rec, cfg, false, inSpike, crowdRPS, d, &wg) }()
 		pw.Wait()
 	}
 
-	phase(false, cfg.BrowseRPS, cfg.Warm)
+	phase(false, browseRPS, cfg.Warm)
 
 	if s.SlowReplica {
 		c.rig.SetFault(c.rig.OpCount()+1, fault.NetLatency)
 	}
 	db0 := c.Srvs[0].OverloadRefusals()
-	phase(true, cfg.BrowseRPS*cfg.SpikeFactor, cfg.Spike)
+	phase(true, browseRPS*spikeFactor, cfg.Spike)
 	spikeEnd := time.Now()
 	if s.SlowReplica {
 		c.rig.ClearFault()
 	}
 
 	// Recovery phase: the crowd leaves, baseline load continues.
-	phase(false, cfg.BrowseRPS, cfg.Recover)
+	phase(false, browseRPS, cfg.Recover)
 	wg.Wait()
 	close(stopTrack)
 	if v := rec.violation.Load(); v != nil {

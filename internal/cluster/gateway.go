@@ -28,6 +28,24 @@ var ErrOverloaded = overload.ErrOverloaded
 // ErrNoReplicas is returned when no healthy replica is available.
 var ErrNoReplicas = fmt.Errorf("cluster: no healthy replicas")
 
+const (
+	// shedRetryAfter is the retry-after hint stamped on fixed-mode sheds,
+	// where no queue-delay signal exists to derive one.
+	shedRetryAfter = 250 * time.Millisecond
+	// affinitySpill is how many in-flight requests beyond the least
+	// loaded replica the affinity choice may carry before the gateway
+	// spills to the least loaded one. Affinity keeps each replica's
+	// epoch-keyed query cache hot; spilling keeps a hot key from melting
+	// one node.
+	affinitySpill = 8
+	// retryRefillPerSec and retryBurst shape the global retry budget:
+	// every failover retry spends one token from a bucket of retryBurst
+	// refilling at retryRefillPerSec. A dry bucket stops retries
+	// cluster-wide — the brake on retry storms.
+	retryRefillPerSec = 16
+	retryBurst        = 32
+)
+
 // GatewayOptions tunes routing, health checking and admission control.
 type GatewayOptions struct {
 	// HealthInterval is the active health-check period (default 500ms).
@@ -43,9 +61,6 @@ type GatewayOptions struct {
 	// for capacity before being shed (default 5s). Fixed-semaphore mode
 	// only; the adaptive limiter uses its own MaxWait.
 	QueueTimeout time.Duration
-	// ShedRetryAfter is the retry-after hint stamped on fixed-mode sheds,
-	// where no queue-delay signal exists to derive one (default 250ms).
-	ShedRetryAfter time.Duration
 	// AdaptiveLimit switches admission control to the latency-gradient
 	// limiter in internal/overload: the inflight cap breathes with
 	// measured latency (AIMD), queue sojourn is CoDel-bounded, and sheds
@@ -59,12 +74,6 @@ type GatewayOptions struct {
 	// BrownoutTick is how often the ladder samples limiter pressure
 	// (default 100ms).
 	BrownoutTick time.Duration
-	// AffinitySpill is how many in-flight requests beyond the least
-	// loaded replica the affinity choice may carry before the gateway
-	// spills to the least loaded one (default 8). Affinity keeps each
-	// replica's epoch-keyed query cache hot; spilling keeps a hot key
-	// from melting one node.
-	AffinitySpill int
 	// BreakerThreshold is how many consecutive transport failures open a
 	// replica's circuit (default 3). An open circuit takes the replica
 	// out of rotation until a half-open probe succeeds.
@@ -72,12 +81,6 @@ type GatewayOptions struct {
 	// BreakerCooldown is how long an open circuit holds calls off before
 	// admitting a single half-open probe (default 1s).
 	BreakerCooldown time.Duration
-	// RetryRefillPerSec and RetryBurst shape the global retry budget:
-	// every failover retry spends one token from a bucket of RetryBurst
-	// refilling at RetryRefillPerSec (defaults 16/s, burst 32). A dry
-	// bucket stops retries cluster-wide — the brake on retry storms.
-	RetryRefillPerSec float64
-	RetryBurst        int
 	// Logger receives health transitions and failovers. Nil discards.
 	Logger *log.Logger
 }
@@ -160,23 +163,11 @@ func NewGateway(opts GatewayOptions) *Gateway {
 	if opts.QueueTimeout <= 0 {
 		opts.QueueTimeout = 5 * time.Second
 	}
-	if opts.AffinitySpill <= 0 {
-		opts.AffinitySpill = 8
-	}
 	if opts.BreakerThreshold <= 0 {
 		opts.BreakerThreshold = 3
 	}
 	if opts.BreakerCooldown <= 0 {
 		opts.BreakerCooldown = time.Second
-	}
-	if opts.RetryRefillPerSec <= 0 {
-		opts.RetryRefillPerSec = 16
-	}
-	if opts.RetryBurst <= 0 {
-		opts.RetryBurst = 32
-	}
-	if opts.ShedRetryAfter <= 0 {
-		opts.ShedRetryAfter = 250 * time.Millisecond
 	}
 	if opts.BrownoutTick <= 0 {
 		opts.BrownoutTick = 100 * time.Millisecond
@@ -185,7 +176,7 @@ func NewGateway(opts GatewayOptions) *Gateway {
 		opts:  opts,
 		pins:  make(map[string]*member),
 		stop:  make(chan struct{}),
-		retry: newRetryBudget(opts.RetryRefillPerSec, opts.RetryBurst),
+		retry: newRetryBudget(retryRefillPerSec, retryBurst),
 		stale: epochcache.New[uint64, staleValue](staleEntries),
 	}
 	if opts.AdaptiveLimit != nil {
@@ -268,25 +259,6 @@ func (g *Gateway) AddReplica(name string, api dm.API) {
 	g.mu.Lock()
 	g.members = append(g.members, m)
 	g.mu.Unlock()
-}
-
-// RemoveReplica deregisters a replica and drops its session pins.
-func (g *Gateway) RemoveReplica(name string) {
-	g.mu.Lock()
-	var removed *member
-	keep := g.members[:0]
-	for _, m := range g.members {
-		if m.name == name && removed == nil {
-			removed = m
-			continue
-		}
-		keep = append(keep, m)
-	}
-	g.members = keep
-	g.mu.Unlock()
-	if removed != nil {
-		g.unpinMember(removed)
-	}
 }
 
 // Members reports every replica's state.
@@ -382,7 +354,7 @@ func (g *Gateway) Status() Status {
 		Failovers:        g.failovers.Load(),
 		RetriesDenied:    g.budgetDenied.Load(),
 		RetryTokens:      g.retry.remaining(),
-		RetryBurst:       g.opts.RetryBurst,
+		RetryBurst:       retryBurst,
 		DegradedServes:   g.degradedServes.Load(),
 		SessionDemotions: g.demotions.Load(),
 		WritesFailedFast: g.writesFailed.Load(),
@@ -490,7 +462,7 @@ func rank(candidates []*member, affinity string) []*member {
 }
 
 // pick chooses the replica for a call: the affinity favourite unless it
-// is carrying AffinitySpill more in-flight requests than the least
+// is carrying affinitySpill more in-flight requests than the least
 // loaded healthy replica, in which case the load winner takes it.
 func (g *Gateway) pick(candidates []*member, affinity string) *member {
 	if len(candidates) == 0 {
@@ -504,7 +476,7 @@ func (g *Gateway) pick(candidates []*member, affinity string) *member {
 			least = m
 		}
 	}
-	if fav.inflight.Load() > least.inflight.Load()+int64(g.opts.AffinitySpill) {
+	if fav.inflight.Load() > least.inflight.Load()+affinitySpill {
 		return least
 	}
 	return fav
@@ -537,7 +509,7 @@ func (g *Gateway) do(affinity, token string, mutation bool, fn func(api dm.API) 
 			// authenticated work and mutations may queue for their slot.
 			if token == "" && !mutation {
 				g.shed.Add(1)
-				return &overload.Error{Tier: "gateway", RetryAfter: g.opts.ShedRetryAfter}
+				return &overload.Error{Tier: "gateway", RetryAfter: shedRetryAfter}
 			}
 			timer := time.NewTimer(g.opts.QueueTimeout)
 			select {
@@ -545,7 +517,7 @@ func (g *Gateway) do(affinity, token string, mutation bool, fn func(api dm.API) 
 				timer.Stop()
 			case <-timer.C:
 				g.shed.Add(1)
-				return &overload.Error{Tier: "gateway", RetryAfter: g.opts.ShedRetryAfter}
+				return &overload.Error{Tier: "gateway", RetryAfter: shedRetryAfter}
 			}
 		}
 		defer func() { <-g.admit }()
@@ -857,9 +829,12 @@ func (g *Gateway) UnitsInRange(token, ip string, t0, t1 float64) ([]*dm.UnitInfo
 
 // filterAffinity renders a browse filter as a routing key so identical
 // filters — the unit of the DM's epoch-keyed query cache — keep hitting
-// the replica whose cache already holds them.
+// the replica whose cache already holds them. It also keys the stale
+// cache, so distinct filters must render distinctly: the string fields
+// are quoted, or {Kind:"a:", Owner:"b"} and {Kind:"a", Owner:":b"} would
+// share one key.
 func filterAffinity(f dm.HLEFilter) string {
-	return fmt.Sprintf("q:%s:%s:%t%d:%t%g-%g:%s:%t:%d:%d",
+	return fmt.Sprintf("q:%q:%q:%t%d:%t%g-%g:%q:%t:%d:%d",
 		f.Kind, f.Owner, f.HasDay, f.Day, f.HasTime, f.TimeFrom, f.TimeTo,
 		f.Catalog, f.OrderDesc, f.Offset, f.Limit)
 }

@@ -160,12 +160,6 @@ func (r *Replica) HealthURL() string { return "http://" + r.Addr() + "/healthz" 
 // DM exposes the node's DM (tests and diagnostics).
 func (r *Replica) DM() *dm.DM { return r.dm }
 
-// Inflight returns the number of RPCs currently being served.
-func (r *Replica) Inflight() int64 { return r.inflight.Load() }
-
-// Served returns the total RPCs served.
-func (r *Replica) Served() int64 { return r.served.Load() }
-
 // Stop kills the node abruptly — the listener and every live connection
 // drop, as when a machine dies. The shared engine is not closed.
 func (r *Replica) Stop() {

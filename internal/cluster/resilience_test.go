@@ -146,6 +146,10 @@ func TestGatewayDegradedBrowseOnDBLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A filter whose string fields end in the key separator.
+	if _, err := tc.GW.QueryHLEs("", "10.1.0.1", dm.HLEFilter{Kind: "flare:", Owner: "x"}); err != nil {
+		t.Fatal(err)
+	}
 
 	// Partition the shared database away from every replica.
 	tc.Srvs[0].Close()
@@ -174,6 +178,11 @@ func TestGatewayDegradedBrowseOnDBLoss(t *testing.T) {
 	// surfaces unmasked.
 	if _, err := tc.GW.QueryHLEs("", "10.1.0.1", dm.HLEFilter{Kind: "burst"}); err == nil || IsDegraded(err) {
 		t.Fatalf("uncached filter served anyway: %v", err)
+	}
+	// Nor is a filter whose fields only concatenate like a cached one's:
+	// degrading it would hand out another filter's rows.
+	if _, err := tc.GW.QueryHLEs("", "10.1.0.1", dm.HLEFilter{Kind: "flare", Owner: ":x"}); err == nil || IsDegraded(err) {
+		t.Fatalf("filter served from another filter's stale entry: %v", err)
 	}
 
 	// Writes fail fast with the typed DB-unavailable error — no long

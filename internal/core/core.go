@@ -46,21 +46,24 @@ type Config struct {
 	PartitionDomain bool
 	// IDLServers is the interpreter pool size (default 2, as deployed).
 	IDLServers int
-	// Workers is the PL dispatch pool (default 4); MaxInSystem the
-	// admission limit (default 20, §8.1).
-	Workers     int
-	MaxInSystem int
-	// InvokeTimeout bounds one analysis execution (default 5 min).
-	InvokeTimeout time.Duration
+	// Workers is the PL dispatch pool (default 4).
+	Workers int
 	// SynopticArchives lists remote archives for the synoptic search.
 	SynopticArchives []synoptic.Endpoint
-	// LakeKeepHistory is how many commits of archive history maintenance
-	// GC preserves beyond the durable pin set (default 256), the
-	// operator's time-travel window.
-	LakeKeepHistory uint64
 	// Logger for operational messages (nil = discard).
 	Logger *log.Logger
 }
+
+const (
+	// maxInSystem is the PL admission limit (§8.1).
+	maxInSystem = 20
+	// invokeTimeout bounds one analysis execution.
+	invokeTimeout = 5 * time.Minute
+	// lakeKeepHistory is how many commits of archive history maintenance
+	// GC preserves beyond the durable pin set, the operator's time-travel
+	// window.
+	lakeKeepHistory uint64 = 256
+)
 
 // Node is a running HEDC instance.
 type Node struct {
@@ -102,9 +105,6 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = log.New(io.Discard, "", 0)
 	}
-	if cfg.LakeKeepHistory == 0 {
-		cfg.LakeKeepHistory = 256
-	}
 	n := &Node{cfg: cfg}
 
 	dbDir, domainDir, archDir := "", "", ""
@@ -137,9 +137,8 @@ func Start(cfg Config) (*Node, error) {
 	}
 	// The ingest archive: every store/delete is a journal commit, so the
 	// node serves time-travel reads and survives crashes by journal
-	// replay. A data directory from a pre-lake deployment is imported into
-	// the journal on first open (internal/archive/legacy.go), so members
-	// the location tables reference stay readable across the upgrade.
+	// replay. Only lake directories open; the pre-lake manifest format is
+	// not importable.
 	arch, err := archive.NewLake("disk-0", archive.Disk, archDir, 0)
 	if err != nil {
 		return nil, err
@@ -189,12 +188,12 @@ func Start(cfg Config) (*Node, error) {
 
 	// Processing tier.
 	n.Dir = pl.NewDirectory()
-	n.Manager, err = pl.NewManager(cfg.Node+"/mgr", "server", cfg.IDLServers, pl.Routines(), cfg.InvokeTimeout)
+	n.Manager, err = pl.NewManager(cfg.Node+"/mgr", cfg.IDLServers, pl.Routines(), invokeTimeout)
 	if err != nil {
 		return nil, err
 	}
 	n.Dir.RegisterManager(n.Manager, "server")
-	n.Frontend = pl.NewFrontend(n.Dir, cfg.Workers, cfg.MaxInSystem)
+	n.Frontend = pl.NewFrontend(n.Dir, cfg.Workers, maxInSystem)
 	for _, s := range pl.NewAnalysisStrategies(n.DM) {
 		n.Frontend.RegisterStrategy(s)
 	}
@@ -274,7 +273,7 @@ func (n *Node) StartMaintenance(interval time.Duration) (stop func()) {
 				// Lake housekeeping: merge small ingest containers, then
 				// let GC retire history past the keep window — never past
 				// a durable pin.
-				if err := n.DM.LakeMaintenance(lake.DefaultCompactOptions(), n.cfg.LakeKeepHistory); err != nil {
+				if err := n.DM.LakeMaintenance(lake.DefaultCompactOptions(), lakeKeepHistory); err != nil {
 					n.cfg.Logger.Printf("maintenance lake: %v", err)
 				}
 			}

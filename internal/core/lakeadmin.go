@@ -48,7 +48,7 @@ func (n *Node) lakeAdminHandler() http.Handler {
 			"lake":        lk.Status(),
 			"asof_opens":  ds.AsOfOpens.Load(),
 			"asof_reads":  ds.AsOfReads.Load(),
-			"keepHistory": n.cfg.LakeKeepHistory,
+			"keepHistory": lakeKeepHistory,
 		})
 	}))
 	mux.Handle("/admin/lake/compact", withLake(http.MethodPost, func(w http.ResponseWriter, r *http.Request, lk *lake.Lake) {
@@ -60,7 +60,7 @@ func (n *Node) lakeAdminHandler() http.Handler {
 		reply(w, cr)
 	}))
 	mux.Handle("/admin/lake/gc", withLake(http.MethodPost, func(w http.ResponseWriter, r *http.Request, lk *lake.Lake) {
-		keep := n.cfg.LakeKeepHistory
+		keep := lakeKeepHistory
 		if v := r.URL.Query().Get("keep"); v != "" {
 			k, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {

@@ -30,8 +30,6 @@ type ClientOptions struct {
 	// server refuses work it cannot answer in time instead of servicing
 	// requests whose callers have already given up.
 	CallTimeout time.Duration
-	// MaxFrame bounds response frames. Default DefaultMaxFrame.
-	MaxFrame int
 	// Dial overrides connection establishment — the fault-injection seam.
 	// Nil means net.DialTimeout.
 	Dial func(network, addr string, timeout time.Duration) (net.Conn, error)
@@ -72,9 +70,6 @@ func Dial(opts ClientOptions) (*Client, error) {
 	}
 	if opts.CallTimeout <= 0 {
 		opts.CallTimeout = 15 * time.Second
-	}
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = DefaultMaxFrame
 	}
 	c := &Client{opts: opts, schemas: make(map[string]*minidb.Schema)}
 	if err := c.Ping(); err != nil {
@@ -236,7 +231,7 @@ func (c *Client) call(op byte, enc func(*bytes.Buffer), dec func(*bytes.Reader) 
 	if err != nil {
 		return err
 	}
-	resp, err := wc.roundTrip(req.Bytes(), c.opts.CallTimeout, c.opts.MaxFrame)
+	resp, err := wc.roundTrip(req.Bytes(), c.opts.CallTimeout, DefaultMaxFrame)
 	if err != nil {
 		wc.c.Close()
 		return &UnavailableError{Addr: c.opts.Addr, Err: err}
@@ -325,25 +320,6 @@ func (c *Client) Apply(b *minidb.Batch) ([]int64, error) {
 	var ids []int64
 	err := c.call(opExecBatch,
 		func(buf *bytes.Buffer) { minidb.WirePutBatch(buf, b) },
-		func(r *bytes.Reader) (e error) { ids, e = wireRowIDs(r); return })
-	return ids, err
-}
-
-// InsertBatch inserts many rows into one table in one round trip and one
-// remote transaction, returning their rowids.
-func (c *Client) InsertBatch(table string, rows []minidb.Row) ([]int64, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	var ids []int64
-	err := c.call(opInsertBatch,
-		func(b *bytes.Buffer) {
-			minidb.WirePutString(b, table)
-			minidb.WirePutUvarint(b, uint64(len(rows)))
-			for _, row := range rows {
-				minidb.WirePutRow(b, row)
-			}
-		},
 		func(r *bytes.Reader) (e error) { ids, e = wireRowIDs(r); return })
 	return ids, err
 }
@@ -488,7 +464,7 @@ func (c *Client) BeginTx() minidb.Tx {
 	req.WriteByte(opBegin)
 	// Begin blocks on the remote writer lock, so give it the full call
 	// timeout rather than failing fast under write contention.
-	resp, err := wc.roundTrip(req.Bytes(), c.opts.CallTimeout, c.opts.MaxFrame)
+	resp, err := wc.roundTrip(req.Bytes(), c.opts.CallTimeout, DefaultMaxFrame)
 	if err != nil {
 		wc.c.Close()
 		tx.err = &UnavailableError{Addr: c.opts.Addr, Err: err}
@@ -526,7 +502,7 @@ func (t *remoteTx) call(op byte, enc func(*bytes.Buffer), dec func(*bytes.Reader
 	if enc != nil {
 		enc(&req)
 	}
-	resp, err := t.wc.roundTrip(req.Bytes(), t.client.opts.CallTimeout, t.client.opts.MaxFrame)
+	resp, err := t.wc.roundTrip(req.Bytes(), t.client.opts.CallTimeout, DefaultMaxFrame)
 	if err != nil {
 		// Transport failure mid-transaction: the connection is the
 		// transaction, so it is dead. The server reaps it on its side.

@@ -75,9 +75,9 @@ func FuzzDispatch(f *testing.F) {
 		minidb.WirePutUvarint(b, 1<<40) // absurd budget: must clamp, not overflow
 		b.WriteByte(opQuery)
 	}))
-	f.Add([]byte{opInsertBatch, 0x03, 'h', 'l', 'e', 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // lying row count
-	f.Add([]byte{0x00})                                                             // opcode 0: unknown
-	f.Add([]byte{opDeadline})                                                       // empty envelope
+	f.Add([]byte{opExecBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // lying op count
+	f.Add([]byte{0x00})                                      // opcode 0: unknown
+	f.Add([]byte{opDeadline})                                // empty envelope
 
 	db, err := minidb.Open("", schema.AllSchemas()...)
 	if err != nil {

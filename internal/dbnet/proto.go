@@ -40,12 +40,16 @@ const (
 	opCommit
 	opRollback
 	opPing
-	// Batch opcodes (appended for wire stability). Both commit atomically
-	// via the engine's group-commit path and are charged as ONE operation
-	// against the capacity station: the round trip is what a real DBMS
-	// charges for a bulk statement, and amortizing it is the point.
-	opInsertBatch // many rows into one table
-	opExecBatch   // a full minidb.Batch (mixed tables and op kinds)
+	// 17 carried the retired one-table insert batch. It stays reserved,
+	// so a peer that still sends it gets the unknown-opcode reply and the
+	// opcodes after it keep their bytes.
+	_
+	// opExecBatch ships a full minidb.Batch (mixed tables and op kinds).
+	// It commits atomically via the engine's group-commit path and is
+	// charged as ONE operation against the capacity station: the round
+	// trip is what a real DBMS charges for a bulk statement, and
+	// amortizing it is the point.
+	opExecBatch
 	// opDeadline is an envelope, not an operation: [uvarint budgetMillis]
 	// followed by a complete inner request. It propagates the client's
 	// remaining deadline so the server can refuse work the client will

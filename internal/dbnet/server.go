@@ -209,14 +209,8 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		// Flush coalescing: when a pipelining client has already delivered
-		// (part of) its next request, hold the response in the write buffer
-		// and keep serving — one TCP segment then carries many replies.
-		// Only flush before a read that could block on the network.
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
-				return
-			}
+		if err := bw.Flush(); err != nil {
+			return
 		}
 	}
 }
@@ -473,38 +467,6 @@ func (s *Server) dispatch(op byte, r *bytes.Reader, tx minidb.Tx, deadline time.
 			return fail(err)
 		}
 		return okFrame(nil), txOut
-
-	case opInsertBatch:
-		if tx != nil {
-			return fail(fmt.Errorf("dbnet: batch inside transaction"))
-		}
-		table, err := minidb.WireString(r)
-		if err != nil {
-			return fail(err)
-		}
-		n, err := minidb.WireUvarint(r)
-		if err != nil {
-			return fail(err)
-		}
-		if n > uint64(r.Len()) {
-			return fail(fmt.Errorf("dbnet: batch row count %d exceeds payload", n))
-		}
-		var batch minidb.Batch
-		for i := uint64(0); i < n; i++ {
-			row, err := minidb.WireRow(r)
-			if err != nil {
-				return fail(err)
-			}
-			batch.Insert(table, row)
-		}
-		if f := s.admit(deadline, true); f != nil {
-			return f, txOut
-		}
-		ids, err := s.db.Apply(&batch)
-		if err != nil {
-			return fail(err)
-		}
-		return okFrame(func(b *bytes.Buffer) { wirePutRowIDs(b, ids) }), txOut
 
 	case opExecBatch:
 		if tx != nil {

@@ -44,13 +44,10 @@ type Options struct {
 	// database with its peers (Figure 5's scaling axis).
 	MetaDB   minidb.Engine
 	DomainDB minidb.Engine // optional vertical partition for the domain tables
-	Archives *archive.Set
 	// DefaultArchive receives newly stored files.
 	DefaultArchive string
 	// URLRoot is the [root] element for URL name construction (§4.3).
 	URLRoot string
-	// Pool sizes (defaults 8/4/2, the split of §5.3).
-	QueryPool, UpdatePool, AuthPool int
 	// Analytics serves catalog-wide aggregate queries from columnar
 	// segments (internal/colseg). When nil, the DM resolves a runner
 	// itself: the domain engine if it implements colseg.Runner, else a
@@ -144,8 +141,12 @@ type DM struct {
 // subsides.
 func (d *DM) SetServeStale(on bool) { d.serveStale.Store(on) }
 
-// ServeStale reports whether stale-epoch cache serving is active.
-func (d *DM) ServeStale() bool { return d.serveStale.Load() }
+// Connection pool sizes per database, the split of §5.3.
+const (
+	queryPool  = 8
+	updatePool = 4
+	authPool   = 2
+)
 
 type dbPools struct {
 	query  *minidb.Pool
@@ -159,20 +160,8 @@ func Open(opts Options) (*DM, error) {
 	if opts.MetaDB == nil {
 		return nil, fmt.Errorf("dm: MetaDB is required")
 	}
-	if opts.Archives == nil {
-		opts.Archives = archive.NewSet()
-	}
 	if opts.Node == "" {
 		opts.Node = "dm-0"
-	}
-	if opts.QueryPool <= 0 {
-		opts.QueryPool = 8
-	}
-	if opts.UpdatePool <= 0 {
-		opts.UpdatePool = 4
-	}
-	if opts.AuthPool <= 0 {
-		opts.AuthPool = 2
 	}
 	if opts.Logger == nil {
 		opts.Logger = log.Default()
@@ -181,7 +170,7 @@ func Open(opts Options) (*DM, error) {
 		node:      opts.Node,
 		meta:      opts.MetaDB,
 		domain:    opts.DomainDB,
-		archives:  opts.Archives,
+		archives:  archive.NewSet(),
 		defArch:   opts.DefaultArchive,
 		urlRoot:   opts.URLRoot,
 		logger:    opts.Logger,
@@ -200,15 +189,15 @@ func Open(opts Options) (*DM, error) {
 		if _, done := d.pools[db]; done {
 			continue
 		}
-		qp, err := minidb.NewPool(db, "query", opts.QueryPool)
+		qp, err := minidb.NewPool(db, "query", queryPool)
 		if err != nil {
 			return nil, err
 		}
-		up, err := minidb.NewPool(db, "update", opts.UpdatePool)
+		up, err := minidb.NewPool(db, "update", updatePool)
 		if err != nil {
 			return nil, err
 		}
-		ap, err := minidb.NewPool(db, "auth", opts.AuthPool)
+		ap, err := minidb.NewPool(db, "auth", authPool)
 		if err != nil {
 			return nil, err
 		}
@@ -219,9 +208,6 @@ func Open(opts Options) (*DM, error) {
 	}
 	return d, nil
 }
-
-// Node returns the node name.
-func (d *DM) Node() string { return d.node }
 
 // Stats exposes the counter block.
 func (d *DM) Stats() *Stats { return &d.stats }

@@ -1,101 +1,12 @@
 package dm
 
 import (
-	"context"
-	"errors"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/archive"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
 )
-
-func TestExecQueueRunsJobs(t *testing.T) {
-	q := NewExecQueue(3, 16)
-	defer q.Close()
-	var ran atomic.Int64
-	var futures []*Future
-	for i := 0; i < 10; i++ {
-		f, err := q.Enqueue(func() error {
-			ran.Add(1)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		futures = append(futures, f)
-	}
-	for _, f := range futures {
-		if err := f.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ran.Load() != 10 {
-		t.Fatalf("ran = %d", ran.Load())
-	}
-	queued, executed, rejected := q.Stats()
-	if queued != 10 || executed != 10 || rejected != 0 {
-		t.Fatalf("stats = %d/%d/%d", queued, executed, rejected)
-	}
-}
-
-func TestExecQueuePropagatesErrors(t *testing.T) {
-	q := NewExecQueue(1, 4)
-	defer q.Close()
-	want := errors.New("load failed")
-	f, err := q.Enqueue(func() error { return want })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Wait(context.Background()); !errors.Is(got, want) {
-		t.Fatalf("err = %v", got)
-	}
-	if !f.Done() {
-		t.Fatal("future not done")
-	}
-}
-
-func TestExecQueueRejectsWhenFull(t *testing.T) {
-	q := NewExecQueue(1, 1)
-	defer q.Close()
-	block := make(chan struct{})
-	first, err := q.Enqueue(func() error { <-block; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill the single-slot queue, then overflow. The worker may or may not
-	// have picked up the first job yet, so allow one buffered success.
-	overflowed := false
-	for i := 0; i < 3; i++ {
-		if _, err := q.Enqueue(func() error { return nil }); err != nil {
-			overflowed = true
-			break
-		}
-	}
-	if !overflowed {
-		t.Fatal("queue never rejected")
-	}
-	close(block)
-	if err := first.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExecQueueWaitTimeout(t *testing.T) {
-	q := NewExecQueue(1, 4)
-	defer q.Close()
-	f, _ := q.Enqueue(func() error {
-		time.Sleep(100 * time.Millisecond)
-		return nil
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if err := f.Wait(ctx); err == nil {
-		t.Fatal("wait did not time out")
-	}
-}
 
 func loadDays(t *testing.T, d *DM, days int) {
 	t.Helper()

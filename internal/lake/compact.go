@@ -1,12 +1,10 @@
 package lake
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Compaction merges small or mostly-dead containers into one large
@@ -311,32 +309,6 @@ func max64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// StartCompactor runs Compact + GC on a ticker until ctx is cancelled.
-// keepFrom() supplies the GC target each round (e.g. the dm retention
-// policy); nil keeps everything up to the head minus nothing — i.e. GC
-// runs to the head, still bounded by pins.
-func (l *Lake) StartCompactor(ctx context.Context, every time.Duration, opts CompactOptions, keepFrom func() uint64) {
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				if _, err := l.Compact(opts); err != nil {
-					continue
-				}
-				target := l.Head()
-				if keepFrom != nil {
-					target = keepFrom()
-				}
-				_, _ = l.GC(target)
-			}
-		}
-	}()
 }
 
 // String renders a compaction result for logs.

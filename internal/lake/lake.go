@@ -788,9 +788,6 @@ func (l *Lake) Horizon() uint64 {
 	return l.horizon
 }
 
-// Stats exposes the counter block.
-func (l *Lake) Stats() *Stats { return &l.stats }
-
 // Status snapshots the lake's shape.
 func (l *Lake) Status() Status {
 	l.mu.Lock()

@@ -159,19 +159,6 @@ func (v *View) Exists(rel string) bool {
 	return ok
 }
 
-// Stat returns a member's size as of the pinned commit.
-func (v *View) Stat(rel string) (int64, error) {
-	rel, err := cleanRel(rel)
-	if err != nil {
-		return 0, err
-	}
-	ref, ok := v.members[rel]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s (as of commit %d)", ErrNotFound, rel, v.seq)
-	}
-	return ref.m.Size, nil
-}
-
 // List returns the member paths live as of the pinned commit, sorted.
 func (v *View) List() []string {
 	out := make([]string, 0, len(v.members))

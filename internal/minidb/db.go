@@ -20,8 +20,9 @@ const (
 	// checkpoint rename and the old log's removal — without the watermark,
 	// replaying the stale log would re-apply rows the snapshot already
 	// holds and recovery would fail on "insert over live rowid".
-	snapshotMagic   = "MDBSNAP2"
-	snapshotMagicV1 = "MDBSNAP1" // legacy: no watermark
+	// A snapshot with any other magic, the watermark-less "MDBSNAP1"
+	// included, is refused.
+	snapshotMagic = "MDBSNAP2"
 )
 
 // DB is a collection of tables with transactional mutation, a redo log, and
@@ -391,22 +392,17 @@ func (db *DB) loadSnapshot(path string) error {
 	if err != nil {
 		return err
 	}
-	var r *bytes.Reader
-	switch {
-	case len(data) >= len(snapshotMagic) && string(data[:len(snapshotMagic)]) == snapshotMagic:
-		r = bytes.NewReader(data[len(snapshotMagic):])
-		wm, err := binary.ReadUvarint(r)
-		if err != nil {
-			return err
-		}
-		db.replayFloor = wm
-		if wm > db.nextTxn {
-			db.nextTxn = wm
-		}
-	case len(data) >= len(snapshotMagicV1) && string(data[:len(snapshotMagicV1)]) == snapshotMagicV1:
-		r = bytes.NewReader(data[len(snapshotMagicV1):]) // legacy: watermark 0
-	default:
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
 		return fmt.Errorf("minidb: %s is not a snapshot", path)
+	}
+	r := bytes.NewReader(data[len(snapshotMagic):])
+	wm, err := binary.ReadUvarint(r)
+	if err != nil {
+		return err
+	}
+	db.replayFloor = wm
+	if wm > db.nextTxn {
+		db.nextTxn = wm
 	}
 	nTables, err := binary.ReadUvarint(r)
 	if err != nil {

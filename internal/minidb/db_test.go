@@ -2,8 +2,10 @@ package minidb
 
 import (
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -499,6 +501,48 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	res, _ = db2.Query(Query{Table: "events", Where: []Pred{{Col: "id", Op: OpEq, Val: I(0)}}})
 	if len(res.Rows) != 0 {
 		t.Fatal("delete lost in recovery")
+	}
+}
+
+// TestOpenRefusesUnknownSnapshotMagic: a snapshot whose magic is not the
+// current format's is refused with "not a snapshot" rather than loaded.
+// That covers the retired watermark-less v1 format too.
+func TestOpenRefusesUnknownSnapshotMagic(t *testing.T) {
+	dir := t.TempDir()
+	db := openTestDB(t, dir)
+	fillEvents(t, db, 10)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName)
+	v2, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := v2[len(snapshotMagic):]
+	_, wmLen := binary.Uvarint(body)
+	if wmLen <= 0 {
+		t.Fatal("snapshot has no watermark")
+	}
+	for name, data := range map[string][]byte{
+		"retired v1": append([]byte("MDBSNAP1"), body[wmLen:]...),
+		"unknown":    append([]byte("MDBSNAP9"), body...),
+		"truncated":  []byte("MDB"),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(dir, eventSchema())
+		if err == nil {
+			db.Close()
+			t.Fatalf("%s magic: snapshot loaded", name)
+		}
+		if !strings.Contains(err.Error(), "is not a snapshot") {
+			t.Fatalf("%s magic: err = %v, want not-a-snapshot", name, err)
+		}
 	}
 }
 

@@ -43,9 +43,6 @@ func (s *TableSnap) Rewrites() uint64 { return s.view.rewrites }
 // HeapLen returns the heap length (max rowid + 1) including tombstones.
 func (s *TableSnap) HeapLen() int64 { return int64(len(s.view.rows)) }
 
-// Live returns the number of live (non-tombstone) rows.
-func (s *TableSnap) Live() int { return s.view.live }
-
 // Scan visits rows with rowid in [from, to) in rowid order, skipping
 // tombstones; fn returns false to stop. Rows are the snapshot's own storage
 // and must not be mutated.

@@ -73,9 +73,6 @@ func newTable(schema *Schema) (*Table, error) {
 	return t, nil
 }
 
-// Schema returns the table's schema.
-func (t *Table) Schema() *Schema { return t.schema }
-
 // Len returns the number of live rows in the published snapshot.
 func (t *Table) Len() int { return t.view.Load().live }
 

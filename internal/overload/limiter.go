@@ -54,14 +54,6 @@ type Config struct {
 	// baseline tracks the uncongested p50: it only creeps upward slowly,
 	// so a saturated tier cannot normalize its own congestion.
 	Tolerance float64
-	// Backoff is the multiplicative decrease factor (default 0.85).
-	Backoff float64
-	// Growth is the additive increase per healthy window that touched the
-	// limit (default 1).
-	Growth int
-	// QueueTarget is the CoDel target sojourn time: queue delay below it
-	// is considered healthy (default 20ms).
-	QueueTarget time.Duration
 	// QueueInterval is the CoDel control interval: a standing queue above
 	// target for this long starts the shed cycle, whose spacing then
 	// shrinks with sqrt(drop count) (default 200ms).
@@ -72,10 +64,18 @@ type Config struct {
 	// MaxQueue caps Interactive waiters; Browse waits in half the space
 	// and Bulk in a quarter (default 4×Max).
 	MaxQueue int
-	// RetryFloor is the minimum retry-after hint attached to sheds
-	// (default QueueInterval).
-	RetryFloor time.Duration
 }
+
+const (
+	// backoff is the multiplicative decrease factor.
+	backoff = 0.85
+	// growth is the additive increase per healthy window that touched the
+	// limit.
+	growth = 1
+	// queueTarget is the CoDel target sojourn time: queue delay below it
+	// is considered healthy.
+	queueTarget = 20 * time.Millisecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.Initial <= 0 {
@@ -99,15 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.Tolerance <= 0 {
 		c.Tolerance = 8
 	}
-	if c.Backoff <= 0 || c.Backoff >= 1 {
-		c.Backoff = 0.85
-	}
-	if c.Growth <= 0 {
-		c.Growth = 1
-	}
-	if c.QueueTarget <= 0 {
-		c.QueueTarget = 20 * time.Millisecond
-	}
 	if c.QueueInterval <= 0 {
 		c.QueueInterval = 200 * time.Millisecond
 	}
@@ -116,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.Max
-	}
-	if c.RetryFloor <= 0 {
-		c.RetryFloor = c.QueueInterval
 	}
 	return c
 }
@@ -279,12 +267,13 @@ func (l *Limiter) shedLocked(pri Priority, now time.Time) *Error {
 }
 
 // retryAfterLocked estimates when a retry could succeed: the recent
-// queue delay plus one target interval, floored. The caller is expected
-// to add jitter; the hint is an estimate, not a reservation.
+// queue delay plus one target interval, floored at one control interval.
+// The caller is expected to add jitter; the hint is an estimate, not a
+// reservation.
 func (l *Limiter) retryAfterLocked() time.Duration {
-	ra := time.Duration(l.delayEWMA*float64(time.Second)) + l.cfg.QueueTarget
-	if ra < l.cfg.RetryFloor {
-		ra = l.cfg.RetryFloor
+	ra := time.Duration(l.delayEWMA*float64(time.Second)) + queueTarget
+	if ra < l.cfg.QueueInterval {
+		ra = l.cfg.QueueInterval
 	}
 	return ra
 }
@@ -325,7 +314,7 @@ func (l *Limiter) adjustLocked() {
 	if l.basep50 > 0 && p99 > l.cfg.Tolerance*l.basep50 {
 		l.backoffLocked()
 	} else if l.sawLimit && l.limit < l.cfg.Max {
-		l.limit += l.cfg.Growth
+		l.limit += growth
 		if l.limit > l.cfg.Max {
 			l.limit = l.cfg.Max
 		}
@@ -335,7 +324,7 @@ func (l *Limiter) adjustLocked() {
 }
 
 func (l *Limiter) backoffLocked() {
-	l.limit = int(float64(l.limit) * l.cfg.Backoff)
+	l.limit = int(float64(l.limit) * backoff)
 	if l.limit < l.cfg.Min {
 		l.limit = l.cfg.Min
 	}
@@ -411,7 +400,7 @@ func (l *Limiter) popLocked() *waiter {
 // controller enters the dropping state, shedding with spacing that
 // shrinks as interval/sqrt(count) until the queue drains below target.
 func (l *Limiter) codelDropLocked(now time.Time, sojourn time.Duration) bool {
-	if sojourn < l.cfg.QueueTarget {
+	if sojourn < queueTarget {
 		l.aboveSince = time.Time{}
 		l.dropping = false
 		l.dropCount = 0
@@ -479,7 +468,7 @@ func (l *Limiter) Pressure() float64 {
 			delay *= k
 		}
 	}
-	dr := delay / (4 * l.cfg.QueueTarget.Seconds())
+	dr := delay / (4 * queueTarget.Seconds())
 	if dr > 1 {
 		dr = 1
 	}

@@ -316,9 +316,6 @@ func (f *Frontend) SetMemoize(on bool) { f.memoOn.Store(on) }
 // with interactive work for admission slots and farm capacity.
 func (f *Frontend) SetShedBulk(on bool) { f.shedBulk.Store(on) }
 
-// SheddingBulk reports whether bulk-tier shedding is active.
-func (f *Frontend) SheddingBulk() bool { return f.shedBulk.Load() }
-
 // SetHedge replaces the farm's speculative re-dispatch policy.
 func (f *Frontend) SetHedge(cfg HedgeConfig) { f.sched.SetHedge(cfg) }
 
@@ -346,17 +343,6 @@ func (f *Frontend) RegisterStrategy(s Strategy) {
 	f.mu.Lock()
 	f.strategies[s.Type()] = s
 	f.mu.Unlock()
-}
-
-// Strategies lists registered request types.
-func (f *Frontend) Strategies() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.strategies))
-	for k := range f.strategies {
-		out = append(out, k)
-	}
-	return out
 }
 
 // EstimateOnly runs just the estimation phase.

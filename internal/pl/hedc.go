@@ -361,9 +361,3 @@ func algorithmName(anaType string) string {
 	}
 	return anaType
 }
-
-// ObserveExecution feeds the predictor (called by integrations that track
-// wall-clock execution; the frontend's ticket timings flow through here).
-func (a *AnalysisStrategy) ObserveExecution(p analysis.Params, photons int64, seconds float64) {
-	a.predictor.observe(a.anaType, a.workUnits(p, float64(photons)), seconds)
-}

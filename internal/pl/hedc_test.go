@@ -66,7 +66,7 @@ func newHEDCRig(t *testing.T) *hedcRig {
 	}
 
 	dir := NewDirectory()
-	mgr, err := NewManager("mgr-server", "server", 2, Routines(), time.Minute)
+	mgr, err := NewManager("mgr-server", 2, Routines(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

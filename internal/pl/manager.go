@@ -18,9 +18,8 @@ import (
 // per-invocation timeouts with forced restarts of wedged servers, and
 // automatic restart of crashed ones (§5.1).
 type Manager struct {
-	id       string
-	location string // "server" or "client" node label (the §8 configurations)
-	timeout  time.Duration
+	id      string
+	timeout time.Duration
 
 	mu      sync.Mutex
 	servers map[string]*idl.Server
@@ -47,7 +46,7 @@ type ManagerStats struct {
 
 // NewManager creates a manager with n started interpreters, each loaded
 // with the given routines. timeout bounds a single invocation (0 = 5 min).
-func NewManager(id, location string, n int, routines map[string]idl.Routine, timeout time.Duration) (*Manager, error) {
+func NewManager(id string, n int, routines map[string]idl.Routine, timeout time.Duration) (*Manager, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("pl: manager %s needs at least one server", id)
 	}
@@ -55,7 +54,7 @@ func NewManager(id, location string, n int, routines map[string]idl.Routine, tim
 		timeout = 5 * time.Minute
 	}
 	m := &Manager{
-		id: id, location: location, timeout: timeout,
+		id: id, timeout: timeout,
 		servers: make(map[string]*idl.Server),
 		idle:    make(chan *idl.Server, 1024),
 	}
@@ -67,9 +66,8 @@ func NewManager(id, location string, n int, routines map[string]idl.Routine, tim
 	return m, nil
 }
 
-// ID returns the manager id; Location its node label.
-func (m *Manager) ID() string       { return m.id }
-func (m *Manager) Location() string { return m.location }
+// ID returns the manager id.
+func (m *Manager) ID() string { return m.id }
 
 // AddServer boots a new interpreter and adds it to the pool. Managers can
 // grow at run time without halting the system (§5.1).

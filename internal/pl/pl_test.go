@@ -34,7 +34,7 @@ func sleepRoutines() map[string]idl.Routine {
 }
 
 func TestManagerInvoke(t *testing.T) {
-	m, err := NewManager("mgr-0", "server", 2, sleepRoutines(), time.Second)
+	m, err := NewManager("mgr-0", 2, sleepRoutines(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestManagerInvoke(t *testing.T) {
 }
 
 func TestManagerQueuesWhenBusy(t *testing.T) {
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	const n = 4
 	var wg sync.WaitGroup
 	var completed atomic.Int64
@@ -79,7 +79,7 @@ func TestManagerQueuesWhenBusy(t *testing.T) {
 }
 
 func TestManagerTimeoutRecoversServer(t *testing.T) {
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), 20*time.Millisecond)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), 20*time.Millisecond)
 	if _, err := m.Invoke(context.Background(), "hang", nil); err == nil {
 		t.Fatal("hung routine succeeded")
 	}
@@ -94,7 +94,7 @@ func TestManagerTimeoutRecoversServer(t *testing.T) {
 }
 
 func TestManagerCrashRecovery(t *testing.T) {
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	if _, err := m.Invoke(context.Background(), "boom", nil); !errors.Is(err, idl.ErrCrashed) {
 		t.Fatalf("err = %v", err)
 	}
@@ -107,7 +107,7 @@ func TestManagerCrashRecovery(t *testing.T) {
 }
 
 func TestManagerDynamicGrowShrink(t *testing.T) {
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	if err := m.AddServer("mgr-0/extra", sleepRoutines()); err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestManagerDynamicGrowShrink(t *testing.T) {
 
 func TestDirectoryRegistryAndStaleness(t *testing.T) {
 	d := NewDirectory()
-	m1, _ := NewManager("mgr-server", "server", 1, nil, time.Second)
-	m2, _ := NewManager("mgr-client", "client", 1, nil, time.Second)
+	m1, _ := NewManager("mgr-server", 1, nil, time.Second)
+	m2, _ := NewManager("mgr-client", 1, nil, time.Second)
 	d.RegisterManager(m1, "server")
 	d.RegisterManager(m2, "client")
 	if d.Len() != 2 {
@@ -207,7 +207,7 @@ func (f *fakeStrategy) Commit(req *Request, del *Delivery) (string, error) {
 func newTestFrontend(t *testing.T, workers, maxIn int) (*Frontend, *fakeStrategy) {
 	t.Helper()
 	dir := NewDirectory()
-	m, err := NewManager("mgr-0", "server", 2, sleepRoutines(), time.Second)
+	m, err := NewManager("mgr-0", 2, sleepRoutines(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestFrontendPriorityScheduling(t *testing.T) {
 	// One worker, slow first job, then queue low and high priority: high
 	// must run before low.
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(m, "server")
 	f := NewFrontend(dir, 1, 20)
 	var order []string
@@ -334,7 +334,7 @@ func TestFrontendPriorityScheduling(t *testing.T) {
 
 func TestFrontendAdmissionLimit(t *testing.T) {
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(m, "server")
 	f := NewFrontend(dir, 1, 2)
 	fs := &fakeStrategy{typ: "fake", delay: 30 * time.Millisecond}
@@ -363,7 +363,7 @@ func TestFrontendAdmissionLimit(t *testing.T) {
 
 func TestFrontendCancelQueued(t *testing.T) {
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(m, "server")
 	f := NewFrontend(dir, 1, 20)
 	fs := &fakeStrategy{typ: "fake", delay: 50 * time.Millisecond}
@@ -449,8 +449,8 @@ func TestFrontendNoCapacity(t *testing.T) {
 
 func TestFrontendLocationRouting(t *testing.T) {
 	dir := NewDirectory()
-	server, _ := NewManager("mgr-server", "server", 1, sleepRoutines(), time.Second)
-	client, _ := NewManager("mgr-client", "client", 1, sleepRoutines(), time.Second)
+	server, _ := NewManager("mgr-server", 1, sleepRoutines(), time.Second)
+	client, _ := NewManager("mgr-client", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(server, "server")
 	dir.RegisterManager(client, "client")
 	f := NewFrontend(dir, 2, 20)
@@ -467,7 +467,7 @@ func TestFrontendLocationRouting(t *testing.T) {
 }
 
 func TestAsyncCall(t *testing.T) {
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	c := m.InvokeAsync(context.Background(), "sleep", idl.Args{"d": 10 * time.Millisecond})
 	out, err := c.Wait(context.Background())
 	if err != nil {

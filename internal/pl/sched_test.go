@@ -30,7 +30,7 @@ func orderRoutines(order *[]string, mu *sync.Mutex) map[string]idl.Routine {
 
 func TestSchedulerWorkStealing(t *testing.T) {
 	dir := NewDirectory()
-	a, _ := NewManager("mgr-a", "server", 1, sleepRoutines(), time.Second)
+	a, _ := NewManager("mgr-a", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(a, "server")
 	s := NewScheduler(dir, HedgeConfig{}) // no hedging; isolate stealing
 
@@ -51,7 +51,7 @@ func TestSchedulerWorkStealing(t *testing.T) {
 	time.Sleep(10 * time.Millisecond) // let the queue build on A
 
 	// A second manager appears; it must steal A's backlog rather than idle.
-	b, _ := NewManager("mgr-b", "server", 1, sleepRoutines(), time.Second)
+	b, _ := NewManager("mgr-b", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(b, "server")
 	if _, err := s.Exec(context.Background(), TaskSpec{
 		Routine: "sleep", Args: idl.Args{"d": time.Millisecond},
@@ -77,7 +77,7 @@ func TestSchedulerPreemptionOrder(t *testing.T) {
 	var order []string
 	var mu sync.Mutex
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 1, orderRoutines(&order, &mu), time.Second)
+	m, _ := NewManager("mgr-0", 1, orderRoutines(&order, &mu), time.Second)
 	dir.RegisterManager(m, "server")
 	s := NewScheduler(dir, HedgeConfig{})
 
@@ -117,7 +117,7 @@ func TestSchedulerNoPreemptionKeepsFIFO(t *testing.T) {
 	var order []string
 	var mu sync.Mutex
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 1, orderRoutines(&order, &mu), time.Second)
+	m, _ := NewManager("mgr-0", 1, orderRoutines(&order, &mu), time.Second)
 	dir.RegisterManager(m, "server")
 	s := NewScheduler(dir, HedgeConfig{})
 	s.SetPreemption(false)
@@ -153,7 +153,7 @@ func TestSchedulerNoPreemptionKeepsFIFO(t *testing.T) {
 
 func TestSchedulerHedgeBeatsWedgedServer(t *testing.T) {
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 2, sleepRoutines(), 30*time.Second)
+	m, _ := NewManager("mgr-0", 2, sleepRoutines(), 30*time.Second)
 	dir.RegisterManager(m, "server")
 	s := NewScheduler(dir, HedgeConfig{Enabled: true, Multiplier: 4, Min: 20 * time.Millisecond})
 
@@ -193,7 +193,7 @@ func TestSchedulerHedgeBeatsWedgedServer(t *testing.T) {
 
 func TestSchedulerHedgeLostCountsPrimaryWin(t *testing.T) {
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 2, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 2, sleepRoutines(), time.Second)
 	dir.RegisterManager(m, "server")
 	// Hedge fires at 10ms; the primary needs 40ms and wins anyway because
 	// the hedge runs the same routine with the same duration but starts
@@ -212,7 +212,7 @@ func TestSchedulerHedgeLostCountsPrimaryWin(t *testing.T) {
 
 func TestSchedulerErrorFailsFastWithoutHedge(t *testing.T) {
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(m, "server")
 	s := NewScheduler(dir, DefaultHedgeConfig())
 	start := time.Now()
@@ -232,7 +232,7 @@ func TestSchedulerErrorFailsFastWithoutHedge(t *testing.T) {
 
 func TestSchedulerCancelQueuedTask(t *testing.T) {
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(m, "server")
 	s := NewScheduler(dir, HedgeConfig{})
 
@@ -266,7 +266,7 @@ func TestSchedulerCancelQueuedTask(t *testing.T) {
 
 func TestSchedulerCloseFailsQueued(t *testing.T) {
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(m, "server")
 	s := NewScheduler(dir, HedgeConfig{})
 	var wg sync.WaitGroup
@@ -305,7 +305,7 @@ func TestSchedulerCloseFailsQueued(t *testing.T) {
 // instead of leaving their Wait hanging.
 func TestFrontendCloseFailsQueuedTickets(t *testing.T) {
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(m, "server")
 	f := NewFrontend(dir, 1, 20)
 	fs := &fakeStrategy{typ: "fake", delay: 50 * time.Millisecond}
@@ -346,7 +346,7 @@ func TestFrontendCloseFailsQueuedTickets(t *testing.T) {
 // exactly one terminal status and exactly one admission release.
 func TestFrontendCancelQueuedRace(t *testing.T) {
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(m, "server")
 	f := NewFrontend(dir, 2, 20)
 	fs := &fakeStrategy{typ: "fake", delay: time.Millisecond}
@@ -388,7 +388,7 @@ func TestFrontendCancelQueuedRace(t *testing.T) {
 // bulk stops short of the reserved slice.
 func TestFrontendBulkReservedAdmission(t *testing.T) {
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", "server", 1, sleepRoutines(), time.Second)
+	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(m, "server")
 	f := NewFrontend(dir, 1, 4) // reserve = 1, bulk cap = 3
 	fs := &fakeStrategy{typ: "fake", delay: 40 * time.Millisecond}

@@ -19,10 +19,9 @@ type Options struct {
 	// Shards maps shard id -> engine (in-process *minidb.DB or a
 	// dbnet.Client). Required, non-empty.
 	Shards map[int]minidb.Engine
-	// Map is the initial shard map. When nil, a persisted map is loaded
-	// from Dir, or a fresh one laid out over the Shards ids.
-	Map *Map
-	// Dir persists the shard map through FS ("" = in-memory only).
+	// Dir persists the shard map through FS ("" = in-memory only). A map
+	// persisted there is loaded; otherwise a fresh one is laid out over the
+	// Shards ids.
 	Dir string
 	// FS is the VFS for map persistence (nil = the OS filesystem).
 	FS minidb.VFS
@@ -96,11 +95,10 @@ type routerStats struct {
 	splits        atomic.Uint64
 }
 
-// NewRouter builds a router over the given shard engines. When Dir holds
-// a persisted map it wins over Options.Map; a persisted map with an
-// in-flight Move is rolled forward (recoverSplit) before the router
-// serves traffic, so reopening after a crash mid-split always yields a
-// consistent cell.
+// NewRouter builds a router over the given shard engines. A persisted
+// map in Dir is reinstalled; one with an in-flight Move is rolled forward
+// (recoverSplit) before the router serves traffic, so reopening after a
+// crash mid-split always yields a consistent cell.
 func NewRouter(o Options) (*Router, error) {
 	if len(o.Shards) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one shard")
@@ -138,14 +136,11 @@ func NewRouter(o Options) (*Router, error) {
 	}
 	sort.Ints(ids)
 
-	m := o.Map
+	var m *Map
 	if r.dir != "" {
-		loaded, err := LoadMap(r.fs, r.dir)
-		if err != nil {
+		var err error
+		if m, err = LoadMap(r.fs, r.dir); err != nil {
 			return nil, err
-		}
-		if loaded != nil {
-			m = loaded
 		}
 	}
 	if m == nil {

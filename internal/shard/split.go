@@ -32,7 +32,8 @@ import (
 // work, noted in DESIGN.md).
 
 // Split is an in-flight split with explicit phase control, so tests can
-// interleave workload between phases; Router.Split runs all phases.
+// interleave workload between phases: BeginSplit, then Backfill, Cutover
+// and Cleanup in that order.
 type Split struct {
 	r     *Router
 	from  int
@@ -244,37 +245,6 @@ func (s *Split) Cleanup() error {
 	r.stats.splits.Add(1)
 	r.logf("shard: split %d->%d complete (v%d)", s.from, s.to, next.Version)
 	return nil
-}
-
-// Split runs the whole protocol: dual-write, backfill, cutover, cleanup.
-func (r *Router) Split(from, to int, slots []int) error {
-	s, err := r.BeginSplit(from, to, slots)
-	if err != nil {
-		return err
-	}
-	if err := s.Backfill(); err != nil {
-		return err
-	}
-	if err := s.Cutover(); err != nil {
-		return err
-	}
-	return s.Cleanup()
-}
-
-// SplitHalf moves the upper half of a shard's slots to a (registered)
-// destination shard.
-func (r *Router) SplitHalf(from, to int) error {
-	m := r.Map()
-	var owned []int
-	for sl := 0; sl < NumSlots; sl++ {
-		if m.Slots[sl] == from {
-			owned = append(owned, sl)
-		}
-	}
-	if len(owned) < 2 {
-		return fmt.Errorf("shard: shard %d owns %d slots, cannot split", from, len(owned))
-	}
-	return r.Split(from, to, owned[len(owned)/2:])
 }
 
 // shardedTables lists the sharded tables that actually exist in the

@@ -48,12 +48,6 @@ func NewCPU(k *Kernel, cores float64, thrash Thrash) *CPU {
 	return &CPU{k: k, cores: cores, thrash: thrash, busy: make(map[string]float64), lastUpdate: k.Now()}
 }
 
-// Cores returns the nominal core count.
-func (c *CPU) Cores() float64 { return c.cores }
-
-// Load returns the number of jobs currently sharing the CPU.
-func (c *CPU) Load() int { return len(c.jobs) }
-
 // perJobRate returns the progress rate (cores) each current job receives.
 func (c *CPU) perJobRate() float64 {
 	n := len(c.jobs)

@@ -88,7 +88,7 @@ func TestKernelStop(t *testing.T) {
 func TestProcSleepAdvancesVirtualTime(t *testing.T) {
 	k := NewKernel()
 	var woke float64
-	k.Go("sleeper", func(p *Proc) {
+	k.Go(func(p *Proc) {
 		p.Sleep(42)
 		woke = p.Now()
 	})
@@ -104,12 +104,12 @@ func TestProcSleepAdvancesVirtualTime(t *testing.T) {
 func TestProcInterleaving(t *testing.T) {
 	k := NewKernel()
 	var trace []string
-	k.Go("a", func(p *Proc) {
+	k.Go(func(p *Proc) {
 		trace = append(trace, "a0")
 		p.Sleep(2)
 		trace = append(trace, "a2")
 	})
-	k.Go("b", func(p *Proc) {
+	k.Go(func(p *Proc) {
 		trace = append(trace, "b0")
 		p.Sleep(1)
 		trace = append(trace, "b1")
@@ -131,10 +131,10 @@ func TestProcInterleaving(t *testing.T) {
 func TestProcSpawn(t *testing.T) {
 	k := NewKernel()
 	done := 0
-	k.Go("parent", func(p *Proc) {
+	k.Go(func(p *Proc) {
 		p.Sleep(1)
 		for i := 0; i < 5; i++ {
-			p.Spawn("child", func(c *Proc) {
+			p.Spawn(func(c *Proc) {
 				c.Sleep(3)
 				done++
 			})
@@ -153,7 +153,7 @@ func TestCPUSingleJob(t *testing.T) {
 	k := NewKernel()
 	cpu := NewCPU(k, 2, Thrash{})
 	var took float64
-	k.Go("job", func(p *Proc) {
+	k.Go(func(p *Proc) {
 		start := p.Now()
 		cpu.Use(p, 10, "usr")
 		took = p.Now() - start
@@ -171,7 +171,7 @@ func TestCPUProcessorSharing(t *testing.T) {
 	ends := make([]float64, 2)
 	for i := 0; i < 2; i++ {
 		i := i
-		k.Go("job", func(p *Proc) {
+		k.Go(func(p *Proc) {
 			cpu.Use(p, 10, "usr")
 			ends[i] = p.Now()
 		})
@@ -191,7 +191,7 @@ func TestCPUTwoCoresRunTwoJobsFullSpeed(t *testing.T) {
 	ends := make([]float64, 2)
 	for i := 0; i < 2; i++ {
 		i := i
-		k.Go("job", func(p *Proc) {
+		k.Go(func(p *Proc) {
 			cpu.Use(p, 10, "usr")
 			ends[i] = p.Now()
 		})
@@ -208,11 +208,11 @@ func TestCPULateArrivalSlowsEarlierJob(t *testing.T) {
 	k := NewKernel()
 	cpu := NewCPU(k, 1, Thrash{})
 	var endA, endB float64
-	k.Go("a", func(p *Proc) {
+	k.Go(func(p *Proc) {
 		cpu.Use(p, 10, "usr")
 		endA = p.Now()
 	})
-	k.Go("b", func(p *Proc) {
+	k.Go(func(p *Proc) {
 		p.Sleep(5)
 		cpu.Use(p, 10, "usr")
 		endB = p.Now()
@@ -235,7 +235,7 @@ func TestCPUThrashingDegradesCapacity(t *testing.T) {
 	const jobs = 4
 	var end float64
 	for i := 0; i < jobs; i++ {
-		k.Go("job", func(p *Proc) {
+		k.Go(func(p *Proc) {
 			cpu.Use(p, 1, "usr")
 			end = p.Now()
 		})
@@ -251,8 +251,8 @@ func TestCPUThrashingDegradesCapacity(t *testing.T) {
 func TestCPUUtilizationAccounting(t *testing.T) {
 	k := NewKernel()
 	cpu := NewCPU(k, 2, Thrash{})
-	k.Go("usr", func(p *Proc) { cpu.Use(p, 10, "usr") })
-	k.Go("sys", func(p *Proc) { cpu.Use(p, 5, "sys") })
+	k.Go(func(p *Proc) { cpu.Use(p, 10, "usr") })
+	k.Go(func(p *Proc) { cpu.Use(p, 5, "sys") })
 	k.Run()
 	if !almost(cpu.BusySeconds("usr"), 10, 1e-9) {
 		t.Fatalf("usr busy = %v, want 10", cpu.BusySeconds("usr"))
@@ -275,7 +275,7 @@ func TestResourceFIFOAndCapacity(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		k.Go("p", func(p *Proc) {
+		k.Go(func(p *Proc) {
 			res.Acquire(p)
 			order = append(order, i)
 			p.Sleep(10)
@@ -301,7 +301,7 @@ func TestResourceMeanWait(t *testing.T) {
 	k := NewKernel()
 	res := NewResource(k, 1)
 	for i := 0; i < 3; i++ {
-		k.Go("p", func(p *Proc) { res.Use(p, 10) })
+		k.Go(func(p *Proc) { res.Use(p, 10) })
 	}
 	k.Run()
 	// Waits: 0, 10, 20 -> mean 10.
@@ -325,7 +325,7 @@ func TestLinkTransferTime(t *testing.T) {
 	k := NewKernel()
 	link := NewLink(k, 0.1, 2e6) // 2 MB/s, 100ms latency
 	var took float64
-	k.Go("xfer", func(p *Proc) {
+	k.Go(func(p *Proc) {
 		start := p.Now()
 		link.Transfer(p, 800_000) // 800 KB
 		took = p.Now() - start
@@ -343,7 +343,7 @@ func TestLinkSerializesTransfers(t *testing.T) {
 	k := NewKernel()
 	link := NewLink(k, 0, 1e6)
 	for i := 0; i < 3; i++ {
-		k.Go("xfer", func(p *Proc) { link.Transfer(p, 1e6) })
+		k.Go(func(p *Proc) { link.Transfer(p, 1e6) })
 	}
 	k.Run()
 	if k.Now() != 3 {
@@ -386,7 +386,7 @@ func TestDeterminism(t *testing.T) {
 		var ends []float64
 		for i := 0; i < 20; i++ {
 			i := i
-			k.Go("w", func(p *Proc) {
+			k.Go(func(p *Proc) {
 				p.Sleep(float64(i%7) * 0.1)
 				res.Acquire(p)
 				cpu.Use(p, 1+float64(i%3), "usr")
@@ -429,7 +429,7 @@ func TestQuickProcessorSharingConservesWork(t *testing.T) {
 			delay := float64(j.Delay) / 16
 			demand := float64(j.Demand)/32 + 0.05
 			totalDemand += demand
-			k.Go("j", func(p *Proc) {
+			k.Go(func(p *Proc) {
 				p.Sleep(delay)
 				start := p.Now()
 				cpu.Use(p, demand, "usr")

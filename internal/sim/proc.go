@@ -5,13 +5,12 @@ package sim
 // All Proc methods must be called from the process's own goroutine.
 type Proc struct {
 	k      *Kernel
-	name   string
 	resume chan struct{}
 }
 
 // Go starts fn as a new process at the current virtual time.
-func (k *Kernel) Go(name string, fn func(p *Proc)) {
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
+func (k *Kernel) Go(fn func(p *Proc)) {
+	p := &Proc{k: k, resume: make(chan struct{})}
 	k.procs++
 	go func() {
 		<-p.resume // wait for the kernel to hand us control
@@ -43,14 +42,8 @@ func (p *Proc) wake() {
 	p.k.After(0, func() { p.k.transferTo(p) })
 }
 
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.k.now }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Sleep advances this process by d seconds of virtual time.
 func (p *Proc) Sleep(d float64) {
@@ -62,4 +55,4 @@ func (p *Proc) Sleep(d float64) {
 }
 
 // Spawn starts a child process at the current virtual time.
-func (p *Proc) Spawn(name string, fn func(p *Proc)) { p.k.Go(name, fn) }
+func (p *Proc) Spawn(fn func(p *Proc)) { p.k.Go(fn) }

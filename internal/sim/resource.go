@@ -71,9 +71,8 @@ func (r *Resource) Use(p *Proc, d float64) {
 	r.Release()
 }
 
-// InUse reports currently held units; Waiting reports queued processes.
-func (r *Resource) InUse() int   { return r.inUse }
-func (r *Resource) Waiting() int { return len(r.waiters) }
+// InUse reports currently held units.
+func (r *Resource) InUse() int { return r.inUse }
 
 // MeanWait returns the average time processes spent queued for a unit.
 func (r *Resource) MeanWait() float64 {

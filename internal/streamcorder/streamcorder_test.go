@@ -55,7 +55,7 @@ func newServerRig(t *testing.T) *serverRig {
 	}
 	// Run and publish one analysis for image fetching.
 	dir := pl.NewDirectory()
-	mgr, _ := pl.NewManager("mgr", "server", 1, pl.Routines(), time.Minute)
+	mgr, _ := pl.NewManager("mgr", 1, pl.Routines(), time.Minute)
 	dir.RegisterManager(mgr, "server")
 	fe := pl.NewFrontend(dir, 1, 20)
 	for _, s := range pl.NewAnalysisStrategies(d) {

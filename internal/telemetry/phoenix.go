@@ -44,20 +44,19 @@ type PhoenixSpectrogram struct {
 // Name returns the canonical file stem, e.g. "phx_0042_003".
 func (p *PhoenixSpectrogram) Name() string { return fmt.Sprintf("phx_%04d_%03d", p.Day, p.Seq) }
 
+// phoenixLength is the seconds one spectrogram covers.
+const phoenixLength = 3600
+
 // PhoenixConfig parameterizes generation.
 type PhoenixConfig struct {
 	Seed     int64
-	Length   float64 // seconds covered (0 = 3600)
-	TimeBins int     // 0 = 256
-	FreqBins int     // 0 = 64
-	Bursts   int     // radio bursts to inject (-1 = Poisson mean 2)
+	TimeBins int // 0 = 256
+	FreqBins int // 0 = 64
+	Bursts   int // radio bursts to inject (-1 = Poisson mean 2)
 }
 
 // GeneratePhoenix produces one synthetic spectrogram for a mission day.
 func GeneratePhoenix(day, seq int, cfg PhoenixConfig) *PhoenixSpectrogram {
-	if cfg.Length <= 0 {
-		cfg.Length = 3600
-	}
 	if cfg.TimeBins <= 0 {
 		cfg.TimeBins = 256
 	}
@@ -67,7 +66,7 @@ func GeneratePhoenix(day, seq int, cfg PhoenixConfig) *PhoenixSpectrogram {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(day)*104729 + int64(seq)))
 	p := &PhoenixSpectrogram{
 		Day: day, Seq: seq,
-		TStart: float64(seq) * cfg.Length, TStop: float64(seq+1) * cfg.Length,
+		TStart: float64(seq) * phoenixLength, TStop: float64(seq+1) * phoenixLength,
 		FreqMin: 100, FreqMax: 4000, // the instrument's 0.1-4 GHz band
 		TimeBins: cfg.TimeBins, FreqBins: cfg.FreqBins,
 	}
@@ -82,7 +81,7 @@ func GeneratePhoenix(day, seq int, cfg PhoenixConfig) *PhoenixSpectrogram {
 	if nBursts < 0 {
 		nBursts = poisson(rng, 2)
 	}
-	dt := cfg.Length / float64(p.TimeBins)
+	dt := phoenixLength / float64(p.TimeBins)
 	for i := 0; i < nBursts; i++ {
 		t0 := rng.Intn(p.TimeBins * 3 / 4)
 		dur := 4 + rng.Intn(p.TimeBins/8)

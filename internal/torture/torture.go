@@ -499,13 +499,6 @@ func (cm *ConcurrentModel) Acked() int {
 	return len(cm.acked)
 }
 
-// Attempted returns how many batches were submitted.
-func (cm *ConcurrentModel) Attempted() int {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	return len(cm.attempted)
-}
-
 // RunConcurrent executes workers goroutines each committing batches
 // disjoint-key insert batches of rowsPerBatch events through DB.Apply —
 // the group-commit path. It returns the model of submitted and

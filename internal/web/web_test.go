@@ -69,7 +69,7 @@ func newWebRig(t *testing.T) *rig {
 	}
 	// One committed analysis through the PL so pages have images.
 	dir := pl.NewDirectory()
-	mgr, err := pl.NewManager("mgr", "server", 1, pl.Routines(), time.Minute)
+	mgr, err := pl.NewManager("mgr", 1, pl.Routines(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,16 @@
 #!/bin/sh
-# Full verification: vet, build, four structural guards (the retired
-# manifest + pack-file archive format is referenced only by its read-only
-# importer internal/archive/legacy.go; only the harness-cell builder
-# internal/cluster/cell.go wires replicas to a gateway; internal/sim is
-# imported only by the paper-shape reproductions; internal/epochcache is
-# the only cache — the four types it replaced and container/list stay
-# gone), the full test suite (which includes the harness-cell builder's
-# tests and the scaled-down Figure 5 live and sharded sweeps with their
-# bit-identical oracle), a short-mode race lane (which carries the
+# Full verification: vet, build, five structural guards (the retired
+# manifest + pack-file archive format is named in no non-test file; only
+# the harness-cell builder internal/cluster/cell.go wires replicas to a
+# gateway; internal/sim is imported only by the paper-shape reproductions;
+# internal/epochcache is the only cache — the four types it replaced and
+# container/list stay gone; and the dead-weight audit, TestDeadWeightAudit
+# in deadweight_test.go, which runs inside go test ./... and fails on
+# exported code no file references, option fields no code sets, and any
+# change to its shrink-only allow-list testdata/deadweight.allow), the
+# full test suite (which includes the harness-cell builder's tests and the
+# scaled-down Figure 5 live and sharded sweeps with their bit-identical
+# oracle), a short-mode race lane (which carries the
 # decoded-unit cache's oracle and warm-path safety tests) plus ten rounds
 # of the cache's single-flight tests and of the decoded-unit cache's
 # concurrent single-decode test, the crash-recovery and network-chaos
@@ -35,8 +38,8 @@ go vet ./...
 echo "==> go build"
 go build ./...
 
-echo "==> one archive engine (manifest/pack-file names only in the legacy reader)"
-if grep -rnE 'MANIFEST\.crc|packs/p' --include='*.go' --exclude='*_test.go' internal/ | grep -v '^internal/archive/legacy\.go:'; then exit 1; fi
+echo "==> one archive engine (no manifest/pack-file names outside tests)"
+if grep -rnE 'MANIFEST\.crc|packs/p' --include='*.go' --exclude='*_test.go' .; then exit 1; fi
 
 echo "==> one harness cell (only internal/cluster/cell.go wires replicas to a gateway)"
 if grep -rl 'StartReplica(' --include='*.go' internal | xargs grep -l 'NewGateway(' | grep -v '^internal/cluster/cell\.go$'; then exit 1; fi
@@ -47,7 +50,7 @@ if grep -rl '"repro/internal/sim"' --include='*.go' --exclude='*_test.go' . | gr
 echo "==> one cache (internal/epochcache; the four retired cache types and container/list stay gone)"
 if grep -rnE 'type (queryCache|memoCache|staleCache|itemCache)\b|"container/list"' --include='*.go' internal/; then exit 1; fi
 
-echo "==> go test"
+echo "==> go test (includes the dead-weight audit, TestDeadWeightAudit)"
 go test ./...
 
 echo "==> go test -race -short (race lane)"
