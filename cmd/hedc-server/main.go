@@ -325,8 +325,8 @@ func runShardRouter(ctx context.Context, data, addr, shardList string) error {
 		srv.Addr(), len(addrs), st.MapVersion, dir)
 	<-ctx.Done()
 	st = router.Status()
-	log.Printf("shard-router: shutdown: map=v%d single-shard=%d scatter=%d fanout-calls=%d shard-failures=%d splits=%d",
-		st.MapVersion, st.SingleShard, st.Scatter, st.FanoutCalls, st.ShardFailures, st.Splits)
+	log.Printf("shard-router: shutdown: map=v%d single-shard=%d scatter=%d fanout-calls=%d shard-failures=%d",
+		st.MapVersion, st.SingleShard, st.Scatter, st.FanoutCalls, st.ShardFailures)
 	err = srv.Close()
 	router.Close()
 	return err

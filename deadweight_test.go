@@ -12,12 +12,22 @@ package hedc
 //	      field's own package guarded by an if whose condition reads the
 //	      same field is the field's defaulting code and is not a set;
 //	(iii) an identifier or field of the first two kinds that only its own
-//	      package's _test.go files reference or set.
+//	      package's _test.go files reference or set;
+//	(iv)  a func or method, exported or not, that no binary reaches. The
+//	      call graph is conservative: its nodes are the func and method
+//	      declarations of the module's non-test files (a func literal
+//	      belongs to its enclosing declaration); its roots are the main of
+//	      every package main, every init and package-level var
+//	      initializer, the exported API of the root package and of the
+//	      packages no binary imports, and every method that implements a
+//	      stdlib interface; an edge is any reference from a reached body
+//	      to a module func or method, and a reference to an interface
+//	      method M reaches every module method named M.
 //
-// Classes (i) and (ii) must be empty. Class (iii) findings are listed in
-// testdata/deadweight.allow, one "kind import/path.Name" per line; a new
-// finding fails the test and so does a line that is no longer a finding,
-// so the list can only shrink.
+// Classes (i) and (ii) must be empty. Class (iii) and (iv) findings are
+// listed in testdata/deadweight.allow, one "kind import/path.Name" per
+// line; a new finding fails the test and so does a line that is no longer
+// a finding, so the list can only shrink.
 //
 // It uses the standard library only: one `go list -deps -test -export`
 // supplies the file lists and the gc export data of the stdlib imports,
@@ -53,6 +63,7 @@ type listedPackage struct {
 	Export     string
 	ForTest    string
 	GoFiles    []string
+	Deps       []string
 	ImportMap  map[string]string
 	Module     *struct{ Main bool }
 }
@@ -100,7 +111,10 @@ func TestDeadWeightAudit(t *testing.T) {
 	start := time.Now()
 	a := loadDeadweightAudit(t)
 	dead, unset, testOnly := a.findings()
-	t.Logf("audit of %d packages took %v", len(a.checked), time.Since(start).Round(time.Millisecond))
+	reachStart := time.Now()
+	unreached := a.unreached(t)
+	t.Logf("audit of %d packages took %v (reachability %v, %d unreached)", len(a.checked),
+		time.Since(start).Round(time.Millisecond), time.Since(reachStart).Round(time.Millisecond), len(unreached))
 
 	for _, f := range dead {
 		t.Errorf("(i) %s %s: no file in the module references it; delete it", f.kind, f.name)
@@ -117,6 +131,12 @@ func TestDeadWeightAudit(t *testing.T) {
 		if !allowed[line] {
 			t.Errorf("(iii) %s: only its own package's tests use it; unexport or delete it (%s only shrinks)", line, deadweightAllowFile)
 		}
+	}
+	for _, line := range unreached {
+		if !found[line] && !allowed[line] {
+			t.Errorf("(iv) %s: no binary reaches it; delete it (%s only shrinks)", line, deadweightAllowFile)
+		}
+		found[line] = true
 	}
 	for line := range allowed {
 		if !found[line] {
@@ -254,6 +274,134 @@ func (a *deadweightAudit) check(id string) (*types.Package, error) {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// unreached returns the class-(iv) findings, "func path.Name" or "method
+// path.Type.Name", sorted: the declarations the call graph rooted at the
+// binaries and the library API does not reach. The test runs in the
+// module root, so the root package is the one listed in the working
+// directory.
+func (a *deadweightAudit) unreached(t *testing.T) []string {
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type fnNode struct {
+		decl    *ast.FuncDecl
+		info    *types.Info
+		line    string
+		reached bool
+	}
+	nodes := map[token.Pos]*fnNode{}
+	methods := map[string][]*fnNode{}
+	var queue []*fnNode
+	reach := func(n *fnNode) {
+		if n != nil && !n.reached {
+			n.reached = true
+			queue = append(queue, n)
+		}
+	}
+	var rootExprs []ast.Node
+	var rootInfos []*types.Info
+	imported := a.binaryDeps()
+	stdIfaces := a.stdInterfaces()
+	for _, id := range sortedKeys(a.infos) {
+		p := a.listed[id]
+		if p.ForTest != "" {
+			continue
+		}
+		info := a.infos[id]
+		apiRoot := p.Dir == root || (p.Name != "main" && !imported[id])
+		for _, f := range a.filesOf(id) {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					n := &fnNode{decl: d, info: info, line: "func " + id + "." + d.Name.Name}
+					recv := ""
+					if d.Recv != nil {
+						recv = receiverName(d)
+						n.line = "method " + id + "." + recv + "." + d.Name.Name
+						methods[d.Name.Name] = append(methods[d.Name.Name], n)
+					}
+					nodes[d.Name.Pos()] = n
+					switch {
+					case d.Recv == nil && d.Name.Name == "init",
+						d.Recv == nil && d.Name.Name == "main" && p.Name == "main",
+						apiRoot && d.Name.IsExported() && (recv == "" || ast.IsExported(recv)),
+						d.Recv != nil && implementsAny(info.Defs[d.Name].(*types.Func), stdIfaces):
+						reach(n)
+					}
+				case *ast.GenDecl:
+					if d.Tok != token.VAR {
+						continue
+					}
+					for _, spec := range d.Specs {
+						for _, v := range spec.(*ast.ValueSpec).Values {
+							rootExprs = append(rootExprs, v)
+							rootInfos = append(rootInfos, info)
+						}
+					}
+				}
+			}
+		}
+	}
+	calledNames := map[string]bool{}
+	visit := func(body ast.Node, info *types.Info) {
+		ast.Inspect(body, func(x ast.Node) bool {
+			id, ok := x.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			fn, ok := info.Uses[id].(*types.Func)
+			if !ok {
+				return true
+			}
+			fn = fn.Origin()
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				if !calledNames[fn.Name()] {
+					calledNames[fn.Name()] = true
+					for _, m := range methods[fn.Name()] {
+						reach(m)
+					}
+				}
+				return true
+			}
+			reach(nodes[fn.Pos()])
+			return true
+		})
+	}
+	for i, x := range rootExprs {
+		visit(x, rootInfos[i])
+	}
+	for len(queue) > 0 {
+		n := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if n.decl.Body != nil {
+			visit(n.decl.Body, n.info)
+		}
+	}
+	var out []string
+	for _, n := range nodes {
+		if !n.reached {
+			out = append(out, n.line)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// binaryDeps returns the module packages that some package main imports,
+// directly or not.
+func (a *deadweightAudit) binaryDeps() map[string]bool {
+	deps := map[string]bool{}
+	for id, p := range a.listed {
+		if p.Name == "main" && p.ForTest == "" && a.inModule(id) {
+			for _, d := range p.Deps {
+				deps[d] = true
+			}
+		}
+	}
+	return deps
+}
 
 // findings classifies every candidate declaration of the module.
 func (a *deadweightAudit) findings() (dead, unset, testOnly []auditCandidate) {
@@ -547,23 +695,10 @@ func readsObj(x ast.Node, info *types.Info, obj types.Object) bool {
 }
 
 // interfaces returns the non-generic interfaces with methods that the
-// module spells out (named, or inline as in a type assertion) or that a
-// stdlib package it imports exports, plus error and the errors package's
-// Unwrap/Is/As protocol, which errors.Is and errors.As look up through
-// interfaces export data does not show.
+// module spells out (named, or inline as in a type assertion), plus the
+// stdlib ones (stdInterfaces).
 func (a *deadweightAudit) interfaces() []*types.Interface {
-	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
-	errType := types.Universe.Lookup("error").Type()
-	for _, m := range []struct {
-		name string
-		sig  *types.Signature
-	}{
-		{"Unwrap", types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false)},
-		{"Is", types.NewSignatureType(nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.Bool])), false)},
-		{"As", types.NewSignatureType(nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Universe.Lookup("any").Type())), types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.Bool])), false)},
-	} {
-		ifaces = append(ifaces, types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, m.name, m.sig)}, nil).Complete())
-	}
+	ifaces := a.stdInterfaces()
 	for _, id := range sortedKeys(a.infos) {
 		info := a.infos[id]
 		for _, f := range a.filesOf(id) {
@@ -577,26 +712,51 @@ func (a *deadweightAudit) interfaces() []*types.Interface {
 			})
 		}
 	}
-	addScope := func(scope *types.Scope) {
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
-				continue
-			}
-			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-				ifaces = append(ifaces, it)
-			}
-		}
-	}
 	for _, id := range sortedKeys(a.checked) {
-		addScope(a.checked[id].Scope())
+		ifaces = append(ifaces, scopeInterfaces(a.checked[id].Scope())...)
+	}
+	return ifaces
+}
+
+// stdInterfaces returns the non-generic interfaces with methods that a
+// stdlib package the module imports exports, plus error and the errors
+// package's Unwrap/Is/As protocol, which errors.Is and errors.As look up
+// through interfaces export data does not show.
+func (a *deadweightAudit) stdInterfaces() []*types.Interface {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	errType := types.Universe.Lookup("error").Type()
+	for _, m := range []struct {
+		name string
+		sig  *types.Signature
+	}{
+		{"Unwrap", types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false)},
+		{"Is", types.NewSignatureType(nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.Bool])), false)},
+		{"As", types.NewSignatureType(nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Universe.Lookup("any").Type())), types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.Bool])), false)},
+	} {
+		ifaces = append(ifaces, types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, m.name, m.sig)}, nil).Complete())
 	}
 	for _, path := range sortedKeys(a.stdUsed) {
 		if pkg, err := a.std.Import(path); err == nil {
-			addScope(pkg.Scope())
+			ifaces = append(ifaces, scopeInterfaces(pkg.Scope())...)
+		}
+	}
+	return ifaces
+}
+
+// scopeInterfaces lists the non-generic interface types with methods
+// declared at package scope.
+func scopeInterfaces(scope *types.Scope) []*types.Interface {
+	var ifaces []*types.Interface
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+			continue
+		}
+		if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces = append(ifaces, it)
 		}
 	}
 	return ifaces

@@ -115,22 +115,6 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// writeFrameEnv writes one length-prefixed frame whose payload is the
-// concatenation env+payload — the deadline envelope prepended without
-// copying the request body.
-func writeFrameEnv(w io.Writer, env, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(env)+len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(env); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
 // readFrame reads one length-prefixed frame of at most max bytes.
 func readFrame(r io.Reader, max int) ([]byte, error) {
 	var hdr [4]byte

@@ -17,8 +17,8 @@
 //     (with event detection, catalog generation and wavelet view
 //     construction), archive relocation with compensation, purging.
 //
-// Sessions, connection pools and call redirection (local or remote DM
-// execution over HTTP) complete the picture (§5.3–5.4).
+// Sessions and call redirection (local or remote DM execution over HTTP)
+// complete the picture (§5.3–5.4).
 package dm
 
 import (
@@ -111,8 +111,6 @@ type DM struct {
 	urlRoot  string
 	logger   *log.Logger
 
-	pools map[minidb.Engine]*dbPools
-
 	sessions  *sessionCache
 	analytics colseg.Runner // nil = resolve per call (engine or row fallback)
 
@@ -141,19 +139,6 @@ type DM struct {
 // subsides.
 func (d *DM) SetServeStale(on bool) { d.serveStale.Store(on) }
 
-// Connection pool sizes per database, the split of §5.3.
-const (
-	queryPool  = 8
-	updatePool = 4
-	authPool   = 2
-)
-
-type dbPools struct {
-	query  *minidb.Pool
-	update *minidb.Pool
-	auth   *minidb.Pool
-}
-
 // Open wires a DM node. The databases must already contain the schema
 // tables (see internal/schema).
 func Open(opts Options) (*DM, error) {
@@ -174,7 +159,6 @@ func Open(opts Options) (*DM, error) {
 		defArch:   opts.DefaultArchive,
 		urlRoot:   opts.URLRoot,
 		logger:    opts.Logger,
-		pools:     make(map[minidb.Engine]*dbPools),
 		sessions:  newSessionCache(),
 		cache:     epochcache.New[uint64, any](queryCacheEntries),
 		decoded:   epochcache.New[struct{}, any](decodedBudget),
@@ -184,24 +168,6 @@ func Open(opts Options) (*DM, error) {
 	}
 	if d.domain == nil {
 		d.domain = d.meta
-	}
-	for _, db := range []minidb.Engine{d.meta, d.domain} {
-		if _, done := d.pools[db]; done {
-			continue
-		}
-		qp, err := minidb.NewPool(db, "query", queryPool)
-		if err != nil {
-			return nil, err
-		}
-		up, err := minidb.NewPool(db, "update", updatePool)
-		if err != nil {
-			return nil, err
-		}
-		ap, err := minidb.NewPool(db, "auth", authPool)
-		if err != nil {
-			return nil, err
-		}
-		d.pools[db] = &dbPools{query: qp, update: up, auth: ap}
 	}
 	if err := d.loadSequences(); err != nil {
 		return nil, err

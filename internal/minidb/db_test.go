@@ -1,13 +1,11 @@
 package minidb
 
 import (
-	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func eventSchema() *Schema {
@@ -661,47 +659,6 @@ func TestStatsCounting(t *testing.T) {
 	}
 	if s.IndexEqScans != 1 || s.FullIndexScans != 1 || s.FullScans != 1 {
 		t.Fatalf("plan stats = %+v", s)
-	}
-}
-
-func TestPoolLimitsAndRelease(t *testing.T) {
-	db := openTestDB(t, "")
-	pool, err := NewPool(db, "query", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	c1, _ := pool.Acquire(ctx)
-	c2, _ := pool.Acquire(ctx)
-	if pool.InUse() != 2 {
-		t.Fatalf("in use = %d", pool.InUse())
-	}
-
-	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-	defer cancel()
-	if _, err := pool.Acquire(short); err == nil {
-		t.Fatal("third acquire should time out")
-	}
-
-	c1.Release()
-	c1.Release() // double release is a no-op
-	if pool.InUse() != 1 {
-		t.Fatalf("in use after release = %d", pool.InUse())
-	}
-	c3, err := pool.Acquire(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c3.Query(Query{Table: "events", Count: true}); err != nil {
-		t.Fatal(err)
-	}
-	c3.Release()
-	c2.Release()
-	if _, err := c2.Query(Query{Table: "events"}); err == nil {
-		t.Fatal("query on released connection accepted")
-	}
-	if pool.Waits() != 1 {
-		t.Fatalf("waits = %d, want 1", pool.Waits())
 	}
 }
 

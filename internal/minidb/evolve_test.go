@@ -1,7 +1,6 @@
 package minidb
 
 import (
-	"context"
 	"math"
 	"sync"
 	"testing"
@@ -262,38 +261,6 @@ func TestTxnGetAndPoolAccessors(t *testing.T) {
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
-	}
-
-	pool, err := NewPool(db, "query", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Name() != "query" || pool.Size() != 3 {
-		t.Fatalf("pool accessors: %s %d", pool.Name(), pool.Size())
-	}
-	c, err := pool.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx2, err := c.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx2.Insert("events", Row{I(50), S("x"), F(0), F(0), S("u"), Bo(true), Null()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	c.Release()
-	if pool.Acquires() != 1 {
-		t.Fatalf("acquires = %d", pool.Acquires())
-	}
-	if _, err := c.Begin(); err == nil {
-		t.Fatal("begin on released conn accepted")
-	}
-	if _, err := NewPool(db, "bad", 0); err == nil {
-		t.Fatal("zero-size pool accepted")
 	}
 }
 

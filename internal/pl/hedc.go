@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/dm"
@@ -60,51 +59,29 @@ func Routines() map[string]idl.Routine {
 	}
 }
 
-// predictor keeps an exponentially weighted moving average of observed cost
-// per unit of work, per analysis type — the estimation phase's "simple
-// predictor" (§5.1), improving as the system observes real executions.
-type predictor struct {
-	mu   sync.Mutex
-	rate map[string]float64 // seconds per work unit
-}
+// predictor is the estimation phase's "simple predictor" (§5.1): a fixed
+// cost per unit of work, per analysis type — seconds per photon (binned)
+// or per photon-kilopixel (imaging).
+type predictor map[string]float64
 
-func newPredictor() *predictor {
-	return &predictor{rate: map[string]float64{
-		// Priors: seconds per photon (binned) or per photon-kilopixel
-		// (imaging), refined by observation.
+func newPredictor() predictor {
+	return predictor{
 		schema.AnaImaging:     2e-6,
 		schema.AnaLightcurve:  1e-7,
 		schema.AnaSpectrogram: 2e-7,
 		schema.AnaHistogram:   1e-7,
-	}}
+	}
 }
 
-func (p *predictor) predict(anaType string, work float64) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rate[anaType] * work
-}
-
-func (p *predictor) observe(anaType string, work, seconds float64) {
-	if work <= 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	const alpha = 0.3
-	observed := seconds / work
-	if old, ok := p.rate[anaType]; ok && old > 0 {
-		p.rate[anaType] = (1-alpha)*old + alpha*observed
-	} else {
-		p.rate[anaType] = observed
-	}
+func (p predictor) predict(anaType string, work float64) float64 {
+	return p[anaType] * work
 }
 
 // AnalysisStrategy implements Strategy for one analysis type.
 type AnalysisStrategy struct {
 	dm        *dm.DM
 	anaType   string
-	predictor *predictor
+	predictor predictor
 }
 
 // NewAnalysisStrategies builds the four standard strategies over a DM.

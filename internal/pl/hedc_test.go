@@ -203,19 +203,6 @@ func TestRedundantWorkDetection(t *testing.T) {
 	}
 }
 
-func TestPredictorImprovesWithObservation(t *testing.T) {
-	p := newPredictor()
-	base := p.predict(schema.AnaImaging, 1000)
-	// Observe consistently slower executions.
-	for i := 0; i < 20; i++ {
-		p.observe(schema.AnaImaging, 1000, base*10)
-	}
-	after := p.predict(schema.AnaImaging, 1000)
-	if after < base*5 {
-		t.Fatalf("predictor did not adapt: %v -> %v", base, after)
-	}
-}
-
 func TestAnalysisParamsValidation(t *testing.T) {
 	r := newHEDCRig(t)
 	if _, err := r.frontend.Submit(&Request{

@@ -29,29 +29,15 @@ type shardReply struct {
 // merge needs the primary key for its tie-break and the partition key
 // for ownership filtering) and keep the original predicates and
 // ordering; paging is applied post-merge. The second return says the
-// replies are plain counts that just sum (no move in flight).
-func (r *Router) prepSub(m *Map, q minidb.Query) (minidb.Query, bool) {
+// replies are plain counts that just sum.
+func prepSub(q minidb.Query) (minidb.Query, bool) {
 	sub := q
 	sub.Project = nil
 	sub.Offset = 0
 	if q.Count {
-		if m.Move == nil {
-			return sub, true
-		}
-		// Leftover copies exist during a move: counting requires the
-		// rows so ownership filtering can drop them.
-		r.stats.countRewrites.Add(1)
-		sub.Count = false
-		sub.OrderBy = nil
-		sub.Limit = 0
-		return sub, false
+		return sub, true
 	}
-	switch {
-	case m.Move != nil:
-		// Filtering happens router-side, so a shard-side limit could
-		// starve the merge of rows that survive the filter.
-		sub.Limit = 0
-	case q.Limit > 0:
+	if q.Limit > 0 {
 		sub.Limit = q.Offset + q.Limit
 	}
 	return sub, false
@@ -74,7 +60,7 @@ func (r *Router) scatterQuery(m *Map, nodes map[int]*node, q minidb.Query) (*min
 		return nil, err
 	}
 	shards := m.ReadShards()
-	sub, sumCounts := r.prepSub(m, q)
+	sub, sumCounts := prepSub(q)
 
 	replies := make([]shardReply, len(shards))
 	var wg sync.WaitGroup
@@ -144,9 +130,8 @@ func (r *Router) mergeReplies(m *Map, q minidb.Query, tc tableCols, replies []sh
 					rep.shard, len(row), width)
 			}
 			if tc.keyIdx >= 0 {
-				// Ownership filter: while a move is in flight (and
-				// defensively always), a row counts only on the shard
-				// that currently owns its slot.
+				// Ownership filter, a defensive check: a row counts
+				// only on the shard that owns its slot.
 				if m.ReadOwner(SlotOf(row[tc.keyIdx])) != rep.shard {
 					continue
 				}
@@ -254,10 +239,7 @@ func runnerFor(eng minidb.Engine, q colseg.Query) (*colseg.Result, error) {
 }
 
 // RunAnalytics fans an analytics query out to every owning shard and
-// merges the partial aggregates in ascending shard order. While a move
-// is in flight the partials would see leftover copies, so the whole
-// query falls back to ownership-filtered rows through the router —
-// slower, never wrong.
+// merges the partial aggregates in ascending shard order.
 func (r *Router) RunAnalytics(q colseg.Query) (*colseg.Result, error) {
 	m, nodes := r.snapshotRouting()
 	if _, sharded := KeyColumn(q.Table); !sharded {
@@ -265,10 +247,6 @@ func (r *Router) RunAnalytics(q colseg.Query) (*colseg.Result, error) {
 		return callShard(r, n, func(e minidb.Engine) (*colseg.Result, error) {
 			return runnerFor(e, q)
 		})
-	}
-	if m.Move != nil {
-		r.stats.anaFallback.Add(1)
-		return colseg.RunRows(r, q)
 	}
 	r.stats.anaFanout.Add(1)
 	shards := m.ReadShards()

@@ -428,67 +428,3 @@ func TestRouterOracleProperty(t *testing.T) {
 		})
 	}
 }
-
-// TestRouterOracleUnderSplit interleaves the workload with an online
-// shard split, auditing bit-identity between every protocol phase: the
-// dual-write window, post-backfill, post-cutover (leftovers still on
-// the source) and post-cleanup.
-func TestRouterOracleUnderSplit(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			g := newOracleRig(t, 2, seed)
-			steps := propertySteps(t) / 2
-			for i := 0; i < steps; i++ {
-				g.step()
-			}
-			g.audit()
-
-			next, err := minidb.Open(t.TempDir(), schema.AllSchemas()...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := g.r.AddShard(2, next); err != nil {
-				t.Fatal(err)
-			}
-			from := g.rng.Intn(2)
-			var slots []int
-			for sl := 0; sl < NumSlots; sl++ {
-				if g.r.Map().Slots[sl] == from {
-					slots = append(slots, sl)
-				}
-			}
-			slots = slots[len(slots)/2:]
-			sp, err := g.r.BeginSplit(from, 2, slots)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < steps; i++ { // dual-write window
-				g.step()
-			}
-			g.audit()
-			if err := sp.Backfill(); err != nil {
-				t.Fatal(err)
-			}
-			g.audit()
-			if err := sp.Cutover(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < steps; i++ { // leftovers still on the source
-				g.step()
-			}
-			g.audit()
-			if err := sp.Cleanup(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < steps/2; i++ {
-				g.step()
-			}
-			g.audit()
-			if g.r.Map().Move != nil {
-				t.Fatal("move still installed after cleanup")
-			}
-		})
-	}
-}

@@ -29,7 +29,8 @@ type Options struct {
 	// breakers (defaults 3 failures / 500ms).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	Logger           *log.Logger
+	// Logger, if set, is told the map the router opened with.
+	Logger *log.Logger
 }
 
 // node is one shard behind the router.
@@ -39,8 +40,7 @@ type node struct {
 	bk  *circuit.Breaker
 }
 
-// viewDef remembers a registered count view so ViewCount can route and a
-// newly added shard can have the view replayed onto it.
+// viewDef remembers a registered count view so ViewCount can route it.
 type viewDef struct {
 	table   string
 	groupBy string
@@ -51,17 +51,13 @@ type viewDef struct {
 // cluster replicas program against minidb.Engine and never learn the
 // catalog is partitioned.
 type Router struct {
-	mu          sync.RWMutex // guards smap, nodes, views, moveDeleted
-	smap        *Map
-	nodes       map[int]*node
-	views       map[string]viewDef
-	moveDeleted map[string]bool // "table|pk" deleted during a dual-write window
+	mu    sync.RWMutex // guards nodes, views
+	smap  *Map         // fixed at construction
+	nodes map[int]*node
+	views map[string]viewDef
 
-	fs        minidb.VFS
-	dir       string
 	threshold int
 	cooldown  time.Duration
-	logf      func(format string, args ...any)
 
 	// Schema routing caches, snapshotted from the home shard at
 	// construction. Schemas are immutable for the life of a cell, and
@@ -78,9 +74,8 @@ type Router struct {
 
 // tableCols caches the column indexes routing needs per table.
 type tableCols struct {
-	keyIdx int    // partition key column (-1 = homed table)
-	pkCol  string // primary key column name ("" = none)
-	pkIdx  int    // primary key column index (-1 = none)
+	keyIdx int // partition key column (-1 = homed table)
+	pkIdx  int // primary key column index (-1 = none)
 }
 
 type routerStats struct {
@@ -88,43 +83,29 @@ type routerStats struct {
 	scatter       atomic.Uint64
 	fanoutCalls   atomic.Uint64
 	shardFailures atomic.Uint64
-	mirrorWrites  atomic.Uint64
-	countRewrites atomic.Uint64
 	anaFanout     atomic.Uint64
-	anaFallback   atomic.Uint64
-	splits        atomic.Uint64
 }
 
 // NewRouter builds a router over the given shard engines. A persisted
-// map in Dir is reinstalled; one with an in-flight Move is rolled forward
-// (recoverSplit) before the router serves traffic, so reopening after a
-// crash mid-split always yields a consistent cell.
+// map in Dir is reinstalled, and the engines must be exactly the shards
+// it names: with no split to give it slots, an extra engine would sit
+// idle, so it is refused.
 func NewRouter(o Options) (*Router, error) {
 	if len(o.Shards) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one shard")
 	}
 	r := &Router{
-		nodes:       make(map[int]*node, len(o.Shards)),
-		views:       make(map[string]viewDef),
-		moveDeleted: make(map[string]bool),
-		fs:          o.FS,
-		dir:         o.Dir,
-		threshold:   o.BreakerThreshold,
-		cooldown:    o.BreakerCooldown,
-		colCache:    make(map[string]tableCols),
-	}
-	if r.fs == nil {
-		r.fs = minidb.OSFS
+		nodes:     make(map[int]*node, len(o.Shards)),
+		views:     make(map[string]viewDef),
+		threshold: o.BreakerThreshold,
+		cooldown:  o.BreakerCooldown,
+		colCache:  make(map[string]tableCols),
 	}
 	if r.threshold <= 0 {
 		r.threshold = 3
 	}
 	if r.cooldown <= 0 {
 		r.cooldown = 500 * time.Millisecond
-	}
-	r.logf = func(string, ...any) {}
-	if o.Logger != nil {
-		r.logf = o.Logger.Printf
 	}
 	ids := make([]int, 0, len(o.Shards))
 	for id, eng := range o.Shards {
@@ -136,10 +117,14 @@ func NewRouter(o Options) (*Router, error) {
 	}
 	sort.Ints(ids)
 
+	fsys := o.FS
+	if fsys == nil {
+		fsys = minidb.OSFS
+	}
 	var m *Map
-	if r.dir != "" {
+	if o.Dir != "" {
 		var err error
-		if m, err = LoadMap(r.fs, r.dir); err != nil {
+		if m, err = LoadMap(fsys, o.Dir); err != nil {
 			return nil, err
 		}
 	}
@@ -154,7 +139,16 @@ func NewRouter(o Options) (*Router, error) {
 			return nil, fmt.Errorf("shard: map names shard %d but no engine was given", id)
 		}
 	}
+	for _, id := range ids {
+		if !m.hasShard(id) {
+			return nil, fmt.Errorf("shard: engine for shard %d is not in the persisted map v%d over shards %v; "+
+				"a cell keeps the shard count it was first opened with", id, m.Version, m.Shards)
+		}
+	}
 	r.smap = m
+	if o.Logger != nil {
+		o.Logger.Printf("shard: map v%d over shards %v", m.Version, m.Shards)
+	}
 	home := r.nodes[m.Home()].eng
 	r.tables = append([]string(nil), home.TableNames()...)
 	r.schemas = make(map[string]*minidb.Schema, len(r.tables))
@@ -165,81 +159,16 @@ func NewRouter(o Options) (*Router, error) {
 		}
 		r.schemas[name] = sc
 	}
-	if r.dir != "" {
-		if err := SaveMap(r.fs, r.dir, m); err != nil {
+	if o.Dir != "" {
+		if err := SaveMap(fsys, o.Dir, m); err != nil {
 			return nil, err
-		}
-	}
-	if m.Move != nil {
-		r.logf("shard: recovering in-flight split %d->%d (phase %s)",
-			m.Move.From, m.Move.To, m.Move.Phase)
-		if err := r.recoverSplit(); err != nil {
-			return nil, fmt.Errorf("shard: split recovery: %w", err)
 		}
 	}
 	return r, nil
 }
 
-// Map returns the currently installed shard map (immutable).
-func (r *Router) Map() *Map {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.smap
-}
-
-// install persists (when configured) and publishes a new map version.
-func (r *Router) install(m *Map) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	if r.dir != "" {
-		if err := SaveMap(r.fs, r.dir, m); err != nil {
-			return err
-		}
-	}
-	r.mu.Lock()
-	r.smap = m
-	r.mu.Unlock()
-	return nil
-}
-
-// AddShard registers a new shard engine (it owns no slots until a split
-// assigns it some) and replays every registered count view onto it.
-func (r *Router) AddShard(id int, eng minidb.Engine) error {
-	if eng == nil {
-		return fmt.Errorf("shard: nil engine for shard %d", id)
-	}
-	r.mu.Lock()
-	if r.nodes[id] != nil {
-		r.mu.Unlock()
-		return fmt.Errorf("shard: shard %d already registered", id)
-	}
-	// Copy-on-write: snapshotRouting hands the node map out lock-free.
-	next := make(map[int]*node, len(r.nodes)+1)
-	for k, v := range r.nodes {
-		next[k] = v
-	}
-	next[id] = &node{id: id, eng: eng, bk: circuit.New(r.threshold, r.cooldown)}
-	r.nodes = next
-	views := make(map[string]viewDef, len(r.views))
-	for name, def := range r.views {
-		views[name] = def
-	}
-	r.mu.Unlock()
-	for name, def := range views {
-		if err := eng.CreateCountView(name, def.table, def.groupBy); err != nil {
-			return fmt.Errorf("shard: replay view %s on shard %d: %w", name, id, err)
-		}
-	}
-	return nil
-}
-
-// nodeFor returns the registered node (nil if unknown).
-func (r *Router) nodeFor(id int) *node {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.nodes[id]
-}
+// Map returns the router's shard map (immutable).
+func (r *Router) Map() *Map { return r.smap }
 
 // snapshotRouting returns the current map and node set coherently.
 func (r *Router) snapshotRouting() (*Map, map[int]*node) {
@@ -298,7 +227,6 @@ func (r *Router) cols(table string) (tableCols, error) {
 		}
 	}
 	if sc.PrimaryKey != "" {
-		tc.pkCol = sc.PrimaryKey
 		tc.pkIdx = sc.ColIndex(sc.PrimaryKey)
 	}
 	r.colCache[table] = tc
@@ -376,84 +304,7 @@ func (r *Router) keyOf(table string, row minidb.Row) (minidb.Value, error) {
 	return row[tc.keyIdx], nil
 }
 
-// upsertByPK makes the row with the new row's primary key on shard n
-// equal to row: update in place if present, insert otherwise. Used for
-// dual-write mirrors and backfill, both of which must be idempotent.
-func (r *Router) upsertByPK(n *node, table string, row minidb.Row) error {
-	tc, err := r.cols(table)
-	if err != nil {
-		return err
-	}
-	if tc.pkIdx < 0 || tc.pkIdx >= len(row) {
-		return fmt.Errorf("shard: table %s has no primary key to upsert by", table)
-	}
-	pk := row[tc.pkIdx]
-	q := minidb.Query{Table: table,
-		Where: []minidb.Pred{{Col: tc.pkCol, Op: minidb.OpEq, Val: pk}}}
-	res, err := callShard(r, n, func(e minidb.Engine) (*minidb.Result, error) { return e.Query(q) })
-	if err != nil {
-		return err
-	}
-	if len(res.RowIDs) > 0 {
-		_, err = callShard(r, n, func(e minidb.Engine) (struct{}, error) {
-			return struct{}{}, e.Update(table, res.RowIDs[0], row)
-		})
-		return err
-	}
-	_, err = callShard(r, n, func(e minidb.Engine) (int64, error) { return e.Insert(table, row) })
-	if err != nil && !isShardFailure(err) {
-		// Unique-key race with a concurrent backfill copy of the same
-		// row: re-resolve and update instead.
-		res, qerr := callShard(r, n, func(e minidb.Engine) (*minidb.Result, error) { return e.Query(q) })
-		if qerr == nil && len(res.RowIDs) > 0 {
-			_, err = callShard(r, n, func(e minidb.Engine) (struct{}, error) {
-				return struct{}{}, e.Update(table, res.RowIDs[0], row)
-			})
-		}
-	}
-	return err
-}
-
-// deleteByPK removes every row on shard n matching the primary key.
-func (r *Router) deleteByPK(n *node, table string, pk minidb.Value) error {
-	tc, err := r.cols(table)
-	if err != nil {
-		return err
-	}
-	q := minidb.Query{Table: table,
-		Where: []minidb.Pred{{Col: tc.pkCol, Op: minidb.OpEq, Val: pk}}}
-	res, err := callShard(r, n, func(e minidb.Engine) (*minidb.Result, error) { return e.Query(q) })
-	if err != nil {
-		return err
-	}
-	for _, id := range res.RowIDs {
-		id := id
-		if _, err := callShard(r, n, func(e minidb.Engine) (struct{}, error) {
-			return struct{}{}, e.Delete(table, id)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// noteMoveDelete records a dual-write-window delete so a racing backfill
-// cannot resurrect the row on the destination shard.
-func (r *Router) noteMoveDelete(table string, pk minidb.Value) {
-	r.mu.Lock()
-	r.moveDeleted[table+"|"+pk.String()] = true
-	r.mu.Unlock()
-}
-
-func (r *Router) wasMoveDeleted(table string, pk minidb.Value) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.moveDeleted[table+"|"+pk.String()]
-}
-
-// Insert routes by partition key; during a dual-write window the write
-// lands on both the old and the new owner, and the insert is acked only
-// when both copies exist.
+// Insert routes by partition key to the slot's owner.
 func (r *Router) Insert(table string, row minidb.Row) (int64, error) {
 	m, nodes := r.snapshotRouting()
 	if _, sharded := KeyColumn(table); !sharded {
@@ -465,24 +316,17 @@ func (r *Router) Insert(table string, row minidb.Row) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	primary, mirror, dual := m.WriteOwners(SlotOf(key))
-	rowid, err := callShard(r, nodes[primary], func(e minidb.Engine) (int64, error) {
+	owner := m.ReadOwner(SlotOf(key))
+	rowid, err := callShard(r, nodes[owner], func(e minidb.Engine) (int64, error) {
 		return e.Insert(table, row)
 	})
 	if err != nil {
 		return 0, err
 	}
-	if dual {
-		r.stats.mirrorWrites.Add(1)
-		if err := r.upsertByPK(nodes[mirror], table, row); err != nil {
-			return 0, fmt.Errorf("shard: dual-write mirror: %w", err)
-		}
-	}
-	return TagRowid(primary, rowid), nil
+	return TagRowid(owner, rowid), nil
 }
 
-// Update replaces the row at a routed rowid; a dual-write window repairs
-// the destination copy by primary key.
+// Update replaces the row at a routed rowid.
 func (r *Router) Update(table string, rowid int64, row minidb.Row) error {
 	m, nodes := r.snapshotRouting()
 	if _, sharded := KeyColumn(table); !sharded {
@@ -496,26 +340,13 @@ func (r *Router) Update(table string, rowid int64, row minidb.Row) error {
 	if n == nil {
 		return fmt.Errorf("shard: rowid %d names unknown shard %d", rowid, sid)
 	}
-	if _, err := callShard(r, n, func(e minidb.Engine) (struct{}, error) {
+	_, err := callShard(r, n, func(e minidb.Engine) (struct{}, error) {
 		return struct{}{}, e.Update(table, local, row)
-	}); err != nil {
-		return err
-	}
-	key, err := r.keyOf(table, row)
-	if err != nil {
-		return err
-	}
-	if primary, mirror, dual := m.WriteOwners(SlotOf(key)); dual && sid == primary {
-		r.stats.mirrorWrites.Add(1)
-		if err := r.upsertByPK(nodes[mirror], table, row); err != nil {
-			return fmt.Errorf("shard: dual-write mirror: %w", err)
-		}
-	}
-	return nil
+	})
+	return err
 }
 
-// Delete removes the row at a routed rowid; a dual-write window deletes
-// the destination copy too and records the key against resurrection.
+// Delete removes the row at a routed rowid.
 func (r *Router) Delete(table string, rowid int64) error {
 	m, nodes := r.snapshotRouting()
 	if _, sharded := KeyColumn(table); !sharded {
@@ -529,58 +360,19 @@ func (r *Router) Delete(table string, rowid int64) error {
 	if n == nil {
 		return fmt.Errorf("shard: rowid %d names unknown shard %d", rowid, sid)
 	}
-	if m.Move == nil || m.Move.Phase != PhaseDualWrite {
-		_, err := callShard(r, n, func(e minidb.Engine) (struct{}, error) {
-			return struct{}{}, e.Delete(table, local)
-		})
-		return err
-	}
-	// Dual-write window: fetch the row first so the destination copy can
-	// be removed by primary key.
-	row, err := callShard(r, n, func(e minidb.Engine) (minidb.Row, error) {
-		return e.Get(table, local)
-	})
-	if err != nil {
-		return err
-	}
-	if row == nil {
-		return fmt.Errorf("shard: no row %d in %s on shard %d", local, table, sid)
-	}
-	tc, err := r.cols(table)
-	if err != nil {
-		return err
-	}
-	key := row[tc.keyIdx]
-	primary, mirror, dual := m.WriteOwners(SlotOf(key))
-	if dual && sid == primary && tc.pkIdx >= 0 {
-		r.noteMoveDelete(table, row[tc.pkIdx])
-	}
-	if _, err := callShard(r, n, func(e minidb.Engine) (struct{}, error) {
+	_, err := callShard(r, n, func(e minidb.Engine) (struct{}, error) {
 		return struct{}{}, e.Delete(table, local)
-	}); err != nil {
-		return err
-	}
-	if dual && sid == primary && tc.pkIdx >= 0 {
-		r.stats.mirrorWrites.Add(1)
-		if err := r.deleteByPK(nodes[mirror], table, row[tc.pkIdx]); err != nil {
-			return fmt.Errorf("shard: dual-write mirror delete: %w", err)
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 // Apply partitions a batch into per-shard sub-batches (each group-commits
 // on its shard) and stitches the insert rowids back into batch order.
 // Cross-shard batches are not atomic: shards commit in ascending id
 // order, and a mid-sequence failure leaves earlier shards committed —
-// the same contract as the split protocol, and the reason HEDC keeps
-// multi-row invariants within one partition key. During a dual-write
-// window the batch degrades to op-by-op routing so mirrors stay exact.
+// the reason HEDC keeps multi-row invariants within one partition key.
 func (r *Router) Apply(b *minidb.Batch) ([]int64, error) {
 	m, nodes := r.snapshotRouting()
-	if m.Move != nil {
-		return r.applyOps(b)
-	}
 	type insertRef struct {
 		shard int
 		pos   int  // index into that shard's sub-batch inserts
@@ -609,7 +401,7 @@ func (r *Router) Apply(b *minidb.Batch) ([]int64, error) {
 				if err != nil {
 					return nil, err
 				}
-				sid, _, _ = m.WriteOwners(SlotOf(key))
+				sid = m.ReadOwner(SlotOf(key))
 			}
 			sb := sub(sid)
 			refs = append(refs, insertRef{shard: sid, pos: sb.Inserts(), tag: sharded})
@@ -656,52 +448,17 @@ func (r *Router) Apply(b *minidb.Batch) ([]int64, error) {
 	return out, nil
 }
 
-// applyOps replays a batch through the router's single-op path (used
-// while a move is in flight, where mirrors need read-modify-write).
-func (r *Router) applyOps(b *minidb.Batch) ([]int64, error) {
-	var rowids []int64
-	for i := 0; i < b.Len(); i++ {
-		op := b.Op(i)
-		switch op.Kind {
-		case minidb.BatchInsert:
-			id, err := r.Insert(op.Table, op.Row)
-			if err != nil {
-				return nil, err
-			}
-			rowids = append(rowids, id)
-		case minidb.BatchUpdate:
-			if err := r.Update(op.Table, op.RowID, op.Row); err != nil {
-				return nil, err
-			}
-		case minidb.BatchDelete:
-			if err := r.Delete(op.Table, op.RowID); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return rowids, nil
-}
-
 // TableNames reports the cell's tables (snapshotted at construction;
 // schemas are cell-wide and immutable).
 func (r *Router) TableNames() []string {
 	return append([]string(nil), r.tables...)
 }
 
-// TableLen sums live rows across owners. While a move is in flight the
-// counts come from an ownership-filtered scatter count so leftover copies
-// are not double-counted.
+// TableLen sums live rows across owners.
 func (r *Router) TableLen(name string) int {
 	m, nodes := r.snapshotRouting()
 	if _, sharded := KeyColumn(name); !sharded {
 		return nodes[m.Home()].eng.TableLen(name)
-	}
-	if m.Move != nil {
-		res, err := r.scatterQuery(m, nodes, minidb.Query{Table: name, Count: true})
-		if err != nil {
-			return -1
-		}
-		return res.Count
 	}
 	total := 0
 	for _, sid := range m.ReadShards() {
@@ -797,7 +554,7 @@ func (r *Router) Stats() minidb.StatsSnapshot {
 }
 
 // CreateCountView registers the view on every shard and remembers the
-// definition for ViewCount routing and future AddShard replays.
+// definition for ViewCount routing.
 func (r *Router) CreateCountView(name, table, groupBy string) error {
 	r.mu.Lock()
 	r.views[name] = viewDef{table: table, groupBy: groupBy}
@@ -817,9 +574,7 @@ func (r *Router) CreateCountView(name, table, groupBy string) error {
 	return nil
 }
 
-// ViewCount sums a group's count across the read set. While a move is in
-// flight the sum would see leftover copies, so it degrades to an
-// ownership-filtered count query instead.
+// ViewCount sums a group's count across the read set.
 func (r *Router) ViewCount(name string, key minidb.Value) (int, error) {
 	r.mu.RLock()
 	def, ok := r.views[name]
@@ -836,17 +591,6 @@ func (r *Router) ViewCount(name string, key minidb.Value) (int, error) {
 		return callShard(r, nodes[m.Home()], func(e minidb.Engine) (int, error) {
 			return e.ViewCount(name, key)
 		})
-	}
-	if m.Move != nil {
-		r.stats.countRewrites.Add(1)
-		res, err := r.scatterQuery(m, nodes, minidb.Query{
-			Table: def.table, Count: true,
-			Where: []minidb.Pred{{Col: def.groupBy, Op: minidb.OpEq, Val: key}},
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.Count, nil
 	}
 	total := 0
 	for _, sid := range m.ReadShards() {
@@ -888,17 +632,12 @@ type ShardStatus struct {
 // Status describes the router for the /stats page and tests.
 type Status struct {
 	MapVersion    uint64
-	Move          string
 	Shards        []ShardStatus
 	SingleShard   uint64
 	Scatter       uint64
 	FanoutCalls   uint64
 	ShardFailures uint64
-	MirrorWrites  uint64
-	CountRewrites uint64
 	AnaFanout     uint64
-	AnaFallback   uint64
-	Splits        uint64
 }
 
 // Status returns a point-in-time routing snapshot.
@@ -910,15 +649,7 @@ func (r *Router) Status() Status {
 		Scatter:       r.stats.scatter.Load(),
 		FanoutCalls:   r.stats.fanoutCalls.Load(),
 		ShardFailures: r.stats.shardFailures.Load(),
-		MirrorWrites:  r.stats.mirrorWrites.Load(),
-		CountRewrites: r.stats.countRewrites.Load(),
 		AnaFanout:     r.stats.anaFanout.Load(),
-		AnaFallback:   r.stats.anaFallback.Load(),
-		Splits:        r.stats.splits.Load(),
-	}
-	if m.Move != nil {
-		st.Move = fmt.Sprintf("%d->%d (%d slots, %s)",
-			m.Move.From, m.Move.To, len(m.Move.Slots), m.Move.Phase)
 	}
 	slotsOf := make(map[int]int)
 	for s := 0; s < NumSlots; s++ {

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -124,6 +125,33 @@ func TestRouterPointOpsRoute(t *testing.T) {
 	}
 	if r.TableLen(schema.TableHLE) != n-1 {
 		t.Fatalf("TableLen %d, want %d", r.TableLen(schema.TableHLE), n-1)
+	}
+}
+
+// TestRouterRefusesEngineOutsideMap: a cell persisted over shards {0,1}
+// and reopened with a third engine must fail to open. Without a split the
+// extra shard could never own a slot, so serving on would silently run on
+// two shards while the operator believes there are three.
+func TestRouterRefusesEngineOutsideMap(t *testing.T) {
+	dir := t.TempDir()
+	dbs := openShardDBs(t, 3)
+	first, err := NewRouter(Options{Shards: map[int]minidb.Engine{0: dbs[0], 1: dbs[1]}, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := first.Map().Version
+
+	if _, err := NewRouter(Options{Shards: dbs, Dir: dir}); err == nil ||
+		!strings.Contains(err.Error(), "engine for shard 2 is not in the persisted map") {
+		t.Fatalf("reopen with an extra engine: err %v", err)
+	}
+	again, err := NewRouter(Options{Shards: map[int]minidb.Engine{0: dbs[0], 1: dbs[1]}, Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen with the persisted shards: %v", err)
+	}
+	if again.Map().Version != version || len(again.Map().Shards) != 2 {
+		t.Fatalf("reopened map v%d over %v, want v%d over 2 shards",
+			again.Map().Version, again.Map().Shards, version)
 	}
 }
 

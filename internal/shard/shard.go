@@ -5,20 +5,18 @@
 // kept catalog growth from capping throughput — partition the catalog,
 // route point lookups to their owner, scatter-gather the rest.
 //
-// The package has three parts:
+// The package has two parts:
 //
 //   - a shard Map (smap.go): 64 hash slots over the domain partition key,
 //     each owned by a shard, versioned and persisted through the
 //     minidb.VFS seam so crash recovery yields the old map or the new
-//     map, never a torn one;
+//     map, never a torn one. The layout is fixed when a cell is first
+//     opened: a cell keeps the shard count it was built with;
 //   - a Router (router.go, merge.go, tx.go): implements minidb.Engine and
 //     colseg.Runner over N per-shard engines. Key-equality point ops
 //     route to the single owner; everything else fans out scatter-gather
 //     with per-shard circuit breakers and a deterministic merge that is
-//     bit-identical to a single unsharded node (property-tested);
-//   - an online Split (split.go): dual-write window, idempotent backfill,
-//     cutover, cleanup — each phase persisted in the map so a crash at
-//     any point rolls forward.
+//     bit-identical to a single unsharded node (property-tested).
 //
 // Ordering contract. The merge totally orders rows by the query's
 // ORDER BY terms and breaks ties by ascending primary key. A single
@@ -43,8 +41,7 @@ import (
 )
 
 // NumSlots is the fixed size of the hash slot table. 64 slots over at
-// most 8 shards keeps every shard's share a contiguous run of slots while
-// leaving split granularity of ~1.6% of the key space.
+// most 8 shards keeps every shard's share a contiguous run of slots.
 const NumSlots = 64
 
 // keyColumns maps each sharded domain table to its partition key column.

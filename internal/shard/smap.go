@@ -11,58 +11,18 @@ import (
 	"repro/internal/minidb"
 )
 
-// Phase is the stage of an in-flight slot move (split.go). The map only
-// carries a Move while a split is running; a stable map has Move == nil.
-type Phase uint8
-
-const (
-	// PhaseDualWrite: writes to moving slots go to both From and To;
-	// reads still come from From. The To copies are invisible (partial
-	// backfill must never be served).
-	PhaseDualWrite Phase = iota + 1
-	// PhaseCutover: backfill is complete and the slot table now names To
-	// as owner; reads route to To. From still holds leftover copies that
-	// the scatter path must filter until cleanup deletes them.
-	PhaseCutover
-)
-
-func (p Phase) String() string {
-	switch p {
-	case PhaseDualWrite:
-		return "dual-write"
-	case PhaseCutover:
-		return "cutover"
-	}
-	return "?"
-}
-
-// Move records an in-flight slot transfer.
-type Move struct {
-	From  int
-	To    int
-	Slots []int // sorted, unique
-	Phase Phase
-}
-
-func (m *Move) moving(slot int) bool {
-	i := sort.SearchInts(m.Slots, slot)
-	return i < len(m.Slots) && m.Slots[i] == slot
-}
-
-// Map is one version of the shard layout: which shards exist, which shard
-// owns each of the 64 hash slots, and at most one in-flight Move. Maps
-// are immutable once installed in a Router — every change is a Clone,
-// bump, persist, swap.
+// Map is one version of the shard layout: which shards exist and which
+// shard owns each of the 64 hash slots. A Router's map is immutable: the
+// layout is fixed when the cell is first opened and persisted, and every
+// reopen loads it back.
 type Map struct {
 	Version uint64
 	Shards  []int // sorted shard ids
 	Slots   [NumSlots]int
-	Move    *Move
 }
 
 // NewMap lays shardIDs out over the slot table in contiguous runs —
-// hash-partitioned keys, range-partitioned slot space — so a later split
-// can hand a contiguous half of a shard's run to a new shard.
+// hash-partitioned keys, range-partitioned slot space.
 func NewMap(shardIDs []int) *Map {
 	ids := append([]int(nil), shardIDs...)
 	sort.Ints(ids)
@@ -74,33 +34,13 @@ func NewMap(shardIDs []int) *Map {
 	return m
 }
 
-// Clone returns a deep copy ready for mutation.
-func (m *Map) Clone() *Map {
-	c := &Map{Version: m.Version, Shards: append([]int(nil), m.Shards...), Slots: m.Slots}
-	if m.Move != nil {
-		mv := *m.Move
-		mv.Slots = append([]int(nil), m.Move.Slots...)
-		c.Move = &mv
-	}
-	return c
-}
-
 // Home is the shard that owns every homed (unsharded) table: the lowest
-// shard id, which a split never removes.
+// shard id.
 func (m *Map) Home() int { return m.Shards[0] }
 
-// ReadOwner is the shard serving reads for a slot under the current map.
+// ReadOwner is the shard that owns a slot: every read and write of the
+// slot's keys goes there.
 func (m *Map) ReadOwner(slot int) int { return m.Slots[slot] }
-
-// WriteOwners is every shard a write to the slot must reach: just the
-// owner, except during a dual-write window where the move's From and To
-// both take the write.
-func (m *Map) WriteOwners(slot int) (primary int, mirror int, dual bool) {
-	if m.Move != nil && m.Move.Phase == PhaseDualWrite && m.Move.moving(slot) {
-		return m.Move.From, m.Move.To, true
-	}
-	return m.Slots[slot], 0, false
-}
 
 // ReadShards is the scatter set: every shard owning at least one slot.
 func (m *Map) ReadShards() []int {
@@ -148,43 +88,17 @@ func (m *Map) Validate() error {
 			return fmt.Errorf("shard: slot %d owned by unknown shard %d", s, owner)
 		}
 	}
-	if mv := m.Move; mv != nil {
-		if mv.Phase != PhaseDualWrite && mv.Phase != PhaseCutover {
-			return fmt.Errorf("shard: bad move phase %d", mv.Phase)
-		}
-		if !m.hasShard(mv.From) || !m.hasShard(mv.To) || mv.From == mv.To {
-			return fmt.Errorf("shard: bad move %d->%d", mv.From, mv.To)
-		}
-		if len(mv.Slots) == 0 {
-			return errors.New("shard: move with no slots")
-		}
-		if !sort.IntsAreSorted(mv.Slots) {
-			return errors.New("shard: move slots not sorted")
-		}
-		for i, s := range mv.Slots {
-			if s < 0 || s >= NumSlots {
-				return fmt.Errorf("shard: move slot %d out of range", s)
-			}
-			if i > 0 && mv.Slots[i-1] == s {
-				return errors.New("shard: duplicate move slot")
-			}
-			want := mv.From
-			if mv.Phase == PhaseCutover {
-				want = mv.To
-			}
-			if m.Slots[s] != want {
-				return fmt.Errorf("shard: move slot %d owned by %d, want %d in phase %s",
-					s, m.Slots[s], want, mv.Phase)
-			}
-		}
-	}
 	return nil
 }
 
 // On-disk format: magic "SMAP1", then a uvarint-coded body, then the
 // IEEE CRC32 of magic+body as 4 little-endian bytes. The file is written
 // tmp + sync + rename, so a reader sees the old file or the new file;
-// the CRC rejects torn or bit-flipped content.
+// the CRC rejects torn or bit-flipped content. The body ends in a
+// move-flag byte, always 0 here. Earlier builds wrote 1 plus an
+// in-flight slot move while their online split ran (that protocol is in
+// git from commit 04a475f); such a map is refused, never loaded without
+// its move.
 var mapMagic = []byte("SMAP1")
 
 const mapFile = "SHARDMAP"
@@ -201,18 +115,7 @@ func EncodeMap(m *Map) []byte {
 	for _, owner := range m.Slots {
 		minidb.WirePutUvarint(&b, uint64(owner))
 	}
-	if m.Move == nil {
-		b.WriteByte(0)
-	} else {
-		b.WriteByte(1)
-		minidb.WirePutUvarint(&b, uint64(m.Move.From))
-		minidb.WirePutUvarint(&b, uint64(m.Move.To))
-		minidb.WirePutUvarint(&b, uint64(m.Move.Phase))
-		minidb.WirePutUvarint(&b, uint64(len(m.Move.Slots)))
-		for _, s := range m.Move.Slots {
-			minidb.WirePutUvarint(&b, uint64(s))
-		}
-	}
+	b.WriteByte(0) // move flag
 	sum := crc32.ChecksumIEEE(b.Bytes())
 	b.Write([]byte{byte(sum), byte(sum >> 8), byte(sum >> 16), byte(sum >> 24)})
 	return b.Bytes()
@@ -257,33 +160,14 @@ func DecodeMap(data []byte) (*Map, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: map move flag: %w", err)
 	}
-	if flag == 1 {
-		mv := &Move{}
-		var v uint64
-		if v, err = minidb.WireUvarint(r); err != nil {
-			return nil, fmt.Errorf("shard: move from: %w", err)
-		}
-		mv.From = int(v)
-		if v, err = minidb.WireUvarint(r); err != nil {
-			return nil, fmt.Errorf("shard: move to: %w", err)
-		}
-		mv.To = int(v)
-		if v, err = minidb.WireUvarint(r); err != nil {
-			return nil, fmt.Errorf("shard: move phase: %w", err)
-		}
-		mv.Phase = Phase(v)
-		if v, err = minidb.WireUvarint(r); err != nil || v > NumSlots {
-			return nil, fmt.Errorf("shard: move slot count %d: %v", v, err)
-		}
-		mv.Slots = make([]int, v)
-		for i := range mv.Slots {
-			if v, err = minidb.WireUvarint(r); err != nil {
-				return nil, fmt.Errorf("shard: move slot: %w", err)
-			}
-			mv.Slots[i] = int(v)
-		}
-		m.Move = mv
-	} else if flag != 0 {
+	switch flag {
+	case 0:
+	case 1:
+		from, _ := minidb.WireUvarint(r)
+		to, _ := minidb.WireUvarint(r)
+		return nil, fmt.Errorf("shard: map v%d records an unfinished split of shard %d onto %d; "+
+			"this build has no split protocol to finish it", m.Version, from, to)
+	default:
 		return nil, fmt.Errorf("shard: bad move flag %d", flag)
 	}
 	if r.Len() != 0 {

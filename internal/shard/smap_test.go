@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -14,18 +16,9 @@ func TestMapRoundTrip(t *testing.T) {
 		NewMap([]int{0, 1}),
 		NewMap([]int{0, 1, 2, 5, 9}),
 	}
-	mv := NewMap([]int{0, 1})
-	mv.Version = 7
-	mv.Shards = []int{0, 1, 2}
-	mv.Move = &Move{From: 1, To: 2, Slots: []int{40, 41, 63}, Phase: PhaseDualWrite}
-	maps = append(maps, mv)
-	cut := mv.Clone()
-	cut.Version++
-	for _, s := range cut.Move.Slots {
-		cut.Slots[s] = 2
-	}
-	cut.Move.Phase = PhaseCutover
-	maps = append(maps, cut)
+	bumped := NewMap([]int{0, 1, 2})
+	bumped.Version = 7
+	maps = append(maps, bumped)
 
 	for i, m := range maps {
 		if err := m.Validate(); err != nil {
@@ -73,6 +66,27 @@ func TestMapDecodeRejects(t *testing.T) {
 	if _, err := DecodeMap(EncodeMap(bad)); err == nil {
 		t.Fatal("decoded map with unknown slot owner")
 	}
+
+	// A map written by a build that still had the online split: a stable
+	// map (move flag 0) loads unchanged.
+	golden := []byte("SMAP1\x04\x03\x00\x01\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x02\x00\xaaK\x04\x9c")
+	want := NewMap([]int{0, 1, 2})
+	want.Version = 4
+	if got, err := DecodeMap(golden); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("stable map from an earlier build: got %+v, %v", got, err)
+	}
+	if !bytes.Equal(EncodeMap(want), golden) {
+		t.Fatal("encoding of a stable map changed")
+	}
+
+	// One written mid-split (move flag 1: the dual-write map of corpus
+	// file testdata/fuzz/FuzzDecodeShardMap/seed-03) is refused, naming
+	// the split, never loaded without its move.
+	midSplit := []byte("SMAP1\t\x03\x00\x01\x03\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x03\x01\x03234\fn\x94~")
+	_, err := DecodeMap(midSplit)
+	if err == nil || !strings.Contains(err.Error(), "unfinished split of shard 1 onto 3") {
+		t.Fatalf("map with an in-flight split: err %v", err)
+	}
 }
 
 // TestMapCrashAtomicity enumerates every fault site of a map update:
@@ -80,10 +94,8 @@ func TestMapDecodeRejects(t *testing.T) {
 // old or the new map, never a torn or corrupt one.
 func TestMapCrashAtomicity(t *testing.T) {
 	old := NewMap([]int{0, 1})
-	next := old.Clone()
+	next := NewMap([]int{0, 1})
 	next.Version++
-	next.Shards = []int{0, 1, 2}
-	next.Move = &Move{From: 1, To: 2, Slots: []int{60, 61}, Phase: PhaseDualWrite}
 
 	// Count the ops of one save to bound the enumeration.
 	probe := fault.NewFS()

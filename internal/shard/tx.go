@@ -53,32 +53,6 @@ func (t *routerTx) tx(sid int) (minidb.Tx, error) {
 	return tx, nil
 }
 
-// upsertByPKTx mirrors a row into the destination shard inside its
-// sub-transaction (dual-write window only).
-func (t *routerTx) upsertByPKTx(sid int, table string, row minidb.Row) error {
-	tc, err := t.r.cols(table)
-	if err != nil {
-		return err
-	}
-	if tc.pkIdx < 0 || tc.pkIdx >= len(row) {
-		return fmt.Errorf("shard: table %s has no primary key to upsert by", table)
-	}
-	tx, err := t.tx(sid)
-	if err != nil {
-		return err
-	}
-	res, err := tx.Query(minidb.Query{Table: table,
-		Where: []minidb.Pred{{Col: tc.pkCol, Op: minidb.OpEq, Val: row[tc.pkIdx]}}})
-	if err != nil {
-		return err
-	}
-	if len(res.RowIDs) > 0 {
-		return tx.Update(table, res.RowIDs[0], row)
-	}
-	_, err = tx.Insert(table, row)
-	return err
-}
-
 func (t *routerTx) Insert(table string, row minidb.Row) (int64, error) {
 	if _, sharded := KeyColumn(table); !sharded {
 		tx, err := t.tx(t.m.Home())
@@ -91,8 +65,8 @@ func (t *routerTx) Insert(table string, row minidb.Row) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	primary, mirror, dual := t.m.WriteOwners(SlotOf(key))
-	tx, err := t.tx(primary)
+	owner := t.m.ReadOwner(SlotOf(key))
+	tx, err := t.tx(owner)
 	if err != nil {
 		return 0, err
 	}
@@ -100,13 +74,7 @@ func (t *routerTx) Insert(table string, row minidb.Row) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if dual {
-		t.r.stats.mirrorWrites.Add(1)
-		if err := t.upsertByPKTx(mirror, table, row); err != nil {
-			return 0, fmt.Errorf("shard: dual-write mirror: %w", err)
-		}
-	}
-	return TagRowid(primary, rowid), nil
+	return TagRowid(owner, rowid), nil
 }
 
 func (t *routerTx) Update(table string, rowid int64, row minidb.Row) error {
@@ -122,20 +90,7 @@ func (t *routerTx) Update(table string, rowid int64, row minidb.Row) error {
 	if err != nil {
 		return err
 	}
-	if err := tx.Update(table, local, row); err != nil {
-		return err
-	}
-	key, err := t.r.keyOf(table, row)
-	if err != nil {
-		return err
-	}
-	if primary, mirror, dual := t.m.WriteOwners(SlotOf(key)); dual && sid == primary {
-		t.r.stats.mirrorWrites.Add(1)
-		if err := t.upsertByPKTx(mirror, table, row); err != nil {
-			return fmt.Errorf("shard: dual-write mirror: %w", err)
-		}
-	}
-	return nil
+	return tx.Update(table, local, row)
 }
 
 func (t *routerTx) Delete(table string, rowid int64) error {
@@ -151,45 +106,7 @@ func (t *routerTx) Delete(table string, rowid int64) error {
 	if err != nil {
 		return err
 	}
-	if t.m.Move == nil || t.m.Move.Phase != PhaseDualWrite {
-		return tx.Delete(table, local)
-	}
-	row, err := tx.Get(table, local)
-	if err != nil {
-		return err
-	}
-	if row == nil {
-		return fmt.Errorf("shard: no row %d in %s on shard %d", local, table, sid)
-	}
-	tc, err := t.r.cols(table)
-	if err != nil {
-		return err
-	}
-	primary, mirror, dual := t.m.WriteOwners(SlotOf(row[tc.keyIdx]))
-	if dual && sid == primary && tc.pkIdx >= 0 {
-		t.r.noteMoveDelete(table, row[tc.pkIdx])
-	}
-	if err := tx.Delete(table, local); err != nil {
-		return err
-	}
-	if dual && sid == primary && tc.pkIdx >= 0 {
-		t.r.stats.mirrorWrites.Add(1)
-		mtx, err := t.tx(mirror)
-		if err != nil {
-			return err
-		}
-		res, err := mtx.Query(minidb.Query{Table: table,
-			Where: []minidb.Pred{{Col: tc.pkCol, Op: minidb.OpEq, Val: row[tc.pkIdx]}}})
-		if err != nil {
-			return err
-		}
-		for _, id := range res.RowIDs {
-			if err := mtx.Delete(table, id); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return tx.Delete(table, local)
 }
 
 func (t *routerTx) Query(q minidb.Query) (*minidb.Result, error) {
@@ -225,7 +142,7 @@ func (t *routerTx) scatterQuery(q minidb.Query) (*minidb.Result, error) {
 		return nil, err
 	}
 	shards := t.m.ReadShards()
-	sub, sumCounts := t.r.prepSub(t.m, q)
+	sub, sumCounts := prepSub(q)
 	replies := make([]shardReply, len(shards))
 	for i, sid := range shards {
 		tx, err := t.tx(sid)

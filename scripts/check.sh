@@ -5,9 +5,11 @@
 # gateway; internal/sim is imported only by the paper-shape reproductions;
 # internal/epochcache is the only cache — the four types it replaced and
 # container/list stay gone; and the dead-weight audit, TestDeadWeightAudit
-# in deadweight_test.go, which runs inside go test ./... and fails on
-# exported code no file references, option fields no code sets, and any
-# change to its shrink-only allow-list testdata/deadweight.allow), the
+# in deadweight_test.go, which runs inside go test ./... with four classes:
+# (i) exported code no file references, (ii) option fields no code sets,
+# (iii) names only their own package's tests use, (iv) funcs and methods
+# no binary reaches; (i) and (ii) must be empty, and (iii) and (iv) must
+# match the shrink-only allow-list testdata/deadweight.allow), the
 # full test suite (which includes the harness-cell builder's tests and the
 # scaled-down Figure 5 live and sharded sweeps with their bit-identical
 # oracle), a short-mode race lane (which carries the
@@ -15,8 +17,8 @@
 # of the cache's single-flight tests and of the decoded-unit cache's
 # concurrent single-decode test, the crash-recovery and network-chaos
 # harnesses under -race (both enumerate sharded schedules too; torture
-# includes the lake journal/compaction/GC crash sites and chaos the ten
-# lake storm schedules), one iteration each of the parallel query,
+# includes the cross-shard batch and transaction crash sites and the lake
+# journal/compaction/GC ones, and chaos the ten lake storm schedules), one iteration each of the parallel query,
 # browse-shape query, redirect round-trip (BenchmarkRedirectRoundTrip),
 # raw-unit pack (BenchmarkPackGz), partitioned-view
 # (BenchmarkPartitionViews) and ingest benchmarks (smoke-checks the
