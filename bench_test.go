@@ -189,7 +189,7 @@ func BenchmarkAblationLOBvsFile(b *testing.B) {
 			if err != nil || len(res.Rows) != 1 {
 				b.Fatal(err)
 			}
-			if len(res.Rows[0][1].Bytes()) != len(payload) {
+			if len(res.Rows[0][1].B) != len(payload) {
 				b.Fatal("short lob")
 			}
 		}

@@ -234,7 +234,10 @@ func runDB(ctx context.Context, data, addr string, maxOps float64, bootPw string
 	fmt.Printf("HEDC metadata database serving dbnet on %s (data in %s)\n", srv.Addr(), dir)
 	<-ctx.Done()
 	log.Printf("dbnet: shutting down")
-	return srv.Close()
+	err = srv.Close()
+	log.Printf("db: shutdown: ops=%d overload-refusals=%d deadline-refusals=%d txns=%d txn-timeouts=%d free-ops=%d",
+		srv.Ops(), srv.OverloadRefusals(), srv.DeadlineRefusals(), srv.Txns(), srv.TxnTimeouts(), srv.FreeOps())
+	return err
 }
 
 // runReplica runs one middle-tier node: a full DM whose metadata engine
@@ -340,9 +343,10 @@ func runGateway(ctx context.Context, addr, replicaList string, adaptive bool) er
 		Logger: log.New(os.Stderr, "gateway ", log.LstdFlags),
 	}
 	if adaptive {
-		// Zero-value configs take the package defaults; the flag just
-		// flips admission from the fixed semaphore to the AIMD limiter
-		// and starts the brownout ladder.
+		// Zero-value configs take the package defaults. Without the
+		// flag the gateway sets no MaxInflight, so it has no semaphore
+		// and admits everything; with it, the AIMD limiter admits and
+		// the brownout ladder runs.
 		opts.AdaptiveLimit = &overload.Config{}
 		opts.Brownout = &overload.LadderConfig{}
 	}

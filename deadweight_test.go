@@ -26,8 +26,9 @@ package hedc
 //
 // Classes (i) and (ii) must be empty. Class (iii) and (iv) findings are
 // listed in testdata/deadweight.allow, one "kind import/path.Name" per
-// line; a new finding fails the test and so does a line that is no longer
-// a finding, so the list can only shrink.
+// line under a "# reason" heading that says why the name stays; a new
+// finding fails the test, and so do a line that is no longer a finding
+// and a line with no heading, so the list can only shrink.
 //
 // It uses the standard library only: one `go list -deps -test -export`
 // supplies the file lists and the gc export data of the stdlib imports,
@@ -151,19 +152,59 @@ func readDeadweightAllow(t *testing.T) map[string]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allowed := map[string]bool{}
+	allowed, problems := parseDeadweightAllow(data)
+	for _, p := range problems {
+		t.Errorf("%s: %s", deadweightAllowFile, p)
+	}
+	return allowed
+}
+
+// parseDeadweightAllow reads the allow list: paragraphs separated by blank
+// lines, each a "# reason" heading of one or more comment lines followed
+// by the findings kept for that reason. A line before any heading in its
+// paragraph has no reason and is a problem, and so is a duplicate.
+func parseDeadweightAllow(data []byte) (allowed map[string]bool, problems []string) {
+	allowed = map[string]bool{}
+	reason := false
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+		switch {
+		case line == "":
+			reason = false
+		case strings.HasPrefix(line, "#"):
+			reason = true
+		case allowed[line]:
+			problems = append(problems, fmt.Sprintf("duplicate line %q", line))
+		case !reason:
+			problems = append(problems, fmt.Sprintf("%q sits under no # reason heading", line))
+			allowed[line] = true
+		default:
+			allowed[line] = true
 		}
-		if allowed[line] {
-			t.Errorf("%s: duplicate line %q", deadweightAllowFile, line)
-		}
-		allowed[line] = true
 	}
-	return allowed
+	return allowed, problems
+}
+
+func TestDeadWeightAllowNeedsReason(t *testing.T) {
+	for _, tt := range []struct {
+		name, text string
+		problems   int
+	}{
+		{"under a heading", "# a paper capability\nfunc p.A\nfunc p.B\n", 0},
+		{"heading of two lines", "# a fault seam\n# for torture\nmethod p.T.M\n", 0},
+		{"no heading", "func p.A\n", 1},
+		{"blank line ends the heading", "# reason\nfunc p.A\n\nfunc p.B\n", 1},
+		{"duplicate", "# reason\nfunc p.A\nfunc p.A\n", 1},
+	} {
+		allowed, problems := parseDeadweightAllow([]byte(tt.text))
+		if len(problems) != tt.problems {
+			t.Errorf("%s: problems %q, want %d", tt.name, problems, tt.problems)
+		}
+		if !allowed["func p.A"] && !allowed["method p.T.M"] {
+			t.Errorf("%s: the findings were not read: %v", tt.name, allowed)
+		}
+	}
 }
 
 // loadDeadweightAudit lists the module with its test variants and

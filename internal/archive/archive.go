@@ -140,9 +140,6 @@ func (a *Archive) Online() bool {
 	return a.online
 }
 
-// Used returns the bytes of the live files.
-func (a *Archive) Used() int64 { return a.lk.LiveBytes() }
-
 // CapacityLeft returns the remaining capacity in bytes (MaxInt64 when
 // unlimited). Physical bytes count, history included: a removed file
 // occupies the tier until compaction and GC retire its container.
@@ -154,9 +151,6 @@ func (a *Archive) CapacityLeft() int64 {
 	defer a.mu.RUnlock()
 	return a.capacity - a.lk.PhysBytes() - a.reserved
 }
-
-// Len returns the number of stored files.
-func (a *Archive) Len() int { return a.lk.Len() }
 
 // BatchFile is one file of a StoreBatch. Day is the mission-day partition
 // key: compaction sorts merged containers by (Day, Rel), so bulk
@@ -246,24 +240,6 @@ func (a *Archive) Open(rel string) (io.ReadCloser, error) {
 	return io.NopCloser(bytes.NewReader(data)), nil
 }
 
-// OpenAt opens a read-only view of the archive as of commit seq (0 = the
-// current head), durably pinned against GC until the view is closed.
-func (a *Archive) OpenAt(seq uint64) (*lake.View, error) {
-	if !a.Online() {
-		return nil, ErrOffline
-	}
-	return a.lk.OpenAt(seq)
-}
-
-// Stat returns the size of a stored file.
-func (a *Archive) Stat(rel string) (int64, error) {
-	n, err := a.lk.Stat(rel)
-	return n, mapLakeErr(err)
-}
-
-// Exists reports whether the file is stored here.
-func (a *Archive) Exists(rel string) bool { return a.lk.Exists(rel) }
-
 // Remove deletes a file: a tombstone commit. Only system processes
 // (archive relocation, purging, §5.2) call this; it is not exposed to
 // users. The bytes stay readable through pinned older commits, and keep
@@ -278,10 +254,6 @@ func (a *Archive) Remove(rel string) error {
 
 // List returns stored paths in sorted order.
 func (a *Archive) List() []string { return a.lk.List() }
-
-// Verify re-reads every file against its checksum, returning the paths
-// that fail.
-func (a *Archive) Verify() []string { return a.lk.Verify() }
 
 // mapLakeErr translates lake sentinel errors into the archive's, so
 // callers match errors.Is(err, archive.ErrNotFound) etc. without knowing

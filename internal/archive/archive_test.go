@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -64,8 +65,8 @@ func TestStoreReadRoundTrip(t *testing.T) {
 	if string(got) != string(data) {
 		t.Fatalf("read %q", got)
 	}
-	if a.Used() != int64(len(data)) || a.Len() != 1 {
-		t.Fatalf("used=%d len=%d", a.Used(), a.Len())
+	if a.Lake().Status().LiveBytes != int64(len(data)) || len(a.List()) != 1 {
+		t.Fatalf("used=%d len=%d", a.Lake().Status().LiveBytes, len(a.List()))
 	}
 }
 
@@ -120,14 +121,14 @@ func TestStoreBatchCapacity(t *testing.T) {
 	if err := a.StoreBatch(batchOf("a", "123456", "b", "7890x")); !errors.Is(err, ErrFull) {
 		t.Fatalf("over capacity: %v", err)
 	}
-	if a.Used() != 0 || a.CapacityLeft() != 10 {
-		t.Fatalf("failed batch kept its reservation: used=%d left=%d", a.Used(), a.CapacityLeft())
+	if a.Lake().Status().LiveBytes != 0 || a.CapacityLeft() != 10 {
+		t.Fatalf("failed batch kept its reservation: used=%d left=%d", a.Lake().Status().LiveBytes, a.CapacityLeft())
 	}
 	if err := a.StoreBatch(batchOf("a", "12345", "b", "67890")); err != nil {
 		t.Fatal(err)
 	}
-	if a.Used() != 10 || a.CapacityLeft() != 0 {
-		t.Fatalf("used=%d left=%d", a.Used(), a.CapacityLeft())
+	if a.Lake().Status().LiveBytes != 10 || a.CapacityLeft() != 0 {
+		t.Fatalf("used=%d left=%d", a.Lake().Status().LiveBytes, a.CapacityLeft())
 	}
 }
 
@@ -179,8 +180,8 @@ func TestConcurrentBatchesNeverOvershootCapacity(t *testing.T) {
 	if winners < 1 || winners > fits {
 		t.Fatalf("%d batches stored, capacity fits %d", winners, fits)
 	}
-	if a.Len() != 2*winners || a.CapacityLeft() != int64(fits-winners)*batchBytes {
-		t.Fatalf("len=%d left=%d after %d winners (reservation leaked?)", a.Len(), a.CapacityLeft(), winners)
+	if len(a.List()) != 2*winners || a.CapacityLeft() != int64(fits-winners)*batchBytes {
+		t.Fatalf("len=%d left=%d after %d winners (reservation leaked?)", len(a.List()), a.CapacityLeft(), winners)
 	}
 }
 
@@ -206,9 +207,6 @@ func TestOfflineRejectsOperations(t *testing.T) {
 	if err := a.Remove("f"); !errors.Is(err, ErrOffline) {
 		t.Fatalf("remove err = %v", err)
 	}
-	if _, err := a.OpenAt(0); !errors.Is(err, ErrOffline) {
-		t.Fatalf("OpenAt err = %v", err)
-	}
 	a.SetOnline(true)
 	if _, err := a.Read("f"); err != nil {
 		t.Fatalf("read after re-online: %v", err)
@@ -229,11 +227,8 @@ func TestReadMissing(t *testing.T) {
 	if _, err := a.Read("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := a.Stat("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("stat err = %v", err)
-	}
-	if a.Exists("nope") {
-		t.Fatal("missing file exists")
+	if slices.Contains(a.List(), "nope") {
+		t.Fatal("missing file listed")
 	}
 }
 
@@ -263,7 +258,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	if _, err := a.Open("f"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open err = %v, want ErrCorrupt", err)
 	}
-	bad := a.Verify()
+	bad := a.Lake().Verify()
 	if len(bad) != 1 || bad[0] != "f" {
 		t.Fatalf("verify = %v", bad)
 	}
@@ -282,8 +277,8 @@ func TestSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 4 || b.Used() != a.Used() {
-		t.Fatalf("reopened len=%d used=%d (was %d)", b.Len(), b.Used(), a.Used())
+	if len(b.List()) != 4 || b.Lake().Status().LiveBytes != a.Lake().Status().LiveBytes {
+		t.Fatalf("reopened len=%d used=%d (was %d)", len(b.List()), b.Lake().Status().LiveBytes, a.Lake().Status().LiveBytes)
 	}
 	for rel, want := range map[string]string{"x/one": "1", "x/two": "22", "a/one": "1111", "b/two": "22"} {
 		got, err := b.Read(rel)
@@ -314,7 +309,7 @@ func TestRestartKeepsDurablePins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, err := a.OpenAt(0)
+	v, err := a.Lake().OpenAt(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,14 +334,14 @@ func TestRemove(t *testing.T) {
 	if err := a.Remove("f"); err != nil {
 		t.Fatal(err)
 	}
-	if a.Exists("f") || a.Used() != 0 || a.Len() != 0 {
+	if slices.Contains(a.List(), "f") || a.Lake().Status().LiveBytes != 0 || len(a.List()) != 0 {
 		t.Fatal("remove did not update state")
 	}
 	if _, err := a.Read("f"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("read removed: %v", err)
 	}
 	b, _ := NewLake("ar1", Disk, dir, 0)
-	if b.Exists("f") {
+	if slices.Contains(b.List(), "f") {
 		t.Fatal("removed file resurrected by reopen")
 	}
 	if err := a.Remove("f"); !errors.Is(err, ErrNotFound) {
@@ -362,7 +357,7 @@ func TestStoreBatchRemoveMembers(t *testing.T) {
 	if err := a.Remove("m/a"); err != nil {
 		t.Fatal(err)
 	}
-	if a.Exists("m/a") {
+	if slices.Contains(a.List(), "m/a") {
 		t.Fatal("removed member still listed")
 	}
 	// The surviving member still reads from the shared container.
@@ -372,8 +367,8 @@ func TestStoreBatchRemoveMembers(t *testing.T) {
 	if err := a.Remove("m/b"); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 0 || a.Used() != 0 {
-		t.Fatalf("len=%d used=%d", a.Len(), a.Used())
+	if len(a.List()) != 0 || a.Lake().Status().LiveBytes != 0 {
+		t.Fatalf("len=%d used=%d", len(a.List()), a.Lake().Status().LiveBytes)
 	}
 	// A removed name may be stored again.
 	if err := a.StoreBatch(batchOf("m/a", "again")); err != nil {
@@ -406,7 +401,7 @@ func TestCopyBetweenArchives(t *testing.T) {
 		t.Fatalf("dst read: %q %v", got, err)
 	}
 	// Source is untouched.
-	if !src.Exists("unit/f1") {
+	if !slices.Contains(src.List(), "unit/f1") {
 		t.Fatal("copy removed the source")
 	}
 	// Copy to an archive that already holds the path fails cleanly.
@@ -428,18 +423,14 @@ func TestStoreBatchRoundTrip(t *testing.T) {
 		if err != nil || string(got) != string(f.Data) {
 			t.Fatalf("read %s: %q %v", f.Rel, got, err)
 		}
-		if !a.Exists(f.Rel) {
+		if !slices.Contains(a.List(), f.Rel) {
 			t.Fatalf("missing %s", f.Rel)
 		}
-		n, err := a.Stat(f.Rel)
-		if err != nil || n != int64(len(f.Data)) {
-			t.Fatalf("stat %s: %d %v", f.Rel, n, err)
-		}
 	}
-	if a.Used() != want || a.Len() != len(files) {
-		t.Fatalf("used=%d len=%d", a.Used(), a.Len())
+	if a.Lake().Status().LiveBytes != want || len(a.List()) != len(files) {
+		t.Fatalf("used=%d len=%d", a.Lake().Status().LiveBytes, len(a.List()))
 	}
-	if bad := a.Verify(); len(bad) != 0 {
+	if bad := a.Lake().Verify(); len(bad) != 0 {
 		t.Fatalf("verify: %v", bad)
 	}
 	// Open streams a member.
@@ -469,7 +460,7 @@ func TestStoreBatchConflicts(t *testing.T) {
 	if err := a.StoreBatch(batchOf("y", "1", "x", "2")); !errors.Is(err, ErrExists) {
 		t.Fatalf("existing member: %v", err)
 	}
-	if a.Exists("y") {
+	if slices.Contains(a.List(), "y") {
 		t.Fatal("failed batch left a member registered")
 	}
 	if err := a.StoreBatch(batchOf("y", "1", "y", "2")); !errors.Is(err, ErrExists) {
@@ -507,10 +498,10 @@ func TestStoreBatchConcurrent(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if a.Len() != workers*batches*2 {
-		t.Fatalf("len=%d", a.Len())
+	if len(a.List()) != workers*batches*2 {
+		t.Fatalf("len=%d", len(a.List()))
 	}
-	if bad := a.Verify(); len(bad) != 0 {
+	if bad := a.Lake().Verify(); len(bad) != 0 {
 		t.Fatalf("verify: %v", bad)
 	}
 }
@@ -523,7 +514,7 @@ func TestTimeTravel(t *testing.T) {
 	if err := a.Store("fits.gz/u1.fits.gz", []byte("original calibration")); err != nil {
 		t.Fatal(err)
 	}
-	v, err := a.OpenAt(0)
+	v, err := a.Lake().OpenAt(0)
 	if err != nil {
 		t.Fatalf("OpenAt: %v", err)
 	}

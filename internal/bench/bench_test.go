@@ -233,9 +233,6 @@ func TestFormatters(t *testing.T) {
 			t.Fatalf("browse format missing %q:\n%s", want, out)
 		}
 	}
-	if PeakThroughput(pts) != 17.1 {
-		t.Fatalf("peak = %v", PeakThroughput(pts))
-	}
 	t1 := FormatTable1(Table1(DefaultProcessingParams(), HistogramWorkload()))
 	for _, want := range []string{"histogram test", "S/1", "C/cached", "Turnover", "sojourn"} {
 		if !strings.Contains(t1, want) {

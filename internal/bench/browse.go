@@ -14,7 +14,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/sim"
 )
@@ -183,13 +182,4 @@ func FormatBrowse(title string, pts []BrowsePoint) string {
 			p.MeanResponseS, p.WebUtilization*100, p.DBUtilization*100)
 	}
 	return s
-}
-
-// PeakThroughput returns the maximum requests/s across points.
-func PeakThroughput(pts []BrowsePoint) float64 {
-	peak := 0.0
-	for _, p := range pts {
-		peak = math.Max(peak, p.RequestsPerSec)
-	}
-	return peak
 }

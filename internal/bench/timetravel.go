@@ -61,8 +61,8 @@ type TimeTravelDepth struct {
 	Commit    uint64  `json:"commit"`
 	Behind    uint64  `json:"commits_behind_head"`
 	Members   int     `json:"members"`
-	OpenMs    float64 `json:"open_ms"`      // OpenAt: journal-prefix replay + durable pin
-	ReadP50Us float64 `json:"read_p50_us"`  // per-member read through the view
+	OpenMs    float64 `json:"open_ms"`     // OpenAt: journal-prefix replay + durable pin
+	ReadP50Us float64 `json:"read_p50_us"` // per-member read through the view
 	ReadP95Us float64 `json:"read_p95_us"`
 	OracleOK  bool    `json:"oracle_ok"` // bit-identical to the replay oracle
 }

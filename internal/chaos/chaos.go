@@ -107,10 +107,6 @@ func schedulesOn(hops ...Hop) []Schedule {
 // both hops at every armed op index — 6 × 2 × 5 = 60 distinct schedules.
 func Schedules() []Schedule { return schedulesOn(HopDB, HopHTTP) }
 
-// ShardSchedules enumerates the sharded-cell fault matrix: every mode
-// against the shard-1 hop at every armed op index — 30 schedules.
-func ShardSchedules() []Schedule { return schedulesOn(HopShard) }
-
 // hardMode reports whether a fault shape severs the hop persistently (as
 // opposed to slowing it, or breaking it once and letting the client's
 // reconnect absorb the hit, as a single reset does): for these, scatter
@@ -126,9 +122,9 @@ const faultRounds = 8
 
 // Config tunes a run.
 type Config struct {
-	// MinFaultTime keeps the fault phase running for at least this long
+	// minFaultTime keeps the fault phase running for at least this long
 	// regardless of faultRounds — the CHAOSTIME knob.
-	MinFaultTime time.Duration
+	minFaultTime time.Duration
 }
 
 // Result is one schedule's outcome.
@@ -565,7 +561,7 @@ func Run(s Schedule, cfg Config) (*Result, error) {
 	}
 
 	start := time.Now()
-	for i := 0; i < faultRounds || time.Since(start) < cfg.MinFaultTime; i++ {
+	for i := 0; i < faultRounds || time.Since(start) < cfg.minFaultTime; i++ {
 		if sharded {
 			if err := c.healthyRead(res, i); err != nil {
 				return res, err

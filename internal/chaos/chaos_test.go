@@ -16,7 +16,7 @@ func chaosConfig(t *testing.T) Config {
 		if err != nil {
 			t.Fatalf("CHAOSTIME=%q: %v", v, err)
 		}
-		cfg.MinFaultTime = d
+		cfg.minFaultTime = d
 	}
 	return cfg
 }
@@ -30,7 +30,7 @@ var scheduleSets = []struct {
 	sharded bool
 }{
 	{"db+http", Schedules, 50, false},
-	{"shard", ShardSchedules, 30, true},
+	{"shard", func() []Schedule { return schedulesOn(HopShard) }, 30, true},
 }
 
 // TestScheduleMatrix pins the enumeration floors: at least 50 distinct

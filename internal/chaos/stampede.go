@@ -66,9 +66,11 @@ type StampedeConfig struct {
 	// fixed semaphore + naive-retry baseline, true is the limiter +
 	// brownout + hint-honoring stack.
 	Adaptive bool
-	// Warm, Spike, Recover are the phase durations (defaults 600ms, 2s,
-	// 1.5s; RecoveryFocus schedules override Spike/Recover).
-	Warm, Spike, Recover time.Duration
+	// Spike and Recover are phase durations (defaults 2s and 1.5s;
+	// RecoveryFocus schedules override both).
+	Spike, Recover time.Duration
+	// warm is the first phase's duration (default 600ms).
+	warm time.Duration
 }
 
 const (
@@ -85,8 +87,8 @@ const (
 )
 
 func (c *StampedeConfig) defaults(s StampedeSchedule) {
-	if c.Warm <= 0 {
-		c.Warm = 600 * time.Millisecond
+	if c.warm <= 0 {
+		c.warm = 600 * time.Millisecond
 	}
 	if c.Spike <= 0 {
 		c.Spike = 2 * time.Second
@@ -415,7 +417,7 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 		pw.Wait()
 	}
 
-	phase(false, browseRPS, cfg.Warm)
+	phase(false, browseRPS, cfg.warm)
 
 	if s.SlowReplica {
 		c.rig.SetFault(c.rig.OpCount()+1, fault.NetLatency)

@@ -11,7 +11,7 @@ import (
 // second of spike is enough to prove the contract holds, not enough to
 // measure a pretty A/B (the bench does that).
 func shortStampede(cfg *StampedeConfig) {
-	cfg.Warm = 300 * time.Millisecond
+	cfg.warm = 300 * time.Millisecond
 	cfg.Spike = time.Second
 	cfg.Recover = 600 * time.Millisecond
 }

@@ -257,28 +257,6 @@ func (c *Cell) dialEngine(replica int) (minidb.Engine, error) {
 	return router, nil
 }
 
-// StopReplica kills the named replica abruptly, as when a machine dies;
-// the gateway is left to find out.
-func (c *Cell) StopReplica(name string) {
-	for _, r := range c.Replicas {
-		if r.Name() == name {
-			r.Stop()
-		}
-	}
-}
-
-// Routers returns the per-replica shard routers: none for a one-shard
-// cell, one per replica otherwise.
-func (c *Cell) Routers() []*shard.Router {
-	var out []*shard.Router
-	for _, e := range c.engines {
-		if r, ok := e.(*shard.Router); ok {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Close stops the gateway, the replicas and every replica's database
 // engine (clients, and routers with the clients under them). The
 // backends stay up. Idempotent.

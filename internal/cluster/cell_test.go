@@ -12,6 +12,7 @@ import (
 	"repro/internal/dm"
 	"repro/internal/minidb"
 	"repro/internal/schema"
+	"repro/internal/shard"
 )
 
 // testCell is a whole harness cell under test: both halves, torn down
@@ -49,6 +50,16 @@ func startTestCell(t *testing.T, shards, nHLEs int, srv dbnet.Options, o CellOpt
 	}
 	t.Cleanup(c.Close)
 	return &testCell{b, c}
+}
+
+// stopReplica kills the named replica abruptly, as when a machine dies;
+// the gateway is left to find out.
+func (tc *testCell) stopReplica(name string) {
+	for _, r := range tc.Replicas {
+		if r.Name() == name {
+			r.Stop()
+		}
+	}
 }
 
 // member returns the gateway's view of one replica.
@@ -94,7 +105,13 @@ func TestCellServes(t *testing.T) {
 					}
 				}
 			}
-			if got := len(tc.Routers()); got != wantRouters {
+			got := 0
+			for _, e := range tc.engines {
+				if _, ok := e.(*shard.Router); ok {
+					got++
+				}
+			}
+			if got != wantRouters {
 				t.Fatalf("routers = %d, want %d", got, wantRouters)
 			}
 			if len(tc.Replicas) != tt.replicas || len(tc.GW.Members()) != tt.replicas {

@@ -137,7 +137,7 @@ func TestGatewayFailover(t *testing.T) {
 		}
 		return true
 	})
-	tc.StopReplica("replica-1") // machine failure mid-run
+	tc.stopReplica("replica-1") // machine failure mid-run
 
 	// The dead replica must leave rotation (drained) while traffic
 	// continues on the survivors.
@@ -206,7 +206,7 @@ func TestGatewaySessionPinning(t *testing.T) {
 	if pinned == nil {
 		t.Fatal("token not pinned")
 	}
-	tc.StopReplica(pinned.name)
+	tc.stopReplica(pinned.name)
 	time.Sleep(300 * time.Millisecond)
 
 	if _, err := tc.GW.CountHLEs(si.Token, "10.0.0.3", dm.HLEFilter{Kind: "flare"}); err != nil {
@@ -247,7 +247,7 @@ func TestGatewaySessionPinning(t *testing.T) {
 func TestGatewayAdmissionControl(t *testing.T) {
 	tc := startTestCell(t, 1, 5, dbnet.Options{}, CellOptions{
 		Replicas: 1,
-		Gateway:  GatewayOptions{MaxInflight: 1, QueueTimeout: 50 * time.Millisecond},
+		Gateway:  GatewayOptions{MaxInflight: 1, queueTimeout: 50 * time.Millisecond},
 		Capacity: Capacity{Workers: 1, CPUPerCall: 150 * time.Millisecond}})
 
 	var ok, shed atomic.Int64
@@ -274,8 +274,8 @@ func TestGatewayAdmissionControl(t *testing.T) {
 	if shed.Load() == 0 {
 		t.Fatal("overload did not shed — admission control inert")
 	}
-	if tc.GW.Shed() != shed.Load() {
-		t.Fatalf("Shed() = %d, observed %d", tc.GW.Shed(), shed.Load())
+	if tc.GW.Status().Shed != shed.Load() {
+		t.Fatalf("Status().Shed = %d, observed %d", tc.GW.Status().Shed, shed.Load())
 	}
 }
 

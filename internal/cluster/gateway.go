@@ -57,10 +57,10 @@ type GatewayOptions struct {
 	// semaphore; 0 disables admission control. Ignored when AdaptiveLimit
 	// is set. Kept as the baseline arm of the stampede A/B experiment.
 	MaxInflight int
-	// QueueTimeout bounds how long an admitted-pending request may wait
+	// queueTimeout bounds how long an admitted-pending request may wait
 	// for capacity before being shed (default 5s). Fixed-semaphore mode
 	// only; the adaptive limiter uses its own MaxWait.
-	QueueTimeout time.Duration
+	queueTimeout time.Duration
 	// AdaptiveLimit switches admission control to the latency-gradient
 	// limiter in internal/overload: the inflight cap breathes with
 	// measured latency (AIMD), queue sojourn is CoDel-bounded, and sheds
@@ -160,8 +160,8 @@ func NewGateway(opts GatewayOptions) *Gateway {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = 10 * time.Millisecond
 	}
-	if opts.QueueTimeout <= 0 {
-		opts.QueueTimeout = 5 * time.Second
+	if opts.queueTimeout <= 0 {
+		opts.queueTimeout = 5 * time.Second
 	}
 	if opts.BreakerThreshold <= 0 {
 		opts.BreakerThreshold = 3
@@ -282,9 +282,8 @@ func (g *Gateway) Members() []MemberStatus {
 	return out
 }
 
-// Shed returns requests dropped by admission control; Failovers counts
-// calls retried on another replica after a transport failure.
-func (g *Gateway) Shed() int64      { return g.shed.Load() }
+// Failovers counts calls retried on another replica after a transport
+// failure.
 func (g *Gateway) Failovers() int64 { return g.failovers.Load() }
 
 // Status is the gateway's full resilience snapshot, for /stats pages and
@@ -311,7 +310,7 @@ type Status struct {
 // shedding, and which rung of the brownout ladder the cluster stands on.
 type OverloadStatus struct {
 	Adaptive    bool          // true when the latency-gradient limiter is active
-	Limit       int           // current concurrency limit (0 = unlimited/fixed)
+	Limit       int           // current concurrency limit (0 = admission control off)
 	Inflight    int           // admitted and executing now
 	Queued      int           // waiting for a permit
 	QueueDelay  time.Duration // recent average wait for a permit
@@ -345,6 +344,8 @@ func (g *Gateway) Status() Status {
 		ov.Backoffs = st.Backoffs
 		ov.Transitions = g.lad.Transitions()
 	} else {
+		ov.Limit = cap(g.admit)
+		ov.Inflight = len(g.admit)
 		ov.Sheds = g.shed.Load()
 	}
 	stale := g.stale.Stats()
@@ -511,7 +512,7 @@ func (g *Gateway) do(affinity, token string, mutation bool, fn func(api dm.API) 
 				g.shed.Add(1)
 				return &overload.Error{Tier: "gateway", RetryAfter: shedRetryAfter}
 			}
-			timer := time.NewTimer(g.opts.QueueTimeout)
+			timer := time.NewTimer(g.opts.queueTimeout)
 			select {
 			case g.admit <- struct{}{}:
 				timer.Stop()

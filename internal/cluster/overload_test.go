@@ -95,6 +95,29 @@ func TestGatewayAdaptiveShedTyped(t *testing.T) {
 	}
 }
 
+// TestGatewayReportsAdmission: Status().Overload names the admission
+// control a gateway runs: none reports limit 0, a fixed semaphore reports
+// its cap and the requests holding a slot.
+func TestGatewayReportsAdmission(t *testing.T) {
+	for _, tt := range []struct {
+		maxInflight, wantLimit int
+	}{{0, 0}, {3, 3}} {
+		gw := NewGateway(GatewayOptions{HealthInterval: time.Minute, MaxInflight: tt.maxInflight})
+		if tt.maxInflight > 0 {
+			gw.admit <- struct{}{}
+		}
+		st := gw.Status().Overload
+		gw.Close()
+		if st.Adaptive || st.Limit != tt.wantLimit {
+			t.Fatalf("MaxInflight %d: adaptive=%v limit=%d, want a fixed limit of %d",
+				tt.maxInflight, st.Adaptive, st.Limit, tt.wantLimit)
+		}
+		if wantIn := min(tt.maxInflight, 1); st.Inflight != wantIn {
+			t.Fatalf("MaxInflight %d: inflight=%d, want %d", tt.maxInflight, st.Inflight, wantIn)
+		}
+	}
+}
+
 // TestGatewayBackpressureOnDownstreamOverload: when the tier below sheds,
 // the gateway relays the typed error without retrying a sibling replica
 // (zero retry storm, structurally) and folds the refusal into its own

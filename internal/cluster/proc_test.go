@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -53,7 +55,7 @@ func TestProcReplicaLifecycle(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	proc, err := SpawnProcess(bin, []string{
+	proc, err := spawnProcess(bin, []string{
 		"-mode", "replica", "-addr", addr, "-db-addr", dbSrv.Addr(), "-node", "proc-1",
 	}, fmt.Sprintf("http://%s/healthz", addr), 10*time.Second)
 	if err != nil {
@@ -79,5 +81,79 @@ func TestProcReplicaLifecycle(t *testing.T) {
 	}
 	if proc.Healthy() {
 		t.Fatal("replica still answering after stop")
+	}
+}
+
+// childProc is a replica running as a child process (hedc-server in
+// replica mode). The in-process Replica is the common path; a child
+// process lives in its own address space, so killing it is a faithful
+// machine failure.
+type childProc struct {
+	cmd       *exec.Cmd
+	healthURL string
+}
+
+// spawnProcess starts binary with args and waits until its health
+// endpoint answers (or timeout, in which case the child is killed).
+func spawnProcess(binary string, args []string, healthURL string, timeout time.Duration) (*childProc, error) {
+	cmd := exec.Command(binary, args...)
+	cmd.Stdout = os.Stderr
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("cluster: spawn %s: %w", binary, err)
+	}
+	p := &childProc{cmd: cmd, healthURL: healthURL}
+	deadline := time.Now().Add(timeout)
+	client := &http.Client{Timeout: time.Second}
+	for {
+		resp, err := client.Get(healthURL)
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return p, nil
+			}
+		}
+		if time.Now().After(deadline) {
+			p.Kill()
+			return nil, fmt.Errorf("cluster: %s did not become healthy within %v", binary, timeout)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// Healthy re-probes the child's health endpoint.
+func (p *childProc) Healthy() bool {
+	client := &http.Client{Timeout: time.Second}
+	resp, err := client.Get(p.healthURL)
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
+}
+
+// Stop terminates the child gracefully (SIGTERM, then SIGKILL after
+// grace) and reaps it.
+func (p *childProc) Stop(grace time.Duration) error {
+	if p.cmd.Process == nil {
+		return nil
+	}
+	_ = p.cmd.Process.Signal(os.Interrupt)
+	done := make(chan error, 1)
+	go func() { done <- p.cmd.Wait() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(grace):
+		_ = p.cmd.Process.Kill()
+		return <-done
+	}
+}
+
+// Kill terminates the child immediately and reaps it.
+func (p *childProc) Kill() {
+	if p.cmd.Process != nil {
+		_ = p.cmd.Process.Kill()
+		_, _ = p.cmd.Process.Wait()
 	}
 }

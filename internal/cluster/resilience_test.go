@@ -235,7 +235,7 @@ func TestGatewayCircuitOpensOnDeadReplica(t *testing.T) {
 		RetryBackoff:     time.Millisecond,
 	}})
 
-	tc.StopReplica("replica-0")
+	tc.stopReplica("replica-0")
 	// Failures route around the dead node; every call still succeeds.
 	for i := 0; i < 12; i++ {
 		if _, err := tc.GW.CountHLEs("", "10.2.0.1", dm.HLEFilter{Kind: "flare", HasDay: true, Day: int64(i)}); err != nil {
@@ -267,7 +267,7 @@ func TestGatewayCircuitOpensOnDeadReplica(t *testing.T) {
 func TestGatewayPrioritySheds(t *testing.T) {
 	tc := startTestCell(t, 1, 5, dbnet.Options{}, CellOptions{
 		Replicas: 1,
-		Gateway:  GatewayOptions{MaxInflight: 1, QueueTimeout: 2 * time.Second},
+		Gateway:  GatewayOptions{MaxInflight: 1, queueTimeout: 2 * time.Second},
 		Capacity: Capacity{Workers: 1, CPUPerCall: 300 * time.Millisecond}})
 
 	si, err := tc.GW.Authenticate("sci", "pw", "10.3.0.1", dm.SessionHLE)
@@ -283,7 +283,7 @@ func TestGatewayPrioritySheds(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond)
 
-	// Anonymous: shed at once, far faster than QueueTimeout.
+	// Anonymous: shed at once, far faster than queueTimeout.
 	start := time.Now()
 	_, err = tc.GW.CountHLEs("", "10.3.0.2", dm.HLEFilter{Kind: "burst"})
 	if !errors.Is(err, ErrOverloaded) {
@@ -344,7 +344,7 @@ func TestPinnedCircuitOpenDemotesAndReaps(t *testing.T) {
 	}
 	// ...and is never committed: the replica that owned it is dead.
 
-	tc.StopReplica(pinned.name)
+	tc.stopReplica(pinned.name)
 
 	// First tokened call hits the dead pin, fails, demotes the session,
 	// opens the circuit (threshold 1), and fails over to the sibling.

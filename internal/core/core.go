@@ -44,10 +44,10 @@ type Config struct {
 	// PartitionDomain puts the domain schema on a second database instance
 	// (vertical partitioning, §5.2).
 	PartitionDomain bool
-	// IDLServers is the interpreter pool size (default 2, as deployed).
-	IDLServers int
-	// Workers is the PL dispatch pool (default 4).
-	Workers int
+	// idlServers is the interpreter pool size (default 2, as deployed).
+	idlServers int
+	// workers is the PL dispatch pool (default 4).
+	workers int
 	// SynopticArchives lists remote archives for the synoptic search.
 	SynopticArchives []synoptic.Endpoint
 	// Logger for operational messages (nil = discard).
@@ -99,8 +99,8 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.ImportPassword == "" {
 		cfg.ImportPassword = "import"
 	}
-	if cfg.IDLServers <= 0 {
-		cfg.IDLServers = 2
+	if cfg.idlServers <= 0 {
+		cfg.idlServers = 2
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = log.New(io.Discard, "", 0)
@@ -188,12 +188,12 @@ func Start(cfg Config) (*Node, error) {
 
 	// Processing tier.
 	n.Dir = pl.NewDirectory()
-	n.Manager, err = pl.NewManager(cfg.Node+"/mgr", cfg.IDLServers, pl.Routines(), invokeTimeout)
+	n.Manager, err = pl.NewManager(cfg.Node+"/mgr", cfg.idlServers, pl.Routines(), invokeTimeout)
 	if err != nil {
 		return nil, err
 	}
 	n.Dir.RegisterManager(n.Manager, "server")
-	n.Frontend = pl.NewFrontend(n.Dir, cfg.Workers, maxInSystem)
+	n.Frontend = pl.NewFrontend(n.Dir, cfg.workers, maxInSystem)
 	for _, s := range pl.NewAnalysisStrategies(n.DM) {
 		n.Frontend.RegisterStrategy(s)
 	}

@@ -172,7 +172,7 @@ func TestNodeSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in short mode")
 	}
-	n := startNode(t, Config{Workers: 4, IDLServers: 2})
+	n := startNode(t, Config{workers: 4, idlServers: 2})
 	reports, err := n.LoadDay(1, smallTelemetry(), 1200)
 	if err != nil || reports[0].Events == 0 {
 		t.Fatalf("load: %v", err)

@@ -153,11 +153,11 @@ func TestBatchInsideTransactionRejected(t *testing.T) {
 	}
 }
 
-// TestOversizedBatchRejected: a batch frame beyond the server's MaxFrame is
+// TestOversizedBatchRejected: a batch frame beyond the server's maxFrame is
 // refused at the framing layer; the client sees a transport error and a
 // fresh connection still works.
 func TestOversizedBatchRejected(t *testing.T) {
-	_, _, cl := newPair(t, Options{MaxFrame: 4096})
+	_, _, cl := newPair(t, Options{maxFrame: 4096})
 	big := strings.Repeat("x", 8192)
 	var b minidb.Batch
 	b.Insert("events", minidb.Row{minidb.I(1), minidb.S(big), minidb.F(0), minidb.Null()})

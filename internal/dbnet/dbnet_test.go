@@ -432,7 +432,7 @@ func TestCapacityCeiling(t *testing.T) {
 // TestMalformedFrames: garbage opcodes get an error response; oversized
 // frames drop the connection without wedging the server.
 func TestMalformedFrames(t *testing.T) {
-	_, srv, cl := newPair(t, Options{MaxFrame: 1 << 16})
+	_, srv, cl := newPair(t, Options{maxFrame: 1 << 16})
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {

@@ -84,7 +84,7 @@ func FuzzDispatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { db.Close() })
-	srv := &Server{opts: Options{MaxFrame: DefaultMaxFrame}, db: db, station: newSerialStation(0)}
+	srv := &Server{opts: Options{maxFrame: DefaultMaxFrame}, db: db, station: newSerialStation(0)}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

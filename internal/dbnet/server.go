@@ -36,8 +36,8 @@ type Options struct {
 	// idle holding the writer lock before the server rolls it back and
 	// drops the connection. Default 10s.
 	TxnIdleTimeout time.Duration
-	// MaxFrame bounds request frames. Default DefaultMaxFrame.
-	MaxFrame int
+	// maxFrame bounds request frames. Default DefaultMaxFrame.
+	maxFrame int
 	// Analytics serves opAnalytics from columnar segments. Nil falls back
 	// to a row-at-a-time scan over DB — still one round trip, just slower.
 	Analytics colseg.Runner
@@ -79,8 +79,8 @@ func Serve(ln net.Listener, opts Options) *Server {
 	if opts.TxnIdleTimeout <= 0 {
 		opts.TxnIdleTimeout = 10 * time.Second
 	}
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = DefaultMaxFrame
+	if opts.maxFrame <= 0 {
+		opts.maxFrame = DefaultMaxFrame
 	}
 	s := &Server{
 		opts:    opts,
@@ -187,7 +187,7 @@ func (s *Server) handle(conn net.Conn) {
 		} else {
 			conn.SetReadDeadline(time.Time{})
 		}
-		req, err := readFrame(br, s.opts.MaxFrame)
+		req, err := readFrame(br, s.opts.maxFrame)
 		if err != nil {
 			var nerr net.Error
 			if tx != nil && errors.As(err, &nerr) && nerr.Timeout() {

@@ -49,7 +49,10 @@ func (d *DM) AsOf(s *Session, commit uint64) (*AsOfView, error) {
 	if arch == nil {
 		return nil, fmt.Errorf("dm: default archive %q not registered", d.defArch)
 	}
-	v, err := arch.OpenAt(commit)
+	if !arch.Online() {
+		return nil, archive.ErrOffline
+	}
+	v, err := arch.Lake().OpenAt(commit)
 	if err != nil {
 		return nil, err
 	}

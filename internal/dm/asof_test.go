@@ -218,7 +218,8 @@ func TestAsOfAttachResumesAfterRestartToken(t *testing.T) {
 	}
 }
 
-// TestAsOfRequiresSession: as-of reads are never anonymous.
+// TestAsOfRequiresSession: as-of reads are never anonymous, and an
+// offline archive opens no view.
 func TestAsOfRequiresSession(t *testing.T) {
 	d := newTestDM(t)
 	if _, err := d.AsOf(nil, 0); err == nil {
@@ -226,6 +227,10 @@ func TestAsOfRequiresSession(t *testing.T) {
 	}
 	if _, err := d.AsOfAttach(nil, "pin-1"); err == nil {
 		t.Fatal("AsOfAttach without session succeeded")
+	}
+	d.DefaultArchive().SetOnline(false)
+	if _, err := d.AsOf(d.systemSession(), 0); !errors.Is(err, archive.ErrOffline) {
+		t.Fatalf("AsOf on an offline archive: %v, want ErrOffline", err)
 	}
 }
 
@@ -257,9 +262,9 @@ func TestLakeMaintenanceCoversEveryArchive(t *testing.T) {
 	if err := d.RelocateItem(itemID, "disk-0"); err != nil {
 		t.Fatal(err)
 	}
-	if tape.Len() != 0 || tape.CapacityLeft() != tapeCap-int64(len(payload)) {
+	if len(tape.List()) != 0 || tape.CapacityLeft() != tapeCap-int64(len(payload)) {
 		t.Fatalf("after purge: tape holds %d files, %d bytes left (a remove alone frees nothing)",
-			tape.Len(), tape.CapacityLeft())
+			len(tape.List()), tape.CapacityLeft())
 	}
 	if err := d.RelocateItem(itemID, "tape-0"); !errors.Is(err, archive.ErrFull) {
 		t.Fatalf("relocation into the unreclaimed tier: %v, want ErrFull", err)

@@ -3,6 +3,7 @@ package dm
 import (
 	"io"
 	"log"
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,12 +119,17 @@ func TestSessionCacheThreePerUser(t *testing.T) {
 	for _, kind := range []string{SessionHLE, SessionANA, SessionCatalog} {
 		login(t, d, ImportUser, "secret", kind)
 	}
-	if n := d.sessions.countFor(ImportUser); n != 3 {
+	cached := func() int {
+		d.sessions.mu.Lock()
+		defer d.sessions.mu.Unlock()
+		return len(d.sessions.byUser[ImportUser])
+	}
+	if n := cached(); n != 3 {
 		t.Fatalf("cached sessions = %d, want 3", n)
 	}
 	// A fourth login of an existing kind replaces, not grows.
 	login(t, d, ImportUser, "secret", SessionHLE)
-	if n := d.sessions.countFor(ImportUser); n != 3 {
+	if n := cached(); n != 3 {
 		t.Fatalf("cached sessions after re-login = %d, want 3", n)
 	}
 }
@@ -460,7 +466,7 @@ func TestRelocateItemLive(t *testing.T) {
 		t.Fatalf("read after relocation: %q %v", data, err)
 	}
 	// Old archive no longer holds the file.
-	if d.archives.Get("disk-0").Exists(rn.Path) {
+	if slices.Contains(d.archives.Get("disk-0").List(), rn.Path) {
 		t.Fatal("source copy not removed")
 	}
 	// Relocating to the same archive is a no-op.
@@ -734,7 +740,7 @@ func TestDeleteANARemovesFiles(t *testing.T) {
 	}
 	ana, _ := d.GetANA(alice, anaID)
 	arch := d.archives.Get("disk-0")
-	filesBefore := arch.Len()
+	filesBefore := len(arch.List())
 	entriesBefore := d.MetaDB().TableLen(schema.TableLocEntries)
 	if filesBefore != 2 || entriesBefore != 4 { // 2 files x (file + url entries)
 		t.Fatalf("precondition: files=%d entries=%d", filesBefore, entriesBefore)
@@ -748,8 +754,8 @@ func TestDeleteANARemovesFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Compensation: files and location entries are gone.
-	if arch.Len() != 0 {
-		t.Fatalf("archive still holds %d files", arch.Len())
+	if len(arch.List()) != 0 {
+		t.Fatalf("archive still holds %d files", len(arch.List()))
 	}
 	if n := d.MetaDB().TableLen(schema.TableLocEntries); n != 0 {
 		t.Fatalf("loc entries left: %d", n)

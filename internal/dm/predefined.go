@@ -92,13 +92,3 @@ func (d *DM) ListPredefinedQueries() ([]PredefinedQueryInfo, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
-
-// RunPredefinedQuery loads and executes a named query under the session's
-// visibility.
-func (d *DM) RunPredefinedQuery(s *Session, name string) ([]*schema.HLE, error) {
-	f, _, err := d.PredefinedQuery(name)
-	if err != nil {
-		return nil, err
-	}
-	return d.QueryHLEs(s, f)
-}

@@ -49,8 +49,8 @@ func TestRetentionMigratesOldUnitsToTape(t *testing.T) {
 	if rep.Migrated != 2 || rep.Failed != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
-	if tape.Len() != 2 {
-		t.Fatalf("tape holds %d files", tape.Len())
+	if len(tape.List()) != 2 {
+		t.Fatalf("tape holds %d files", len(tape.List()))
 	}
 	// Everything still readable through the same item ids; day-3+ data
 	// stayed on disk.
@@ -167,12 +167,20 @@ func TestPredefinedQueries(t *testing.T) {
 	if err != nil || len(list) != 1 || list[0].Name != "bright-flares" {
 		t.Fatalf("list = %v %v", list, err)
 	}
-	// Execution honours the session's visibility.
-	got, err := d.RunPredefinedQuery(alice, "bright-flares")
+	// Execution, as the web tier runs it (load the filter, then query),
+	// honours the session's visibility.
+	run := func(s *Session) ([]*schema.HLE, error) {
+		f, _, err := d.PredefinedQuery("bright-flares")
+		if err != nil {
+			return nil, err
+		}
+		return d.QueryHLEs(s, f)
+	}
+	got, err := run(alice)
 	if err != nil || len(got) != 3 {
 		t.Fatalf("run = %d %v", len(got), err)
 	}
-	anon, err := d.RunPredefinedQuery(nil, "bright-flares")
+	anon, err := run(nil)
 	if err != nil || len(anon) != 0 {
 		t.Fatalf("anonymous run sees %d private events", len(anon))
 	}
@@ -181,7 +189,7 @@ func TestPredefinedQueries(t *testing.T) {
 		HLEFilter{Kind: "gamma-ray-burst"}); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = d.RunPredefinedQuery(alice, "bright-flares")
+	got, _ = run(alice)
 	if len(got) != 3 || got[0].KindHint != "gamma-ray-burst" {
 		t.Fatalf("overwritten query = %v", got)
 	}

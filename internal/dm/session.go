@@ -165,12 +165,6 @@ func (c *sessionCache) drop(token string) {
 	}
 }
 
-func (c *sessionCache) countFor(user string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byUser[user])
-}
-
 func hashPassword(user, password string) string {
 	sum := sha256.Sum256([]byte("hedc:" + user + ":" + password))
 	return hex.EncodeToString(sum[:])

@@ -249,25 +249,6 @@ func (n *Net) DialContext(ctx context.Context, network, addr string) (net.Conn, 
 	return n.wrap(c), nil
 }
 
-// Listener wraps ln so every accepted connection runs through the
-// injector (dbnet's server-side seam).
-func (n *Net) Listener(ln net.Listener) net.Listener {
-	return &faultListener{Listener: ln, net: n}
-}
-
-type faultListener struct {
-	net.Listener
-	net *Net
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.net.wrap(c), nil
-}
-
 func (n *Net) wrap(c net.Conn) net.Conn {
 	return &faultConn{Conn: c, net: n, closed: make(chan struct{})}
 }

@@ -290,7 +290,7 @@ func TestNetListenerSeam(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	ln := n.Listener(raw)
+	ln := &faultListener{Listener: raw, net: n}
 	echoServer(t, ln)
 
 	c, err := net.Dial("tcp", ln.Addr().String()) // plain client: server side is wrapped
@@ -318,4 +318,19 @@ func TestNetListenerSeam(t *testing.T) {
 	if _, err := c.Read(buf); err == nil {
 		t.Fatal("read through server-side partition succeeded")
 	}
+}
+
+// faultListener runs every accepted connection through the injector: the
+// server side of a link, where dialers cover the client side.
+type faultListener struct {
+	net.Listener
+	net *Net
+}
+
+func (l *faultListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.net.wrap(c), nil
 }

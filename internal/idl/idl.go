@@ -106,17 +106,6 @@ func (s *Server) Register(name string, r Routine) {
 	s.mu.Unlock()
 }
 
-// Routines lists registered routine names.
-func (s *Server) Routines() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.routines))
-	for name := range s.routines {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Start boots the interpreter.
 func (s *Server) Start() error {
 	s.mu.Lock()
@@ -153,13 +142,6 @@ func (s *Server) Restart() {
 	s.statsMu.Unlock()
 }
 
-// State reports the current lifecycle state.
-func (s *Server) State() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
 // InjectCrash makes the next invocation crash the interpreter.
 func (s *Server) InjectCrash() { atomic.StoreInt32(&s.crashNext, 1) }
 
@@ -167,13 +149,6 @@ func (s *Server) InjectCrash() { atomic.StoreInt32(&s.crashNext, 1) }
 // simulating a wedged interpreter; the caller's context timeout is the only
 // way out.
 func (s *Server) InjectHang(d time.Duration) { s.hangNext.Store(int64(d)) }
-
-// Stats returns a copy of the counters.
-func (s *Server) Stats() Stats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.stats
-}
 
 // Invoke runs a routine synchronously. The interpreter is single-threaded:
 // a second concurrent Invoke fails with ErrBusy rather than queueing —
@@ -262,42 +237,5 @@ func (s *Server) run(ctx context.Context, routine Routine, args Args) (Args, err
 		// considered wedged and needs a restart, exactly like a real
 		// runaway IDL session.
 		return nil, ctx.Err()
-	}
-}
-
-// Job is an asynchronous invocation handle.
-type Job struct {
-	done chan struct{}
-	out  Args
-	err  error
-}
-
-// InvokeAsync starts a routine and returns immediately.
-func (s *Server) InvokeAsync(ctx context.Context, name string, args Args) *Job {
-	j := &Job{done: make(chan struct{})}
-	go func() {
-		j.out, j.err = s.Invoke(ctx, name, args)
-		close(j.done)
-	}()
-	return j
-}
-
-// Wait blocks until the job completes or ctx expires.
-func (j *Job) Wait(ctx context.Context) (Args, error) {
-	select {
-	case <-j.done:
-		return j.out, j.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Done reports whether the job has completed.
-func (j *Job) Done() bool {
-	select {
-	case <-j.done:
-		return true
-	default:
-		return false
 	}
 }

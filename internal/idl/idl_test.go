@@ -43,7 +43,7 @@ func TestInvokeRoundTrip(t *testing.T) {
 	if out["echo"] != 42 {
 		t.Fatalf("out = %v", out)
 	}
-	st := s.Stats()
+	st := stats(s)
 	if st.Invocations != 1 || st.Failures != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -60,14 +60,14 @@ func TestLifecycle(t *testing.T) {
 	if err := s.Start(); err == nil {
 		t.Fatal("double start accepted")
 	}
-	if s.State() != Idle {
-		t.Fatalf("state = %v", s.State())
+	if state(s) != Idle {
+		t.Fatalf("state = %v", state(s))
 	}
 	if err := s.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if s.State() != Stopped {
-		t.Fatalf("state = %v", s.State())
+	if state(s) != Stopped {
+		t.Fatalf("state = %v", state(s))
 	}
 }
 
@@ -98,12 +98,12 @@ func TestSingleThreadedBusyRejection(t *testing.T) {
 	if _, err := s.Invoke(context.Background(), "echo", nil); !errors.Is(err, ErrBusy) {
 		t.Fatalf("concurrent invoke err = %v, want ErrBusy", err)
 	}
-	if s.State() != Busy {
-		t.Fatalf("state = %v", s.State())
+	if state(s) != Busy {
+		t.Fatalf("state = %v", state(s))
 	}
 	wg.Wait()
-	if s.State() != Idle {
-		t.Fatalf("state after completion = %v", s.State())
+	if state(s) != Idle {
+		t.Fatalf("state after completion = %v", state(s))
 	}
 }
 
@@ -112,8 +112,8 @@ func TestRoutineErrorDoesNotKillServer(t *testing.T) {
 	if _, err := s.Invoke(context.Background(), "fail", nil); err == nil {
 		t.Fatal("failure swallowed")
 	}
-	if s.State() != Idle {
-		t.Fatalf("state = %v after routine error", s.State())
+	if state(s) != Idle {
+		t.Fatalf("state = %v after routine error", state(s))
 	}
 	if _, err := s.Invoke(context.Background(), "echo", Args{"x": 1}); err != nil {
 		t.Fatal(err)
@@ -126,8 +126,8 @@ func TestPanicCrashesInterpreter(t *testing.T) {
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("err = %v", err)
 	}
-	if s.State() != Crashed {
-		t.Fatalf("state = %v", s.State())
+	if state(s) != Crashed {
+		t.Fatalf("state = %v", state(s))
 	}
 	if _, err := s.Invoke(context.Background(), "echo", nil); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("invoke on crashed: %v", err)
@@ -136,7 +136,7 @@ func TestPanicCrashesInterpreter(t *testing.T) {
 	if _, err := s.Invoke(context.Background(), "echo", Args{"x": 1}); err != nil {
 		t.Fatalf("after restart: %v", err)
 	}
-	st := s.Stats()
+	st := stats(s)
 	if st.Crashes != 1 || st.Restarts != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -148,8 +148,8 @@ func TestInjectedCrash(t *testing.T) {
 	if _, err := s.Invoke(context.Background(), "echo", nil); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("err = %v", err)
 	}
-	if s.State() != Crashed {
-		t.Fatalf("state = %v", s.State())
+	if state(s) != Crashed {
+		t.Fatalf("state = %v", state(s))
 	}
 }
 
@@ -177,44 +177,6 @@ func TestContextTimeoutMidRoutine(t *testing.T) {
 	}
 }
 
-func TestAsyncInvoke(t *testing.T) {
-	s := echoServer(t)
-	j := s.InvokeAsync(context.Background(), "slow", nil)
-	if j.Done() {
-		t.Fatal("job done immediately")
-	}
-	out, err := j.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["ok"] != true {
-		t.Fatalf("out = %v", out)
-	}
-	if !j.Done() {
-		t.Fatal("job not done after wait")
-	}
-}
-
-func TestAsyncWaitTimeout(t *testing.T) {
-	s := echoServer(t)
-	release := make(chan struct{})
-	s.Register("gated", func(ctx context.Context, args Args) (Args, error) {
-		<-release
-		return Args{"ok": true}, nil
-	})
-	j := s.InvokeAsync(context.Background(), "gated", nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if _, err := j.Wait(ctx); err == nil {
-		t.Fatal("wait did not time out")
-	}
-	// The job itself still completes once released.
-	close(release)
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRestartWhileBusy(t *testing.T) {
 	s := echoServer(t)
 	started := make(chan struct{})
@@ -227,8 +189,8 @@ func TestRestartWhileBusy(t *testing.T) {
 	go s.Invoke(context.Background(), "wedge", nil)
 	<-started
 	s.Restart() // operator kills the wedged interpreter
-	if s.State() != Idle {
-		t.Fatalf("state = %v", s.State())
+	if state(s) != Idle {
+		t.Fatalf("state = %v", state(s))
 	}
 	if _, err := s.Invoke(context.Background(), "echo", Args{"x": 9}); err != nil {
 		t.Fatalf("after force restart: %v", err)
@@ -239,15 +201,30 @@ func TestRestartWhileBusy(t *testing.T) {
 func TestBusySecondsAccrue(t *testing.T) {
 	s := echoServer(t)
 	s.Invoke(context.Background(), "slow", nil)
-	if st := s.Stats(); st.BusySeconds < 0.04 {
+	if st := stats(s); st.BusySeconds < 0.04 {
 		t.Fatalf("busy seconds = %v", st.BusySeconds)
 	}
 }
 
 func TestRoutinesListing(t *testing.T) {
 	s := echoServer(t)
-	names := s.Routines()
-	if len(names) < 4 {
-		t.Fatalf("routines = %v", names)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.routines) < 4 {
+		t.Fatalf("routines = %v", s.routines)
 	}
+}
+
+// state reads the server's lifecycle state.
+func state(s *Server) State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.state
+}
+
+// stats copies the server's counters.
+func stats(s *Server) Stats {
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	return s.stats
 }

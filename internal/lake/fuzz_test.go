@@ -44,8 +44,8 @@ func journalSeeds() [][]byte {
 		mk(&Record{Kind: KindIngest, Adds: []Container{{Path: "containers/c0000000001.ctr"}}}),
 		full,
 	}
-	seeds = append(seeds, full[:len(full)-3])  // torn inside the final CRC
-	seeds = append(seeds, full[:len(full)/2])  // torn mid-journal
+	seeds = append(seeds, full[:len(full)-3])                                                              // torn inside the final CRC
+	seeds = append(seeds, full[:len(full)/2])                                                              // torn mid-journal
 	seeds = append(seeds, append(mk(&Record{Kind: KindDelete, Tombstones: []string{"x"}}), "LJN1\x10"...)) // torn header
 	flip := append([]byte(nil), full...)
 	flip[len(flip)/4] ^= 0x40 // CRC must catch this

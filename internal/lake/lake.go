@@ -150,8 +150,8 @@ type Lake struct {
 	baseCtrs    map[string]Container
 	baseMembers map[string]memberRef
 
-	head    uint64
-	horizon uint64
+	head     uint64
+	horizon  uint64
 	ctrs     map[string]*ctrState
 	live     map[string]memberRef
 	pins     map[string]uint64 // pin token -> pinned commit
@@ -596,11 +596,6 @@ func (l *Lake) StoreBatch(files []BatchFile) (uint64, error) {
 	return seq, nil
 }
 
-// Store stores one file (a single-member batch).
-func (l *Lake) Store(rel string, day int64, data []byte) (uint64, error) {
-	return l.StoreBatch([]BatchFile{{Rel: rel, Day: day, Data: data}})
-}
-
 // Delete tombstones members out of the live view under one commit. The
 // bytes stay readable through older commits until GC passes them. Returns
 // the commit sequence.
@@ -712,33 +707,6 @@ func (l *Lake) Read(rel string) ([]byte, error) {
 	}
 }
 
-// Exists reports whether rel is live at the head commit.
-func (l *Lake) Exists(rel string) bool {
-	rel, err := cleanRel(rel)
-	if err != nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ok := l.live[rel]
-	return ok
-}
-
-// Stat returns a live member's size.
-func (l *Lake) Stat(rel string) (int64, error) {
-	rel, err := cleanRel(rel)
-	if err != nil {
-		return 0, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ref, ok := l.live[rel]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, rel)
-	}
-	return ref.m.Size, nil
-}
-
 // List returns the live member paths in sorted order.
 func (l *Lake) List() []string {
 	l.mu.Lock()
@@ -751,22 +719,8 @@ func (l *Lake) List() []string {
 	return out
 }
 
-// Len returns the number of live members.
-func (l *Lake) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.live)
-}
-
-// LiveBytes is the byte total of the live view; PhysBytes the byte total
-// of every container file still on disk (history included).
-func (l *Lake) LiveBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.liveB
-}
-
-// PhysBytes returns the on-disk container byte total.
+// PhysBytes returns the byte total of every container file still on
+// disk, history included.
 func (l *Lake) PhysBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -796,9 +750,9 @@ func (l *Lake) Status() Status {
 		Head: l.head, Horizon: l.horizon,
 		LiveFiles: len(l.live), LiveBytes: l.liveB, PhysBytes: l.physB,
 		JournalBytes: l.tailSize, Pins: len(l.pins),
-		Commits:     l.stats.Commits.Load(),
-		Compactions: l.stats.Compactions.Load(),
-		GCRuns:      l.stats.GCRuns.Load(),
+		Commits:        l.stats.Commits.Load(),
+		Compactions:    l.stats.Compactions.Load(),
+		GCRuns:         l.stats.GCRuns.Load(),
 		BytesReclaimed: l.stats.BytesReclaimed.Load(),
 	}
 	for _, cs := range l.ctrs {

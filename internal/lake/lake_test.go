@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -35,30 +36,32 @@ func reopen(t *testing.T, dir string) *Lake {
 	return l
 }
 
+// store commits one file as a single-member batch.
+func store(l *Lake, rel string, day int64, data []byte) (uint64, error) {
+	return l.StoreBatch([]BatchFile{{Rel: rel, Day: day, Data: data}})
+}
+
 func TestStoreReadDelete(t *testing.T) {
 	l, _ := newTestLake(t)
 
-	if _, err := l.Store("raw/d001/u1", 1, []byte("alpha")); err != nil {
+	if _, err := store(l, "raw/d001/u1", 1, []byte("alpha")); err != nil {
 		t.Fatalf("store: %v", err)
 	}
 	got, err := l.Read("raw/d001/u1")
 	if err != nil || string(got) != "alpha" {
 		t.Fatalf("read: %q, %v", got, err)
 	}
-	if !l.Exists("raw/d001/u1") || l.Exists("raw/d001/u2") {
+	if !slices.Contains(l.List(), "raw/d001/u1") || slices.Contains(l.List(), "raw/d001/u2") {
 		t.Fatal("exists wrong")
-	}
-	if n, err := l.Stat("raw/d001/u1"); err != nil || n != 5 {
-		t.Fatalf("stat: %d, %v", n, err)
 	}
 
 	// Live members are write-once.
-	if _, err := l.Store("raw/d001/u1", 1, []byte("other")); !errors.Is(err, ErrExists) {
+	if _, err := store(l, "raw/d001/u1", 1, []byte("other")); !errors.Is(err, ErrExists) {
 		t.Fatalf("re-store of live member: %v", err)
 	}
 	// Path validation.
 	for _, bad := range []string{"", "/abs", "../escape", "containers/c0000000001.ctr"} {
-		if _, err := l.Store(bad, 0, []byte("x")); err == nil {
+		if _, err := store(l, bad, 0, []byte("x")); err == nil {
 			t.Fatalf("store %q accepted", bad)
 		}
 	}
@@ -73,14 +76,14 @@ func TestStoreReadDelete(t *testing.T) {
 	if _, err := l.Delete([]string{"raw/d001/u1"}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v", err)
 	}
-	if _, err := l.Store("raw/d001/u1", 1, []byte("beta")); err != nil {
+	if _, err := store(l, "raw/d001/u1", 1, []byte("beta")); err != nil {
 		t.Fatalf("re-store after delete: %v", err)
 	}
 	if got, _ := l.Read("raw/d001/u1"); string(got) != "beta" {
 		t.Fatalf("read after re-store: %q", got)
 	}
-	if l.Len() != 1 {
-		t.Fatalf("len = %d", l.Len())
+	if len(l.List()) != 1 {
+		t.Fatalf("len = %d", len(l.List()))
 	}
 }
 
@@ -115,7 +118,7 @@ func TestBatchAtomicity(t *testing.T) {
 	}); !errors.Is(err, ErrExists) {
 		t.Fatalf("dup batch: %v", err)
 	}
-	if l.Exists("raw/d003/x") {
+	if slices.Contains(l.List(), "raw/d003/x") {
 		t.Fatal("failed batch leaked a member")
 	}
 }
@@ -123,7 +126,7 @@ func TestBatchAtomicity(t *testing.T) {
 func TestReopenReplays(t *testing.T) {
 	l, dir := newTestLake(t)
 	for i := 0; i < 10; i++ {
-		if _, err := l.Store(fmt.Sprintf("raw/d%03d/u", i), int64(i), []byte(fmt.Sprintf("payload-%d", i))); err != nil {
+		if _, err := store(l, fmt.Sprintf("raw/d%03d/u", i), int64(i), []byte(fmt.Sprintf("payload-%d", i))); err != nil {
 			t.Fatalf("store %d: %v", i, err)
 		}
 	}
@@ -155,7 +158,7 @@ func TestReopenReplays(t *testing.T) {
 
 func TestTornTailRecovery(t *testing.T) {
 	l, dir := newTestLake(t)
-	if _, err := l.Store("raw/d001/u", 1, []byte("keep")); err != nil {
+	if _, err := store(l, "raw/d001/u", 1, []byte("keep")); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a torn append: valid journal + garbage tail.
@@ -175,21 +178,21 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatalf("read: %q, %v", got, err)
 	}
 	// The tail was repaired: a fresh store appends cleanly and replays.
-	if _, err := l2.Store("raw/d002/u", 2, []byte("new")); err != nil {
+	if _, err := store(l2, "raw/d002/u", 2, []byte("new")); err != nil {
 		t.Fatalf("store after repair: %v", err)
 	}
 	l3 := reopen(t, dir)
-	if l3.Head() != 2 || !l3.Exists("raw/d002/u") {
+	if l3.Head() != 2 || !slices.Contains(l3.List(), "raw/d002/u") {
 		t.Fatalf("post-repair replay: head %d", l3.Head())
 	}
 }
 
 func TestAckedHeadLossIsCorruption(t *testing.T) {
 	l, dir := newTestLake(t)
-	if _, err := l.Store("raw/d001/u", 1, []byte("a")); err != nil {
+	if _, err := store(l, "raw/d001/u", 1, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Store("raw/d002/u", 2, []byte("b")); err != nil {
+	if _, err := store(l, "raw/d002/u", 2, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate the journal to one record while HEAD says 2 were acked:
@@ -214,9 +217,9 @@ func TestAckedHeadLossIsCorruption(t *testing.T) {
 
 func TestTimeTravelBasics(t *testing.T) {
 	l, _ := newTestLake(t)
-	s1, _ := l.Store("raw/d001/u", 1, []byte("v-one"))
+	s1, _ := store(l, "raw/d001/u", 1, []byte("v-one"))
 	s2, _ := l.Delete([]string{"raw/d001/u"})
-	s3, _ := l.Store("raw/d001/u", 1, []byte("v-two"))
+	s3, _ := store(l, "raw/d001/u", 1, []byte("v-two"))
 
 	v1, err := l.OpenAt(s1)
 	if err != nil {
@@ -232,7 +235,7 @@ func TestTimeTravelBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v2.Close()
-	if v2.Exists("raw/d001/u") {
+	if slices.Contains(v2.List(), "raw/d001/u") {
 		t.Fatalf("as-of %d should not see the member", s2)
 	}
 
@@ -257,7 +260,7 @@ func TestCompactionPreservesViews(t *testing.T) {
 		rel := fmt.Sprintf("raw/d%03d/u", i)
 		data := []byte(fmt.Sprintf("unit-%02d-data", i))
 		want[rel] = data
-		if _, err := l.Store(rel, int64(i%5), data); err != nil {
+		if _, err := store(l, rel, int64(i%5), data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +331,7 @@ func TestCompactionPreservesViews(t *testing.T) {
 func TestGCHorizonNeverRetreats(t *testing.T) {
 	l, _ := newTestLake(t)
 	for i := 0; i < 6; i++ {
-		l.Store(fmt.Sprintf("raw/d%03d/u", i), int64(i), []byte("x"))
+		store(l, fmt.Sprintf("raw/d%03d/u", i), int64(i), []byte("x"))
 	}
 	l.Delete([]string{"raw/d000/u", "raw/d001/u"})
 	r1, err := l.GC(l.Head())
@@ -346,14 +349,14 @@ func TestGCHorizonNeverRetreats(t *testing.T) {
 
 func TestPinSurvivesRestart(t *testing.T) {
 	l, dir := newTestLake(t)
-	l.Store("raw/d001/u", 1, []byte("old"))
+	store(l, "raw/d001/u", 1, []byte("old"))
 	v, err := l.OpenAt(l.Head())
 	if err != nil {
 		t.Fatal(err)
 	}
 	token := v.Token()
 	l.Delete([]string{"raw/d001/u"})
-	l.Store("raw/d001/u", 1, []byte("new"))
+	store(l, "raw/d001/u", 1, []byte("new"))
 
 	// Restart WITHOUT closing the view: the pin is durable.
 	l2 := reopen(t, dir)
@@ -386,8 +389,8 @@ func TestPinSurvivesRestart(t *testing.T) {
 
 func TestHeadPointerPublished(t *testing.T) {
 	l, dir := newTestLake(t)
-	l.Store("raw/d001/u", 1, []byte("x"))
-	l.Store("raw/d002/u", 2, []byte("y"))
+	store(l, "raw/d001/u", 1, []byte("x"))
+	store(l, "raw/d002/u", 2, []byte("y"))
 	data, err := os.ReadFile(filepath.Join(dir, headName))
 	if err != nil {
 		t.Fatalf("head pointer missing: %v", err)
@@ -510,7 +513,10 @@ func TestPropertyOpenAtOracle(t *testing.T) {
 			delete(state, rel)
 			o.record(seq, state)
 		case op < 9: // pin a random openable commit and check it now
-			h, hor := l.Head(), l.Horizon()
+			// Horizon first: the background GC can raise it to a head
+			// newer than one read before it, but never past a later head.
+			hor := l.Horizon()
+			h := l.Head()
 			if h == 0 {
 				continue
 			}
@@ -591,7 +597,7 @@ func checkLive(t *testing.T, l *Lake, want map[string]string) {
 
 func TestVerifyDetectsRot(t *testing.T) {
 	l, dir := newTestLake(t)
-	l.Store("raw/d001/u", 1, []byte("pristine-bytes"))
+	store(l, "raw/d001/u", 1, []byte("pristine-bytes"))
 	if bad := l.Verify(); len(bad) != 0 {
 		t.Fatalf("verify on clean lake: %v", bad)
 	}
@@ -621,8 +627,8 @@ func TestVerifyDetectsRot(t *testing.T) {
 
 func TestStatusShape(t *testing.T) {
 	l, _ := newTestLake(t)
-	l.Store("raw/d001/a", 1, []byte("aaaa"))
-	l.Store("raw/d001/b", 1, []byte("bb"))
+	store(l, "raw/d001/a", 1, []byte("aaaa"))
+	store(l, "raw/d001/b", 1, []byte("bb"))
 	st := l.Status()
 	if st.Head != 2 || st.LiveFiles != 2 || st.LiveBytes != 6 || st.PhysBytes != 6 ||
 		st.ContainersLive != 2 || st.ContainersTotal != 2 || st.Commits != 2 {
@@ -636,9 +642,9 @@ func TestStatusShape(t *testing.T) {
 // still references.
 func TestCompactionSkipsUnreadableVictims(t *testing.T) {
 	l, dir := newTestLake(t)
-	l.Store("raw/d001/good", 1, []byte("good-one"))
-	l.Store("raw/d002/also", 2, []byte("good-two"))
-	l.Store("raw/d003/bad", 3, []byte("rotten-bytes"))
+	store(l, "raw/d001/good", 1, []byte("good-one"))
+	store(l, "raw/d002/also", 2, []byte("good-two"))
+	store(l, "raw/d003/bad", 3, []byte("rotten-bytes"))
 
 	// Rot the container serving the third member.
 	l.mu.Lock()
@@ -663,7 +669,7 @@ func TestCompactionSkipsUnreadableVictims(t *testing.T) {
 	}
 	// The rotted member is still in the live namespace — unreadable, not
 	// silently lost — and its container survives GC.
-	if !l.Exists("raw/d003/bad") {
+	if !slices.Contains(l.List(), "raw/d003/bad") {
 		t.Fatal("compaction dropped a live member it could not move")
 	}
 	if _, err := l.Read("raw/d003/bad"); !errors.Is(err, ErrCorrupt) {
@@ -688,7 +694,7 @@ func TestCompactionSkipsUnreadableVictims(t *testing.T) {
 // never reclaim its bytes.
 func TestLoneFullyDeadContainerRetired(t *testing.T) {
 	l, _ := newTestLake(t)
-	l.Store("raw/d001/u", 1, []byte("doomed"))
+	store(l, "raw/d001/u", 1, []byte("doomed"))
 	l.Delete([]string{"raw/d001/u"})
 	res, err := l.Compact(DefaultCompactOptions())
 	if err != nil {
@@ -716,7 +722,7 @@ func TestLoneFullyDeadContainerRetired(t *testing.T) {
 func TestJournalPrunedBelowHorizon(t *testing.T) {
 	l, dir := newTestLake(t)
 	for i := 0; i < 30; i++ {
-		if _, err := l.Store(fmt.Sprintf("raw/d%03d/u", i), int64(i), []byte(fmt.Sprintf("data-%02d", i))); err != nil {
+		if _, err := store(l, fmt.Sprintf("raw/d%03d/u", i), int64(i), []byte(fmt.Sprintf("data-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -745,8 +751,8 @@ func TestJournalPrunedBelowHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	if v.Len() != 29 {
-		t.Fatalf("horizon view sees %d members", v.Len())
+	if len(v.List()) != 29 {
+		t.Fatalf("horizon view sees %d members", len(v.List()))
 	}
 	if got, err := v.Read("raw/d001/u"); err != nil || string(got) != "data-01" {
 		t.Fatalf("horizon view read: %q, %v", got, err)
@@ -757,8 +763,8 @@ func TestJournalPrunedBelowHorizon(t *testing.T) {
 	// Pruning is memory-only: a restart replays the same journal and
 	// serves the same catalog.
 	l2 := reopen(t, dir)
-	if l2.Len() != 29 {
-		t.Fatalf("reopened lake sees %d members", l2.Len())
+	if len(l2.List()) != 29 {
+		t.Fatalf("reopened lake sees %d members", len(l2.List()))
 	}
 	if got, err := l2.Read("raw/d029/u"); err != nil || string(got) != "data-29" {
 		t.Fatalf("reopened read: %q, %v", got, err)
@@ -788,7 +794,7 @@ func TestCrashLitterOverwritten(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, headName+".tmp")); !os.IsNotExist(err) {
 		t.Fatalf("stale head tmp survived load: %v", err)
 	}
-	if _, err := l.Store("raw/d001/u", 1, []byte("fresh")); err != nil {
+	if _, err := store(l, "raw/d001/u", 1, []byte("fresh")); err != nil {
 		t.Fatalf("store over orphaned container name: %v", err)
 	}
 	if got, err := l.Read("raw/d001/u"); err != nil || string(got) != "fresh" {

@@ -67,16 +67,17 @@ func (l *Lake) viewAt(seq uint64) map[string]memberRef {
 // it durably against GC. seq == 0 (or == head) pins the current head.
 func (l *Lake) OpenAt(seq uint64) (*View, error) {
 	l.mu.Lock()
+	head, horizon := l.head, l.horizon
 	if seq == 0 {
-		seq = l.head
+		seq = head
 	}
-	if seq > l.head {
+	if seq > head {
 		l.mu.Unlock()
-		return nil, fmt.Errorf("lake: commit %d is beyond head %d", seq, l.head)
+		return nil, fmt.Errorf("lake: commit %d is beyond head %d", seq, head)
 	}
-	if seq < l.horizon {
+	if seq < horizon {
 		l.mu.Unlock()
-		return nil, fmt.Errorf("%w: commit %d < horizon %d", ErrHorizon, seq, l.horizon)
+		return nil, fmt.Errorf("%w: commit %d < horizon %d", ErrHorizon, seq, horizon)
 	}
 	token := fmt.Sprintf("pin-%d", l.nextPin)
 	l.nextPin++
@@ -149,16 +150,6 @@ func (v *View) Read(rel string) ([]byte, error) {
 	return data, err
 }
 
-// Exists reports whether rel was live as of the pinned commit.
-func (v *View) Exists(rel string) bool {
-	rel, err := cleanRel(rel)
-	if err != nil {
-		return false
-	}
-	_, ok := v.members[rel]
-	return ok
-}
-
 // List returns the member paths live as of the pinned commit, sorted.
 func (v *View) List() []string {
 	out := make([]string, 0, len(v.members))
@@ -168,9 +159,6 @@ func (v *View) List() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Len returns the member count as of the pinned commit.
-func (v *View) Len() int { return len(v.members) }
 
 // Close releases the durable pin. Idempotent.
 func (v *View) Close() error {

@@ -92,9 +92,6 @@ func (t *btree) mutable(n *bnode) *bnode {
 	return c
 }
 
-// Len returns the number of entries.
-func (t *btree) Len() int { return t.size }
-
 // insert adds e to the tree. Duplicate (key,rowid) pairs are ignored.
 func (t *btree) insert(e entry) {
 	t.root = t.mutable(t.root)

@@ -24,8 +24,8 @@ func TestBtreeInsertScanSorted(t *testing.T) {
 	for i := 0; i < n; i++ {
 		bt.insert(entry{key: I(int64(rng.Intn(1000))), rowid: int64(i)})
 	}
-	if bt.Len() != n {
-		t.Fatalf("len = %d, want %d", bt.Len(), n)
+	if bt.size != n {
+		t.Fatalf("len = %d, want %d", bt.size, n)
 	}
 	ents := collect(bt)
 	if len(ents) != n {
@@ -46,8 +46,8 @@ func TestBtreeDuplicateEntryIgnored(t *testing.T) {
 	e := entry{key: S("x"), rowid: 7}
 	bt.insert(e)
 	bt.insert(e)
-	if bt.Len() != 1 {
-		t.Fatalf("len = %d, want 1", bt.Len())
+	if bt.size != 1 {
+		t.Fatalf("len = %d, want 1", bt.size)
 	}
 }
 
@@ -71,8 +71,8 @@ func TestBtreeDelete(t *testing.T) {
 	}
 	ents := collect(bt)
 	want := n - (n+2)/3
-	if len(ents) != want || bt.Len() != want {
-		t.Fatalf("after deletes: scanned %d, Len %d, want %d", len(ents), bt.Len(), want)
+	if len(ents) != want || bt.size != want {
+		t.Fatalf("after deletes: scanned %d, Len %d, want %d", len(ents), bt.size, want)
 	}
 	for _, e := range ents {
 		if e.rowid%3 == 0 {
@@ -96,8 +96,8 @@ func TestBtreeDeleteAll(t *testing.T) {
 			t.Fatalf("after delete(%d): %v", i, err)
 		}
 	}
-	if bt.Len() != 0 || len(collect(bt)) != 0 {
-		t.Fatalf("tree not empty: len=%d", bt.Len())
+	if bt.size != 0 || len(collect(bt)) != 0 {
+		t.Fatalf("tree not empty: len=%d", bt.size)
 	}
 }
 
@@ -158,8 +158,8 @@ func TestBtreeDuplicateKeysDistinctRowids(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		bt.insert(entry{key: S("same"), rowid: int64(i)})
 	}
-	if bt.Len() != 500 {
-		t.Fatalf("len = %d, want 500", bt.Len())
+	if bt.size != 500 {
+		t.Fatalf("len = %d, want 500", bt.size)
 	}
 	k := S("same")
 	var rowids []int64
@@ -214,7 +214,7 @@ func TestBtreeQuickAgainstReference(t *testing.T) {
 			return false
 		}
 		ents := collect(bt)
-		if len(ents) != len(ref) || bt.Len() != len(ref) {
+		if len(ents) != len(ref) || bt.size != len(ref) {
 			return false
 		}
 		for i := 1; i < len(ents); i++ {

@@ -149,16 +149,3 @@ func (db *DB) refreshView(v *matView) error {
 	db.stats.ViewRefreshes.Add(1)
 	return nil
 }
-
-// ViewStats reports (refreshes, cached hits) for observability.
-func (db *DB) ViewStats(name string) (refreshes, hits int64, err error) {
-	db.mu.RLock()
-	v := db.views[name]
-	db.mu.RUnlock()
-	if v == nil {
-		return 0, 0, fmt.Errorf("minidb: no such view %s", name)
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.refreshes, v.hits, nil
-}

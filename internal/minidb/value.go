@@ -86,9 +86,6 @@ func Bo(v bool) Value {
 	return Value{T: BoolType}
 }
 
-// Tm wraps a time instant (nanosecond precision, UTC).
-func Tm(v time.Time) Value { return Value{T: TimeType, I: v.UnixNano()} }
-
 // IsNull reports whether v is NULL.
 func (v Value) IsNull() bool { return v.T == NullType }
 
@@ -117,14 +114,6 @@ func (v Value) Str() string {
 		return v.S
 	}
 	return ""
-}
-
-// Bytes returns the bytes payload (nil for non-bytes).
-func (v Value) Bytes() []byte {
-	if v.T == BytesType {
-		return v.B
-	}
-	return nil
 }
 
 // Bool returns the bool payload (false for non-bools).

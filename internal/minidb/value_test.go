@@ -17,7 +17,7 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 		{F(2.5), FloatType, 2.5},
 		{S("hi"), StringType, "hi"},
 		{Bo(true), BoolType, true},
-		{Tm(now), TimeType, now},
+		{tm(now), TimeType, now},
 		{Null(), NullType, nil},
 	}
 	for _, c := range cases {
@@ -28,19 +28,19 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if I(42).Int() != 42 || F(2.5).Float() != 2.5 || S("hi").Str() != "hi" || !Bo(true).Bool() {
 		t.Fatal("accessor mismatch")
 	}
-	if !Tm(now).Time().Equal(now) {
-		t.Fatalf("time round trip: %v != %v", Tm(now).Time(), now)
+	if !tm(now).Time().Equal(now) {
+		t.Fatalf("time round trip: %v != %v", tm(now).Time(), now)
 	}
 	if !Null().IsNull() || I(0).IsNull() {
 		t.Fatal("IsNull wrong")
 	}
-	if got := Bs([]byte{1, 2}).Bytes(); len(got) != 2 {
+	if got := Bs([]byte{1, 2}).B; len(got) != 2 {
 		t.Fatal("bytes accessor wrong")
 	}
 }
 
 func TestValueAccessorsOnWrongType(t *testing.T) {
-	if S("x").Int() != 0 || I(1).Str() != "" || S("x").Bool() || I(1).Bytes() != nil {
+	if S("x").Int() != 0 || I(1).Str() != "" || S("x").Bool() || I(1).B != nil {
 		t.Fatal("wrong-type accessors must return zero values")
 	}
 	if !S("x").Time().IsZero() {
@@ -62,7 +62,7 @@ func TestCompareWithinTypes(t *testing.T) {
 		{Bs([]byte{1}), Bs([]byte{1, 0}), -1},
 		{Bs([]byte{2}), Bs([]byte{1, 9}), 1},
 		{Bo(false), Bo(true), -1},
-		{Tm(time.Unix(1, 0)), Tm(time.Unix(2, 0)), -1},
+		{tm(time.Unix(1, 0)), tm(time.Unix(2, 0)), -1},
 		{Null(), Null(), 0},
 	}
 	for _, c := range cases {
@@ -94,7 +94,7 @@ func TestCompareIsTotalOrder(t *testing.T) {
 	pool := []Value{
 		Null(), I(-3), I(0), I(7), F(-1.5), F(0), F(7.5),
 		S(""), S("a"), S("zz"), Bs(nil), Bs([]byte{0}), Bs([]byte{1, 2}),
-		Bo(false), Bo(true), Tm(time.Unix(0, 5)), Tm(time.Unix(9, 0)),
+		Bo(false), Bo(true), tm(time.Unix(0, 5)), tm(time.Unix(9, 0)),
 	}
 	for _, a := range pool {
 		for _, b := range pool {
@@ -159,3 +159,6 @@ func TestTypeString(t *testing.T) {
 		}
 	}
 }
+
+// tm wraps a time instant as a TimeType value.
+func tm(v time.Time) Value { return Value{T: TimeType, I: v.UnixNano()} }

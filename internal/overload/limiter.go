@@ -49,11 +49,11 @@ type Config struct {
 	// Window is how many completion samples feed one AIMD adjustment
 	// (default 32).
 	Window int
-	// Tolerance is how far the window's p99 may drift above the baseline
+	// tolerance is how far the window's p99 may drift above the baseline
 	// p50 before the limit backs off multiplicatively (default 8×). The
 	// baseline tracks the uncongested p50: it only creeps upward slowly,
 	// so a saturated tier cannot normalize its own congestion.
-	Tolerance float64
+	tolerance float64
 	// QueueInterval is the CoDel control interval: a standing queue above
 	// target for this long starts the shed cycle, whose spacing then
 	// shrinks with sqrt(drop count) (default 200ms).
@@ -96,8 +96,8 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 32
 	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 8
+	if c.tolerance <= 0 {
+		c.tolerance = 8
 	}
 	if c.QueueInterval <= 0 {
 		c.QueueInterval = 200 * time.Millisecond
@@ -311,7 +311,7 @@ func (l *Limiter) adjustLocked() {
 			l.basep50 = p50
 		}
 	}
-	if l.basep50 > 0 && p99 > l.cfg.Tolerance*l.basep50 {
+	if l.basep50 > 0 && p99 > l.cfg.tolerance*l.basep50 {
 		l.backoffLocked()
 	} else if l.sawLimit && l.limit < l.cfg.Max {
 		l.limit += growth
@@ -509,11 +509,4 @@ func (l *Limiter) Stats() LimiterStats {
 		ShedByPri:  l.shedByPri,
 		Backoffs:   l.backoffs,
 	}
-}
-
-// Limit returns the current concurrency limit.
-func (l *Limiter) Limit() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.limit
 }

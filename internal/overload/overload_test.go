@@ -37,8 +37,8 @@ func TestTypedErrorCompat(t *testing.T) {
 func TestLimiterGrowsWhenHealthy(t *testing.T) {
 	l := NewLimiter(Config{Initial: 4, Min: 2, Max: 64, Window: 8})
 	for w := 0; w < 10; w++ {
-		permits := make([]*Permit, 0, l.Limit())
-		for len(permits) < l.Limit() {
+		permits := make([]*Permit, 0, l.Stats().Limit)
+		for len(permits) < l.Stats().Limit {
 			p, err := l.Acquire(Interactive)
 			if err != nil {
 				t.Fatalf("unexpected shed: %v", err)
@@ -49,7 +49,7 @@ func TestLimiterGrowsWhenHealthy(t *testing.T) {
 			p.ReleaseLatency(10 * time.Millisecond)
 		}
 	}
-	if got := l.Limit(); got <= 4 {
+	if got := l.Stats().Limit; got <= 4 {
 		t.Fatalf("limit = %d after healthy saturated windows, want growth above 4", got)
 	}
 }
@@ -57,7 +57,7 @@ func TestLimiterGrowsWhenHealthy(t *testing.T) {
 // TestLimiterBacksOffOnLatencyDrift: once the p99 drifts far beyond the
 // established baseline p50, the limit must decrease multiplicatively.
 func TestLimiterBacksOffOnLatencyDrift(t *testing.T) {
-	l := NewLimiter(Config{Initial: 16, Min: 2, Max: 64, Window: 8, Tolerance: 4})
+	l := NewLimiter(Config{Initial: 16, Min: 2, Max: 64, Window: 8, tolerance: 4})
 	feed := func(lat time.Duration, n int) {
 		for i := 0; i < n; i++ {
 			p, err := l.Acquire(Interactive)
@@ -68,9 +68,9 @@ func TestLimiterBacksOffOnLatencyDrift(t *testing.T) {
 		}
 	}
 	feed(10*time.Millisecond, 16) // two healthy windows establish the baseline
-	before := l.Limit()
+	before := l.Stats().Limit
 	feed(200*time.Millisecond, 16) // congested: p99 = 20× baseline p50
-	if got := l.Limit(); got >= before {
+	if got := l.Stats().Limit; got >= before {
 		t.Fatalf("limit = %d after latency drift, want below %d", got, before)
 	}
 	if st := l.Stats(); st.Backoffs == 0 {

@@ -70,13 +70,6 @@ func (d *Directory) RegisterManager(m *Manager, location string) {
 	}
 }
 
-// Deregister removes a service.
-func (d *Directory) Deregister(id string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.services, id)
-}
-
 // Heartbeat refreshes a service's liveness.
 func (d *Directory) Heartbeat(id string) error {
 	d.mu.Lock()
@@ -110,11 +103,4 @@ func (d *Directory) Managers(location string) []*ServiceInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Len returns the number of registered services.
-func (d *Directory) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.services)
 }

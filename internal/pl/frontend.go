@@ -109,11 +109,8 @@ type Ticket struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	seq       int64
-	index     int // heap bookkeeping
+	seq   int64
+	index int // heap bookkeeping
 
 	// Worker-pipeline state. stage and the exec results are only touched
 	// with the ticket off the queue (push/pop under f.mu sequence them).
@@ -151,16 +148,6 @@ func (t *Ticket) Delivery() *Delivery {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.delivery
-}
-
-// SojournSeconds is the time from submission to completion.
-func (t *Ticket) SojournSeconds() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.finished.IsZero() {
-		return time.Since(t.submitted).Seconds()
-	}
-	return t.finished.Sub(t.submitted).Seconds()
 }
 
 // Cancel aborts the request. Queued requests never start; running ones are
@@ -434,7 +421,7 @@ func (f *Frontend) Submit(req *Request) (*Ticket, error) {
 		Request: req, Estimate: est,
 		status: StatusQueued, phase: PhaseEstimation,
 		done: make(chan struct{}), ctx: ctx, cancel: cancel,
-		submitted: time.Now(), seq: seq, index: -1,
+		seq: seq, index: -1,
 	}
 	go f.watchCancel(t)
 
@@ -484,7 +471,6 @@ func (f *Frontend) terminate(t *Ticket, status string, err error) {
 	t.terminal = true
 	t.status = status
 	t.err = err
-	t.finished = time.Now()
 	t.mu.Unlock()
 
 	f.mu.Lock()
@@ -591,7 +577,6 @@ func (f *Frontend) prepare(t *Ticket, s Strategy) {
 	t.mu.Lock()
 	t.status = StatusRunning
 	t.phase = PhaseExecution
-	t.started = time.Now()
 	t.mu.Unlock()
 
 	// Result cache: key and epoch are computed before any staging work, so

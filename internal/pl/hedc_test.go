@@ -219,9 +219,6 @@ func TestEstimateErrorRecordedAgainstActual(t *testing.T) {
 	if _, err := tk.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if tk.SojournSeconds() <= 0 {
-		t.Fatal("no sojourn time")
-	}
 	// Estimation ran before execution and produced a nonnegative duration.
 	if tk.Estimate.Seconds < 0 {
 		t.Fatalf("estimate = %+v", tk.Estimate)

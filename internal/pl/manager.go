@@ -195,30 +195,3 @@ func (m *Manager) Invoke(ctx context.Context, routine string, args idl.Args) (id
 	}
 	return out, err
 }
-
-// InvokeAsync starts an invocation and returns a handle.
-func (m *Manager) InvokeAsync(ctx context.Context, routine string, args idl.Args) *AsyncCall {
-	c := &AsyncCall{done: make(chan struct{})}
-	go func() {
-		c.out, c.err = m.Invoke(ctx, routine, args)
-		close(c.done)
-	}()
-	return c
-}
-
-// AsyncCall is a pending asynchronous invocation.
-type AsyncCall struct {
-	done chan struct{}
-	out  idl.Args
-	err  error
-}
-
-// Wait blocks for completion or context expiry.
-func (c *AsyncCall) Wait(ctx context.Context) (idl.Args, error) {
-	select {
-	case <-c.done:
-		return c.out, c.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}

@@ -136,9 +136,6 @@ func TestDirectoryRegistryAndStaleness(t *testing.T) {
 	m2, _ := NewManager("mgr-client", 1, nil, time.Second)
 	d.RegisterManager(m1, "server")
 	d.RegisterManager(m2, "client")
-	if d.Len() != 2 {
-		t.Fatalf("len = %d", d.Len())
-	}
 	if got := d.Managers(""); len(got) != 2 {
 		t.Fatalf("managers = %d", len(got))
 	}
@@ -156,10 +153,6 @@ func TestDirectoryRegistryAndStaleness(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	if got := d.Managers(""); len(got) != 0 {
 		t.Fatalf("stale managers still listed: %v", got)
-	}
-	d.Deregister("mgr-server")
-	if d.Len() != 1 {
-		t.Fatalf("len after deregister = %d", d.Len())
 	}
 }
 
@@ -463,17 +456,5 @@ func TestFrontendLocationRouting(t *testing.T) {
 	if client.Stats().Invocations != 1 || server.Stats().Invocations != 0 {
 		t.Fatalf("routing wrong: client=%d server=%d",
 			client.Stats().Invocations, server.Stats().Invocations)
-	}
-}
-
-func TestAsyncCall(t *testing.T) {
-	m, _ := NewManager("mgr-0", 1, sleepRoutines(), time.Second)
-	c := m.InvokeAsync(context.Background(), "sleep", idl.Args{"d": 10 * time.Millisecond})
-	out, err := c.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["slept"] != 10*time.Millisecond {
-		t.Fatalf("out = %v", out)
 	}
 }

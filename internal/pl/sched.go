@@ -198,8 +198,8 @@ type Scheduler struct {
 	seq     int64
 	closed  bool
 
-	dispatched, completed              int64
-	localRuns, steals, preemptions     int64
+	dispatched, completed                 int64
+	localRuns, steals, preemptions        int64
 	hedgesLaunched, hedgesWon, hedgesLost int64
 }
 
@@ -270,20 +270,6 @@ func (s *Scheduler) Go(ctx context.Context, spec TaskSpec, onDone func(idl.Args,
 		}()
 	}
 	return nil
-}
-
-// Exec is the blocking form of Go.
-func (s *Scheduler) Exec(ctx context.Context, spec TaskSpec) (idl.Args, error) {
-	type result struct {
-		out idl.Args
-		err error
-	}
-	ch := make(chan result, 1)
-	if err := s.Go(ctx, spec, func(out idl.Args, err error) { ch <- result{out, err} }); err != nil {
-		return nil, err
-	}
-	r := <-ch
-	return r.out, r.err
 }
 
 // Close refuses new work and resolves every queued task with ErrShutdown.

@@ -10,6 +10,21 @@ import (
 	"repro/internal/idl"
 )
 
+// execTask runs one task through the scheduler's only path, Go, and
+// waits for its outcome.
+func execTask(ctx context.Context, s *Scheduler, spec TaskSpec) (idl.Args, error) {
+	type result struct {
+		out idl.Args
+		err error
+	}
+	ch := make(chan result, 1)
+	if err := s.Go(ctx, spec, func(out idl.Args, err error) { ch <- result{out, err} }); err != nil {
+		return nil, err
+	}
+	r := <-ch
+	return r.out, r.err
+}
+
 // orderRoutines records routine execution order by the "id" argument.
 func orderRoutines(order *[]string, mu *sync.Mutex) map[string]idl.Routine {
 	r := sleepRoutines()
@@ -41,7 +56,7 @@ func TestSchedulerWorkStealing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Exec(context.Background(), TaskSpec{
+			if _, err := execTask(context.Background(), s, TaskSpec{
 				Routine: "sleep", Args: idl.Args{"d": 20 * time.Millisecond},
 			}); err != nil {
 				t.Error(err)
@@ -53,7 +68,7 @@ func TestSchedulerWorkStealing(t *testing.T) {
 	// A second manager appears; it must steal A's backlog rather than idle.
 	b, _ := NewManager("mgr-b", 1, sleepRoutines(), time.Second)
 	dir.RegisterManager(b, "server")
-	if _, err := s.Exec(context.Background(), TaskSpec{
+	if _, err := execTask(context.Background(), s, TaskSpec{
 		Routine: "sleep", Args: idl.Args{"d": time.Millisecond},
 	}); err != nil {
 		t.Fatal(err)
@@ -84,7 +99,7 @@ func TestSchedulerPreemptionOrder(t *testing.T) {
 	run := func(id string, tier Tier) chan error {
 		ch := make(chan error, 1)
 		go func() {
-			_, err := s.Exec(context.Background(), TaskSpec{
+			_, err := execTask(context.Background(), s, TaskSpec{
 				Routine: "record", Args: idl.Args{"id": id, "d": 15 * time.Millisecond},
 				Tier: tier,
 			})
@@ -125,7 +140,7 @@ func TestSchedulerNoPreemptionKeepsFIFO(t *testing.T) {
 	run := func(id string, tier Tier) chan error {
 		ch := make(chan error, 1)
 		go func() {
-			_, err := s.Exec(context.Background(), TaskSpec{
+			_, err := execTask(context.Background(), s, TaskSpec{
 				Routine: "record", Args: idl.Args{"id": id, "d": 10 * time.Millisecond},
 				Tier: tier,
 			})
@@ -165,7 +180,7 @@ func TestSchedulerHedgeBeatsWedgedServer(t *testing.T) {
 	m.Server(ids[0]).InjectHang(5 * time.Second)
 
 	start := time.Now()
-	out, err := s.Exec(context.Background(), TaskSpec{
+	out, err := execTask(context.Background(), s, TaskSpec{
 		Routine: "sleep", Args: idl.Args{"d": time.Millisecond}, EstimateSecs: 0.001,
 	})
 	if err != nil {
@@ -199,7 +214,7 @@ func TestSchedulerHedgeLostCountsPrimaryWin(t *testing.T) {
 	// the hedge runs the same routine with the same duration but starts
 	// later.
 	s := NewScheduler(dir, HedgeConfig{Enabled: true, Multiplier: 1, Min: 10 * time.Millisecond})
-	if _, err := s.Exec(context.Background(), TaskSpec{
+	if _, err := execTask(context.Background(), s, TaskSpec{
 		Routine: "sleep", Args: idl.Args{"d": 40 * time.Millisecond},
 	}); err != nil {
 		t.Fatal(err)
@@ -216,7 +231,7 @@ func TestSchedulerErrorFailsFastWithoutHedge(t *testing.T) {
 	dir.RegisterManager(m, "server")
 	s := NewScheduler(dir, DefaultHedgeConfig())
 	start := time.Now()
-	_, err := s.Exec(context.Background(), TaskSpec{Routine: "boom"})
+	_, err := execTask(context.Background(), s, TaskSpec{Routine: "boom"})
 	if !errors.Is(err, idl.ErrCrashed) {
 		t.Fatalf("err = %v", err)
 	}
@@ -238,7 +253,7 @@ func TestSchedulerCancelQueuedTask(t *testing.T) {
 
 	block := make(chan error, 1)
 	go func() {
-		_, err := s.Exec(context.Background(), TaskSpec{
+		_, err := execTask(context.Background(), s, TaskSpec{
 			Routine: "sleep", Args: idl.Args{"d": 50 * time.Millisecond}})
 		block <- err
 	}()
@@ -247,7 +262,7 @@ func TestSchedulerCancelQueuedTask(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	queued := make(chan error, 1)
 	go func() {
-		_, err := s.Exec(ctx, TaskSpec{Routine: "sleep", Args: idl.Args{"d": time.Second}})
+		_, err := execTask(ctx, s, TaskSpec{Routine: "sleep", Args: idl.Args{"d": time.Second}})
 		queued <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -275,7 +290,7 @@ func TestSchedulerCloseFailsQueued(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := s.Exec(context.Background(), TaskSpec{
+			_, err := execTask(context.Background(), s, TaskSpec{
 				Routine: "sleep", Args: idl.Args{"d": 30 * time.Millisecond}})
 			errs <- err
 		}()

@@ -25,9 +25,9 @@ type Options struct {
 	Dir string
 	// FS is the VFS for map persistence (nil = the OS filesystem).
 	FS minidb.VFS
-	// BreakerThreshold/BreakerCooldown tune the per-shard circuit
+	// breakerThreshold and BreakerCooldown tune the per-shard circuit
 	// breakers (defaults 3 failures / 500ms).
-	BreakerThreshold int
+	breakerThreshold int
 	BreakerCooldown  time.Duration
 	// Logger, if set, is told the map the router opened with.
 	Logger *log.Logger
@@ -97,7 +97,7 @@ func NewRouter(o Options) (*Router, error) {
 	r := &Router{
 		nodes:     make(map[int]*node, len(o.Shards)),
 		views:     make(map[string]viewDef),
-		threshold: o.BreakerThreshold,
+		threshold: o.breakerThreshold,
 		cooldown:  o.BreakerCooldown,
 		colCache:  make(map[string]tableCols),
 	}

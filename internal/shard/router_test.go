@@ -277,7 +277,7 @@ func TestRouterShardUnavailableTyped(t *testing.T) {
 	flaky := &flakyEngine{Engine: dbs[1]}
 	r, err := NewRouter(Options{
 		Shards:           map[int]minidb.Engine{0: dbs[0], 1: flaky},
-		BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
+		breakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,8 +315,8 @@ func TestRouterShardUnavailableTyped(t *testing.T) {
 	// the DBUnavailable marker end to end.
 	_, err = r.Query(minidb.Query{Table: schema.TableHLE,
 		Where: []minidb.Pred{{Col: "hle_id", Op: minidb.OpEq, Val: minidb.S(sickKey)}}})
-	sid, ok := IsShardUnavailable(err)
-	if !ok || sid != 1 {
+	var se *ShardUnavailableError
+	if !errors.As(err, &se) || se.Shard != 1 {
 		t.Fatalf("want ShardUnavailableError{1}, got %v", err)
 	}
 	var marker interface{ DBUnavailable() bool }
@@ -338,7 +338,7 @@ func TestRouterShardUnavailableTyped(t *testing.T) {
 	}
 	_, err = r.Query(minidb.Query{Table: schema.TableHLE,
 		Where: []minidb.Pred{{Col: "hle_id", Op: minidb.OpEq, Val: minidb.S(sickKey)}}})
-	if sid, ok := IsShardUnavailable(err); !ok || sid != 1 {
+	if se = nil; !errors.As(err, &se) || se.Shard != 1 {
 		t.Fatalf("open breaker: want typed error, got %v", err)
 	}
 
@@ -381,7 +381,7 @@ func TestRouterOverloadPassthrough(t *testing.T) {
 	shedding := &sheddingEngine{Engine: dbs[1]}
 	r, err := NewRouter(Options{
 		Shards:           map[int]minidb.Engine{0: dbs[0], 1: shedding},
-		BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
+		breakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +409,8 @@ func TestRouterOverloadPassthrough(t *testing.T) {
 		if !ok || ra != 300*time.Millisecond {
 			t.Fatalf("%s: retry-after hint lost in the router: %v", what, err)
 		}
-		if _, isShard := IsShardUnavailable(err); isShard {
+		var se *ShardUnavailableError
+		if errors.As(err, &se) {
 			t.Fatalf("%s: overload wrapped as ShardUnavailableError: %v", what, err)
 		}
 		var marker interface{ DBUnavailable() bool }

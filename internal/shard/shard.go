@@ -137,13 +137,3 @@ func (e *ShardUnavailableError) Unwrap() error { return e.Err }
 // DBUnavailable is the structural marker shared with dm.DBUnavailableError
 // and dbnet.UnavailableError.
 func (e *ShardUnavailableError) DBUnavailable() bool { return true }
-
-// IsShardUnavailable reports whether err (anywhere in its chain) is a
-// ShardUnavailableError, returning the shard id.
-func IsShardUnavailable(err error) (int, bool) {
-	var se *ShardUnavailableError
-	if errors.As(err, &se) {
-		return se.Shard, true
-	}
-	return 0, false
-}

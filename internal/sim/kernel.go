@@ -59,8 +59,7 @@ type Kernel struct {
 	// finishes or parks itself again.
 	yield chan struct{}
 
-	procs   int // live processes (for leak diagnostics)
-	stopped bool
+	procs int // live processes (for leak diagnostics)
 }
 
 // NewKernel returns an empty simulation at time zero.
@@ -84,15 +83,15 @@ func (k *Kernel) At(t float64, fn func()) {
 // After schedules fn to run d seconds from now.
 func (k *Kernel) After(d float64, fn func()) { k.At(k.now+d, fn) }
 
-// Run executes events until the queue drains or Stop is called.
-// It returns the final virtual time.
+// Run executes events until the queue drains. It returns the final
+// virtual time.
 func (k *Kernel) Run() float64 { return k.RunUntil(-1) }
 
 // RunUntil executes events with timestamps <= limit (limit < 0 means no
 // limit). The clock is left at the last executed event (or at limit when a
 // positive limit is given and the queue still has later events).
 func (k *Kernel) RunUntil(limit float64) float64 {
-	for len(k.events) > 0 && !k.stopped {
+	for len(k.events) > 0 {
 		next := k.events[0]
 		if limit >= 0 && next.at > limit {
 			k.now = limit
@@ -102,19 +101,8 @@ func (k *Kernel) RunUntil(limit float64) float64 {
 		k.now = next.at
 		next.fn()
 	}
-	k.stopped = false
 	if limit >= 0 && k.now < limit {
 		k.now = limit
 	}
 	return k.now
 }
-
-// Stop makes Run return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Pending reports the number of scheduled events.
-func (k *Kernel) Pending() int { return len(k.events) }
-
-// LiveProcs reports the number of processes that have started but not
-// finished. Useful in tests to detect processes parked forever.
-func (k *Kernel) LiveProcs() int { return k.procs }

@@ -53,6 +53,3 @@ func (p *Proc) Sleep(d float64) {
 	p.k.After(d, func() { p.k.transferTo(p) })
 	p.park()
 }
-
-// Spawn starts a child process at the current virtual time.
-func (p *Proc) Spawn(fn func(p *Proc)) { p.k.Go(fn) }

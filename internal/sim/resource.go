@@ -11,8 +11,6 @@ type Resource struct {
 	waiters  []*Proc
 
 	// stats
-	acquisitions int64
-	waitTotal    float64
 	busyIntegral float64
 	lastUpdate   float64
 }
@@ -34,17 +32,13 @@ func (r *Resource) accrue() {
 // Acquire takes one unit, parking p until one is free. Units are granted in
 // FIFO order.
 func (r *Resource) Acquire(p *Proc) {
-	start := p.Now()
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
 		r.accrue()
 		r.inUse++
-		r.acquisitions++
 		return
 	}
 	r.waiters = append(r.waiters, p)
 	p.park()
-	r.acquisitions++
-	r.waitTotal += p.Now() - start
 }
 
 // Release returns one unit, resuming the longest-waiting process if any.
@@ -71,17 +65,6 @@ func (r *Resource) Use(p *Proc, d float64) {
 	r.Release()
 }
 
-// InUse reports currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// MeanWait returns the average time processes spent queued for a unit.
-func (r *Resource) MeanWait() float64 {
-	if r.acquisitions == 0 {
-		return 0
-	}
-	return r.waitTotal / float64(r.acquisitions)
-}
-
 // MeanBusy returns the time-averaged number of busy units since time zero.
 func (r *Resource) MeanBusy() float64 {
 	r.accrue()
@@ -98,7 +81,6 @@ type Link struct {
 	res       *Resource
 	latency   float64 // seconds per transfer
 	bandwidth float64 // bytes per second
-	bytes     int64
 }
 
 // NewLink creates a link attached to k.
@@ -114,9 +96,5 @@ func (l *Link) Transfer(p *Proc, n int64) {
 	if n < 0 {
 		n = 0
 	}
-	l.bytes += n
 	l.res.Use(p, l.latency+float64(n)/l.bandwidth)
 }
-
-// BytesMoved reports the total payload transferred.
-func (l *Link) BytesMoved() int64 { return l.bytes }

@@ -1,37 +1,17 @@
 package sim
 
-import "math"
-
 // Tally accumulates scalar observations (response times, sizes) and reports
-// summary statistics. The zero value is ready to use.
+// their mean. The zero value is ready to use.
 type Tally struct {
-	n          int64
-	sum, sumSq float64
-	min, max   float64
+	n   int64
+	sum float64
 }
 
 // Add records one observation.
 func (t *Tally) Add(x float64) {
-	if t.n == 0 {
-		t.min, t.max = x, x
-	} else {
-		if x < t.min {
-			t.min = x
-		}
-		if x > t.max {
-			t.max = x
-		}
-	}
 	t.n++
 	t.sum += x
-	t.sumSq += x * x
 }
-
-// Count returns the number of observations.
-func (t *Tally) Count() int64 { return t.n }
-
-// Sum returns the total of all observations.
-func (t *Tally) Sum() float64 { return t.sum }
 
 // Mean returns the average observation (0 when empty).
 func (t *Tally) Mean() float64 {
@@ -39,21 +19,4 @@ func (t *Tally) Mean() float64 {
 		return 0
 	}
 	return t.sum / float64(t.n)
-}
-
-// Min and Max return the extreme observations (0 when empty).
-func (t *Tally) Min() float64 { return t.min }
-func (t *Tally) Max() float64 { return t.max }
-
-// StdDev returns the population standard deviation.
-func (t *Tally) StdDev() float64 {
-	if t.n == 0 {
-		return 0
-	}
-	m := t.Mean()
-	v := t.sumSq/float64(t.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
 }

@@ -54,7 +54,6 @@ type Stats struct {
 // data formats. The client picks modules by the data type of the object in
 // question and keeps the shared context across them.
 type Module interface {
-	Name() string
 	Formats() []string
 	// Handle processes a fetched item and returns a human-readable
 	// rendering. ctx is the shared, mutable module context.
@@ -87,7 +86,7 @@ type Options struct {
 	API      dm.API
 	Strategy Strategy
 	Dir      string // cache / clone directory
-	IP       string // reported client address
+	ip       string // reported client address
 }
 
 // New builds a StreamCorder. For CacheV2 a full local DM (database +
@@ -103,7 +102,7 @@ func New(opts Options) (*Client, error) {
 		return nil, fmt.Errorf("streamcorder: cache directory required")
 	}
 	c := &Client{
-		api: opts.API, strategy: opts.Strategy, ip: opts.IP,
+		api: opts.API, strategy: opts.Strategy, ip: opts.ip,
 		cacheDir: opts.Dir,
 		modules:  make(map[string][]Module),
 		context:  make(map[string]string),
@@ -147,9 +146,6 @@ func New(opts Options) (*Client, error) {
 // Stats exposes the counters.
 func (c *Client) Stats() *Stats { return &c.stats }
 
-// Strategy reports the active cache strategy.
-func (c *Client) Strategy() Strategy { return c.strategy }
-
 // Login authenticates against the (possibly remote) server DM.
 func (c *Client) Login(user, password string) error {
 	info, err := c.api.Authenticate(user, password, c.ip, dm.SessionANA)
@@ -159,9 +155,6 @@ func (c *Client) Login(user, password string) error {
 	c.token = info.Token
 	return nil
 }
-
-// Token returns the current session token ("" when anonymous).
-func (c *Client) Token() string { return c.token }
 
 // QueryHLEs browses events on the server.
 func (c *Client) QueryHLEs(f dm.HLEFilter) ([]*schema.HLE, error) {
@@ -400,7 +393,6 @@ func defaultModules() []Module {
 
 type phoenixModule struct{}
 
-func (phoenixModule) Name() string      { return "phoenix-viewer" }
 func (phoenixModule) Formats() []string { return []string{"phx2"} }
 func (phoenixModule) Handle(ctx map[string]string, item *dm.ItemData) (string, error) {
 	p, err := telemetry.ParsePhoenix(item.Bytes)
@@ -414,7 +406,6 @@ func (phoenixModule) Handle(ctx map[string]string, item *dm.ItemData) (string, e
 
 type gifModule struct{}
 
-func (gifModule) Name() string      { return "gif-viewer" }
 func (gifModule) Formats() []string { return []string{"gif"} }
 func (gifModule) Handle(ctx map[string]string, item *dm.ItemData) (string, error) {
 	if len(item.Bytes) < 6 || string(item.Bytes[:3]) != "GIF" {
@@ -426,7 +417,6 @@ func (gifModule) Handle(ctx map[string]string, item *dm.ItemData) (string, error
 
 type waveletModule struct{}
 
-func (waveletModule) Name() string      { return "wavelet-progressive" }
 func (waveletModule) Formats() []string { return []string{"wavelet"} }
 func (waveletModule) Handle(ctx map[string]string, item *dm.ItemData) (string, error) {
 	enc, err := wavelet.Parse(item.Bytes)
@@ -439,7 +429,6 @@ func (waveletModule) Handle(ctx map[string]string, item *dm.ItemData) (string, e
 
 type logModule struct{}
 
-func (logModule) Name() string      { return "log-viewer" }
 func (logModule) Formats() []string { return []string{"log", "params"} }
 func (logModule) Handle(ctx map[string]string, item *dm.ItemData) (string, error) {
 	return string(item.Bytes), nil

@@ -96,7 +96,7 @@ func newServerRig(t *testing.T) *serverRig {
 
 func newV1(t *testing.T, rig *serverRig) *Client {
 	t.Helper()
-	c, err := New(Options{API: rig.remote, Strategy: CacheV1, Dir: t.TempDir(), IP: "10.2.2.2"})
+	c, err := New(Options{API: rig.remote, Strategy: CacheV1, Dir: t.TempDir(), ip: "10.2.2.2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func newV1(t *testing.T, rig *serverRig) *Client {
 
 func newV2(t *testing.T, rig *serverRig) *Client {
 	t.Helper()
-	c, err := New(Options{API: rig.remote, Strategy: CacheV2, Dir: t.TempDir(), IP: "10.2.2.3"})
+	c, err := New(Options{API: rig.remote, Strategy: CacheV2, Dir: t.TempDir(), ip: "10.2.2.3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,6 @@ func TestCustomModuleRegistration(t *testing.T) {
 
 type countModule struct{}
 
-func (countModule) Name() string      { return "byte-counter" }
 func (countModule) Formats() []string { return []string{"gif", "log"} }
 func (countModule) Handle(ctx map[string]string, item *dm.ItemData) (string, error) {
 	return "bytes", nil
@@ -351,7 +350,7 @@ func TestLoginPropagatesRights(t *testing.T) {
 	if err := c.Login("import", "secret"); err != nil {
 		t.Fatal(err)
 	}
-	if c.Token() == "" {
+	if c.token == "" {
 		t.Fatal("no token after login")
 	}
 }
@@ -440,18 +439,18 @@ func TestUploadLocalAnalysisRoundTrip(t *testing.T) {
 func TestModuleNamesAndLogViewer(t *testing.T) {
 	rig := newServerRig(t)
 	c := newV1(t, rig)
-	if c.Strategy() != CacheV1 {
-		t.Fatalf("strategy = %v", c.Strategy())
+	if c.strategy != CacheV1 {
+		t.Fatalf("strategy = %v", c.strategy)
 	}
-	names := map[string]bool{}
+	have := map[Module]bool{}
 	for _, format := range []string{"gif", "wavelet", "log", "params", "phx2"} {
 		for _, m := range c.ModulesFor(format) {
-			names[m.Name()] = true
+			have[m] = true
 		}
 	}
-	for _, want := range []string{"gif-viewer", "wavelet-progressive", "log-viewer", "phoenix-viewer"} {
-		if !names[want] {
-			t.Fatalf("module %q not registered (have %v)", want, names)
+	for _, want := range []Module{gifModule{}, waveletModule{}, logModule{}, phoenixModule{}} {
+		if !have[want] {
+			t.Fatalf("module %T not registered (have %v)", want, have)
 		}
 	}
 	// The log viewer renders the analysis log verbatim.
@@ -499,8 +498,8 @@ func TestNewClientValidation(t *testing.T) {
 	}
 	// Default strategy is V1.
 	c, err := New(Options{API: rig.remote, Dir: t.TempDir()})
-	if err != nil || c.Strategy() != CacheV1 {
-		t.Fatalf("default strategy = %v %v", c.Strategy(), err)
+	if err != nil || c.strategy != CacheV1 {
+		t.Fatalf("default strategy = %v %v", c.strategy, err)
 	}
 	// V2 reopen over an existing clone directory works (archive already
 	// registered in the local database).

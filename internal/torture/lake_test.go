@@ -2,6 +2,7 @@ package torture
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -251,8 +252,8 @@ func lakeVerify(fs *fault.FS, m *lakeModel) error {
 			}
 			return fmt.Errorf("acked pin %s lost: %w", token, err)
 		}
-		if v.Len() != len(snap) {
-			return fmt.Errorf("pin %s sees %d members, snapshot had %d", token, v.Len(), len(snap))
+		if len(v.List()) != len(snap) {
+			return fmt.Errorf("pin %s sees %d members, snapshot had %d", token, len(v.List()), len(snap))
 		}
 		for rel, want := range snap {
 			data, err := v.Read(rel)
@@ -268,12 +269,12 @@ func lakeVerify(fs *fault.FS, m *lakeModel) error {
 	// Usability probe: the recovered lake takes new commits, compaction
 	// and GC without complaint, and stays consistent.
 	probe := "probe/after-recovery"
-	if l.Exists(probe) {
+	if slices.Contains(l.List(), probe) {
 		if _, err := l.Delete([]string{probe}); err != nil {
 			return fmt.Errorf("probe cleanup: %w", err)
 		}
 	}
-	if _, err := l.Store(probe, 9, payload(probe, 40)); err != nil {
+	if _, err := l.StoreBatch([]lake.BatchFile{{Rel: probe, Day: 9, Data: payload(probe, 40)}}); err != nil {
 		return fmt.Errorf("probe store on recovered lake: %w", err)
 	}
 	if data, err := l.Read(probe); err != nil || string(data) != string(payload(probe, 40)) {

@@ -73,16 +73,6 @@ type Encoded struct {
 	Coeffs       []Coeff
 }
 
-// Encode1D compresses data, retaining the keep fraction (0..1] of the
-// largest-magnitude coefficients (at least one if any are nonzero).
-func Encode1D(data []float64, keep float64) *Encoded {
-	n := nextPow2(len(data))
-	buf := make([]float64, n)
-	copy(buf, data)
-	forward1D(buf)
-	return pack(buf, n, 1, len(data), 1, keep)
-}
-
 // Encode2D compresses a row-major matrix using the standard (separable)
 // Haar decomposition.
 func Encode2D(rows [][]float64, keep float64) *Encoded {
@@ -189,17 +179,6 @@ func quickselect(idx []int, n int, less func(a, b int) bool) {
 			lo = i + 1
 		}
 	}
-}
-
-// Decode1D reconstructs an approximation from the first frac (0..1] of the
-// coefficient stream. frac=1 uses everything retained at encode time.
-func (e *Encoded) Decode1D(frac float64) []float64 {
-	if e.H != 1 {
-		panic("wavelet: Decode1D on 2D data")
-	}
-	buf := e.expand(frac)
-	inverse1D(buf)
-	return buf[:e.OrigW]
 }
 
 // Decode2D reconstructs an approximated matrix from the first frac of the

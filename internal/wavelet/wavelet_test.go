@@ -42,8 +42,8 @@ func TestPerfectReconstruction1D(t *testing.T) {
 		for i := range data {
 			data[i] = rng.NormFloat64() * 100
 		}
-		enc := Encode1D(data, 1)
-		got := enc.Decode1D(1)
+		enc := encode1D(data, 1)
+		got := decode1D(enc, 1)
 		if len(got) != n {
 			t.Fatalf("n=%d: decoded length %d", n, len(got))
 		}
@@ -108,10 +108,10 @@ func TestTruncationErrorBounded(t *testing.T) {
 		// Smooth signal plus noise: compressible.
 		data[i] = 50*math.Sin(float64(i)/20) + rng.NormFloat64()
 	}
-	enc := Encode1D(data, 1)
+	enc := encode1D(data, 1)
 	var prevErr float64 = math.Inf(1)
 	for _, frac := range []float64{0.05, 0.1, 0.25, 0.5, 1.0} {
-		rec := enc.Decode1D(frac)
+		rec := decode1D(enc, frac)
 		var errEnergy float64
 		for i := range data {
 			d := data[i] - rec[i]
@@ -133,8 +133,8 @@ func TestKeepFractionReducesSize(t *testing.T) {
 	for i := range data {
 		data[i] = rng.NormFloat64()
 	}
-	full := Encode1D(data, 1)
-	tenth := Encode1D(data, 0.1)
+	full := encode1D(data, 1)
+	tenth := encode1D(data, 0.1)
 	if len(tenth.Coeffs)*9 > len(full.Coeffs) {
 		t.Fatalf("keep=0.1 retained %d of %d coefficients", len(tenth.Coeffs), len(full.Coeffs))
 	}
@@ -149,7 +149,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = rng.NormFloat64() * 7
 	}
-	enc := Encode1D(data, 0.5)
+	enc := encode1D(data, 0.5)
 	parsed, err := Parse(enc.Bytes())
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if parsed.W != enc.W || parsed.OrigW != enc.OrigW || len(parsed.Coeffs) != len(enc.Coeffs) {
 		t.Fatalf("header mismatch: %+v vs %+v", parsed, enc)
 	}
-	a, b := enc.Decode1D(1), parsed.Decode1D(1)
+	a, b := decode1D(enc, 1), decode1D(parsed, 1)
 	if maxAbsDiff(a, b) != 0 {
 		t.Fatal("decoded data differs after serialization")
 	}
@@ -170,7 +170,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 	if _, err := Parse([]byte("WRONGMAGIC")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	enc := Encode1D([]float64{1, 2, 3}, 1)
+	enc := encode1D([]float64{1, 2, 3}, 1)
 	raw := enc.Bytes()
 	if _, err := Parse(raw[:len(raw)-2]); err == nil {
 		t.Fatal("truncated stream accepted")
@@ -191,7 +191,7 @@ func TestQuickPerfectReconstruction(t *testing.T) {
 		if len(data) == 0 {
 			return true
 		}
-		rec := Encode1D(data, 1).Decode1D(1)
+		rec := decode1D(encode1D(data, 1), 1)
 		for i := range data {
 			// float32 storage loses precision; allow relative tolerance.
 			tol := 1e-4 * (math.Abs(data[i]) + 1)
@@ -481,4 +481,22 @@ func BenchmarkPartitionViews(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		viewsSink = PartitionViews(u.Photons, u.TStart, u.TStop, telemetry.EnergyMin, telemetry.EnergyMax, 4, 64, 16, 0.15)
 	}
+}
+
+// encode1D compresses data, retaining the keep fraction (0..1] of the
+// largest-magnitude coefficients (at least one if any are nonzero).
+func encode1D(data []float64, keep float64) *Encoded {
+	n := nextPow2(len(data))
+	buf := make([]float64, n)
+	copy(buf, data)
+	forward1D(buf)
+	return pack(buf, n, 1, len(data), 1, keep)
+}
+
+// decode1D reconstructs an approximation of one-dimensional data from the
+// first frac (0..1] of the coefficient stream.
+func decode1D(e *Encoded, frac float64) []float64 {
+	buf := e.expand(frac)
+	inverse1D(buf)
+	return buf[:e.OrigW]
 }

@@ -609,6 +609,9 @@ func TestStatsClusterSection(t *testing.T) {
 		"Cluster gateway", "replica replica-0", "circuit closed",
 		"retry budget tokens", "degraded reads served", "writes failed fast",
 		"stale cache entries / evictions",
+		// No MaxInflight, no AdaptiveLimit: admission control is off.
+		`admission control</td><td style="text-align:right">off<`,
+		`concurrency limit</td><td style="text-align:right">none<`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("stats page missing %q", want)

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Full verification: vet, build, five structural guards (the retired
-# manifest + pack-file archive format is named in no non-test file; only
-# the harness-cell builder internal/cluster/cell.go wires replicas to a
-# gateway; internal/sim is imported only by the paper-shape reproductions;
-# internal/epochcache is the only cache — the four types it replaced and
+# Full verification: vet, build, a gofmt guard (gofmt -l lists no file),
+# five structural guards (the retired manifest + pack-file archive
+# format is named in no non-test file; only the harness-cell builder
+# internal/cluster/cell.go wires replicas to a gateway; internal/sim is
+# imported only by the paper-shape reproductions; internal/epochcache is
+# the only cache — the four types it replaced and
 # container/list stay gone; and the dead-weight audit, TestDeadWeightAudit
 # in deadweight_test.go, which runs inside go test ./... with four classes:
 # (i) exported code no file references, (ii) option fields no code sets,
@@ -39,6 +40,10 @@ go vet ./...
 
 echo "==> go build"
 go build ./...
+
+echo "==> gofmt (no unformatted .go file)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then echo "$unformatted"; exit 1; fi
 
 echo "==> one archive engine (no manifest/pack-file names outside tests)"
 if grep -rnE 'MANIFEST\.crc|packs/p' --include='*.go' --exclude='*_test.go' .; then exit 1; fi
