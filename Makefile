@@ -36,8 +36,9 @@ bench-ingest:
 bench-chaos:
 	$(GO) run ./cmd/hedc-bench -exp chaos -json .
 
-# bench-stampede runs the flare-alert stampede A/B (fixed semaphore +
-# naive retries vs adaptive limiter + brownout ladder + hint-honoring
+# bench-stampede runs the flare-alert stampede A/B (fixed cap, the
+# limiter pinned at Min = Max with no brownout ladder, + naive retries
+# vs adaptive limiter + brownout ladder + hint-honoring
 # clients under the same open-loop 10x spike) and records
 # BENCH_stampede.json.
 bench-stampede:

@@ -168,7 +168,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(bench.FormatStampede(stampedeRes))
-		fmt.Printf("the same 10x open-loop spike: the fixed semaphore collapses into a\n")
+		fmt.Printf("the same 10x open-loop spike: the fixed cap collapses into a\n")
 		fmt.Printf("retry storm while the adaptive limiter sheds typed hints, serves the\n")
 		fmt.Printf("crowd commit-behind, and stands back down when it leaves\n\n")
 	}
@@ -280,7 +280,7 @@ func writeBenchJSON(dir string, fig4, fig5 []bench.BrowsePoint, live []bench.Liv
 	if stampedeRes != nil {
 		err := write("BENCH_stampede.json", map[string]any{
 			"experiment": "stampede",
-			"note":       "open-loop 10x flare-alert browse spike against a live cell: fixed admission semaphore + naive-retry clients vs adaptive limiter + brownout ladder + hint-honoring clients; goodput = requests answered within the 2s SLO",
+			"note":       "open-loop 10x flare-alert browse spike against a live cell: fixed cap (the gateway limiter pinned at Min = Max = 64, no brownout ladder) + naive-retry clients vs adaptive limiter + brownout ladder + hint-honoring clients; goodput = requests answered within the 2s SLO",
 			"results":    stampedeRes,
 		})
 		if err != nil {

@@ -344,10 +344,10 @@ func runGateway(ctx context.Context, addr, replicaList string, adaptive bool) er
 	}
 	if adaptive {
 		// Zero-value configs take the package defaults. Without the
-		// flag the gateway sets no MaxInflight, so it has no semaphore
-		// and admits everything; with it, the AIMD limiter admits and
-		// the brownout ladder runs.
-		opts.AdaptiveLimit = &overload.Config{}
+		// flag the gateway has no admission control and admits
+		// everything; with it, the AIMD limiter admits and the brownout
+		// ladder runs.
+		opts.Admission = &overload.Config{}
 		opts.Brownout = &overload.LadderConfig{}
 	}
 	gw := cluster.NewGateway(opts)

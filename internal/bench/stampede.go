@@ -10,8 +10,9 @@ import (
 
 // Flare-alert stampede A/B: the same open-loop 10x browse spike driven
 // against the same live cell under the two admission disciplines — the
-// fixed semaphore with naive-retry clients (the pre-overload stack) and
-// the adaptive limiter + brownout ladder with hint-honoring clients.
+// fixed cap (the gateway limiter pinned at Min = Max, no brownout ladder)
+// with naive-retry clients, and the adaptive limiter + brownout ladder
+// with hint-honoring clients.
 // The record is goodput through the spike, the interactive tail, the
 // retry discipline, and how fast the cell stands back down afterwards.
 

@@ -7,9 +7,10 @@
 // finished, the regime where a closed-loop benchmark lies — against a
 // live cell, under either admission policy:
 //
-//   - Fixed: the pre-overload gateway (a fixed admission semaphore, no
-//     database queue bound) fronted by naive clients that retry every
-//     shed after a fixed short pause.
+//   - Fixed: the gateway's limiter pinned at one cap (Min = Max, so it
+//     never moves, and no brownout ladder), no database queue bound,
+//     fronted by naive clients that retry every shed after a fixed
+//     short pause.
 //   - Adaptive: the latency-gradient limiter + brownout ladder, a
 //     queue-bounded database tier that refuses doomed work at the
 //     socket, and well-behaved clients that honor retry-after hints.
@@ -63,8 +64,8 @@ func StampedeSchedules() []StampedeSchedule {
 // StampedeConfig tunes a run.
 type StampedeConfig struct {
 	// Adaptive selects the admission policy (the A/B axis): false is the
-	// fixed semaphore + naive-retry baseline, true is the limiter +
-	// brownout + hint-honoring stack.
+	// pinned-limiter + naive-retry baseline, true is the breathing
+	// limiter + brownout + hint-honoring stack.
 	Adaptive bool
 	// Spike and Recover are phase durations (defaults 2s and 1.5s;
 	// RecoveryFocus schedules override both).
@@ -175,7 +176,7 @@ func startStampedeCell(s StampedeSchedule, cfg StampedeConfig) (*cell, error) {
 		// projected wait exceeds the bound is refused at the socket with
 		// a retry-after hint instead of rotting in line.
 		srv.MaxQueueDelay = 50 * time.Millisecond
-		gopts.AdaptiveLimit = &overload.Config{
+		gopts.Admission = &overload.Config{
 			Initial: 24, Min: 4, Max: 64,
 			MaxWait:       100 * time.Millisecond,
 			QueueInterval: 100 * time.Millisecond,
@@ -183,8 +184,9 @@ func startStampedeCell(s StampedeSchedule, cfg StampedeConfig) (*cell, error) {
 		gopts.Brownout = &overload.LadderConfig{Dwell: 200 * time.Millisecond}
 		gopts.BrownoutTick = 25 * time.Millisecond
 	} else {
-		// The pre-overload configuration: a generous fixed semaphore.
-		gopts.MaxInflight = 64
+		// A generous fixed cap: the limiter pinned at Min = Max, with
+		// no brownout ladder and so no stale-read rung.
+		gopts.Admission = &overload.Config{Initial: 64, Min: 64, Max: 64}
 	}
 	o := cluster.CellOptions{
 		Replicas: 2,
@@ -459,9 +461,7 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 	for _, r := range c.Replicas {
 		res.StaleServes += r.DM().Stats().StaleServes.Load()
 	}
-	if st := c.GW.Status().Overload; st.Adaptive {
-		res.Transitions = st.Transitions
-	}
+	res.Transitions = c.GW.Status().Overload.Transitions
 
 	// Recovery: wait for the ladder to stand down, then probe a quiet
 	// baseline round and score its tail.

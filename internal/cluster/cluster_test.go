@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dbnet"
 	"repro/internal/dm"
+	"repro/internal/overload"
 	"repro/internal/schema"
 )
 
@@ -247,7 +248,7 @@ func TestGatewaySessionPinning(t *testing.T) {
 func TestGatewayAdmissionControl(t *testing.T) {
 	tc := startTestCell(t, 1, 5, dbnet.Options{}, CellOptions{
 		Replicas: 1,
-		Gateway:  GatewayOptions{MaxInflight: 1, queueTimeout: 50 * time.Millisecond},
+		Gateway:  GatewayOptions{Admission: &overload.Config{Initial: 1, Min: 1, Max: 1, MaxWait: 50 * time.Millisecond}},
 		Capacity: Capacity{Workers: 1, CPUPerCall: 150 * time.Millisecond}})
 
 	var ok, shed atomic.Int64

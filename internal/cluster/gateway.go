@@ -29,9 +29,6 @@ var ErrOverloaded = overload.ErrOverloaded
 var ErrNoReplicas = fmt.Errorf("cluster: no healthy replicas")
 
 const (
-	// shedRetryAfter is the retry-after hint stamped on fixed-mode sheds,
-	// where no queue-delay signal exists to derive one.
-	shedRetryAfter = 250 * time.Millisecond
 	// affinitySpill is how many in-flight requests beyond the least
 	// loaded replica the affinity choice may carry before the gateway
 	// spills to the least loaded one. Affinity keeps each replica's
@@ -53,23 +50,16 @@ type GatewayOptions struct {
 	// RetryBackoff is the pause before retrying a failed call on another
 	// replica (default 10ms, doubling per attempt).
 	RetryBackoff time.Duration
-	// MaxInflight caps concurrently admitted requests with a FIXED
-	// semaphore; 0 disables admission control. Ignored when AdaptiveLimit
-	// is set. Kept as the baseline arm of the stampede A/B experiment.
-	MaxInflight int
-	// queueTimeout bounds how long an admitted-pending request may wait
-	// for capacity before being shed (default 5s). Fixed-semaphore mode
-	// only; the adaptive limiter uses its own MaxWait.
-	queueTimeout time.Duration
-	// AdaptiveLimit switches admission control to the latency-gradient
-	// limiter in internal/overload: the inflight cap breathes with
-	// measured latency (AIMD), queue sojourn is CoDel-bounded, and sheds
-	// carry a retry-after hint derived from observed queue delay. Nil
-	// keeps the fixed semaphore.
-	AdaptiveLimit *overload.Config
-	// Brownout tunes the pressure ladder that trades features for
-	// capacity while the limiter is saturated (nil = defaults). Only
-	// active alongside AdaptiveLimit.
+	// Admission runs every request through one overload.Limiter: queue
+	// sojourn is CoDel-bounded, anonymous browse is shed before
+	// interactive work, and sheds carry a retry-after hint derived from
+	// observed queue delay. Nil means no admission control. Min < Max
+	// lets the cap breathe with measured latency (AIMD); a fixed cap of
+	// n is Initial = Min = Max = n, a limit that never moves.
+	Admission *overload.Config
+	// Brownout enables the pressure ladder that trades features for
+	// capacity while the limiter is saturated (zero fields take the
+	// defaults). Nil runs no ladder; ignored without Admission.
 	Brownout *overload.LadderConfig
 	// BrownoutTick is how often the ladder samples limiter pressure
 	// (default 100ms).
@@ -127,9 +117,8 @@ type Gateway struct {
 	pinMu sync.Mutex
 	pins  map[string]*member // session token -> replica holding the session
 
-	admit chan struct{}     // fixed admission semaphore (nil = unlimited)
-	lim   *overload.Limiter // adaptive admission (nil = fixed/off)
-	lad   *overload.Ladder  // brownout ladder (nil unless adaptive)
+	lim *overload.Limiter // admission control (nil = off)
+	lad *overload.Ladder  // brownout ladder (nil unless Brownout and Admission are set)
 
 	hookMu sync.Mutex
 	hook   overload.StageActions // brownout side effects (SetBrownoutHook)
@@ -137,7 +126,6 @@ type Gateway struct {
 	retry *retryBudget
 	stale *epochcache.Cache[uint64, staleValue] // anonymous read results, keyed on writeEpoch
 
-	shed           atomic.Int64
 	failovers      atomic.Int64
 	budgetDenied   atomic.Int64 // retries refused by the dry retry budget
 	degradedServes atomic.Int64 // reads answered from the stale cache
@@ -160,9 +148,6 @@ func NewGateway(opts GatewayOptions) *Gateway {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = 10 * time.Millisecond
 	}
-	if opts.queueTimeout <= 0 {
-		opts.queueTimeout = 5 * time.Second
-	}
 	if opts.BreakerThreshold <= 0 {
 		opts.BreakerThreshold = 3
 	}
@@ -179,17 +164,17 @@ func NewGateway(opts GatewayOptions) *Gateway {
 		retry: newRetryBudget(retryRefillPerSec, retryBurst),
 		stale: epochcache.New[uint64, staleValue](staleEntries),
 	}
-	if opts.AdaptiveLimit != nil {
-		cfg := *opts.AdaptiveLimit
+	if opts.Admission != nil {
+		cfg := *opts.Admission
 		if cfg.Tier == "" {
 			cfg.Tier = "gateway"
 		}
 		g.lim = overload.NewLimiter(cfg)
-		g.lad = overload.NewLadder(opts.Brownout)
-		g.wg.Add(1)
-		go g.brownoutLoop()
-	} else if opts.MaxInflight > 0 {
-		g.admit = make(chan struct{}, opts.MaxInflight)
+		if opts.Brownout != nil {
+			g.lad = overload.NewLadder(opts.Brownout)
+			g.wg.Add(1)
+			go g.brownoutLoop()
+		}
 	}
 	g.wg.Add(1)
 	go g.healthLoop()
@@ -207,7 +192,7 @@ func (g *Gateway) SetBrownoutHook(a overload.StageActions) {
 }
 
 // BrownoutStage reports the ladder's current rung (StageNormal when the
-// gateway runs without adaptive admission).
+// gateway runs no ladder).
 func (g *Gateway) BrownoutStage() overload.Stage {
 	if g.lad == nil {
 		return overload.StageNormal
@@ -227,11 +212,12 @@ func (g *Gateway) brownoutLoop() {
 			return
 		case now := <-ticker.C:
 			from := g.lad.Stage()
-			to := g.lad.Observe(now, g.lim.Pressure())
+			pressure := g.lim.Pressure()
+			to := g.lad.Observe(now, pressure)
 			if to == from {
 				continue
 			}
-			g.logf("cluster: brownout %v -> %v (pressure %.2f)", from, to, g.lim.Pressure())
+			g.logf("cluster: brownout %v -> %v (pressure %.2f)", from, to, pressure)
 			g.hookMu.Lock()
 			hook := g.hook
 			g.hookMu.Unlock()
@@ -290,7 +276,7 @@ func (g *Gateway) Failovers() int64 { return g.failovers.Load() }
 // shutdown logs.
 type Status struct {
 	Members          []MemberStatus
-	Shed             int64   // requests dropped by admission control
+	Shed             int64   // requests shed by the admission limiter (0 when admission is off)
 	Failovers        int64   // calls retried on another replica
 	RetriesDenied    int64   // retries refused by the dry retry budget
 	RetryTokens      float64 // retry budget tokens currently available
@@ -306,22 +292,14 @@ type Status struct {
 }
 
 // OverloadStatus is the admission-control and brownout snapshot for
-// /stats: what the adaptive limiter currently allows, what it is
-// shedding, and which rung of the brownout ladder the cluster stands on.
+// /stats: the limiter's own snapshot (all zero when admission is off;
+// Min == Max is a fixed cap), and which rung of the brownout ladder the
+// cluster stands on.
 type OverloadStatus struct {
-	Adaptive    bool          // true when the latency-gradient limiter is active
-	Limit       int           // current concurrency limit (0 = admission control off)
-	Inflight    int           // admitted and executing now
-	Queued      int           // waiting for a permit
-	QueueDelay  time.Duration // recent average wait for a permit
-	Baseline    time.Duration // the limiter's floor-p50 latency estimate
-	Pressure    float64       // 0..1 signal the brownout ladder observes
-	Sheds       int64         // requests refused by the limiter
-	ShedByPri   [3]int64      // sheds by class: interactive, browse, bulk
-	Backoffs    int64         // multiplicative limit decreases
-	DBOverloads int64         // downstream tiers' overload refusals observed
-	Stage       string        // brownout rung ("normal", "no-hedge", ...)
-	Transitions int64         // lifetime brownout rung changes
+	overload.LimiterStats
+	DBOverloads int64  // downstream tiers' overload refusals observed
+	Stage       string // brownout rung ("normal", "no-hedge", ...)
+	Transitions int64  // lifetime brownout rung changes
 }
 
 // Status reports every resilience counter in one consistent-enough view.
@@ -331,27 +309,15 @@ func (g *Gateway) Status() Status {
 		Stage:       g.BrownoutStage().String(),
 	}
 	if g.lim != nil {
-		st := g.lim.Stats()
-		ov.Adaptive = true
-		ov.Limit = st.Limit
-		ov.Inflight = st.Inflight
-		ov.Queued = st.Queued
-		ov.QueueDelay = st.QueueDelay
-		ov.Baseline = st.Baseline
-		ov.Pressure = st.Pressure
-		ov.Sheds = st.Sheds
-		ov.ShedByPri = [3]int64(st.ShedByPri)
-		ov.Backoffs = st.Backoffs
+		ov.LimiterStats = g.lim.Stats()
+	}
+	if g.lad != nil {
 		ov.Transitions = g.lad.Transitions()
-	} else {
-		ov.Limit = cap(g.admit)
-		ov.Inflight = len(g.admit)
-		ov.Sheds = g.shed.Load()
 	}
 	stale := g.stale.Stats()
 	return Status{
 		Members:          g.Members(),
-		Shed:             g.shed.Load(),
+		Shed:             ov.Sheds,
 		Failovers:        g.failovers.Load(),
 		RetriesDenied:    g.budgetDenied.Load(),
 		RetryTokens:      g.retry.remaining(),
@@ -491,45 +457,23 @@ func (g *Gateway) pick(candidates []*member, affinity string) *member {
 // DB-unavailability) pass straight through: no sibling replica can
 // answer what the shared database cannot.
 func (g *Gateway) do(affinity, token string, mutation bool, fn func(api dm.API) error) error {
-	switch {
-	case g.lim != nil:
-		// Adaptive admission: the limiter decides, carrying its own
-		// priority queueing, CoDel sojourn bound, and retry-after hints.
-		permit, aerr := g.lim.Acquire(priorityOf(token, mutation))
-		if aerr != nil {
-			g.shed.Add(1)
-			return aerr
+	if g.lim != nil {
+		// The limiter decides, carrying its own priority queueing, CoDel
+		// sojourn bound, and retry-after hints.
+		permit, err := g.lim.Acquire(priorityOf(token, mutation))
+		if err != nil {
+			return err
 		}
 		defer permit.Release()
-	case g.admit != nil:
-		select {
-		case g.admit <- struct{}{}:
-		default:
-			// Full house. Anonymous reads are the lowest-priority traffic —
-			// shed them immediately (the stale cache may still answer them);
-			// authenticated work and mutations may queue for their slot.
-			if token == "" && !mutation {
-				g.shed.Add(1)
-				return &overload.Error{Tier: "gateway", RetryAfter: shedRetryAfter}
-			}
-			timer := time.NewTimer(g.opts.queueTimeout)
-			select {
-			case g.admit <- struct{}{}:
-				timer.Stop()
-			case <-timer.C:
-				g.shed.Add(1)
-				return &overload.Error{Tier: "gateway", RetryAfter: shedRetryAfter}
-			}
-		}
-		defer func() { <-g.admit }()
 	}
 
 	err := g.route(affinity, token, mutation, fn)
 	if err != nil && overload.IsOverload(err) {
 		// A downstream tier (replica admission or the database socket)
 		// pushed back. Count it and fold it into the limiter as one
-		// multiplicative decrease: end-to-end backpressure means the
-		// gateway stops offering load the tiers below are refusing.
+		// multiplicative decrease (a fixed cap, Min = Max, stays put):
+		// end-to-end backpressure means the gateway stops offering load
+		// the tiers below are refusing.
 		g.dbOverloads.Add(1)
 		if g.lim != nil {
 			g.lim.Backpressure()

@@ -38,7 +38,7 @@ func (s *stubAPI) CountHLEs(token, ip string, f dm.HLEFilter) (int, error) {
 // the limiter's view.
 func TestGatewayAdaptiveShedTyped(t *testing.T) {
 	gw := NewGateway(GatewayOptions{
-		AdaptiveLimit: &overload.Config{
+		Admission: &overload.Config{
 			Initial: 2, Min: 1, Max: 4, MaxQueue: 2,
 			MaxWait: 30 * time.Millisecond,
 		},
@@ -81,8 +81,8 @@ func TestGatewayAdaptiveShedTyped(t *testing.T) {
 		t.Fatalf("%d requests failed untyped or hintless", untyped.Load())
 	}
 	st := gw.Status().Overload
-	if !st.Adaptive {
-		t.Fatal("Status does not report adaptive admission")
+	if st.Min != 1 || st.Max != 4 {
+		t.Fatalf("Status does not report the adaptive limiter's range: [%d, %d], want [1, 4]", st.Min, st.Max)
 	}
 	if st.Sheds != shed.Load() {
 		t.Fatalf("limiter counted %d sheds, clients saw %d", st.Sheds, shed.Load())
@@ -96,25 +96,103 @@ func TestGatewayAdaptiveShedTyped(t *testing.T) {
 }
 
 // TestGatewayReportsAdmission: Status().Overload names the admission
-// control a gateway runs: none reports limit 0, a fixed semaphore reports
-// its cap and the requests holding a slot.
+// control a gateway runs: none reports limit 0, a fixed cap reports
+// Min == Max == its limit, an adaptive limiter the range it breathes in,
+// and both count the requests holding a permit.
 func TestGatewayReportsAdmission(t *testing.T) {
 	for _, tt := range []struct {
-		maxInflight, wantLimit int
-	}{{0, 0}, {3, 3}} {
-		gw := NewGateway(GatewayOptions{HealthInterval: time.Minute, MaxInflight: tt.maxInflight})
-		if tt.maxInflight > 0 {
-			gw.admit <- struct{}{}
+		name      string
+		admission *overload.Config
+		wantLimit int
+		wantFixed bool
+	}{
+		{"off", nil, 0, false},
+		{"fixed", &overload.Config{Initial: 3, Min: 3, Max: 3}, 3, true},
+		{"adaptive", &overload.Config{Initial: 4, Min: 2, Max: 8}, 4, false},
+	} {
+		gw := NewGateway(GatewayOptions{HealthInterval: time.Minute, Admission: tt.admission})
+		wantIn := 0
+		var permit *overload.Permit
+		if tt.admission != nil {
+			p, err := gw.lim.Acquire(overload.Interactive)
+			if err != nil {
+				t.Fatalf("%s: %v", tt.name, err)
+			}
+			permit, wantIn = p, 1
 		}
 		st := gw.Status().Overload
+		if permit != nil {
+			permit.Release()
+		}
 		gw.Close()
-		if st.Adaptive || st.Limit != tt.wantLimit {
-			t.Fatalf("MaxInflight %d: adaptive=%v limit=%d, want a fixed limit of %d",
-				tt.maxInflight, st.Adaptive, st.Limit, tt.wantLimit)
+		fixed := st.Max > 0 && st.Min == st.Max
+		if fixed != tt.wantFixed || st.Limit != tt.wantLimit {
+			t.Fatalf("%s: limit=%d in [%d, %d], want limit %d (fixed=%v)",
+				tt.name, st.Limit, st.Min, st.Max, tt.wantLimit, tt.wantFixed)
 		}
-		if wantIn := min(tt.maxInflight, 1); st.Inflight != wantIn {
-			t.Fatalf("MaxInflight %d: inflight=%d, want %d", tt.maxInflight, st.Inflight, wantIn)
+		if tt.admission == nil && st.Max != 0 {
+			t.Fatalf("off: reports bounds [%d, %d]", st.Min, st.Max)
 		}
+		if st.Inflight != wantIn {
+			t.Fatalf("%s: inflight=%d, want %d", tt.name, st.Inflight, wantIn)
+		}
+		if st.Stage != overload.StageNormal.String() || st.Transitions != 0 {
+			t.Fatalf("%s: no Brownout set, yet stage %s after %d transitions", tt.name, st.Stage, st.Transitions)
+		}
+	}
+}
+
+// TestGatewayFixedCapRunsNoLadder: a gateway with Admission but no
+// Brownout — the stampede's fixed arm — runs no brownout ladder. Under
+// a shed storm long enough for the default ladder to reach its
+// stale-reads rung, it stays at StageNormal and never answers a shed
+// anonymous read from the stale cache.
+func TestGatewayFixedCapRunsNoLadder(t *testing.T) {
+	gw := NewGateway(GatewayOptions{
+		HealthInterval: time.Minute,
+		Admission: &overload.Config{
+			Initial: 1, Min: 1, Max: 1, MaxQueue: 2,
+			MaxWait: 5 * time.Millisecond,
+		},
+		BrownoutTick: 10 * time.Millisecond,
+	})
+	defer gw.Close()
+	stub := &stubAPI{}
+	gw.AddReplica("r0", stub)
+	f := dm.HLEFilter{Kind: "flare"}
+	if _, err := gw.CountHLEs("", "10.9.0.4", f); err != nil {
+		t.Fatal(err) // warms the stale cache for f
+	}
+	stub.delay.Store(int64(30 * time.Millisecond))
+
+	var degraded atomic.Int64
+	var climbed atomic.Pointer[string]
+	stop := time.Now().Add(1500 * time.Millisecond)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				if _, err := gw.CountHLEs("", "10.9.0.4", f); IsDegraded(err) {
+					degraded.Add(1)
+				}
+				if s := gw.BrownoutStage(); s != overload.StageNormal {
+					name := s.String()
+					climbed.CompareAndSwap(nil, &name)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := gw.Status(); st.Shed == 0 {
+		t.Fatal("the storm shed nothing, so no ladder could have climbed")
+	}
+	if s := climbed.Load(); s != nil {
+		t.Fatalf("brownout ladder ran without Brownout: reached %s", *s)
+	}
+	if n := degraded.Load(); n != 0 {
+		t.Fatalf("%d sheds answered from the stale cache without a ladder", n)
 	}
 }
 
@@ -124,7 +202,7 @@ func TestGatewayReportsAdmission(t *testing.T) {
 // limiter as a multiplicative decrease.
 func TestGatewayBackpressureOnDownstreamOverload(t *testing.T) {
 	gw := NewGateway(GatewayOptions{
-		AdaptiveLimit: &overload.Config{Initial: 8, Min: 1, Max: 8, Window: 1 << 20},
+		Admission: &overload.Config{Initial: 8, Min: 1, Max: 8, Window: 1 << 20},
 	})
 	defer gw.Close()
 	a, b := &stubAPI{}, &stubAPI{}
@@ -163,7 +241,7 @@ func TestGatewayBackpressureOnDownstreamOverload(t *testing.T) {
 // pressure decays and the ladder walks back down to normal.
 func TestGatewayBrownoutLadder(t *testing.T) {
 	gw := NewGateway(GatewayOptions{
-		AdaptiveLimit: &overload.Config{
+		Admission: &overload.Config{
 			Initial: 1, Min: 1, Max: 1, MaxQueue: 2,
 			MaxWait:       5 * time.Millisecond,
 			QueueInterval: 40 * time.Millisecond,

@@ -127,9 +127,10 @@ type staleValue struct {
 // the wrong session. A failure that means "the serving path is gone" (no
 // replicas, transport failure everywhere, the shared database partitioned
 // away) is converted — for anonymous callers with a cached value — into
-// that value plus a DegradedError tag. Overload shedding is never
-// converted: the data path works, the caller should back off, and serving
-// cache would hide saturation.
+// that value plus a DegradedError tag. An overload shed is converted only
+// once the brownout ladder stands at its stale-reads rung (canDegrade);
+// below it the data path works, the caller should back off, and serving
+// cache would hide early saturation.
 func serveRead[T any](g *Gateway, method, affinity, token string, fn func(dm.API) (T, error)) (T, error) {
 	v, err := call(g, affinity, token, false, fn)
 	if token != "" {

@@ -261,13 +261,15 @@ func TestGatewayCircuitOpensOnDeadReplica(t *testing.T) {
 	}
 }
 
-// TestGatewayPrioritySheds: when the admission queue is full, anonymous
-// browse is shed immediately (it has a stale-cache lifeboat) while
-// authenticated work waits for a slot.
+// TestGatewayPrioritySheds: under a fixed cap of one with a one-deep
+// queue, anonymous browse has no queue room (Browse gets half of
+// MaxQueue, here 0) and is shed at the door (it has a stale-cache
+// lifeboat), while authenticated work queues for the slot.
 func TestGatewayPrioritySheds(t *testing.T) {
 	tc := startTestCell(t, 1, 5, dbnet.Options{}, CellOptions{
 		Replicas: 1,
-		Gateway:  GatewayOptions{MaxInflight: 1, queueTimeout: 2 * time.Second},
+		Gateway: GatewayOptions{Admission: &overload.Config{
+			Initial: 1, Min: 1, Max: 1, MaxQueue: 1, MaxWait: 2 * time.Second}},
 		Capacity: Capacity{Workers: 1, CPUPerCall: 300 * time.Millisecond}})
 
 	si, err := tc.GW.Authenticate("sci", "pw", "10.3.0.1", dm.SessionHLE)
@@ -283,14 +285,14 @@ func TestGatewayPrioritySheds(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond)
 
-	// Anonymous: shed at once, far faster than queueTimeout.
+	// Anonymous: shed at once, far faster than MaxWait.
 	start := time.Now()
 	_, err = tc.GW.CountHLEs("", "10.3.0.2", dm.HLEFilter{Kind: "burst"})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("anonymous read under full house: %v, want ErrOverloaded", err)
 	}
 	if ra, ok := overload.RetryAfterOf(err); !ok || ra <= 0 {
-		t.Fatalf("fixed-mode shed carries no retry-after hint: %v", err)
+		t.Fatalf("fixed-cap shed carries no retry-after hint: %v", err)
 	}
 	if d := time.Since(start); d > 500*time.Millisecond {
 		t.Fatalf("anonymous shed took %v — it queued instead of shedding", d)

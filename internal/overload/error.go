@@ -37,9 +37,6 @@ type Error struct {
 	RetryAfter time.Duration
 	// Tier names the layer that shed ("gateway", "db", "farm", ...).
 	Tier string
-	// Stage is the brownout stage at shed time (gateway sheds only;
-	// StageNormal elsewhere).
-	Stage Stage
 }
 
 func (e *Error) Error() string {

@@ -323,12 +323,15 @@ func (l *Limiter) adjustLocked() {
 	l.sawLimit = false
 }
 
+// backoffLocked applies one multiplicative decrease, floored at Min. Only
+// a decrease that moves the limit counts as a backoff: a limit already at
+// its floor (always, for a fixed cap with Min = Max) does not back off.
 func (l *Limiter) backoffLocked() {
-	l.limit = int(float64(l.limit) * backoff)
-	if l.limit < l.cfg.Min {
-		l.limit = l.cfg.Min
+	next := max(int(float64(l.limit)*backoff), l.cfg.Min)
+	if next < l.limit {
+		l.limit = next
+		l.backoffs++
 	}
-	l.backoffs++
 }
 
 // Backpressure applies one multiplicative decrease because a downstream
@@ -481,6 +484,7 @@ func (l *Limiter) Pressure() float64 {
 // LimiterStats is a consistent snapshot for /stats.
 type LimiterStats struct {
 	Limit      int
+	Min, Max   int // the bounds Limit moves within; Min == Max is a fixed cap
 	Inflight   int
 	Queued     int
 	QueueDelay time.Duration // decaying average admission-queue sojourn
@@ -499,6 +503,8 @@ func (l *Limiter) Stats() LimiterStats {
 	defer l.mu.Unlock()
 	return LimiterStats{
 		Limit:      l.limit,
+		Min:        l.cfg.Min,
+		Max:        l.cfg.Max,
 		Inflight:   l.inflight,
 		Queued:     l.queued,
 		QueueDelay: time.Duration(l.delayEWMA * float64(time.Second)),

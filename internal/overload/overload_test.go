@@ -78,6 +78,30 @@ func TestLimiterBacksOffOnLatencyDrift(t *testing.T) {
 	}
 }
 
+// TestLimiterCountsOnlyRealBackoffs: a limit at its floor cannot back
+// off, so a fixed cap (Min = Max) reports no backoffs however often the
+// tiers below push back, and a breathing limit stops counting once it
+// reaches Min.
+func TestLimiterCountsOnlyRealBackoffs(t *testing.T) {
+	push := func(l *Limiter, n int) LimiterStats {
+		for i := 0; i < n; i++ {
+			time.Sleep(time.Millisecond) // past the one-per-interval rate limit
+			l.Backpressure()
+		}
+		return l.Stats()
+	}
+	pinned := NewLimiter(Config{Initial: 1, Min: 1, Max: 1, QueueInterval: time.Microsecond})
+	if st := push(pinned, 3); st.Limit != 1 || st.Min != 1 || st.Max != 1 || st.Backoffs != 0 {
+		t.Fatalf("pinned limiter after 3 pushbacks: limit=%d [%d, %d] backoffs=%d, want 1 [1, 1] 0",
+			st.Limit, st.Min, st.Max, st.Backoffs)
+	}
+	// 4 -> 3 -> 2, then the floor holds: two real decreases.
+	l := NewLimiter(Config{Initial: 4, Min: 2, Max: 8, QueueInterval: time.Microsecond})
+	if st := push(l, 6); st.Limit != 2 || st.Backoffs != 2 {
+		t.Fatalf("limiter after 6 pushbacks: limit=%d backoffs=%d, want 2 and 2", st.Limit, st.Backoffs)
+	}
+}
+
 // TestLimiterShedsWithRetryAfter: with the limit fully held and the
 // queue capped to nothing, new arrivals shed immediately with a typed
 // error carrying a positive retry-after hint.

@@ -197,10 +197,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ov := st.Overload
 		mode, limit := "off", "none"
 		switch {
-		case ov.Adaptive:
+		case ov.Max == 0: // admission control off
+		case ov.Min == ov.Max:
+			mode, limit = "fixed (limiter pinned at Min = Max)", strconv.Itoa(ov.Limit)
+		default:
 			mode, limit = "adaptive (latency-gradient AIMD)", strconv.Itoa(ov.Limit)
-		case ov.Limit > 0:
-			mode, limit = "fixed semaphore", strconv.Itoa(ov.Limit)
 		}
 		ovRows := []statRow{
 			{"admission control", mode},

@@ -609,7 +609,7 @@ func TestStatsClusterSection(t *testing.T) {
 		"Cluster gateway", "replica replica-0", "circuit closed",
 		"retry budget tokens", "degraded reads served", "writes failed fast",
 		"stale cache entries / evictions",
-		// No MaxInflight, no AdaptiveLimit: admission control is off.
+		// No Admission: admission control is off.
 		`admission control</td><td style="text-align:right">off<`,
 		`concurrency limit</td><td style="text-align:right">none<`,
 	} {
@@ -621,33 +621,42 @@ func TestStatsClusterSection(t *testing.T) {
 
 // TestStatsOverloadSection: the same page surfaces the admission
 // limiter's posture — mode, limit, pressure, brownout rung, shed
-// accounting — when the gateway runs the adaptive stack.
+// accounting — when the gateway runs the adaptive stack, and names a
+// limiter pinned at Min = Max a fixed cap.
 func TestStatsOverloadSection(t *testing.T) {
 	r := newWebRig(t)
-	gw := cluster.NewGateway(cluster.GatewayOptions{
-		HealthInterval: time.Minute,
-		AdaptiveLimit:  &overload.Config{Initial: 8, Min: 2, Max: 16},
-	})
-	defer gw.Close()
-	gw.AddReplica("replica-0", dm.Local{DM: r.dm})
-	s := New(Config{API: dm.Local{DM: r.dm}, LocalDM: r.dm, Cluster: gw, Node: "gw-test"})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	for _, want := range []string{
-		"Overload", "adaptive (latency-gradient AIMD)", "concurrency limit",
-		"pressure", "brownout stage", "normal", "downstream overload refusals",
+	for _, tt := range []struct {
+		admission *overload.Config
+		mode      string
+	}{
+		{&overload.Config{Initial: 8, Min: 2, Max: 16}, "adaptive (latency-gradient AIMD)"},
+		{&overload.Config{Initial: 8, Min: 8, Max: 8}, "fixed (limiter pinned at Min = Max)"},
 	} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("stats page missing %q", want)
+		gw := cluster.NewGateway(cluster.GatewayOptions{
+			HealthInterval: time.Minute,
+			Admission:      tt.admission,
+		})
+		gw.AddReplica("replica-0", dm.Local{DM: r.dm})
+		s := New(Config{API: dm.Local{DM: r.dm}, LocalDM: r.dm, Cluster: gw, Node: "gw-test"})
+		ts := httptest.NewServer(s.Handler())
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ts.Close()
+		gw.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+		for _, want := range []string{
+			"Overload", tt.mode, "concurrency limit",
+			"pressure", "brownout stage", "normal", "downstream overload refusals",
+		} {
+			if !strings.Contains(string(body), want) {
+				t.Fatalf("stats page missing %q", want)
+			}
 		}
 	}
 }
