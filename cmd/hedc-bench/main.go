@@ -170,7 +170,7 @@ func main() {
 		fmt.Println(bench.FormatStampede(stampedeRes))
 		fmt.Printf("the same 10x open-loop spike: the fixed cap collapses into a\n")
 		fmt.Printf("retry storm while the adaptive limiter sheds typed hints, serves the\n")
-		fmt.Printf("crowd commit-behind, and stands back down when it leaves\n\n")
+		fmt.Printf("crowd from the gateway's stale cache, and stands back down when it leaves\n\n")
 	}
 	if run("analytics") {
 		any = true

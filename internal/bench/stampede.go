@@ -112,9 +112,9 @@ func FormatStampede(r *StampedeResult) string {
 	row("post-spike p99 (ms)", fmt.Sprintf("%.0f", r.Fixed.BaselineP99Ms), fmt.Sprintf("%.0f", r.Adaptive.BaselineP99Ms))
 	fmt.Fprintf(&b, "  goodput ratio (adaptive/fixed): %.1fx\n", r.GoodputRatio)
 	for _, run := range r.Adaptive.Runs {
-		fmt.Fprintf(&b, "  adaptive %-20s goodput %.1f/s, interactive p99 %.0f ms, stale serves %d, recovered in %.0f ms\n",
+		fmt.Fprintf(&b, "  adaptive %-20s goodput %.1f/s, interactive p99 %.0f ms, recovered in %.0f ms\n",
 			run.Schedule+":", run.GoodputRPS,
-			float64(run.InteractiveP99)/float64(time.Millisecond), run.StaleServes,
+			float64(run.InteractiveP99)/float64(time.Millisecond),
 			float64(run.RecoverTime)/float64(time.Millisecond))
 	}
 	return b.String()

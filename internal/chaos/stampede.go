@@ -111,19 +111,19 @@ type StampedeResult struct {
 	Policy   string `json:"policy"` // "fixed" or "adaptive"
 
 	Arrivals int `json:"arrivals"` // spike-phase arrivals, both classes
-	Served   int `json:"served"`   // answered live
-	Degraded int `json:"degraded"` // answered from the stale cache, tagged
+	Served   int `json:"served"`   // answered live, at any latency
+	Degraded int `json:"degraded"` // answered from the stale cache, tagged, at any latency
+	Good     int `json:"good"`     // Served or Degraded within stampedeSLO of arrival
 	Shed     int `json:"shed"`     // typed overload after client retry policy
 	TypedErr int `json:"typed_errors"`
 
-	GoodputRPS       float64       `json:"goodput_rps"` // answered within SLO / spike seconds
+	GoodputRPS       float64       `json:"goodput_rps"` // Good / spike seconds
 	InteractiveP99   time.Duration `json:"interactive_p99_ns"`
 	InteractiveP50   time.Duration `json:"interactive_p50_ns"`
 	BrowseP99        time.Duration `json:"browse_p99_ns"`
 	Retries          int64         `json:"retries"`
 	PrematureRetries int64         `json:"premature_retries"` // fired before the hint elapsed
 	DBRefusals       int64         `json:"db_refusals"`       // statusOverload frames from the DB tier
-	StaleServes      int64         `json:"stale_serves"`      // brownout commit-behind answers
 
 	MaxStage    string `json:"max_stage"` // deepest brownout rung reached
 	Transitions int64  `json:"ladder_transitions"`
@@ -139,7 +139,7 @@ func (r *StampedeResult) GoodFraction() float64 {
 	if r.Arrivals == 0 {
 		return 1
 	}
-	return float64(r.Served+r.Degraded) / float64(r.Arrivals)
+	return float64(r.Good) / float64(r.Arrivals)
 }
 
 // Harness bounds. The stampede wall is looser than the fault-matrix
@@ -204,23 +204,7 @@ func startStampedeCell(s StampedeSchedule, cfg StampedeConfig) (*cell, error) {
 	if s.SlowReplica {
 		o.Transport = rigReplica0(rig)
 	}
-	c, err := startCell(rig, 1, srv, o)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Adaptive {
-		// Brownout wiring: stale-read rungs flip every replica's DM to
-		// commit-behind serving. The hedge/bulk rungs have no farm in
-		// this cell; reaching them is still recorded via maxStage.
-		c.GW.SetBrownoutHook(overload.StageActions{
-			SetStale: func(on bool) {
-				for _, r := range c.Replicas {
-					r.DM().SetServeStale(on)
-				}
-			},
-		})
-	}
-	return c, nil
+	return startCell(rig, 1, srv, o)
 }
 
 // recorder collects per-class latencies for requests that arrived
@@ -233,6 +217,7 @@ type recorder struct {
 	arrivals atomic.Int64
 	served   atomic.Int64
 	degraded atomic.Int64
+	good     atomic.Int64 // served or degraded within stampedeSLO
 	shed     atomic.Int64
 	typed    atomic.Int64
 
@@ -321,28 +306,38 @@ func (c *cell) request(rec *recorder, cfg StampedeConfig, interactive, inSpike b
 			map[bool]string{true: "interactive", false: "browse"}[interactive], wall, stampedeWall, err)
 		return
 	}
-	if !inSpike {
-		return
+	if inSpike {
+		rec.score(interactive, wall, err)
 	}
+}
+
+// score tallies one spike-phase outcome. Every answer, live or degraded,
+// counts as served or degraded; only one whose wall time is within
+// stampedeSLO also counts as good, the numerator of goodput.
+func (r *recorder) score(interactive bool, wall time.Duration, err error) {
 	switch outcome(err) {
 	case "ok":
-		rec.served.Add(1)
-		rec.record(interactive, wall)
+		r.served.Add(1)
 	case "degraded":
-		rec.degraded.Add(1)
-		rec.record(interactive, wall)
+		r.degraded.Add(1)
 	case "typed":
 		if overload.IsOverload(err) {
-			rec.shed.Add(1)
+			r.shed.Add(1)
 		} else {
-			rec.typed.Add(1)
+			r.typed.Add(1)
 		}
 		// A fast typed refusal is the design working; it still scores
 		// the latency distribution (the client got its answer).
-		rec.record(interactive, wall)
+		r.record(interactive, wall)
+		return
 	default:
-		rec.fail("error outside the failure model: %v", err)
+		r.fail("error outside the failure model: %v", err)
+		return
 	}
+	if wall <= stampedeSLO {
+		r.good.Add(1)
+	}
+	r.record(interactive, wall)
 }
 
 // generate runs one arrival class open-loop for d at rate rps: arrivals
@@ -445,6 +440,7 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 		Arrivals:         int(rec.arrivals.Load()),
 		Served:           int(rec.served.Load()),
 		Degraded:         int(rec.degraded.Load()),
+		Good:             int(rec.good.Load()),
 		Shed:             int(rec.shed.Load()),
 		TypedErr:         int(rec.typed.Load()),
 		Retries:          rec.retries.Load(),
@@ -457,10 +453,7 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 	res.InteractiveP50 = pctile(rec.interactive, 0.50)
 	res.BrowseP99 = pctile(rec.browse, 0.99)
 	rec.mu.Unlock()
-	res.GoodputRPS = float64(res.Served+res.Degraded) / cfg.Spike.Seconds()
-	for _, r := range c.Replicas {
-		res.StaleServes += r.DM().Stats().StaleServes.Load()
-	}
+	res.GoodputRPS = float64(res.Good) / cfg.Spike.Seconds()
 	res.Transitions = c.GW.Status().Overload.Transitions
 
 	// Recovery: wait for the ladder to stand down, then probe a quiet

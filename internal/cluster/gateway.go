@@ -57,9 +57,10 @@ type GatewayOptions struct {
 	// lets the cap breathe with measured latency (AIMD); a fixed cap of
 	// n is Initial = Min = Max = n, a limit that never moves.
 	Admission *overload.Config
-	// Brownout enables the pressure ladder that trades features for
-	// capacity while the limiter is saturated (zero fields take the
-	// defaults). Nil runs no ladder; ignored without Admission.
+	// Brownout enables the pressure ladder: from its stale-reads rung up,
+	// overload-shed anonymous reads degrade to the stale cache (zero
+	// fields take the defaults). Nil runs no ladder; ignored without
+	// Admission.
 	Brownout *overload.LadderConfig
 	// BrownoutTick is how often the ladder samples limiter pressure
 	// (default 100ms).
@@ -120,9 +121,6 @@ type Gateway struct {
 	lim *overload.Limiter // admission control (nil = off)
 	lad *overload.Ladder  // brownout ladder (nil unless Brownout and Admission are set)
 
-	hookMu sync.Mutex
-	hook   overload.StageActions // brownout side effects (SetBrownoutHook)
-
 	retry *retryBudget
 	stale *epochcache.Cache[uint64, staleValue] // anonymous read results, keyed on writeEpoch
 
@@ -181,16 +179,6 @@ func NewGateway(opts GatewayOptions) *Gateway {
 	return g
 }
 
-// SetBrownoutHook installs the side effects the brownout ladder drives as
-// it climbs and descends: typically the processing farm's hedging switch,
-// the replicas' stale-read switch, and the farm's bulk-shed switch. The
-// hook is applied idempotently on each stage transition.
-func (g *Gateway) SetBrownoutHook(a overload.StageActions) {
-	g.hookMu.Lock()
-	g.hook = a
-	g.hookMu.Unlock()
-}
-
 // BrownoutStage reports the ladder's current rung (StageNormal when the
 // gateway runs no ladder).
 func (g *Gateway) BrownoutStage() overload.Stage {
@@ -201,7 +189,8 @@ func (g *Gateway) BrownoutStage() overload.Stage {
 }
 
 // brownoutLoop samples limiter pressure on a fixed tick and walks the
-// ladder one rung at a time, applying the installed hook on transitions.
+// ladder one rung at a time, logging each transition. canDegrade reads
+// the rung it reaches.
 func (g *Gateway) brownoutLoop() {
 	defer g.wg.Done()
 	ticker := time.NewTicker(g.opts.BrownoutTick)
@@ -218,10 +207,6 @@ func (g *Gateway) brownoutLoop() {
 				continue
 			}
 			g.logf("cluster: brownout %v -> %v (pressure %.2f)", from, to, pressure)
-			g.hookMu.Lock()
-			hook := g.hook
-			g.hookMu.Unlock()
-			hook.Apply(from, to)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,6 +127,37 @@ func TestJitterBounds(t *testing.T) {
 // that were served before keep answering from the gateway's stale cache —
 // tagged degraded — while writes fail fast with the typed DB-unavailable
 // error, and private reads are never served from cache.
+// TestFilterAffinityRendersEveryField: filterAffinity keys the stale
+// cache, so a HLEFilter field it does not render would let two filters
+// share one stale entry. Setting each field alone must give a key unlike
+// the zero filter's and unlike every other single-field key.
+func TestFilterAffinityRendersEveryField(t *testing.T) {
+	zero := filterAffinity(dm.HLEFilter{})
+	seen := map[string]string{zero: "the zero filter"}
+	typ := reflect.TypeOf(dm.HLEFilter{})
+	for i := 0; i < typ.NumField(); i++ {
+		var f dm.HLEFilter
+		field := reflect.ValueOf(&f).Elem().Field(i)
+		switch field.Kind() {
+		case reflect.String:
+			field.SetString("x")
+		case reflect.Bool:
+			field.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			field.SetInt(1)
+		case reflect.Float64:
+			field.SetFloat(1)
+		default:
+			t.Fatalf("HLEFilter.%s has kind %v: teach this test to set it", typ.Field(i).Name, field.Kind())
+		}
+		key := filterAffinity(f)
+		if other, dup := seen[key]; dup {
+			t.Errorf("HLEFilter.%s set alone renders %q, the key of %s", typ.Field(i).Name, key, other)
+		}
+		seen[key] = "HLEFilter." + typ.Field(i).Name
+	}
+}
+
 func TestGatewayDegradedBrowseOnDBLoss(t *testing.T) {
 	tc := startTestCell(t, 1, 20, dbnet.Options{}, CellOptions{
 		Replicas: 2,

@@ -17,8 +17,7 @@ import (
 //
 // Results go through the same read-through cache as cachedQuery, under
 // ("ana|" + query fingerprint, table commit epoch): identical concurrent
-// misses run the query once, and brownout rung 2 serves a commit-behind
-// aggregate rather than scanning for a drowning tier.
+// misses run the query once.
 func (d *DM) Analytics(q colseg.Query) (*colseg.Result, error) {
 	d.stats.Requests.Add(1)
 	d.stats.AnalyticsQueries.Add(1)

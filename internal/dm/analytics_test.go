@@ -95,38 +95,6 @@ func TestAnalyticsCacheByEpoch(t *testing.T) {
 	}
 }
 
-// TestAnalyticsServesStaleUnderBrownout: Analytics gets what cachedQuery
-// has — with SetServeStale on, an aggregate whose entry a commit
-// invalidated is answered commit-behind, without running.
-func TestAnalyticsServesStaleUnderBrownout(t *testing.T) {
-	d, db := newAnalyticsDM(t, nil)
-	insertTestEvents(t, db, 500, 0)
-	q := colseg.Query{Table: schema.TableEvents, Agg: colseg.AggStats, Col: "energy"}
-	r1, err := d.Analytics(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	insertTestEvents(t, db, 50, 500)
-
-	d.SetServeStale(true)
-	ran0 := d.Stats().AnalyticsRowFall.Load()
-	stale, err := d.Analytics(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale != r1 || d.Stats().AnalyticsRowFall.Load() != ran0 {
-		t.Fatalf("brownout ran the aggregate (rows %d) instead of serving the commit-behind result", stale.Rows)
-	}
-	if s := d.Stats().StaleServes.Load(); s != 1 {
-		t.Fatalf("StaleServes = %d, want 1", s)
-	}
-
-	d.SetServeStale(false)
-	if fresh, err := d.Analytics(q); err != nil || fresh.Rows != 550 {
-		t.Fatalf("fresh aggregate after brownout: %v rows %d, want 550", err, fresh.Rows)
-	}
-}
-
 // gatedRunner holds every run until open reports true, and counts them.
 type gatedRunner struct {
 	db   *minidb.DB

@@ -36,26 +36,11 @@ func epochOf(db minidb.Engine, q minidb.Query) uint64 {
 	return db.TableEpoch(q.Table)
 }
 
-// readThrough answers key from the query cache or runs load, once for
-// concurrent identical misses. The caller read epoch BEFORE this call and
-// load counts its own miss. Brownout rung 2: under sustained overload the
-// ladder flips serveStale on, and a fresh-epoch miss falls back to whatever
-// epoch the cache still holds — serving a commit-behind result costs
-// staleness; querying a drowning database tier costs everyone's latency.
-// Results are SHARED between callers: treat them as immutable.
+// readThrough answers key from the query cache at epoch, or runs load,
+// once for concurrent identical misses. The caller read epoch BEFORE this
+// call and load counts its own miss. Results are SHARED between callers:
+// treat them as immutable.
 func (d *DM) readThrough(key string, epoch uint64, hits *atomic.Int64, load func() (any, error)) (any, error) {
-	if d.serveStale.Load() {
-		if v, at, ok := d.cache.GetStale(key); ok && at != epoch {
-			d.stats.StaleServes.Add(1)
-			return v, nil
-		}
-	}
-	return d.readFresh(key, epoch, hits, load)
-}
-
-// readFresh is readThrough without the stale fallback: the answer is
-// always the one at epoch.
-func (d *DM) readFresh(key string, epoch uint64, hits *atomic.Int64, load func() (any, error)) (any, error) {
 	v, hit, err := d.cache.Do(key, epoch, func() (any, int64, error) {
 		v, err := load()
 		return v, 1, err
@@ -68,23 +53,11 @@ func (d *DM) readFresh(key string, epoch uint64, hits *atomic.Int64, load func()
 
 // cachedQuery runs q through the cache. Only deterministic queries belong
 // here — anything keyed on sessions is fine because the visibility
-// OR-clause is part of the fingerprint.
+// OR-clause is part of the fingerprint. The answer is always the one at
+// the current epoch, so the integrity checks inside writes use it too.
 func (d *DM) cachedQuery(q minidb.Query) (*minidb.Result, error) {
-	return d.queryThrough(q, d.readThrough)
-}
-
-// freshQuery is cachedQuery for the integrity checks inside writes: it
-// never takes brownout rung 2's stale fallback, since a commit-behind
-// count would let a write break the very constraint it checks (a second
-// AddToCatalog inserting a duplicate member, a DeleteHLE passing the
-// dependents check). Writes are not what the stale rung sheds.
-func (d *DM) freshQuery(q minidb.Query) (*minidb.Result, error) {
-	return d.queryThrough(q, d.readFresh)
-}
-
-func (d *DM) queryThrough(q minidb.Query, read func(string, uint64, *atomic.Int64, func() (any, error)) (any, error)) (*minidb.Result, error) {
 	epoch := epochOf(d.routeDB(q.Table), q)
-	v, err := read(fingerprint(q), epoch, &d.stats.QueryCacheHits, func() (any, error) {
+	v, err := d.readThrough(fingerprint(q), epoch, &d.stats.QueryCacheHits, func() (any, error) {
 		d.stats.QueryCacheMisses.Add(1)
 		return d.query(q)
 	})

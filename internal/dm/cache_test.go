@@ -69,60 +69,11 @@ func TestCountCacheHitAndInvalidation(t *testing.T) {
 	}
 }
 
-// TestStaleServeUnderBrownout: with SetServeStale on, a count whose
-// epoch-fresh entry was invalidated by a commit is answered from the
-// stale entry — commit-behind, engine untouched — and turning the knob
-// back off restores epoch-strict behaviour.
-func TestStaleServeUnderBrownout(t *testing.T) {
-	d := newTestDM(t)
-	alice := newScientist(t, d, "alice")
-
-	for i := 0; i < 3; i++ {
-		if _, err := d.CreateHLE(alice, &schema.HLE{
-			KindHint: "flare", TStop: float64(i + 1), Version: 1, CalibVersion: 1,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f := HLEFilter{Kind: "flare"}
-	if n, err := d.CountHLEs(alice, f); err != nil || n != 3 {
-		t.Fatalf("warm count = %d (%v), want 3", n, err)
-	}
-
-	// A commit bumps the epoch: the cached count of 3 is now stale.
-	if _, err := d.CreateHLE(alice, &schema.HLE{
-		KindHint: "flare", TStop: 9, Version: 1, CalibVersion: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	d.SetServeStale(true)
-	q0 := d.meta.Stats().Queries
-	n, err := d.CountHLEs(alice, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("stale serve returned %d, want the commit-behind 3", n)
-	}
-	if got := d.meta.Stats().Queries - q0; got != 0 {
-		t.Fatalf("stale serve issued %d engine queries, want 0", got)
-	}
-	if s := d.stats.StaleServes.Load(); s != 1 {
-		t.Fatalf("StaleServes = %d, want 1", s)
-	}
-
-	d.SetServeStale(false)
-	if n, err := d.CountHLEs(alice, f); err != nil || n != 4 {
-		t.Fatalf("fresh count after brownout = %d (%v), want 4", n, err)
-	}
-}
-
-// TestAddToCatalogChecksFreshUnderBrownout: brownout rung 2 serves reads
-// commit-behind, but the integrity checks inside writes must not. A second
-// AddToCatalog of the same pair must see the first one's row: a stale zero
-// would insert a duplicate.
-func TestAddToCatalogChecksFreshUnderBrownout(t *testing.T) {
+// TestAddToCatalogChecksFresh: the integrity checks inside writes read
+// through the epoch-keyed cache, so each must see the commit before it. A
+// second AddToCatalog of the same pair must see the first one's row: a
+// cached zero would insert a duplicate.
+func TestAddToCatalogChecksFresh(t *testing.T) {
 	d := newTestDM(t)
 	alice := newScientist(t, d, "alice")
 	catID, err := d.CreateCatalog(alice, "work", "private", "", false)
@@ -134,8 +85,6 @@ func TestAddToCatalogChecksFreshUnderBrownout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d.SetServeStale(true)
-	defer d.SetServeStale(false)
 	for i := 0; i < 2; i++ {
 		if err := d.AddToCatalog(alice, catID, h); err != nil {
 			t.Fatal(err)
@@ -153,9 +102,9 @@ func TestAddToCatalogChecksFreshUnderBrownout(t *testing.T) {
 	}
 }
 
-// TestDeleteHLEChecksFreshUnderBrownout: at brownout rung 2, DeleteHLE must
-// still see an analysis imported after its dependents count was cached.
-func TestDeleteHLEChecksFreshUnderBrownout(t *testing.T) {
+// TestDeleteHLEChecksFresh: DeleteHLE must see an analysis imported after
+// its dependents count was cached.
+func TestDeleteHLEChecksFresh(t *testing.T) {
 	d := newTestDM(t)
 	alice := newScientist(t, d, "alice")
 	catID, err := d.CreateCatalog(alice, "work", "private", "", false)
@@ -170,8 +119,6 @@ func TestDeleteHLEChecksFreshUnderBrownout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d.SetServeStale(true)
-	defer d.SetServeStale(false)
 	// The refused delete caches a dependents count of 0; the membership
 	// refuses it.
 	if err := d.DeleteHLE(alice, h); err == nil || !strings.Contains(err.Error(), "catalogs") {

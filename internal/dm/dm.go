@@ -74,9 +74,6 @@ type Stats struct {
 	// database engine.
 	QueryCacheHits   atomic.Int64
 	QueryCacheMisses atomic.Int64
-	// StaleServes counts reads answered from a stale-epoch cache entry
-	// while the brownout ladder has stale serving enabled (SetServeStale).
-	StaleServes atomic.Int64
 	// Decoded-item cache (itemcache.go): raw units and wavelet views served
 	// to RawPhotons/ViewsInRange without an archive read or a decode, the
 	// decodes it could not avoid, entries dropped for room, and the decoded
@@ -95,7 +92,6 @@ type Stats struct {
 	AsOfOpens      atomic.Int64
 	AsOfReads      atomic.Int64
 	AccessDenied   atomic.Int64
-	RedirectsOut   atomic.Int64 // calls shipped to a remote DM
 	RedirectsIn    atomic.Int64 // calls served on behalf of a remote caller
 	EventsDetected atomic.Int64
 	UnitsLoaded    atomic.Int64
@@ -125,19 +121,8 @@ type DM struct {
 	viewOnce sync.Once
 	viewErr  error
 
-	// serveStale is the brownout ladder's stale-read rung: when set,
-	// cachedQuery may answer from a stale-epoch entry instead of querying
-	// the database tier.
-	serveStale atomic.Bool
-
 	stats Stats
 }
-
-// SetServeStale switches stale-epoch cache serving on or off. The
-// cluster's brownout ladder drives this: rung 2 trades read freshness for
-// load on the shared database tier, and flips back off once pressure
-// subsides.
-func (d *DM) SetServeStale(on bool) { d.serveStale.Store(on) }
 
 // Open wires a DM node. The databases must already contain the schema
 // tables (see internal/schema).

@@ -266,18 +266,16 @@ func (s *Server) dispatch(method string, body []byte) (any, error) {
 type Remote struct {
 	BaseURL string // e.g. "http://node-2:8080/dm/"
 	Client  *http.Client
-	// Source DM (optional) counts outgoing redirects.
-	Source *DM
 }
 
 var _ API = (*Remote)(nil)
 
 // NewRemote builds a remote API endpoint with a sane default client.
-func NewRemote(baseURL string, source *DM) *Remote {
+// The second parameter is unused; every caller passes nil.
+func NewRemote(baseURL string, _ *DM) *Remote {
 	return &Remote{
 		BaseURL: baseURL,
 		Client:  &http.Client{Timeout: 30 * time.Second},
-		Source:  source,
 	}
 }
 
@@ -314,9 +312,6 @@ func IsDialError(err error) bool {
 }
 
 func (r *Remote) call(method, token, ip string, args, result any) error {
-	if r.Source != nil {
-		r.Source.stats.RedirectsOut.Add(1)
-	}
 	if args == nil {
 		args = json.RawMessage("{}")
 	}

@@ -12,9 +12,10 @@
 // computation then parks the entry under the older epoch, a future miss
 // rather than a stale hit. Conservative, never stale — unless the caller
 // asks, with GetStale, for whatever sits under the key together with the
-// epoch it was stored under (the brownout ladder's stale-read rung, the
-// gateway's lifeboat when the database is gone). Epochs are compared for
-// equality only; a cache whose values can never go stale passes a constant.
+// epoch it was stored under (the gateway's degraded answers, when the live
+// path is gone or sheds at the brownout ladder's stale-reads rung). Epochs
+// are compared for equality only; a cache whose values can never go stale
+// passes a constant.
 //
 // Values are SHARED between callers: treat them as immutable.
 //

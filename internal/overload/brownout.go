@@ -7,10 +7,13 @@ import (
 
 // Brownout ladder: under sustained pressure the system degrades result
 // quality one deliberate step at a time instead of degrading latency
-// for everyone. Each stage subsumes the ones below it. Hysteresis
-// (enter thresholds above exit thresholds, plus a dwell time between
-// transitions) keeps the ladder from flapping on a noisy pressure
-// signal.
+// for everyone. Hysteresis (enter thresholds above exit thresholds, plus
+// a dwell time between transitions) keeps the ladder from flapping on a
+// noisy pressure signal. The gateway is the one consumer: from
+// StageStaleReads up it answers overload-shed anonymous reads from its
+// stale cache (Gateway.canDegrade). The other rungs act on nothing; they
+// stay because the climb through them sets when that switch turns on
+// and off.
 
 // Stage is one rung of the brownout ladder.
 type Stage int32
@@ -18,16 +21,16 @@ type Stage int32
 const (
 	// StageNormal: full service.
 	StageNormal Stage = iota
-	// StageNoHedge: speculative re-dispatch off — hedges are duplicate
-	// work, the cheapest thing to stop buying.
+	// StageNoHedge: the first pressure level (Enter[1]). No deployment
+	// acts on it; it is a step the ladder climbs through.
 	StageNoHedge
-	// StageStaleReads: epoch-mismatched cached reads are served instead
-	// of hitting the saturated database tier. Slightly old answers beat
-	// shed requests; the archive is append-mostly, so stale is wrong
-	// only in what it omits.
+	// StageStaleReads: the gateway degrades overload-shed anonymous reads
+	// to tagged answers from its stale cache instead of failing them.
+	// Slightly old answers beat shed requests; the archive is
+	// append-mostly, so stale is wrong only in what it omits.
 	StageStaleReads
-	// StageShedBulk: the processing farm refuses bulk-tier admissions
-	// outright, reserving everything for interactive work.
+	// StageShedBulk: the deepest pressure level (Enter[3]). No
+	// deployment acts on it beyond what StageStaleReads already does.
 	StageShedBulk
 )
 
@@ -130,32 +133,4 @@ func (b *Ladder) Transitions() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.transitions
-}
-
-// StageActions binds the ladder's rungs to the knobs the embedding code
-// owns: the farm's hedging, the DM's stale-read mode, the farm's bulk
-// gate. Nil fields are skipped. Apply is idempotent per stage — it sets
-// every knob to the target stage's state, so missed intermediate
-// transitions cannot leave a knob behind.
-type StageActions struct {
-	SetHedge     func(on bool) // hedging enabled (true below StageNoHedge)
-	SetStale     func(on bool) // serve stale-epoch reads (true at StageStaleReads+)
-	SetShedBulk  func(on bool) // refuse bulk admissions (true at StageShedBulk)
-	OnTransition func(from, to Stage)
-}
-
-// Apply drives every knob to the target stage.
-func (a StageActions) Apply(from, to Stage) {
-	if a.SetHedge != nil {
-		a.SetHedge(to < StageNoHedge)
-	}
-	if a.SetStale != nil {
-		a.SetStale(to >= StageStaleReads)
-	}
-	if a.SetShedBulk != nil {
-		a.SetShedBulk(to >= StageShedBulk)
-	}
-	if a.OnTransition != nil {
-		a.OnTransition(from, to)
-	}
 }

@@ -279,24 +279,6 @@ func TestLadderDwellBlocksFlapping(t *testing.T) {
 	}
 }
 
-func TestStageActionsApply(t *testing.T) {
-	var hedge, stale, shed bool
-	hedge = true
-	a := StageActions{
-		SetHedge:    func(on bool) { hedge = on },
-		SetStale:    func(on bool) { stale = on },
-		SetShedBulk: func(on bool) { shed = on },
-	}
-	a.Apply(StageNormal, StageShedBulk)
-	if hedge || !stale || !shed {
-		t.Fatalf("at shed-bulk: hedge=%v stale=%v shed=%v, want false/true/true", hedge, stale, shed)
-	}
-	a.Apply(StageShedBulk, StageNormal)
-	if !hedge || stale || shed {
-		t.Fatalf("back to normal: hedge=%v stale=%v shed=%v, want true/false/false", hedge, stale, shed)
-	}
-}
-
 // TestLimiterConcurrentChurn hammers Acquire/Release from many
 // goroutines to give the race detector a surface; invariants checked at
 // the end.

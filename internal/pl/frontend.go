@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dm"
 	"repro/internal/epochcache"
 	"repro/internal/idl"
-	"repro/internal/overload"
 )
 
 // Phase names of the request model (§5.1). Phases must run in order; not
@@ -203,11 +201,8 @@ type FrontendStats struct {
 	Delivered int64
 	Failed    int64
 	Canceled  int64
-	// BulkShed counts bulk submissions refused at the door while the
-	// brownout ladder's shed-bulk rung was active (SetShedBulk).
-	BulkShed int64
-	InSystem int
-	Queued   int
+	InSystem  int
+	Queued    int
 }
 
 // FarmStats aggregates the whole processing farm for /stats: frontend
@@ -247,12 +242,8 @@ type Frontend struct {
 	memo   *epochcache.Cache[string, *Delivery]
 	memoOn atomic.Bool
 
-	// shedBulk is the brownout ladder's deepest rung: refuse bulk
-	// reprocessing at the door so interactive work keeps the farm.
-	shedBulk atomic.Bool
-
 	stats struct {
-		submitted, committed, delivered, failed, canceled, bulkShed int64
+		submitted, committed, delivered, failed, canceled int64
 	}
 }
 
@@ -296,12 +287,6 @@ func interactiveReserve(maxInSystem int) int {
 
 // SetMemoize toggles the result cache (on by default).
 func (f *Frontend) SetMemoize(on bool) { f.memoOn.Store(on) }
-
-// SetShedBulk toggles door-level refusal of bulk submissions. The
-// cluster's brownout ladder drives this at its deepest rung: a shed bulk
-// request fails fast with a typed overload error instead of competing
-// with interactive work for admission slots and farm capacity.
-func (f *Frontend) SetShedBulk(on bool) { f.shedBulk.Store(on) }
 
 // SetHedge replaces the farm's speculative re-dispatch policy.
 func (f *Frontend) SetHedge(cfg HedgeConfig) { f.sched.SetHedge(cfg) }
@@ -382,13 +367,6 @@ func (f *Frontend) Submit(req *Request) (*Ticket, error) {
 	if !ok {
 		f.mu.Unlock()
 		return nil, fmt.Errorf("pl: unknown request type %q", req.Type)
-	}
-	if req.Tier == TierBulk && f.shedBulk.Load() {
-		f.stats.bulkShed++
-		f.mu.Unlock()
-		// The hint spans a couple of ladder dwell periods: retrying any
-		// sooner cannot observe a rung change.
-		return nil, &overload.Error{Tier: "pl", RetryAfter: time.Second}
 	}
 	for !f.admitLocked(req.Tier) && !f.closed {
 		f.wake.Wait()
@@ -521,7 +499,6 @@ func (f *Frontend) Stats() FrontendStats {
 		Delivered: f.stats.delivered,
 		Failed:    f.stats.failed,
 		Canceled:  f.stats.canceled,
-		BulkShed:  f.stats.bulkShed,
 		InSystem:  f.inSystem,
 		Queued:    f.queue.Len(),
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/idl"
-	"repro/internal/overload"
 )
 
 func sleepRoutines() map[string]idl.Routine {
@@ -234,41 +233,6 @@ func TestFrontendLifecycle(t *testing.T) {
 	st := f.Stats()
 	if st.Submitted != 1 || st.Committed != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestFrontendShedBulk: with the brownout ladder's deepest rung active,
-// bulk submissions fail fast with a typed overload error while
-// interactive ones keep flowing; releasing the rung restores bulk.
-func TestFrontendShedBulk(t *testing.T) {
-	f, _ := newTestFrontend(t, 2, 20)
-	f.SetShedBulk(true)
-
-	_, err := f.Submit(&Request{ID: "b1", Type: "fake", Tier: TierBulk})
-	if !errors.Is(err, overload.ErrOverloaded) {
-		t.Fatalf("bulk submit under shed: err = %v, want overload", err)
-	}
-	if ra, ok := overload.RetryAfterOf(err); !ok || ra <= 0 {
-		t.Fatalf("bulk shed carries no retry-after hint: %v", err)
-	}
-	tk, err := f.Submit(&Request{ID: "i1", Type: "fake", Tier: TierInteractive})
-	if err != nil {
-		t.Fatalf("interactive submit under bulk shed: %v", err)
-	}
-	if _, err := tk.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if st := f.Stats(); st.BulkShed != 1 {
-		t.Fatalf("BulkShed = %d, want 1", st.BulkShed)
-	}
-
-	f.SetShedBulk(false)
-	tk, err = f.Submit(&Request{ID: "b2", Type: "fake", Tier: TierBulk})
-	if err != nil {
-		t.Fatalf("bulk submit after shed cleared: %v", err)
-	}
-	if _, err := tk.Wait(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,13 +1,14 @@
 #!/bin/sh
 # Full verification: vet, build, a gofmt guard (gofmt -l lists no file),
-# six structural guards (the retired manifest + pack-file archive
+# seven structural guards (the retired manifest + pack-file archive
 # format is named in no non-test file; only the harness-cell builder
 # internal/cluster/cell.go wires replicas to a gateway; internal/sim is
 # imported only by the paper-shape reproductions; internal/epochcache is
 # the only cache — the four types it replaced and
 # container/list stay gone; the gateway has one admission path, the
-# overload.Limiter — the fixed semaphore's knobs stay gone; and the
-# dead-weight audit, TestDeadWeightAudit
+# overload.Limiter — the fixed semaphore's knobs stay gone; the DM has
+# one cached read path — the brownout hook, the DM's stale-epoch mode and
+# the farm's bulk door stay gone; and the dead-weight audit, TestDeadWeightAudit
 # in deadweight_test.go, which runs inside go test ./... with four classes:
 # (i) exported code no file references, (ii) option fields no code sets,
 # (iii) names only their own package's tests use, (iv) funcs and methods
@@ -61,6 +62,9 @@ if grep -rnE 'type (queryCache|memoCache|staleCache|itemCache)\b|"container/list
 
 echo "==> one admission path (the gateway's fixed semaphore and its knobs stay gone; a fixed cap is a limiter with Min = Max)"
 if grep -rnE 'MaxInflight|queueTimeout|shedRetryAfter' --include='*.go' --exclude='*_test.go' internal cmd; then exit 1; fi
+
+echo "==> one DM read path (the brownout hook, the DM's stale-epoch mode and the farm's bulk door stay gone)"
+if grep -rnE 'SetServeStale|StageActions|SetBrownoutHook|freshQuery|readFresh|SetShedBulk' --include='*.go' --exclude='*_test.go' internal cmd; then exit 1; fi
 
 echo "==> go test (includes the dead-weight audit, TestDeadWeightAudit)"
 go test ./...
