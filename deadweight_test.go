@@ -1,7 +1,8 @@
 package hedc
 
 // The dead-weight audit: a go/types pass over the whole module that fails
-// on code and knobs no caller uses. It reports three classes of finding:
+// on code, knobs and tables no caller uses. It reports five classes of
+// finding:
 //
 //	(i)   an exported func, type, var or method that no file in the module
 //	      references, tests and benchmark/ included. Constants are exempt
@@ -22,13 +23,21 @@ package hedc
 //	      packages no binary imports, and every method that implements a
 //	      stdlib interface; an edge is any reference from a reached body
 //	      to a module func or method, and a reference to an interface
-//	      method M reaches every module method named M.
+//	      method M reaches every module method named M;
+//	(v)   a table that the code (iv) reaches writes and never reads. A
+//	      write is a schema.Table* constant as the first argument of a
+//	      call of a method named Insert, Update or Delete (minidb's Tx,
+//	      Engine and Batch write through these); a read is one as the
+//	      Table of a minidb.Query or colseg.Query literal, as the
+//	      argument of TableLen or TableSnap, or in a colseg.Options'
+//	      Tables.
 //
-// Classes (i) and (ii) must be empty. Class (iii) and (iv) findings are
-// listed in testdata/deadweight.allow, one "kind import/path.Name" per
-// line under a "# reason" heading that says why the name stays; a new
-// finding fails the test, and so do a line that is no longer a finding
-// and a line with no heading, so the list can only shrink.
+// Classes (i) and (ii) must be empty. Class (iii), (iv) and (v) findings
+// are listed in testdata/deadweight.allow, one "kind import/path.Name"
+// (or "table name") per line under a "# reason" heading that says why
+// the name stays; a new finding fails the test, and so do a line that is
+// no longer a finding and a line with no heading, so the list can only
+// shrink.
 //
 // It uses the standard library only: one `go list -deps -test -export`
 // supplies the file lists and the gc export data of the stdlib imports,
@@ -40,6 +49,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -113,7 +123,7 @@ func TestDeadWeightAudit(t *testing.T) {
 	a := loadDeadweightAudit(t)
 	dead, unset, testOnly := a.findings()
 	reachStart := time.Now()
-	unreached := a.unreached(t)
+	unreached, reached := a.unreached(t)
 	t.Logf("audit of %d packages took %v (reachability %v, %d unreached)", len(a.checked),
 		time.Since(start).Round(time.Millisecond), time.Since(reachStart).Round(time.Millisecond), len(unreached))
 
@@ -136,6 +146,12 @@ func TestDeadWeightAudit(t *testing.T) {
 	for _, line := range unreached {
 		if !found[line] && !allowed[line] {
 			t.Errorf("(iv) %s: no binary reaches it; delete it (%s only shrinks)", line, deadweightAllowFile)
+		}
+		found[line] = true
+	}
+	for _, line := range writeOnlyTables(reached) {
+		if !allowed[line] {
+			t.Errorf("(v) %s: reached code writes it and nothing reads it; stop writing it (%s only shrinks)", line, deadweightAllowFile)
 		}
 		found[line] = true
 	}
@@ -316,12 +332,18 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
+// auditBody is a reached declaration body or root var initializer.
+type auditBody struct {
+	node ast.Node
+	info *types.Info
+}
+
 // unreached returns the class-(iv) findings, "func path.Name" or "method
 // path.Type.Name", sorted: the declarations the call graph rooted at the
-// binaries and the library API does not reach. The test runs in the
-// module root, so the root package is the one listed in the working
-// directory.
-func (a *deadweightAudit) unreached(t *testing.T) []string {
+// binaries and the library API does not reach. It also returns the code
+// the graph does reach. The test runs in the module root, so the root
+// package is the one listed in the working directory.
+func (a *deadweightAudit) unreached(t *testing.T) (out []string, reached []auditBody) {
 	root, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
@@ -412,22 +434,105 @@ func (a *deadweightAudit) unreached(t *testing.T) []string {
 	}
 	for i, x := range rootExprs {
 		visit(x, rootInfos[i])
+		reached = append(reached, auditBody{x, rootInfos[i]})
 	}
 	for len(queue) > 0 {
 		n := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		if n.decl.Body != nil {
 			visit(n.decl.Body, n.info)
+			reached = append(reached, auditBody{n.decl.Body, n.info})
 		}
 	}
-	var out []string
 	for _, n := range nodes {
 		if !n.reached {
 			out = append(out, n.line)
 		}
 	}
 	sort.Strings(out)
+	return out, reached
+}
+
+// tableReadFields names the struct fields whose schema.Table* constants
+// class (v) counts as reads.
+var tableReadFields = map[string]string{
+	"repro/internal/minidb.Query":   "Table",
+	"repro/internal/colseg.Query":   "Table",
+	"repro/internal/colseg.Options": "Tables",
+}
+
+// writeOnlyTables returns the class-(v) findings, "table name", sorted:
+// the tables that reached code writes and never reads.
+func writeOnlyTables(reached []auditBody) []string {
+	written, read := map[string]bool{}, map[string]bool{}
+	for _, b := range reached {
+		mark := func(m map[string]bool, x ast.Expr) {
+			if name, ok := schemaTable(x, b.info); ok {
+				m[name] = true
+			}
+		}
+		ast.Inspect(b.node, func(x ast.Node) bool {
+			switch x := x.(type) {
+			case *ast.CallExpr:
+				sel, ok := x.Fun.(*ast.SelectorExpr)
+				if !ok || len(x.Args) == 0 {
+					break
+				}
+				switch sel.Sel.Name {
+				case "Insert", "Update", "Delete":
+					mark(written, x.Args[0])
+				case "TableLen", "TableSnap":
+					mark(read, x.Args[0])
+				}
+			case *ast.CompositeLit:
+				named, ok := b.info.Types[x].Type.(*types.Named)
+				if !ok || named.Obj().Pkg() == nil {
+					break
+				}
+				key := tableReadFields[named.Obj().Pkg().Path()+"."+named.Obj().Name()]
+				if key == "" {
+					break
+				}
+				for _, elt := range x.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok && kv.Key.(*ast.Ident).Name == key {
+						ast.Inspect(kv.Value, func(v ast.Node) bool {
+							if e, ok := v.(ast.Expr); ok {
+								mark(read, e)
+							}
+							return true
+						})
+					}
+				}
+			}
+			return true
+		})
+	}
+	var out []string
+	for name := range written {
+		if !read[name] {
+			out = append(out, "table "+name)
+		}
+	}
+	sort.Strings(out)
 	return out
+}
+
+// schemaTable resolves x to the table name of a schema.Table* constant.
+func schemaTable(x ast.Expr, info *types.Info) (string, bool) {
+	var id *ast.Ident
+	switch x := ast.Unparen(x).(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return "", false
+	}
+	c, ok := info.Uses[id].(*types.Const)
+	if !ok || c.Pkg().Path() != "repro/internal/schema" || !strings.HasPrefix(c.Name(), "Table") {
+		return "", false
+	}
+	return constant.StringVal(c.Val()), true
 }
 
 // binaryDeps returns the module packages that some package main imports,

@@ -303,3 +303,25 @@ func TestGatewayBrownoutLadder(t *testing.T) {
 		t.Fatalf("transitions = %d, want the full climb and descent (>= 6)", tr)
 	}
 }
+
+// TestDegradeStartsAtStaleReads: an overload shed degrades to the stale
+// cache from the stale-reads rung up, and not on the rungs below it.
+// Transport loss degrades on every rung.
+func TestDegradeStartsAtStaleReads(t *testing.T) {
+	g := &Gateway{lad: overload.NewLadder(&overload.LadderConfig{Dwell: time.Nanosecond})}
+	shed := &overload.Error{Tier: "gateway"}
+	now := time.Now()
+	for stage := overload.StageNormal; stage <= overload.StageShedBulk; stage++ {
+		if got := g.BrownoutStage(); got != stage {
+			t.Fatalf("ladder at %v, want %v", got, stage)
+		}
+		if want := stage >= overload.StageStaleReads; g.canDegrade(shed) != want {
+			t.Errorf("canDegrade(overload shed) at %v = %v, want %v", stage, !want, want)
+		}
+		if !g.canDegrade(ErrNoReplicas) {
+			t.Errorf("canDegrade(no replicas) at %v = false", stage)
+		}
+		now = now.Add(time.Second)
+		g.lad.Observe(now, 1)
+	}
+}

@@ -198,18 +198,6 @@ func Start(cfg Config) (*Node, error) {
 		n.Frontend.RegisterStrategy(s)
 	}
 
-	// Record the deployed topology in the administrative schema (§4.1).
-	for _, svc := range [][3]string{
-		{cfg.Node + "/dm", "dm", cfg.Node},
-		{cfg.Node + "/pl", "pl", cfg.Node},
-		{cfg.Node + "/mgr", "idl", "server"},
-		{cfg.Node + "/web", "web", cfg.Node},
-	} {
-		if err := n.DM.RegisterService(svc[0], svc[1], svc[2]); err != nil {
-			return nil, err
-		}
-	}
-
 	// Presentation tier.
 	n.Synoptic = synoptic.NewSearcher(cfg.SynopticArchives, 0)
 	n.Web = web.New(web.Config{
@@ -229,9 +217,9 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-// StartMaintenance launches the node's housekeeping loop: service
-// heartbeats into the administrative schema and periodic database
-// checkpoints. It returns a stop function.
+// StartMaintenance launches the node's housekeeping loop: the processing
+// directory's heartbeat, periodic database checkpoints, segment refresh
+// and lake compaction. It returns a stop function.
 func (n *Node) StartMaintenance(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = time.Minute
@@ -261,9 +249,6 @@ func (n *Node) StartMaintenance(interval time.Duration) (stop func()) {
 			case <-dirTicker.C:
 				_ = n.Dir.Heartbeat(n.Manager.ID())
 			case <-ticker.C:
-				for _, suffix := range []string{"/dm", "/pl", "/mgr", "/web"} {
-					_ = n.DM.ServiceHeartbeat(n.cfg.Node + suffix)
-				}
 				if err := n.Checkpoint(); err != nil {
 					n.cfg.Logger.Printf("maintenance checkpoint: %v", err)
 				}

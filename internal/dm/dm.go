@@ -328,23 +328,9 @@ func (d *DM) claimSequenceBlock(prefix string, block int64) (int64, error) {
 	return newMax, nil
 }
 
-// logOp writes to the operational log table and the process logger.
+// logOp writes one operational message to the process logger.
 func (d *DM) logOp(level, component, format string, args ...interface{}) {
-	msg := fmt.Sprintf(format, args...)
-	d.logger.Printf("[%s] %s %s: %s", d.node, level, component, msg)
-	id, err := d.nextID("log")
-	if err != nil {
-		return
-	}
-	var logID int64
-	fmt.Sscanf(id, "log-%d", &logID)
-	_, _ = d.meta.Insert(schema.TableLogs, minidb.Row{
-		minidb.I(logID),
-		minidb.F(float64(time.Now().UnixNano()) / 1e9),
-		minidb.S(level),
-		minidb.S(component),
-		minidb.S(msg),
-	})
+	d.logger.Printf("[%s] %s %s: %s", d.node, level, component, fmt.Sprintf(format, args...))
 }
 
 // recordLineage appends a lineage row for an entity or item (§3.1 lineage

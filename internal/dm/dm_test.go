@@ -677,54 +677,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestServiceRegistry(t *testing.T) {
-	d := newTestDM(t)
-	if err := d.RegisterService("node-0/dm", "dm", "node-0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RegisterService("node-0/web", "web", "node-0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RegisterService("", "dm", ""); err == nil {
-		t.Fatal("empty registration accepted")
-	}
-	// Upsert, not duplicate.
-	if err := d.RegisterService("node-0/dm", "dm", "node-0-bis"); err != nil {
-		t.Fatal(err)
-	}
-	all, err := d.Services("")
-	if err != nil || len(all) != 2 {
-		t.Fatalf("services = %v %v", all, err)
-	}
-	if all[0].Location != "node-0-bis" {
-		t.Fatalf("upsert failed: %+v", all[0])
-	}
-	web, _ := d.Services("web")
-	if len(web) != 1 || web[0].ID != "node-0/web" {
-		t.Fatalf("web services = %v", web)
-	}
-	// Heartbeat moves the timestamp forward.
-	before := all[0].Heartbeat
-	if err := d.ServiceHeartbeat("node-0/dm"); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := d.Services("dm")
-	if after[0].Heartbeat < before {
-		t.Fatal("heartbeat did not advance")
-	}
-	if err := d.ServiceHeartbeat("ghost"); err == nil {
-		t.Fatal("heartbeat from unknown service accepted")
-	}
-	// Offline flag.
-	if err := d.MarkServiceOffline("node-0/web"); err != nil {
-		t.Fatal(err)
-	}
-	web, _ = d.Services("web")
-	if web[0].Status != "offline" {
-		t.Fatalf("status = %s", web[0].Status)
-	}
-}
-
 func TestDeleteANARemovesFiles(t *testing.T) {
 	d := newTestDM(t)
 	alice := newScientist(t, d, "alice")

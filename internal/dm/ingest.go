@@ -26,7 +26,7 @@ import (
 //	        | bounded channel (backpressure)
 //	store workers (I/O): archive files, then THREE batched transactions
 //	    per unit -- location entries (meta), domain tuples (raw unit +
-//	    views + HLEs + catalog members), lineage + log (meta)
+//	    views + HLEs + catalog members), lineage (meta)
 //
 // Store workers commit concurrently, so the engine's group-commit path
 // merges their batches into shared fsyncs; over dbnet each batch is one
@@ -48,8 +48,7 @@ type derivedUnit struct {
 // bounds both stages (<=0 means GOMAXPROCS). Reports are returned in input
 // order; on error the first failure is returned together with the reports
 // of the units that completed before the pipeline drained (failed or
-// skipped slots are nil). Usage accounting is aggregated into one record
-// per metric rather than one per unit.
+// skipped slots are nil).
 func (d *DM) LoadUnits(units []*telemetry.Unit, workers int) ([]*LoadReport, error) {
 	if len(units) == 0 {
 		return nil, nil
@@ -161,10 +160,6 @@ func (d *DM) LoadUnits(units []*telemetry.Unit, workers int) ([]*LoadReport, err
 		photons += r.Photons
 		events += r.Events
 	}
-	if loaded > 0 {
-		_ = d.RecordUsage("units_loaded", float64(loaded), ImportUser)
-		_ = d.RecordUsage("photons_loaded", float64(photons), ImportUser)
-	}
 	d.logOp("info", "load", "bulk: %d/%d units, %d photons, %d events (%d workers)",
 		loaded, len(units), photons, events, workers)
 	return reports, loadErr
@@ -208,7 +203,7 @@ func idNum(id string) int64 {
 
 // storeUnit is the I/O stage: archive the derived files, then commit the
 // unit's tuples in three batched transactions (location entries; domain
-// tuples; lineage + log). Rows match LoadUnit's exactly. Compensation
+// tuples; lineage). Rows match LoadUnit's exactly. Compensation
 // mirrors the serial path: a failed domain commit removes the archive
 // files and the location entries that reference them.
 func (d *DM) storeUnit(dv *derivedUnit) (*LoadReport, error) {
@@ -243,10 +238,6 @@ func (d *DM) storeUnit(dv *derivedUnit) (*LoadReport, error) {
 		return nil, err
 	}
 	linIDs, err := d.nextIDs("lin", 1+nEvents)
-	if err != nil {
-		return nil, err
-	}
-	logIDs, err := d.nextIDs("log", 1)
 	if err != nil {
 		return nil, err
 	}
@@ -373,8 +364,8 @@ func (d *DM) storeUnit(dv *derivedUnit) (*LoadReport, error) {
 		}
 		report.HLEs = append(report.HLEs, hleIDs[k])
 	}
-	// 4. Lineage and operational log — best-effort in split mode, atomic
-	// with the rest of the unit in combined mode.
+	// 4. Lineage — best-effort in split mode, atomic with the rest of the
+	// unit in combined mode.
 	var meta2 minidb.Batch
 	metaB := &meta2
 	if combined {
@@ -392,9 +383,6 @@ func (d *DM) storeUnit(dv *derivedUnit) (*LoadReport, error) {
 	}
 	msg := fmt.Sprintf("unit %s: %d photons, %d views, %d events",
 		dv.unitID, report.Photons, report.Views, report.Events)
-	metaB.Insert(schema.TableLogs, minidb.Row{
-		minidb.I(idNum(logIDs[0])), minidb.F(now), minidb.S("info"), minidb.S("load"), minidb.S(msg),
-	})
 
 	if combined {
 		// One transaction for the entire unit.

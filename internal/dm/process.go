@@ -247,8 +247,6 @@ func (d *DM) LoadUnit(u *telemetry.Unit) (*LoadReport, error) {
 		d.stats.EventsDetected.Add(1)
 	}
 	d.stats.UnitsLoaded.Add(1)
-	_ = d.RecordUsage("units_loaded", 1, ImportUser)
-	_ = d.RecordUsage("photons_loaded", float64(report.Photons), ImportUser)
 	d.logOp("info", "load", "unit %s: %d photons, %d views, %d events",
 		unitID, report.Photons, report.Views, report.Events)
 	return report, nil

@@ -132,69 +132,6 @@ func TestRetentionSurvivesOfflineTarget(t *testing.T) {
 	}
 }
 
-func TestPredefinedQueries(t *testing.T) {
-	d := newTestDM(t)
-	alice := newScientist(t, d, "alice")
-	for i := 0; i < 6; i++ {
-		kind := "flare"
-		if i%2 == 1 {
-			kind = "gamma-ray-burst"
-		}
-		if _, err := d.CreateHLE(alice, &schema.HLE{
-			KindHint: kind, TStart: float64(i * 10), TStop: float64(i*10 + 5),
-			Significance: float64(i * 10), Version: 1, CalibVersion: 1,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.SavePredefinedQuery("bright-flares", "flares, latest first",
-		HLEFilter{Kind: "flare", OrderDesc: true, Limit: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SavePredefinedQuery("bad name", "", HLEFilter{}); err == nil {
-		t.Fatal("name with space accepted")
-	}
-	// Round trip.
-	f, desc, err := d.PredefinedQuery("bright-flares")
-	if err != nil || f.Kind != "flare" || !f.OrderDesc || desc == "" {
-		t.Fatalf("query = %+v %q %v", f, desc, err)
-	}
-	if _, _, err := d.PredefinedQuery("ghost"); err == nil {
-		t.Fatal("missing query served")
-	}
-	// Listing.
-	list, err := d.ListPredefinedQueries()
-	if err != nil || len(list) != 1 || list[0].Name != "bright-flares" {
-		t.Fatalf("list = %v %v", list, err)
-	}
-	// Execution, as the web tier runs it (load the filter, then query),
-	// honours the session's visibility.
-	run := func(s *Session) ([]*schema.HLE, error) {
-		f, _, err := d.PredefinedQuery("bright-flares")
-		if err != nil {
-			return nil, err
-		}
-		return d.QueryHLEs(s, f)
-	}
-	got, err := run(alice)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("run = %d %v", len(got), err)
-	}
-	anon, err := run(nil)
-	if err != nil || len(anon) != 0 {
-		t.Fatalf("anonymous run sees %d private events", len(anon))
-	}
-	// Overwrite changes behaviour.
-	if err := d.SavePredefinedQuery("bright-flares", "bursts actually",
-		HLEFilter{Kind: "gamma-ray-burst"}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = run(alice)
-	if len(got) != 3 || got[0].KindHint != "gamma-ray-burst" {
-		t.Fatalf("overwritten query = %v", got)
-	}
-}
-
 func TestLoadUnitCompensatesOnArchiveFailure(t *testing.T) {
 	d := newTestDM(t)
 	day := telemetry.GenerateDay(1, telemetry.Config{
@@ -262,27 +199,5 @@ func TestLoadPhoenixSecondDataSource(t *testing.T) {
 	})
 	if _, err := d.LoadUnit(telemetry.SegmentDay(day, 600)[0]); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestUsageMonitoring(t *testing.T) {
-	d := newTestDM(t)
-	loadDays(t, d, 2)
-	totals, err := d.UsageTotals()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if totals["units_loaded"] != 2 {
-		t.Fatalf("units_loaded = %v", totals["units_loaded"])
-	}
-	if totals["photons_loaded"] <= 0 {
-		t.Fatalf("photons_loaded = %v", totals["photons_loaded"])
-	}
-	if err := d.RecordUsage("custom_metric", 3.5, "alice"); err != nil {
-		t.Fatal(err)
-	}
-	totals, _ = d.UsageTotals()
-	if totals["custom_metric"] != 3.5 {
-		t.Fatalf("custom_metric = %v", totals["custom_metric"])
 	}
 }

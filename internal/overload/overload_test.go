@@ -310,3 +310,116 @@ func TestLimiterConcurrentChurn(t *testing.T) {
 		t.Fatal("nothing was admitted")
 	}
 }
+
+// acquired is the outcome of one asynchronous Acquire.
+type acquired struct {
+	p   *Permit
+	err error
+}
+
+// acquireAsync starts an Acquire on its own goroutine and waits until
+// the limiter holds it as a queued waiter or it has returned. The
+// caller releases a granted permit.
+func acquireAsync(t *testing.T, l *Limiter, pri Priority) chan acquired {
+	t.Helper()
+	queued := l.Stats().Queued
+	done := make(chan acquired, 1)
+	go func() {
+		p, err := l.Acquire(pri)
+		done <- acquired{p, err}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for l.Stats().Queued == queued && len(done) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v acquire neither queued nor returned", pri)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return done
+}
+
+// TestLimiterBulkQueueIsAQuarter: Bulk waits in MaxQueue/4 slots, so
+// with two bulk waiters queued under MaxQueue 8 the third bulk arrival
+// sheds at the door instead of joining the queue.
+func TestLimiterBulkQueueIsAQuarter(t *testing.T) {
+	l := NewLimiter(Config{Initial: 1, Min: 1, Max: 1, MaxQueue: 8, MaxWait: 5 * time.Second})
+	p, err := l.Acquire(Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, w2 := acquireAsync(t, l, Bulk), acquireAsync(t, l, Bulk)
+	w3 := acquireAsync(t, l, Bulk)
+	if st := l.Stats(); st.Queued != 2 || st.ShedByPri[Bulk] != 1 {
+		t.Fatalf("queued = %d, bulk sheds = %d; want 2 and 1", st.Queued, st.ShedByPri[Bulk])
+	}
+	if r := <-w3; !errors.Is(r.err, ErrOverloaded) {
+		t.Fatalf("third bulk arrival: err = %v, want a door shed", r.err)
+	}
+	p.ReleaseLatency(time.Millisecond)
+	for _, w := range []chan acquired{w1, w2} {
+		r := <-w
+		if r.err != nil {
+			t.Fatalf("queued bulk waiter: %v", r.err)
+		}
+		r.p.ReleaseLatency(time.Millisecond)
+	}
+}
+
+// intoDropping drives a one-permit limiter (QueueInterval 30ms, target
+// 20ms) until CoDel is dropping: a first waiter's sojourn above target
+// arms the controller, and a second one, dequeued a full interval later
+// and still above target, enters the dropping state. That second waiter
+// is the only one queued. It returns the limiter and the permit the
+// second waiter was granted, or the error it was shed with.
+func intoDropping(t *testing.T) (*Limiter, *Permit, error) {
+	t.Helper()
+	l := NewLimiter(Config{Initial: 1, Min: 1, Max: 1, QueueInterval: 30 * time.Millisecond, MaxWait: 5 * time.Second})
+	p, err := l.Acquire(Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sojourn := range []time.Duration{25 * time.Millisecond, 40 * time.Millisecond} {
+		w := acquireAsync(t, l, Interactive)
+		time.Sleep(sojourn)
+		p.ReleaseLatency(time.Millisecond)
+		r := <-w
+		if r.err != nil {
+			return l, nil, r.err
+		}
+		p = r.p
+	}
+	return l, p, nil
+}
+
+// TestCoDelSparesTheLastWaiter: shedding the only queued waiter would
+// free capacity for nobody, so the dequeue that enters the dropping
+// state grants it.
+func TestCoDelSparesTheLastWaiter(t *testing.T) {
+	_, p, err := intoDropping(t)
+	if err != nil {
+		t.Fatalf("the last queued waiter was shed: %v", err)
+	}
+	p.ReleaseLatency(time.Millisecond)
+}
+
+// TestCoDelDoorShedSparesInteractive: while CoDel is dropping, a Browse
+// arrival is shed at the door, but an Interactive one still queues.
+func TestCoDelDoorShedSparesInteractive(t *testing.T) {
+	l, p, err := intoDropping(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Acquire(Browse); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("browse arrival while dropping: err = %v, want a door shed", err)
+	}
+	w := acquireAsync(t, l, Interactive)
+	if st := l.Stats(); st.Queued != 1 || st.ShedByPri[Interactive] != 0 {
+		t.Fatalf("interactive arrival while dropping was shed at the door: %+v", st)
+	}
+	p.ReleaseLatency(time.Millisecond)
+	r := <-w
+	if r.err != nil {
+		t.Fatalf("queued interactive waiter: %v", r.err)
+	}
+	r.p.ReleaseLatency(time.Millisecond)
+}

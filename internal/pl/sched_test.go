@@ -26,12 +26,12 @@ func execTask(ctx context.Context, s *Scheduler, spec TaskSpec) (idl.Args, error
 }
 
 // orderRoutines records routine execution order by the "id" argument.
-func orderRoutines(order *[]string, mu *sync.Mutex) map[string]idl.Routine {
+// Each task holds its interpreter until gate closes.
+func orderRoutines(order *[]string, mu *sync.Mutex, gate <-chan struct{}) map[string]idl.Routine {
 	r := sleepRoutines()
 	r["record"] = func(ctx context.Context, args idl.Args) (idl.Args, error) {
-		d, _ := args["d"].(time.Duration)
 		select {
-		case <-time.After(d):
+		case <-gate:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -88,11 +88,24 @@ func TestSchedulerWorkStealing(t *testing.T) {
 	}
 }
 
+// waitSched polls the scheduler until cond holds.
+func waitSched(t *testing.T, s *Scheduler, what string, cond func(SchedStats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond(s.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("scheduler never reached %s: %+v", what, s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestSchedulerPreemptionOrder(t *testing.T) {
 	var order []string
 	var mu sync.Mutex
+	gate := make(chan struct{})
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", 1, orderRoutines(&order, &mu), time.Second)
+	m, _ := NewManager("mgr-0", 1, orderRoutines(&order, &mu, gate), time.Second)
 	dir.RegisterManager(m, "server")
 	s := NewScheduler(dir, HedgeConfig{})
 
@@ -100,19 +113,23 @@ func TestSchedulerPreemptionOrder(t *testing.T) {
 		ch := make(chan error, 1)
 		go func() {
 			_, err := execTask(context.Background(), s, TaskSpec{
-				Routine: "record", Args: idl.Args{"id": id, "d": 15 * time.Millisecond},
+				Routine: "record", Args: idl.Args{"id": id},
 				Tier: tier,
 			})
 			ch <- err
 		}()
 		return ch
 	}
-	first := run("first", TierBulk)
-	time.Sleep(5 * time.Millisecond) // occupies the only interpreter
+	first := run("first", TierBulk) // occupies the only interpreter
+	waitSched(t, s, "first running", func(st SchedStats) bool { return st.InFlight == 1 })
 	b1 := run("bulk-1", TierBulk)
 	b2 := run("bulk-2", TierBulk)
-	time.Sleep(2 * time.Millisecond)
+	waitSched(t, s, "two bulk queued", func(st SchedStats) bool { return st.QueuedBulk == 2 })
 	i1 := run("int-1", TierInteractive) // queued last, must run next
+	waitSched(t, s, "all queued", func(st SchedStats) bool {
+		return st.QueuedBulk == 2 && st.QueuedInteractive == 1
+	})
+	close(gate)
 	for _, ch := range []chan error{first, b1, b2, i1} {
 		if err := <-ch; err != nil {
 			t.Fatal(err)
@@ -131,8 +148,9 @@ func TestSchedulerPreemptionOrder(t *testing.T) {
 func TestSchedulerNoPreemptionKeepsFIFO(t *testing.T) {
 	var order []string
 	var mu sync.Mutex
+	gate := make(chan struct{})
 	dir := NewDirectory()
-	m, _ := NewManager("mgr-0", 1, orderRoutines(&order, &mu), time.Second)
+	m, _ := NewManager("mgr-0", 1, orderRoutines(&order, &mu, gate), time.Second)
 	dir.RegisterManager(m, "server")
 	s := NewScheduler(dir, HedgeConfig{})
 	s.SetPreemption(false)
@@ -141,7 +159,7 @@ func TestSchedulerNoPreemptionKeepsFIFO(t *testing.T) {
 		ch := make(chan error, 1)
 		go func() {
 			_, err := execTask(context.Background(), s, TaskSpec{
-				Routine: "record", Args: idl.Args{"id": id, "d": 10 * time.Millisecond},
+				Routine: "record", Args: idl.Args{"id": id},
 				Tier: tier,
 			})
 			ch <- err
@@ -149,10 +167,14 @@ func TestSchedulerNoPreemptionKeepsFIFO(t *testing.T) {
 		return ch
 	}
 	first := run("first", TierBulk)
-	time.Sleep(5 * time.Millisecond)
+	waitSched(t, s, "first running", func(st SchedStats) bool { return st.InFlight == 1 })
 	b1 := run("bulk-1", TierBulk)
-	time.Sleep(2 * time.Millisecond)
+	waitSched(t, s, "bulk queued", func(st SchedStats) bool { return st.QueuedBulk == 1 })
 	i1 := run("int-1", TierInteractive)
+	waitSched(t, s, "all queued", func(st SchedStats) bool {
+		return st.QueuedBulk == 1 && st.QueuedInteractive == 1
+	})
+	close(gate)
 	for _, ch := range []chan error{first, b1, i1} {
 		if err := <-ch; err != nil {
 			t.Fatal(err)

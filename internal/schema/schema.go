@@ -8,6 +8,12 @@
 // The DM component routes queries to either part and can vertically
 // partition them onto different database instances (§5.2); nothing outside
 // this package hard-codes table layouts.
+//
+// Every table is declared, but of the generic part this reproduction
+// writes only admin_config (id sequences and retention rules),
+// admin_users, op_lineage, op_archives and the four location tables.
+// admin_services, op_logs and op_usage stay empty: nothing reads them
+// back, so operational messages go to the process log.
 package schema
 
 import "repro/internal/minidb"

@@ -115,19 +115,6 @@ func (v *View) Lightcurve(frac float64) []float64 {
 	return out
 }
 
-// Spectrum reconstructs the approximated energy profile (counts per energy
-// bin summed over time).
-func (v *View) Spectrum(frac float64) []float64 {
-	rows := v.Counts(frac)
-	out := make([]float64, v.EnergyBins)
-	for i, r := range rows {
-		for _, x := range r {
-			out[i] += x
-		}
-	}
-	return out
-}
-
 // PartitionViews splits [tstart, tstop) into nParts consecutive views, the
 // "range partitioned" arrangement of §6.3: partitions are independently
 // compressed so a client fetches only the ranges it explores. It makes one

@@ -404,21 +404,6 @@ func TestViewCompressionWins(t *testing.T) {
 	}
 }
 
-func TestSpectrumSumsMatchLightcurve(t *testing.T) {
-	photons := testPhotons()
-	v := BuildView(photons, 0, 3600, 3, 20000, 64, 16, 1)
-	var lcSum, spSum float64
-	for _, x := range v.Lightcurve(1) {
-		lcSum += x
-	}
-	for _, x := range v.Spectrum(1) {
-		spSum += x
-	}
-	if math.Abs(lcSum-spSum) > 1e-6*(lcSum+1) {
-		t.Fatalf("lightcurve sum %v != spectrum sum %v", lcSum, spSum)
-	}
-}
-
 // Property: 2-D encode/decode round-trips arbitrary matrices within
 // float32 precision.
 func TestQuick2DRoundTrip(t *testing.T) {

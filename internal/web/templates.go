@@ -118,8 +118,6 @@ from [s] <input name="from" value="{{.From}}" size="8">
 to [s] <input name="to" value="{{.To}}" size="8">
 <input type="submit" value="Query">
 </form>
-{{if .Presets}}<p class="meta">predefined queries:
-{{range .Presets}} <a href="/browse?preset={{.Name}}" title="{{.Description}}">{{.Name}}</a>{{end}}</p>{{end}}
 <p class="meta">{{.Count}} matching events (see /search for free-form queries)</p>
 <table><tr><th>Event</th><th>Kind</th><th>Start</th><th>Peak</th><th>Owner</th></tr>
 {{range .HLEs}}<tr>

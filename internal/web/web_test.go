@@ -466,25 +466,6 @@ func TestSynopticPage(t *testing.T) {
 	}
 }
 
-func TestBrowsePresetQueries(t *testing.T) {
-	r := newWebRig(t)
-	if err := r.dm.SavePredefinedQuery("flares", "all flares",
-		dm.HLEFilter{Kind: "flare"}); err != nil {
-		t.Fatal(err)
-	}
-	code, body := r.get(t, "/browse?preset=flares")
-	if code != 200 {
-		t.Fatalf("preset browse status = %d", code)
-	}
-	if !strings.Contains(body, "matching events") {
-		t.Fatal("preset page malformed")
-	}
-	code, _ = r.get(t, "/browse?preset=ghost")
-	if code != http.StatusNotFound {
-		t.Fatalf("missing preset status = %d", code)
-	}
-}
-
 func TestDownloadEndpoint(t *testing.T) {
 	r := newWebRig(t)
 	resp, err := r.client.Get(r.ts.URL + "/dl/" + r.itemID)

@@ -9,11 +9,12 @@
 # overload.Limiter — the fixed semaphore's knobs stay gone; the DM has
 # one cached read path — the brownout hook, the DM's stale-epoch mode and
 # the farm's bulk door stay gone; and the dead-weight audit, TestDeadWeightAudit
-# in deadweight_test.go, which runs inside go test ./... with four classes:
+# in deadweight_test.go, which runs inside go test ./... with five classes:
 # (i) exported code no file references, (ii) option fields no code sets,
 # (iii) names only their own package's tests use, (iv) funcs and methods
-# no binary reaches; (i) and (ii) must be empty, and (iii) and (iv) must
-# match the shrink-only allow-list testdata/deadweight.allow), the
+# no binary reaches, (v) tables that reached code writes and never reads;
+# (i) and (ii) must be empty, and (iii), (iv) and (v) must match the
+# shrink-only allow-list testdata/deadweight.allow), the
 # full test suite (which includes the harness-cell builder's tests and the
 # scaled-down Figure 5 live and sharded sweeps with their bit-identical
 # oracle), a short-mode race lane (which carries the
