@@ -231,7 +231,9 @@ func (r *farmRig) newFarm(p TablesScaleParams, managers int) (*pl.Frontend, []*p
 		if err != nil {
 			return nil, nil, err
 		}
-		dir.RegisterManager(m, "server")
+		if err := dir.RegisterManager(m, "server"); err != nil {
+			return nil, nil, err
+		}
 		mgrs = append(mgrs, m)
 	}
 	fe := pl.NewFrontend(dir, managers*p.ManagerServers+2, p.MaxInSystem)

@@ -192,7 +192,9 @@ func Start(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.Dir.RegisterManager(n.Manager, "server")
+	if err := n.Dir.RegisterManager(n.Manager, "server"); err != nil {
+		return nil, err
+	}
 	n.Frontend = pl.NewFrontend(n.Dir, cfg.workers, maxInSystem)
 	for _, s := range pl.NewAnalysisStrategies(n.DM) {
 		n.Frontend.RegisterStrategy(s)
@@ -217,9 +219,9 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
-// StartMaintenance launches the node's housekeeping loop: the processing
-// directory's heartbeat, periodic database checkpoints, segment refresh
-// and lake compaction. It returns a stop function.
+// StartMaintenance launches the node's housekeeping loop: periodic
+// database checkpoints, segment refresh and lake compaction. It returns a
+// stop function.
 func (n *Node) StartMaintenance(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = time.Minute
@@ -231,23 +233,10 @@ func (n *Node) StartMaintenance(interval time.Duration) (stop func()) {
 		defer wg.Done()
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
-		// The processing directory drops managers whose heartbeat goes
-		// stale, and the scheduler only dispatches to live managers — so
-		// the local manager's entry must be beaten well inside the
-		// staleness window or every analysis fails with "no processing
-		// capacity" one StaleAfter after startup.
-		beat := n.Dir.StaleAfter / 3
-		if beat <= 0 {
-			beat = 20 * time.Second
-		}
-		dirTicker := time.NewTicker(beat)
-		defer dirTicker.Stop()
 		for {
 			select {
 			case <-done:
 				return
-			case <-dirTicker.C:
-				_ = n.Dir.Heartbeat(n.Manager.ID())
 			case <-ticker.C:
 				if err := n.Checkpoint(); err != nil {
 					n.cfg.Logger.Printf("maintenance checkpoint: %v", err)

@@ -251,25 +251,6 @@ func TestMaintenanceLoop(t *testing.T) {
 	stop() // idempotent
 }
 
-// The processing directory declares managers dead when their heartbeat
-// goes stale, and the scheduler refuses to dispatch to dead managers.
-// The maintenance loop must therefore keep beating the local manager's
-// entry, or every analysis fails with "no processing capacity" one
-// StaleAfter after startup (a bug caught by driving a live node).
-func TestMaintenanceKeepsManagerLive(t *testing.T) {
-	n := startNode(t, Config{Node: "hb"})
-	n.Dir.StaleAfter = 60 * time.Millisecond
-	stop := n.StartMaintenance(time.Hour) // only the directory beat fires
-	defer stop()
-	deadline := time.Now().Add(5 * n.Dir.StaleAfter)
-	for time.Now().Before(deadline) {
-		if len(n.Dir.Managers("")) != 1 {
-			t.Fatalf("manager went stale despite maintenance beats")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // A user's identical submission while the first is still running joins it
 // (same id, one committed analysis); another user's does not.
 func TestAnalyzeJoinsIdenticalSubmissionInFlight(t *testing.T) {

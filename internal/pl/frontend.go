@@ -317,17 +317,6 @@ func (f *Frontend) RegisterStrategy(s Strategy) {
 	f.mu.Unlock()
 }
 
-// EstimateOnly runs just the estimation phase.
-func (f *Frontend) EstimateOnly(req *Request) (*Estimate, error) {
-	f.mu.Lock()
-	s, ok := f.strategies[req.Type]
-	f.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("pl: unknown request type %q", req.Type)
-	}
-	return s.Estimate(req)
-}
-
 // admitLocked reports whether a request of the given tier may enter the
 // system now. Interactive requests see the full gate; bulk ones stop
 // short of the reserved slice, so an interactive Submit never blocks
@@ -511,10 +500,8 @@ func (f *Frontend) FarmStats() FarmStats {
 		Sched:    f.sched.Stats(),
 		Memo:     f.memo.Stats(),
 	}
-	for _, info := range f.dir.Managers("") {
-		if m := info.Manager(); m != nil {
-			fs.Managers = append(fs.Managers, m.Stats())
-		}
+	for _, info := range f.dir.Managers() {
+		fs.Managers = append(fs.Managers, info.Manager().Stats())
 	}
 	return fs
 }

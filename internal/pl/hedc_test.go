@@ -166,7 +166,7 @@ func TestEndToEndViewBasedAnalysis(t *testing.T) {
 
 func TestEstimateInfeasibleOutsideData(t *testing.T) {
 	r := newHEDCRig(t)
-	est, err := r.frontend.EstimateOnly(&Request{
+	est, err := r.frontend.strategies[schema.AnaHistogram].Estimate(&Request{
 		Type: schema.AnaHistogram, Session: r.session,
 		Params: map[string]interface{}{"tstart": 1e6, "tstop": 1e6 + 100},
 	})

@@ -72,7 +72,7 @@ func (m *Manager) ID() string { return m.id }
 // AddServer boots a new interpreter and adds it to the pool. Managers can
 // grow at run time without halting the system (§5.1).
 func (m *Manager) AddServer(serverID string, routines map[string]idl.Routine) error {
-	s := idl.NewServer(serverID)
+	s := idl.NewServer()
 	for name, r := range routines {
 		s.Register(name, r)
 	}
@@ -88,22 +88,6 @@ func (m *Manager) AddServer(serverID string, routines map[string]idl.Routine) er
 	m.mu.Unlock()
 	m.idle <- s
 	return nil
-}
-
-// RemoveServer drains one interpreter out of the pool. It blocks until an
-// idle server is available (no running work is killed) and removes that
-// one, regardless of id availability, shrinking capacity by one.
-func (m *Manager) RemoveServer(ctx context.Context) (string, error) {
-	select {
-	case s := <-m.idle:
-		m.mu.Lock()
-		delete(m.servers, s.ID())
-		m.mu.Unlock()
-		_ = s.Stop()
-		return s.ID(), nil
-	case <-ctx.Done():
-		return "", ctx.Err()
-	}
 }
 
 // RegisterRoutine installs a routine on every interpreter in the pool —
@@ -165,8 +149,6 @@ func (m *Manager) Invoke(ctx context.Context, routine string, args idl.Args) (id
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	// The server might have been removed from the pool while queued; it is
-	// still functional, so run the call and only then drop it.
 	m.invocations.Add(1)
 	start := time.Now()
 	callCtx, cancel := context.WithTimeout(ctx, m.timeout)
@@ -186,12 +168,6 @@ func (m *Manager) Invoke(ctx context.Context, routine string, args idl.Args) (id
 		srv.Restart()
 		m.recoveries.Add(1)
 	}
-
-	m.mu.Lock()
-	_, stillOurs := m.servers[srv.ID()]
-	m.mu.Unlock()
-	if stillOurs {
-		m.idle <- srv
-	}
+	m.idle <- srv
 	return out, err
 }

@@ -156,7 +156,6 @@ type mgrState struct {
 	id       string
 	location string
 	m        *Manager
-	live     bool
 	q        [numTiers][]*invocation // each sorted by (priority desc, seq asc)
 	inflight int
 }
@@ -332,33 +331,13 @@ func (s *Scheduler) Stats() SchedStats {
 	return st
 }
 
-// refreshLocked syncs mgrs with the directory's live manager set.
+// refreshLocked binds the managers registered since the last call.
+// Entries never leave the directory and an id never changes manager, so
+// a bound manager stays bound.
 func (s *Scheduler) refreshLocked() {
-	infos := s.dir.Managers("")
-	liveNow := make(map[string]bool, len(infos))
-	for _, info := range infos {
-		m := info.Manager()
-		if m == nil {
-			continue
-		}
-		liveNow[info.ID] = true
-		st, ok := s.mgrs[info.ID]
-		if !ok {
-			st = &mgrState{id: info.ID}
-			s.mgrs[info.ID] = st
-		}
-		st.m = m
-		st.location = info.Location
-		st.live = true
-	}
-	for id, st := range s.mgrs {
-		if !liveNow[id] {
-			st.live = false
-			// A vanished manager with an empty deque is forgotten; a loaded
-			// one stays so peers can steal its queue dry.
-			if st.queued() == 0 && st.inflight == 0 {
-				delete(s.mgrs, id)
-			}
+	for _, info := range s.dir.Managers() {
+		if _, ok := s.mgrs[info.ID]; !ok {
+			s.mgrs[info.ID] = &mgrState{id: info.ID, location: info.Location, m: info.Manager()}
 		}
 	}
 }
@@ -380,21 +359,17 @@ func eligible(inv *invocation, st *mgrState) bool {
 	return loc == "" || loc == st.location
 }
 
-// placeLocked picks the least-loaded live manager eligible for a location;
+// placeLocked picks the least-loaded manager eligible for a location;
 // avoid (a manager id) is skipped unless it is the only candidate — used
 // to push hedge attempts onto a different manager than the primary.
 func (s *Scheduler) placeLocked(location, avoid string) *mgrState {
 	var best, bestAvoided *mgrState
 	bestLoad, bestAvoidedLoad := 0.0, 0.0
 	for _, st := range s.orderedLocked() {
-		if !st.live || (location != "" && st.location != location) {
+		if location != "" && st.location != location {
 			continue
 		}
-		cap := st.m.Servers()
-		if cap <= 0 {
-			continue
-		}
-		load := float64(st.inflight+st.queued()) / float64(cap)
+		load := float64(st.inflight+st.queued()) / float64(st.m.Servers())
 		if st.id == avoid {
 			if bestAvoided == nil || load < bestAvoidedLoad {
 				bestAvoided, bestAvoidedLoad = st, load
@@ -519,14 +494,11 @@ func (s *Scheduler) stealLocked(thief *mgrState) *invocation {
 	return nil
 }
 
-// pumpLocked launches attempts until every live manager is saturated or
-// out of reachable work. Interpreter capacity is read live from the
-// manager so AddServer/RemoveServer take effect between attempts.
+// pumpLocked launches attempts until every manager is saturated or out
+// of reachable work. Interpreter capacity is read from the manager on
+// every pass, so an AddServer takes effect at the next attempt.
 func (s *Scheduler) pumpLocked() {
 	for _, st := range s.orderedLocked() {
-		if !st.live || st.m == nil {
-			continue
-		}
 		for st.inflight < st.m.Servers() {
 			inv := s.popOwnLocked(st)
 			stolen := false
@@ -547,14 +519,13 @@ func (s *Scheduler) pumpLocked() {
 			} else {
 				s.localRuns++
 			}
-			go s.runAttempt(st, st.m, inv)
+			go s.runAttempt(st, inv)
 		}
 	}
 }
 
-// runAttempt executes one attempt of a task on a manager. m is captured
-// under s.mu by the caller (st.m may be rebound by a directory refresh).
-func (s *Scheduler) runAttempt(st *mgrState, m *Manager, inv *invocation) {
+// runAttempt executes one attempt of a task on a manager.
+func (s *Scheduler) runAttempt(st *mgrState, inv *invocation) {
 	t := inv.t
 	base := t.ctx
 	if base == nil {
@@ -595,7 +566,7 @@ func (s *Scheduler) runAttempt(st *mgrState, m *Manager, inv *invocation) {
 		case <-stop:
 		}
 	}()
-	out, err := m.Invoke(actx, t.spec.Routine, t.spec.Args)
+	out, err := st.m.Invoke(actx, t.spec.Routine, t.spec.Args)
 	close(stop)
 	s.finishAttempt(st, inv, out, err)
 }

@@ -61,7 +61,7 @@ type UserStrategy struct {
 
 var _ Strategy = (*UserStrategy)(nil)
 
-// InstallUserRoutine registers the routine on every live manager's servers
+// InstallUserRoutine registers the routine on every manager's servers
 // and returns the strategy to register on a frontend. New interpreters
 // added later need the routine too — pass it in their routine set.
 func InstallUserRoutine(d *dm.DM, dir *Directory, u *UserRoutine) (*UserStrategy, error) {
@@ -72,12 +72,8 @@ func InstallUserRoutine(d *dm.DM, dir *Directory, u *UserRoutine) (*UserStrategy
 	case schema.AnaImaging, schema.AnaLightcurve, schema.AnaSpectrogram, schema.AnaHistogram:
 		return nil, fmt.Errorf("pl: user routine %q shadows a built-in analysis", u.Name)
 	}
-	for _, info := range dir.Managers("") {
-		m := info.Manager()
-		if m == nil {
-			continue
-		}
-		m.RegisterRoutine(u.routineName(), u.idlRoutine())
+	for _, info := range dir.Managers() {
+		info.Manager().RegisterRoutine(u.routineName(), u.idlRoutine())
 	}
 	return &UserStrategy{dm: d, routine: u}, nil
 }

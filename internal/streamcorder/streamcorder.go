@@ -52,12 +52,12 @@ type Stats struct {
 
 // Module is a cordlet: a dynamically registered handler for one or more
 // data formats. The client picks modules by the data type of the object in
-// question and keeps the shared context across them.
+// question.
 type Module interface {
 	Formats() []string
 	// Handle processes a fetched item and returns a human-readable
-	// rendering. ctx is the shared, mutable module context.
-	Handle(ctx map[string]string, item *dm.ItemData) (string, error)
+	// rendering.
+	Handle(item *dm.ItemData) (string, error)
 }
 
 // Client is one StreamCorder installation.
@@ -76,7 +76,6 @@ type Client struct {
 
 	mu      sync.Mutex
 	modules map[string][]Module // format -> modules
-	context map[string]string   // kept across all modules (§6.2)
 
 	stats Stats
 }
@@ -105,7 +104,6 @@ func New(opts Options) (*Client, error) {
 		api: opts.API, strategy: opts.Strategy, ip: opts.ip,
 		cacheDir: opts.Dir,
 		modules:  make(map[string][]Module),
-		context:  make(map[string]string),
 	}
 	if opts.Strategy == CacheV2 {
 		// "The second version adds a local DBMS installation for dynamic
@@ -261,6 +259,8 @@ func (c *Client) InitClone(password string) error {
 // CloneCatalog mirrors a server catalog's metadata — the HLE tuples and
 // their analyses — into the local database, making the installation "a
 // clone of the HEDC server". File data arrives lazily through the cache.
+// Cloning again copies only what the clone lacks, analyses published
+// since the last run included; it reports the rows it copied.
 func (c *Client) CloneCatalog(catalogID string) (hles, anas int, err error) {
 	if c.strategy != CacheV2 || c.localSess == nil {
 		return 0, 0, fmt.Errorf("streamcorder: clone not initialized")
@@ -271,22 +271,45 @@ func (c *Client) CloneCatalog(catalogID string) (hles, anas int, err error) {
 	}
 	db := c.localDM.DomainDB()
 	for _, h := range events {
-		if _, err := db.Insert(schema.TableHLE, h.ToRow()); err != nil {
-			continue // already cloned
+		added, err := cloneRow(db, schema.TableHLE, h.ID, h.ToRow())
+		if err != nil {
+			return hles, anas, err
 		}
-		hles++
+		if added {
+			hles++
+		}
 		list, err := c.api.AnalysesForHLE(c.token, c.ip, h.ID)
 		if err != nil {
 			return hles, anas, err
 		}
 		for _, a := range list {
-			if _, err := db.Insert(schema.TableANA, a.ToRow()); err != nil {
-				continue
+			added, err := cloneRow(db, schema.TableANA, a.ID, a.ToRow())
+			if err != nil {
+				return hles, anas, err
 			}
-			anas++
+			if added {
+				anas++
+			}
 		}
 	}
 	return hles, anas, nil
+}
+
+// cloneRow inserts row unless the table already holds its primary key id;
+// it reports whether it inserted.
+func cloneRow(db minidb.Engine, table, id string, row minidb.Row) (bool, error) {
+	res, err := db.Query(minidb.Query{
+		Table: table,
+		Where: []minidb.Pred{{Col: db.Schema(table).PrimaryKey, Op: minidb.OpEq, Val: minidb.S(id)}},
+		Limit: 1,
+	})
+	if err != nil || len(res.Rows) > 0 {
+		return false, err
+	}
+	if _, err := db.Insert(table, row); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // LocalHLEs queries the clone's database offline.
@@ -365,11 +388,8 @@ func (c *Client) RunModules(itemID string) ([]string, error) {
 		return nil, fmt.Errorf("streamcorder: no module handles format %q", item.Format)
 	}
 	var out []string
-	c.mu.Lock()
-	ctx := c.context
-	c.mu.Unlock()
 	for _, m := range mods {
-		r, err := m.Handle(ctx, item)
+		r, err := m.Handle(item)
 		if err != nil {
 			return out, err
 		}
@@ -377,13 +397,6 @@ func (c *Client) RunModules(itemID string) ([]string, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// Context returns the shared module context value for a key.
-func (c *Client) Context(key string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.context[key]
 }
 
 // defaultModules returns the built-in cordlets.
@@ -394,12 +407,11 @@ func defaultModules() []Module {
 type phoenixModule struct{}
 
 func (phoenixModule) Formats() []string { return []string{"phx2"} }
-func (phoenixModule) Handle(ctx map[string]string, item *dm.ItemData) (string, error) {
+func (phoenixModule) Handle(item *dm.ItemData) (string, error) {
 	p, err := telemetry.ParsePhoenix(item.Bytes)
 	if err != nil {
 		return "", err
 	}
-	ctx["last_spectrogram"] = item.ItemID
 	return fmt.Sprintf("phoenix %s: %dx%d bins, %.0f-%.0f MHz, t=[%.0f,%.0f]s",
 		p.Name(), p.FreqBins, p.TimeBins, p.FreqMin, p.FreqMax, p.TStart, p.TStop), nil
 }
@@ -407,29 +419,27 @@ func (phoenixModule) Handle(ctx map[string]string, item *dm.ItemData) (string, e
 type gifModule struct{}
 
 func (gifModule) Formats() []string { return []string{"gif"} }
-func (gifModule) Handle(ctx map[string]string, item *dm.ItemData) (string, error) {
+func (gifModule) Handle(item *dm.ItemData) (string, error) {
 	if len(item.Bytes) < 6 || string(item.Bytes[:3]) != "GIF" {
 		return "", fmt.Errorf("gif-viewer: %s is not a GIF", item.ItemID)
 	}
-	ctx["last_image"] = item.ItemID
 	return fmt.Sprintf("gif %s: %d bytes", item.ItemID, len(item.Bytes)), nil
 }
 
 type waveletModule struct{}
 
 func (waveletModule) Formats() []string { return []string{"wavelet"} }
-func (waveletModule) Handle(ctx map[string]string, item *dm.ItemData) (string, error) {
+func (waveletModule) Handle(item *dm.ItemData) (string, error) {
 	enc, err := wavelet.Parse(item.Bytes)
 	if err != nil {
 		return "", err
 	}
-	ctx["last_view"] = item.ItemID
 	return fmt.Sprintf("view %s: %dx%d, %d coefficients", item.ItemID, enc.OrigW, enc.OrigH, len(enc.Coeffs)), nil
 }
 
 type logModule struct{}
 
 func (logModule) Formats() []string { return []string{"log", "params"} }
-func (logModule) Handle(ctx map[string]string, item *dm.ItemData) (string, error) {
+func (logModule) Handle(item *dm.ItemData) (string, error) {
 	return string(item.Bytes), nil
 }

@@ -2,9 +2,12 @@ package streamcorder
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,6 +23,8 @@ import (
 // serverRig stands up a loaded HEDC server reachable over HTTP.
 type serverRig struct {
 	dm     *dm.DM
+	farm   *pl.Frontend
+	sess   *dm.Session // the import user's analysis session
 	remote *dm.Remote
 	hleID  string
 	anaID  string
@@ -89,6 +94,8 @@ func newServerRig(t *testing.T) *serverRig {
 	t.Cleanup(srv.Close)
 	return &serverRig{
 		dm:     d,
+		farm:   fe,
+		sess:   sess,
 		remote: dm.NewRemote(srv.URL+"/dm/", nil),
 		hleID:  rep.HLEs[0], anaID: anaID, imgID: ana.ItemID, viewID: viewItem,
 	}
@@ -213,6 +220,48 @@ func TestCloneCatalogOfflineQueries(t *testing.T) {
 	}
 }
 
+// Cloning again picks up analyses published since the last clone, even
+// for events the clone already holds.
+func TestRecloneCopiesNewAnalyses(t *testing.T) {
+	rig := newServerRig(t)
+	c := newV2(t, rig)
+	hles, anas, err := c.CloneCatalog(dm.ExtendedCat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hles == 0 || anas != 1 {
+		t.Fatalf("first clone copied %d HLEs, %d analyses", hles, anas)
+	}
+	tk, err := rig.farm.Submit(&pl.Request{
+		Type: schema.AnaHistogram, Session: rig.sess,
+		Params: map[string]interface{}{"tstart": 0.0, "tstop": 1200.0, "hle_id": rig.hleID},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	anaID, err := tk.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.dm.Publish(rig.sess, "ana", anaID); err != nil {
+		t.Fatal(err)
+	}
+	hles, anas, err = c.CloneCatalog(dm.ExtendedCat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hles != 0 || anas != 1 {
+		t.Fatalf("re-clone copied %d HLEs, %d analyses; want 0 and 1", hles, anas)
+	}
+	res, err := c.localDM.DomainDB().Query(minidb.Query{
+		Table: schema.TableANA,
+		Where: []minidb.Pred{{Col: "ana_id", Op: minidb.OpEq, Val: minidb.S(anaID)}},
+	})
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("new analysis in clone: %v rows, %v", res, err)
+	}
+}
+
 func TestPeerToPeerServing(t *testing.T) {
 	rig := newServerRig(t)
 	c := newV2(t, rig)
@@ -298,25 +347,53 @@ func TestModulesDataTypeSensitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 {
+	if len(out) != 1 || !strings.HasPrefix(out[0], "gif "+rig.imgID) {
 		t.Fatalf("out = %v", out)
-	}
-	// Context was kept across modules.
-	if c.Context("last_image") != rig.imgID {
-		t.Fatalf("context = %q", c.Context("last_image"))
 	}
 	// The wavelet view triggers the progressive module.
 	out, err = c.RunModules(rig.viewID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Context("last_view") != rig.viewID {
-		t.Fatal("wavelet module did not run")
+	if len(out) != 1 || !strings.HasPrefix(out[0], "view "+rig.viewID) {
+		t.Fatalf("out = %v", out)
 	}
-	_ = out
 	// Unknown formats are rejected.
 	if mods := c.ModulesFor("exotic"); len(mods) != 0 {
 		t.Fatalf("modules for exotic = %v", mods)
+	}
+}
+
+// Modules share no mutable state: concurrent RunModules calls on one item
+// are race-free (run under -race).
+func TestRunModulesConcurrent(t *testing.T) {
+	rig := newServerRig(t)
+	c := newV1(t, rig)
+	if _, err := c.FetchItem(rig.imgID); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := c.RunModules(rig.imgID)
+			if err == nil && len(out) != 1 {
+				err = fmt.Errorf("out = %v", out)
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Stats().ModuleRuns.Load(); got != 8 {
+		t.Fatalf("module runs = %d", got)
 	}
 }
 
@@ -337,7 +414,7 @@ func TestCustomModuleRegistration(t *testing.T) {
 type countModule struct{}
 
 func (countModule) Formats() []string { return []string{"gif", "log"} }
-func (countModule) Handle(ctx map[string]string, item *dm.ItemData) (string, error) {
+func (countModule) Handle(item *dm.ItemData) (string, error) {
 	return "bytes", nil
 }
 
@@ -460,30 +537,29 @@ func TestModuleNamesAndLogViewer(t *testing.T) {
 	// sibling (the log file was stored with suffix .log under same item).
 	// ReadItem returns the first (gif) entry, so drive the log module
 	// directly instead.
-	out, err := logModule{}.Handle(map[string]string{}, &dm.ItemData{
+	out, err := logModule{}.Handle(&dm.ItemData{
 		ItemID: ana.ItemID, Format: "log", Bytes: []byte("line1\n"),
 	})
 	if err != nil || out != "line1\n" {
 		t.Fatalf("log module = %q %v", out, err)
 	}
 	// The gif module rejects non-GIF payloads.
-	if _, err := (gifModule{}).Handle(map[string]string{}, &dm.ItemData{
+	if _, err := (gifModule{}).Handle(&dm.ItemData{
 		ItemID: "x", Format: "gif", Bytes: []byte("notagif"),
 	}); err == nil {
 		t.Fatal("gif module accepted garbage")
 	}
 	// The phoenix module round-trips a real spectrogram.
 	p := telemetry.GeneratePhoenix(1, 0, telemetry.PhoenixConfig{Seed: 3, Bursts: 1, TimeBins: 32, FreqBins: 8})
-	ctx := map[string]string{}
-	desc, err := (phoenixModule{}).Handle(ctx, &dm.ItemData{ItemID: "itm", Format: "phx2", Bytes: p.Encode()})
-	if err != nil || ctx["last_spectrogram"] != "itm" {
+	desc, err := (phoenixModule{}).Handle(&dm.ItemData{ItemID: "itm", Format: "phx2", Bytes: p.Encode()})
+	if err != nil || !strings.HasPrefix(desc, "phoenix ") {
 		t.Fatalf("phoenix module = %q %v", desc, err)
 	}
-	if _, err := (phoenixModule{}).Handle(ctx, &dm.ItemData{Bytes: []byte("junk")}); err == nil {
+	if _, err := (phoenixModule{}).Handle(&dm.ItemData{Bytes: []byte("junk")}); err == nil {
 		t.Fatal("phoenix module accepted junk")
 	}
 	// The wavelet module rejects junk too.
-	if _, err := (waveletModule{}).Handle(ctx, &dm.ItemData{Bytes: []byte("junk")}); err == nil {
+	if _, err := (waveletModule{}).Handle(&dm.ItemData{Bytes: []byte("junk")}); err == nil {
 		t.Fatal("wavelet module accepted junk")
 	}
 }
