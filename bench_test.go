@@ -288,7 +288,7 @@ func benchDM(b *testing.B) (*dm.DM, string) {
 		b.Fatal(err)
 	}
 	d, err := dm.Open(dm.Options{
-		MetaDB: db, DefaultArchive: "disk-0", Logger: log.New(io.Discard, "", 0),
+		MetaDB: db, Logger: log.New(io.Discard, "", 0),
 	})
 	if err != nil {
 		b.Fatal(err)

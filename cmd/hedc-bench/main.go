@@ -428,7 +428,7 @@ func dmOpenEngine(dir string) (*engineHandles, error) {
 		return nil, err
 	}
 	d, err := dm.Open(dm.Options{
-		Node: "bench-engine", MetaDB: mdb, DefaultArchive: "disk-0",
+		Node: "bench-engine", MetaDB: mdb,
 		Logger: log.New(io.Discard, "", 0),
 	})
 	if err != nil {

@@ -1,13 +1,11 @@
 // Package archive implements HEDC's file store: the actual data (raw units
 // and derived products, mostly images) lives in file archives while only
 // meta data lives in the DBMS (§4.1). "All file data is read only" — an
-// archive enforces write-once semantics and models the three storage tiers
-// the paper deploys: local disk (RAID), NFS-linked remote archives, and a
-// tape archive for data not needed on-line (§2.3).
+// archive enforces write-once semantics. Every node mounts one disk
+// archive; the paper's NFS and tape tiers (§2.3) are not modelled.
 //
-// An Archive is tier policy only — identity, kind and its simulated access
-// latency, the online flag, a byte capacity — over one internal/lake
-// store. How the bytes are laid out, checksummed and made durable (the
+// An Archive is policy only — identity, kind, the online flag, a byte
+// capacity — over one internal/lake store. How the bytes are laid out, checksummed and made durable (the
 // commit journal, immutable containers, compaction, GC, time travel) is
 // known by internal/lake alone.
 package archive
@@ -17,10 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/lake"
 	"repro/internal/minidb"
@@ -32,41 +28,19 @@ import (
 // scripted workload. Production archives use minidb.OSFS.
 type VFS = minidb.VFS
 
-// Kind classifies the storage tier backing an archive.
+// Kind classifies the storage tier backing an archive. The location
+// tables record it; Disk is the only kind.
 type Kind int
 
-// Archive kinds. Tape archives serve reads with a seek penalty; NFS adds a
-// small per-operation latency. Both are simulated with real sleeps scaled
-// down far below 2003 hardware, just enough for ablation benchmarks to rank
-// the tiers.
-const (
-	Disk Kind = iota
-	NFS
-	Tape
-)
+// Disk is a local disk archive.
+const Disk Kind = 0
 
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case Disk:
+	if k == Disk {
 		return "disk"
-	case NFS:
-		return "nfs"
-	case Tape:
-		return "tape"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-// latency returns the simulated per-read penalty of the tier.
-func (k Kind) latency() time.Duration {
-	switch k {
-	case NFS:
-		return 200 * time.Microsecond
-	case Tape:
-		return 5 * time.Millisecond
-	}
-	return 0
 }
 
 // Errors reported by archives.
@@ -82,7 +56,6 @@ var (
 type Archive struct {
 	id       string
 	kind     Kind
-	root     string
 	capacity int64 // bytes; 0 = unlimited
 	lk       *lake.Lake
 
@@ -108,7 +81,7 @@ func NewLakeVFS(fsys VFS, id string, kind Kind, dir string, capacityBytes int64)
 	if err != nil {
 		return nil, err
 	}
-	return &Archive{id: id, kind: kind, root: dir, capacity: capacityBytes, lk: lk, online: true}, nil
+	return &Archive{id: id, kind: kind, capacity: capacityBytes, lk: lk, online: true}, nil
 }
 
 // ID returns the archive identifier referenced by the location tables.
@@ -117,16 +90,13 @@ func (a *Archive) ID() string { return a.id }
 // Kind returns the storage tier.
 func (a *Archive) Kind() Kind { return a.kind }
 
-// Root returns the archive's directory.
-func (a *Archive) Root() string { return a.root }
-
 // Lake returns the journal store behind the archive. Callers use it for
 // time travel, compaction, GC and stats; the Archive surface covers
 // everything else.
 func (a *Archive) Lake() *lake.Lake { return a.lk }
 
 // SetOnline flips the archive's availability; offline archives reject all
-// data operations (a disk being repaired or a tape dismounted, §4.3).
+// data operations (a disk being repaired, §4.3).
 func (a *Archive) SetOnline(v bool) {
 	a.mu.Lock()
 	a.online = v
@@ -138,18 +108,6 @@ func (a *Archive) Online() bool {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	return a.online
-}
-
-// CapacityLeft returns the remaining capacity in bytes (MaxInt64 when
-// unlimited). Physical bytes count, history included: a removed file
-// occupies the tier until compaction and GC retire its container.
-func (a *Archive) CapacityLeft() int64 {
-	if a.capacity == 0 {
-		return 1<<63 - 1
-	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.capacity - a.lk.PhysBytes() - a.reserved
 }
 
 // BatchFile is one file of a StoreBatch. Day is the mission-day partition
@@ -185,7 +143,8 @@ func (a *Archive) StoreBatch(files []BatchFile) error {
 
 // reserve admits a store of n bytes: the archive must be online and, when
 // bounded, have room for n beyond the physical bytes and every store
-// already in flight. Checking without reserving would let two concurrent
+// already in flight. Physical bytes count, history included: a removed
+// file occupies the archive until compaction and GC retire its container. Checking without reserving would let two concurrent
 // batches near the limit both pass and overshoot it.
 func (a *Archive) reserve(n int64) error {
 	a.mu.Lock()
@@ -216,14 +175,10 @@ func (a *Archive) release(n int64) {
 	a.mu.Unlock()
 }
 
-// Read returns the file's contents after verifying its checksum. Tape and
-// NFS tiers incur their access latency here.
+// Read returns the file's contents after verifying its checksum.
 func (a *Archive) Read(rel string) ([]byte, error) {
 	if !a.Online() {
 		return nil, ErrOffline
-	}
-	if d := a.kind.latency(); d > 0 {
-		time.Sleep(d)
 	}
 	data, err := a.lk.Read(rel)
 	return data, mapLakeErr(err)
@@ -240,9 +195,9 @@ func (a *Archive) Open(rel string) (io.ReadCloser, error) {
 	return io.NopCloser(bytes.NewReader(data)), nil
 }
 
-// Remove deletes a file: a tombstone commit. Only system processes
-// (archive relocation, purging, §5.2) call this; it is not exposed to
-// users. The bytes stay readable through pinned older commits, and keep
+// Remove deletes a file: a tombstone commit. Only system processes call
+// this — ingest compensation and the removal of a deleted entity's files
+// (§5.2); it is not exposed to users. The bytes stay readable through pinned older commits, and keep
 // counting against the capacity, until compaction and GC retire them.
 func (a *Archive) Remove(rel string) error {
 	if !a.Online() {
@@ -277,62 +232,4 @@ func mapLakeErr(err error) error {
 		}
 	}
 	return err
-}
-
-// Copy moves one file's contents from src to dst (both ends verified).
-// The source is left untouched; deletion is the relocation process's
-// decision, taken only after the copy verifies (§5.2's compensation-aware
-// relocation workflow).
-func Copy(src, dst *Archive, rel string) error {
-	data, err := src.Read(rel)
-	if err != nil {
-		return err
-	}
-	if err := dst.Store(rel, data); err != nil {
-		return err
-	}
-	if _, err := dst.Read(rel); err != nil {
-		return fmt.Errorf("archive: copy verification failed: %w", err)
-	}
-	return nil
-}
-
-// Set is a registry of archives keyed by id — the in-memory mirror of the
-// operational section's archive-status table.
-type Set struct {
-	mu       sync.RWMutex
-	archives map[string]*Archive
-}
-
-// NewSet returns an empty registry.
-func NewSet() *Set { return &Set{archives: make(map[string]*Archive)} }
-
-// Add registers an archive; duplicate ids are rejected.
-func (s *Set) Add(a *Archive) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.archives[a.ID()]; dup {
-		return fmt.Errorf("archive: duplicate archive id %s", a.ID())
-	}
-	s.archives[a.ID()] = a
-	return nil
-}
-
-// Get returns the archive with the given id, or nil.
-func (s *Set) Get(id string) *Archive {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.archives[id]
-}
-
-// IDs returns registered archive ids in sorted order.
-func (s *Set) IDs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.archives))
-	for id := range s.archives {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }

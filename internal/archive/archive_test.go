@@ -35,6 +35,14 @@ func batchOf(kv ...string) []BatchFile {
 	return out
 }
 
+// capacityLeft is a bounded archive's free bytes: the capacity less the
+// physical bytes and every reservation still held.
+func capacityLeft(a *Archive) int64 {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.capacity - a.lk.PhysBytes() - a.reserved
+}
+
 // compactAll makes every container a merge candidate.
 func compactAll() lake.CompactOptions {
 	return lake.CompactOptions{SmallBytes: 1 << 20, MinMerge: 2, MaxMerge: 100}
@@ -95,7 +103,7 @@ func TestCapacityEnforced(t *testing.T) {
 	if err := a.Store("b", make([]byte, 32)); !errors.Is(err, ErrFull) {
 		t.Fatalf("over-capacity store: %v, want ErrFull", err)
 	}
-	if left := a.CapacityLeft(); left != 16 {
+	if left := capacityLeft(a); left != 16 {
 		t.Fatalf("capacity left = %d", left)
 	}
 	if err := a.Remove("a"); err != nil {
@@ -111,8 +119,8 @@ func TestCapacityEnforced(t *testing.T) {
 	if err := a.Store("b", make([]byte, 32)); err != nil {
 		t.Fatalf("store after gc reclaim: %v", err)
 	}
-	if unbounded := newTestArchive(t, Disk, 0); unbounded.CapacityLeft() != 1<<63-1 {
-		t.Fatalf("unbounded capacity left = %d", unbounded.CapacityLeft())
+	if unbounded := newTestArchive(t, Disk, 0); unbounded.reserve(1<<62) != nil || unbounded.reserved != 0 {
+		t.Fatalf("unbounded archive refused or reserved a store (reserved %d)", unbounded.reserved)
 	}
 }
 
@@ -121,14 +129,14 @@ func TestStoreBatchCapacity(t *testing.T) {
 	if err := a.StoreBatch(batchOf("a", "123456", "b", "7890x")); !errors.Is(err, ErrFull) {
 		t.Fatalf("over capacity: %v", err)
 	}
-	if a.Lake().Status().LiveBytes != 0 || a.CapacityLeft() != 10 {
-		t.Fatalf("failed batch kept its reservation: used=%d left=%d", a.Lake().Status().LiveBytes, a.CapacityLeft())
+	if a.Lake().Status().LiveBytes != 0 || capacityLeft(a) != 10 {
+		t.Fatalf("failed batch kept its reservation: used=%d left=%d", a.Lake().Status().LiveBytes, capacityLeft(a))
 	}
 	if err := a.StoreBatch(batchOf("a", "12345", "b", "67890")); err != nil {
 		t.Fatal(err)
 	}
-	if a.Lake().Status().LiveBytes != 10 || a.CapacityLeft() != 0 {
-		t.Fatalf("used=%d left=%d", a.Lake().Status().LiveBytes, a.CapacityLeft())
+	if a.Lake().Status().LiveBytes != 10 || capacityLeft(a) != 0 {
+		t.Fatalf("used=%d left=%d", a.Lake().Status().LiveBytes, capacityLeft(a))
 	}
 }
 
@@ -180,8 +188,8 @@ func TestConcurrentBatchesNeverOvershootCapacity(t *testing.T) {
 	if winners < 1 || winners > fits {
 		t.Fatalf("%d batches stored, capacity fits %d", winners, fits)
 	}
-	if len(a.List()) != 2*winners || a.CapacityLeft() != int64(fits-winners)*batchBytes {
-		t.Fatalf("len=%d left=%d after %d winners (reservation leaked?)", len(a.List()), a.CapacityLeft(), winners)
+	if len(a.List()) != 2*winners || capacityLeft(a) != int64(fits-winners)*batchBytes {
+		t.Fatalf("len=%d left=%d after %d winners (reservation leaked?)", len(a.List()), capacityLeft(a), winners)
 	}
 }
 
@@ -389,29 +397,8 @@ func TestList(t *testing.T) {
 	}
 }
 
-func TestCopyBetweenArchives(t *testing.T) {
-	src := newTestArchive(t, Disk, 0)
-	dst, _ := NewLake("tape1", Tape, t.TempDir(), 0)
-	src.Store("unit/f1", []byte("payload"))
-	if err := Copy(src, dst, "unit/f1"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := dst.Read("unit/f1")
-	if err != nil || string(got) != "payload" {
-		t.Fatalf("dst read: %q %v", got, err)
-	}
-	// Source is untouched.
-	if !slices.Contains(src.List(), "unit/f1") {
-		t.Fatal("copy removed the source")
-	}
-	// Copy to an archive that already holds the path fails cleanly.
-	if err := Copy(src, dst, "unit/f1"); err == nil {
-		t.Fatal("duplicate copy accepted")
-	}
-}
-
 func TestStoreBatchRoundTrip(t *testing.T) {
-	a := newTestArchive(t, NFS, 0)
+	a := newTestArchive(t, Disk, 0)
 	files := batchOf("fits.gz/u1.fits.gz", "raw-unit-bytes", "wavelet/v0.wav", "view-zero", "wavelet/v1.wav", "view-one")
 	if err := a.StoreBatch(files); err != nil {
 		t.Fatal(err)
@@ -506,8 +493,8 @@ func TestStoreBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestTimeTravel checks OpenAt through the Archive surface: the relocation
-// / purge flow deletes a file, but a view pinned before the delete still
+// TestTimeTravel checks OpenAt through the Archive surface: a system
+// remove deletes a file, but a view pinned before the delete still
 // reads it bit-identically, whatever compaction and GC do meanwhile.
 func TestTimeTravel(t *testing.T) {
 	a := newTestArchive(t, Disk, 0)
@@ -537,39 +524,14 @@ func TestTimeTravel(t *testing.T) {
 	}
 }
 
-func TestSetRegistry(t *testing.T) {
-	s := NewSet()
-	a1, _ := NewLake("disk1", Disk, t.TempDir(), 0)
-	a2, _ := NewLake("tape1", Tape, t.TempDir(), 0)
-	if err := s.Add(a1); err != nil {
-		t.Fatal(err)
+func TestKindAndIdentity(t *testing.T) {
+	if Disk.String() != "disk" || Kind(7).String() != "kind(7)" {
+		t.Fatal("kind names wrong")
 	}
-	if err := s.Add(a2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(a1); err == nil {
-		t.Fatal("duplicate id accepted")
-	}
-	if s.Get("disk1") != a1 || s.Get("nope") != nil {
-		t.Fatal("get wrong")
-	}
-	ids := s.IDs()
-	if len(ids) != 2 || ids[0] != "disk1" || ids[1] != "tape1" {
-		t.Fatalf("ids = %v", ids)
+	if a := newTestArchive(t, Disk, 0); a.Kind() != Disk || a.ID() != "ar1" {
+		t.Fatalf("identity: %v %q", a.Kind(), a.ID())
 	}
 	if _, err := NewLake("", Disk, t.TempDir(), 0); err == nil {
 		t.Fatal("empty archive id accepted")
-	}
-}
-
-func TestKindStringAndLatency(t *testing.T) {
-	if Disk.String() != "disk" || NFS.String() != "nfs" || Tape.String() != "tape" {
-		t.Fatal("kind names wrong")
-	}
-	if Disk.latency() != 0 || Tape.latency() <= NFS.latency() {
-		t.Fatal("latency ordering wrong")
-	}
-	if a := newTestArchive(t, Tape, 0); a.Kind() != Tape || a.ID() != "ar1" || a.Root() == "" {
-		t.Fatalf("identity: %v %q %q", a.Kind(), a.ID(), a.Root())
 	}
 }

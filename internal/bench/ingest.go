@@ -109,7 +109,7 @@ func newIngestEnv(engine string) (*ingestEnv, error) {
 		return nil, err
 	}
 	env.d, err = dm.Open(dm.Options{
-		Node: "bench-ingest", MetaDB: eng, DefaultArchive: "disk-0",
+		Node: "bench-ingest", MetaDB: eng,
 		Logger: log.New(io.Discard, "", 0),
 	})
 	if err != nil {

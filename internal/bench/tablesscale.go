@@ -190,7 +190,7 @@ func newFarmRig(p TablesScaleParams) (*farmRig, error) {
 		return fail(err)
 	}
 	d, err := dm.Open(dm.Options{
-		MetaDB: db, DefaultArchive: "disk-0",
+		MetaDB: db,
 		Logger: log.New(io.Discard, "", 0),
 	})
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 
 // Time travel over the commit journal: the lake archive run as an
 // experiment rather than a test. A scripted ingest (batched stores with a
-// delete churn, like retention relocating old days) builds a few hundred
+// delete churn, like a purge of old days) builds a few hundred
 // commits of history; the experiment then measures what the journal
 // design actually costs and buys:
 //
@@ -188,9 +188,8 @@ func RunTimeTravel(p TimeTravelParams, logf func(string, ...any)) (*TimeTravelRe
 	res := &TimeTravelResult{Files: p.Files}
 
 	// Ingest phase: batched stores, with a delete churn that tombstones an
-	// old file every DeleteEvy batches (what dm retention does when it
-	// relocates aged days to tape). The oracle records the exact catalog
-	// after every commit.
+	// old file every DeleteEvy batches (a system remove of an aged file).
+	// The oracle records the exact catalog after every commit.
 	state := make(map[string]uint32)
 	var oracles []ttOracle
 	snap := func(seq uint64) {

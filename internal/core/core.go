@@ -160,12 +160,11 @@ func Start(cfg Config) (*Node, error) {
 	}
 
 	dmOpts := dm.Options{
-		Node:           cfg.Node + "/dm",
-		MetaDB:         n.MetaDB,
-		DefaultArchive: "disk-0",
-		URLRoot:        cfg.URLRoot,
-		Analytics:      n.Segments,
-		Logger:         cfg.Logger,
+		Node:      cfg.Node + "/dm",
+		MetaDB:    n.MetaDB,
+		URLRoot:   cfg.URLRoot,
+		Analytics: n.Segments,
+		Logger:    cfg.Logger,
 	}
 	if cfg.PartitionDomain {
 		dmOpts.DomainDB = n.DomainDB
@@ -174,12 +173,7 @@ func Start(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	alreadyRegistered := n.MetaDB.TableLen(schema.TableLocArchives) > 0
-	if alreadyRegistered {
-		if err := n.DM.Archives().Add(arch); err != nil {
-			return nil, err
-		}
-	} else if err := n.DM.RegisterArchive(arch, "/archives/disk-0"); err != nil {
+	if err := n.DM.RegisterArchive(arch, "/archives/disk-0"); err != nil {
 		return nil, err
 	}
 	if err := n.DM.Bootstrap(cfg.ImportPassword); err != nil {

@@ -1,7 +1,6 @@
 package dm
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/archive"
@@ -10,7 +9,7 @@ import (
 )
 
 // Time travel (§3.1): reprocessing old observations against the archive
-// *as it was*. An AsOfView pins the default archive's commit journal at
+// *as it was*. An AsOfView pins the node archive's commit journal at
 // one commit, so HLE re-derivation jobs read the exact raw bytes the
 // original derivation saw — even while ingest, compaction and GC keep
 // rewriting the head. The pin is durable (a journal record), so a crashed
@@ -22,22 +21,15 @@ import (
 // goes through d.query (a direct engine read, bypassing cachedQuery by
 // construction) and the file bytes come from the pinned lake view, never
 // from Archive.Read at head. The location tables themselves are append-
-// mostly (relocation edits archive ids, never paths), and relocated
-// bytes are write-once in every tier, so a live resolve plus pinned
-// bytes yields bit-identical reprocessing input.
+// mostly and paths are write-once, so a live resolve plus pinned bytes
+// yields bit-identical reprocessing input.
 
-// AsOfView is a session-scoped read-only view of the default archive as
-// of one commit.
+// AsOfView is a session-scoped read-only view of the node's archive as of
+// one commit.
 type AsOfView struct {
 	d    *DM
 	s    *Session
 	view *lake.View
-	arch *archive.Archive
-}
-
-// DefaultArchive returns the DM's default (ingest) archive.
-func (d *DM) DefaultArchive() *archive.Archive {
-	return d.archives.Get(d.defArch)
 }
 
 // AsOf opens the catalog as of commit (0 = current head) for the session.
@@ -45,9 +37,9 @@ func (d *DM) AsOf(s *Session, commit uint64) (*AsOfView, error) {
 	if s == nil {
 		return nil, errDenied("as-of read", "catalog")
 	}
-	arch := d.DefaultArchive()
-	if arch == nil {
-		return nil, fmt.Errorf("dm: default archive %q not registered", d.defArch)
+	arch, err := d.mountedArchive()
+	if err != nil {
+		return nil, err
 	}
 	if !arch.Online() {
 		return nil, archive.ErrOffline
@@ -58,7 +50,7 @@ func (d *DM) AsOf(s *Session, commit uint64) (*AsOfView, error) {
 	}
 	d.stats.AsOfOpens.Add(1)
 	d.logOp("info", "asof", "session %s pinned commit %d (token %s)", s.User, v.Seq(), v.Token())
-	return &AsOfView{d: d, s: s, view: v, arch: arch}, nil
+	return &AsOfView{d: d, s: s, view: v}, nil
 }
 
 // AsOfAttach resumes a view over a pin that survived a restart (the pin
@@ -68,15 +60,15 @@ func (d *DM) AsOfAttach(s *Session, token string) (*AsOfView, error) {
 	if s == nil {
 		return nil, errDenied("as-of read", "catalog")
 	}
-	arch := d.DefaultArchive()
-	if arch == nil {
-		return nil, fmt.Errorf("dm: default archive %q not registered", d.defArch)
+	arch, err := d.mountedArchive()
+	if err != nil {
+		return nil, err
 	}
 	v, err := arch.Lake().AttachPin(token)
 	if err != nil {
 		return nil, err
 	}
-	return &AsOfView{d: d, s: s, view: v, arch: arch}, nil
+	return &AsOfView{d: d, s: s, view: v}, nil
 }
 
 // Commit returns the pinned commit; Token the durable pin token.
@@ -87,9 +79,7 @@ func (v *AsOfView) Commit() uint64 { return v.view.Seq() }
 func (v *AsOfView) Token() string { return v.view.Token() }
 
 // ReadItem resolves an item id and reads its bytes as of the pinned
-// commit. Items whose file has been relocated off the default archive
-// (retention moved them to tape) are read from their current archive —
-// safe because archive file data is write-once on every tier.
+// commit.
 func (v *AsOfView) ReadItem(itemID string) ([]byte, *ResolvedName, error) {
 	rn, err := v.d.Resolve(itemID, schema.NameFile)
 	if err != nil {
@@ -100,11 +90,6 @@ func (v *AsOfView) ReadItem(itemID string) ([]byte, *ResolvedName, error) {
 		return nil, nil, errDenied("read", itemID)
 	}
 	data, err := v.view.Read(rn.Path)
-	if errors.Is(err, lake.ErrNotFound) && rn.ArchiveID != v.arch.ID() {
-		if other := v.d.archives.Get(rn.ArchiveID); other != nil {
-			data, err = other.Read(rn.Path)
-		}
-	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -129,38 +114,34 @@ func (v *AsOfView) List() []string { return v.view.List() }
 // Close releases the durable pin, letting GC pass the commit again.
 func (v *AsOfView) Close() error { return v.view.Close() }
 
-// LakeMaintenance runs one compaction + GC round on every registered
-// archive's journal, bounded by each one's durable pin set — relocation and
-// tape targets included: a Remove there is a tombstone whose bytes (and
+// LakeMaintenance runs one compaction + GC round on the archive's journal,
+// bounded by its durable pin set: a Remove is a tombstone whose bytes (and
 // capacity) only this reclaims. keepHistory limits how far GC may advance:
 // the horizon moves at most to head-keepHistory commits (so operators keep
-// a time-travel window even with no pins open). One archive's failure does
-// not stop the round; the first error is returned.
+// a time-travel window even with no pins open). An offline archive is
+// skipped.
 func (d *DM) LakeMaintenance(opts lake.CompactOptions, keepHistory uint64) error {
-	var first error
-	for _, id := range d.archives.IDs() {
-		a := d.archives.Get(id)
-		if !a.Online() {
-			continue // a dismounted tier is not touched
-		}
-		lk := a.Lake()
-		cr, err := lk.Compact(opts)
-		var gr lake.GCResult
-		if err == nil {
-			target := lk.Head()
-			if target > keepHistory {
-				target -= keepHistory
-			} else {
-				target = 0
-			}
-			gr, err = lk.GC(target)
-		}
-		if err != nil && first == nil {
-			first = fmt.Errorf("dm: lake maintenance of archive %s: %w", id, err)
-		}
-		if cr.Seq != 0 || gr.Deleted > 0 {
-			d.logOp("info", "lake", "%s: %s; %s", id, cr, gr)
-		}
+	a := d.arch.Load()
+	if a == nil || !a.Online() {
+		return nil
 	}
-	return first
+	lk := a.Lake()
+	cr, err := lk.Compact(opts)
+	var gr lake.GCResult
+	if err == nil {
+		target := lk.Head()
+		if target > keepHistory {
+			target -= keepHistory
+		} else {
+			target = 0
+		}
+		gr, err = lk.GC(target)
+	}
+	if cr.Seq != 0 || gr.Deleted > 0 {
+		d.logOp("info", "lake", "%s: %s; %s", a.ID(), cr, gr)
+	}
+	if err != nil {
+		return fmt.Errorf("dm: lake maintenance of archive %s: %w", a.ID(), err)
+	}
+	return nil
 }

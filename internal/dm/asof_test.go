@@ -7,26 +7,33 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/lake"
+	"repro/internal/schema"
 )
 
-// TestAsOfPinnedReprocessing is the full reprocessing story: pin the
-// catalog, then let retention relocate old units off the lake and
-// compaction+GC churn the containers — the pinned session keeps reading
-// the exact original bytes.
-func TestAsOfPinnedReprocessing(t *testing.T) {
-	d := newTestDM(t)
-	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
+// tombstone removes an item's file from the archive: the system remove that
+// ingest compensation and entity deletes use, so the journal gets a
+// tombstone commit while the item's location entries stay.
+func tombstone(t *testing.T, d *DM, itemID string) {
+	t.Helper()
+	rn, err := d.Resolve(itemID, schema.NameFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RegisterArchive(tape, "/archives/tape-0"); err != nil {
-		t.Fatal(err)
+	if err := d.DefaultArchive().Remove(rn.Path); err != nil {
+		t.Fatalf("remove %s: %v", rn.Path, err)
 	}
+}
+
+// TestAsOfPinnedReprocessing is the full reprocessing story: pin the
+// catalog, then tombstone old units and let compaction+GC churn the
+// containers — the pinned session keeps reading the exact original bytes.
+func TestAsOfPinnedReprocessing(t *testing.T) {
+	d := newTestDM(t)
 	loadDays(t, d, 4)
 	sys := d.systemSession()
 
 	units, err := d.UnitsInRange(0, 4*600)
-	if err != nil || len(units) == 0 {
+	if err != nil || len(units) != 4 {
 		t.Fatalf("units: %d, %v", len(units), err)
 	}
 	// Snapshot every unit's bytes before any churn: the reprocessing
@@ -47,14 +54,11 @@ func TestAsOfPinnedReprocessing(t *testing.T) {
 	}
 	pinned := v.Commit()
 
-	// Retention moves days 1-2 to tape (Remove = tombstone commit), then
-	// maintenance compacts and GCs as far as pins allow.
-	if err := d.SetRetentionRule(RetentionRule{MaxAgeDays: 1, ToArchive: "tape-0"}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := d.ApplyRetention()
-	if err != nil || rep.Migrated == 0 {
-		t.Fatalf("retention: %+v, %v", rep, err)
+	// Days 1-2 are tombstoned, then maintenance compacts and GCs as far
+	// as pins allow.
+	gone := map[string]bool{units[0].ItemID: true, units[1].ItemID: true}
+	for id := range gone {
+		tombstone(t, d, id)
 	}
 	opts := lake.CompactOptions{SmallBytes: 1 << 20, MinMerge: 2, MaxMerge: 100}
 	if err := d.LakeMaintenance(opts, 0); err != nil {
@@ -64,13 +68,13 @@ func TestAsOfPinnedReprocessing(t *testing.T) {
 	// The acceptance property at the dm layer: every item reads
 	// bit-identically through the pinned view.
 	for _, u := range units {
-		data, rn, err := v.ReadItem(u.ItemID)
+		data, _, err := v.ReadItem(u.ItemID)
 		if err != nil {
 			t.Fatalf("as-of read %s: %v", u.ItemID, err)
 		}
 		if !bytes.Equal(data, want[u.ItemID]) {
-			t.Fatalf("as-of read %s diverged (%d vs %d bytes, now on %s)",
-				u.ItemID, len(data), len(want[u.ItemID]), rn.ArchiveID)
+			t.Fatalf("as-of read %s diverged (%d vs %d bytes)",
+				u.ItemID, len(data), len(want[u.ItemID]))
 		}
 	}
 
@@ -85,8 +89,8 @@ func TestAsOfPinnedReprocessing(t *testing.T) {
 	}
 
 	// Release the pin; now maintenance may reclaim the tombstoned
-	// containers, and relocated items remain readable from tape (archive
-	// data is write-once, so still bit-identical).
+	// containers. At the new head the tombstoned items are gone and the
+	// untouched ones still read bit-identically.
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +104,12 @@ func TestAsOfPinnedReprocessing(t *testing.T) {
 	defer v2.Close()
 	for _, u := range units {
 		data, _, err := v2.ReadItem(u.ItemID)
+		if gone[u.ItemID] {
+			if !errors.Is(err, lake.ErrNotFound) {
+				t.Fatalf("post-gc read of tombstoned %s: %d bytes, %v; want ErrNotFound", u.ItemID, len(data), err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("post-gc as-of read %s: %v", u.ItemID, err)
 		}
@@ -109,19 +119,11 @@ func TestAsOfPinnedReprocessing(t *testing.T) {
 	}
 }
 
-// TestRetentionNeverDeletesPinnedContainers drives retention + GC directly
-// against the journal and asserts the satellite requirement: a retention
-// rule must never delete a container still referenced by a pinned
-// time-travel commit.
-func TestRetentionNeverDeletesPinnedContainers(t *testing.T) {
+// TestGCNeverDeletesPinnedContainers tombstones every unit and runs
+// compaction + GC against the journal: GC must never delete a container
+// still referenced by a pinned time-travel commit.
+func TestGCNeverDeletesPinnedContainers(t *testing.T) {
 	d := newTestDM(t)
-	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RegisterArchive(tape, "/archives/tape-0"); err != nil {
-		t.Fatal(err)
-	}
 	loadDays(t, d, 3)
 	lk := d.DefaultArchive().Lake()
 	sys := d.systemSession()
@@ -141,14 +143,13 @@ func TestRetentionNeverDeletesPinnedContainers(t *testing.T) {
 		pinnedData[rel] = data
 	}
 
-	// Retention tombstones EVERY unit (MaxAgeDays 0 moves all but the
-	// newest day; run twice with an aggressive rule to drain), then GC is
-	// asked to collect everything.
-	if err := d.SetRetentionRule(RetentionRule{MaxAgeDays: 0, ToArchive: "tape-0"}); err != nil {
-		t.Fatal(err)
+	// Tombstone EVERY unit, then ask GC to collect everything.
+	units, err := d.UnitsInRange(0, 3*600)
+	if err != nil || len(units) != 3 {
+		t.Fatalf("units: %d, %v", len(units), err)
 	}
-	if _, err := d.ApplyRetention(); err != nil {
-		t.Fatal(err)
+	for _, u := range units {
+		tombstone(t, d, u.ItemID)
 	}
 	opts := lake.CompactOptions{SmallBytes: 1 << 30, MinMerge: 2, MaxMerge: 1000, DeadFraction: 0.01}
 	for i := 0; i < 3; i++ {
@@ -234,58 +235,55 @@ func TestAsOfRequiresSession(t *testing.T) {
 	}
 }
 
-// TestLakeMaintenanceCoversEveryArchive: a relocation target is a lake
-// too, so purging a file from it only tombstones the bytes; maintenance
-// must reach every registered archive — not only the default one — for
-// the tier's capacity to come back.
+// TestLakeMaintenanceCoversEveryArchive: a removed file is only a
+// tombstone, so its bytes keep counting against the archive's capacity
+// until maintenance compacts and collects them; an offline archive is
+// skipped, not an error.
 func TestLakeMaintenanceCoversEveryArchive(t *testing.T) {
-	d := newTestDM(t)
-	const tapeCap = 1 << 10
-	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), tapeCap)
+	const capBytes = 1 << 10
+	d := newTestDMCap(t, capBytes)
+	arch := d.DefaultArchive()
+	payload := bytes.Repeat([]byte("u"), 600)
+	store := func() (string, error) {
+		itemID, _ := d.nextID("item")
+		return itemID, d.StoreItemFiles(itemID, ImportUser, true, []StoredFile{
+			{Suffix: ".fits.gz", Format: "fits.gz", Data: payload},
+		})
+	}
+	first, err := store()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.RegisterArchive(tape, "/archives/tape-0"); err != nil {
-		t.Fatal(err)
+	tombstone(t, d, first)
+	if len(arch.List()) != 0 || arch.Lake().PhysBytes() != int64(len(payload)) {
+		t.Fatalf("after remove: %d files, %d physical bytes (a remove alone frees nothing)",
+			len(arch.List()), arch.Lake().PhysBytes())
 	}
-	itemID, _ := d.nextID("item")
-	payload := bytes.Repeat([]byte("u"), 600)
-	if err := d.StoreItemFiles(itemID, ImportUser, true, []StoredFile{
-		{Suffix: ".fits.gz", Format: "fits.gz", Data: payload},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RelocateItem(itemID, "tape-0"); err != nil {
-		t.Fatal(err)
-	}
-	// Purge the tape copy by relocating the item back to disk.
-	if err := d.RelocateItem(itemID, "disk-0"); err != nil {
-		t.Fatal(err)
-	}
-	if len(tape.List()) != 0 || tape.CapacityLeft() != tapeCap-int64(len(payload)) {
-		t.Fatalf("after purge: tape holds %d files, %d bytes left (a remove alone frees nothing)",
-			len(tape.List()), tape.CapacityLeft())
-	}
-	if err := d.RelocateItem(itemID, "tape-0"); !errors.Is(err, archive.ErrFull) {
-		t.Fatalf("relocation into the unreclaimed tier: %v, want ErrFull", err)
+	if _, err := store(); !errors.Is(err, archive.ErrFull) {
+		t.Fatalf("store into the unreclaimed archive: %v, want ErrFull", err)
 	}
 
 	if err := d.LakeMaintenance(lake.DefaultCompactOptions(), 0); err != nil {
 		t.Fatalf("maintenance: %v", err)
 	}
-	if left := tape.CapacityLeft(); left != tapeCap {
-		t.Fatalf("tape capacity after maintenance = %d, want %d back", left, tapeCap)
+	if phys := arch.Lake().PhysBytes(); phys != 0 {
+		t.Fatalf("physical bytes after maintenance = %d, want 0", phys)
 	}
-	if err := d.RelocateItem(itemID, "tape-0"); err != nil {
-		t.Fatalf("relocation after maintenance: %v", err)
+	second, err := store()
+	if err != nil {
+		t.Fatalf("store after maintenance: %v", err)
 	}
-	if data, _, err := d.ReadItem(d.systemSession(), itemID); err != nil || !bytes.Equal(data, payload) {
-		t.Fatalf("read after the round trip: %d bytes, %v", len(data), err)
+	if data, _, err := d.ReadItem(d.systemSession(), second); err != nil || !bytes.Equal(data, payload) {
+		t.Fatalf("read after maintenance: %d bytes, %v", len(data), err)
 	}
 
-	// A dismounted tier is skipped, not an error.
-	tape.SetOnline(false)
+	// An offline archive is skipped, not an error.
+	arch.SetOnline(false)
+	head := arch.Lake().Head()
 	if err := d.LakeMaintenance(lake.DefaultCompactOptions(), 0); err != nil {
-		t.Fatalf("maintenance with tape offline: %v", err)
+		t.Fatalf("maintenance with the archive offline: %v", err)
+	}
+	if arch.Lake().Head() != head {
+		t.Fatal("maintenance committed to an offline archive")
 	}
 }

@@ -15,7 +15,8 @@
 //     import, publication, deletion with dependency checks.
 //   - The process layer combines both into workflows: raw-data loading
 //     (with event detection, catalog generation and wavelet view
-//     construction), archive relocation with compensation, purging.
+//     construction) with compensation, and journal maintenance
+//     (compaction and GC) of the node's one archive.
 //
 // Sessions and call redirection (local or remote DM execution over HTTP)
 // complete the picture (§5.3–5.4).
@@ -44,8 +45,6 @@ type Options struct {
 	// database with its peers (Figure 5's scaling axis).
 	MetaDB   minidb.Engine
 	DomainDB minidb.Engine // optional vertical partition for the domain tables
-	// DefaultArchive receives newly stored files.
-	DefaultArchive string
 	// URLRoot is the [root] element for URL name construction (§4.3).
 	URLRoot string
 	// Analytics serves catalog-wide aggregate queries from columnar
@@ -99,13 +98,14 @@ type Stats struct {
 
 // DM is one Data Management node.
 type DM struct {
-	node     string
-	meta     minidb.Engine
-	domain   minidb.Engine
-	archives *archive.Set
-	defArch  string
-	urlRoot  string
-	logger   *log.Logger
+	node    string
+	meta    minidb.Engine
+	domain  minidb.Engine
+	urlRoot string
+	logger  *log.Logger
+
+	archMu sync.Mutex                      // serializes RegisterArchive
+	arch   atomic.Pointer[archive.Archive] // the one mounted archive; nil until RegisterArchive
 
 	sessions  *sessionCache
 	analytics colseg.Runner // nil = resolve per call (engine or row fallback)
@@ -140,8 +140,6 @@ func Open(opts Options) (*DM, error) {
 		node:      opts.Node,
 		meta:      opts.MetaDB,
 		domain:    opts.DomainDB,
-		archives:  archive.NewSet(),
-		defArch:   opts.DefaultArchive,
 		urlRoot:   opts.URLRoot,
 		logger:    opts.Logger,
 		sessions:  newSessionCache(),
@@ -166,9 +164,6 @@ func (d *DM) Stats() *Stats { return &d.stats }
 // QueryCacheStats snapshots the query/analytics cache's occupancy and
 // eviction counters (hits and misses are in Stats, split by caller).
 func (d *DM) QueryCacheStats() epochcache.Stats { return d.cache.Stats() }
-
-// Archives exposes the archive registry (process-layer tools use it).
-func (d *DM) Archives() *archive.Set { return d.archives }
 
 // MetaDB and DomainDB expose the underlying engines for diagnostics.
 func (d *DM) MetaDB() minidb.Engine   { return d.meta }

@@ -1,13 +1,15 @@
 package dm
 
 import (
+	"fmt"
 	"io"
 	"log"
-	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/archive"
+	"repro/internal/fault"
 	"repro/internal/minidb"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
@@ -15,20 +17,25 @@ import (
 
 func newTestDM(t testing.TB) *DM {
 	t.Helper()
+	return newTestDMCap(t, 0)
+}
+
+// newTestDMCap is newTestDM with an archive of capBytes (0 = unlimited).
+func newTestDMCap(t testing.TB, capBytes int64) *DM {
+	t.Helper()
 	db, err := minidb.Open("", schema.AllSchemas()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, err := archive.NewLake("disk-0", archive.Disk, t.TempDir(), 0)
+	arch, err := archive.NewLake("disk-0", archive.Disk, t.TempDir(), capBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d, err := Open(Options{
-		Node:           "dm-test",
-		MetaDB:         db,
-		DefaultArchive: "disk-0",
-		URLRoot:        "http://hedc.test",
-		Logger:         log.New(io.Discard, "", 0),
+		Node:    "dm-test",
+		MetaDB:  db,
+		URLRoot: "http://hedc.test",
+		Logger:  log.New(io.Discard, "", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -434,45 +441,132 @@ func TestNameMappingResolve(t *testing.T) {
 	}
 }
 
-func TestRelocateItemLive(t *testing.T) {
-	d := newTestDM(t)
-	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
+// TestRegisterArchiveMountsOneArchive: a node mounts one archive, records
+// it once per database, and mounts it only after the record commits.
+func TestRegisterArchiveMountsOneArchive(t *testing.T) {
+	openDM := func(t *testing.T, db minidb.Engine) *DM {
+		t.Helper()
+		d, err := Open(Options{MetaDB: db, Logger: log.New(io.Discard, "", 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
-	if err := d.RegisterArchive(tape, "/archives/tape-0"); err != nil {
-		t.Fatal(err)
+	newArchive := func(t *testing.T, id, dir string) *archive.Archive {
+		t.Helper()
+		a, err := archive.NewLake(id, archive.Disk, dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
-	itemID, _ := d.nextID("item")
-	if err := d.StoreItemFiles(itemID, ImportUser, true, []StoredFile{
-		{Suffix: ".fits.gz", Format: "fits.gz", Data: []byte("raw-data")},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RelocateItem(itemID, "tape-0"); err != nil {
-		t.Fatal(err)
-	}
-	rn, err := d.Resolve(itemID, schema.NameFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rn.ArchiveID != "tape-0" {
-		t.Fatalf("item still on %s", rn.ArchiveID)
-	}
-	// Data still readable through the same item id — no domain tuples
-	// were touched (§4.3).
-	data, _, err := d.ReadItem(d.systemSession(), itemID)
-	if err != nil || string(data) != "raw-data" {
-		t.Fatalf("read after relocation: %q %v", data, err)
-	}
-	// Old archive no longer holds the file.
-	if slices.Contains(d.archives.Get("disk-0").List(), rn.Path) {
-		t.Fatal("source copy not removed")
-	}
-	// Relocating to the same archive is a no-op.
-	if err := d.RelocateItem(itemID, "tape-0"); err != nil {
-		t.Fatal(err)
-	}
+
+	t.Run("second id refused", func(t *testing.T) {
+		d := newTestDM(t)
+		if err := d.RegisterArchive(newArchive(t, "disk-1", t.TempDir()), "/archives/disk-1"); err == nil {
+			t.Fatal("a second archive was mounted")
+		}
+		if id := d.DefaultArchive().ID(); id != "disk-0" {
+			t.Fatalf("mounted archive = %s, want disk-0", id)
+		}
+		if n := d.MetaDB().TableLen(schema.TableLocArchives); n != 1 {
+			t.Fatalf("loc_archives rows = %d, want 1", n)
+		}
+	})
+
+	t.Run("concurrent registrations mount one", func(t *testing.T) {
+		db, err := minidb.Open("", schema.AllSchemas()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := openDM(t, db)
+		const n = 4
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := range errs {
+			a := newArchive(t, fmt.Sprintf("disk-%d", i), t.TempDir())
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = d.RegisterArchive(a, "/archives/"+a.ID())
+			}()
+		}
+		wg.Wait()
+		won := 0
+		for _, err := range errs {
+			if err == nil {
+				won++
+			}
+		}
+		if won != 1 || d.DefaultArchive() == nil || db.TableLen(schema.TableLocArchives) != 1 {
+			t.Fatalf("%d of %d registrations succeeded, %d loc_archives rows; want 1 and 1",
+				won, n, db.TableLen(schema.TableLocArchives))
+		}
+	})
+
+	t.Run("same id on a reopened database adds no row", func(t *testing.T) {
+		dbDir, archDir := t.TempDir(), t.TempDir()
+		db, err := minidb.Open(dbDir, schema.AllSchemas()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := openDM(t, db)
+		if err := d.RegisterArchive(newArchive(t, "disk-0", archDir), "/archives/disk-0"); err != nil {
+			t.Fatal(err)
+		}
+		itemID, _ := d.nextID("item")
+		if err := d.StoreItemFiles(itemID, ImportUser, true, []StoredFile{
+			{Suffix: ".gif", Format: "gif", Data: []byte("img")},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		db, err = minidb.Open(dbDir, schema.AllSchemas()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		d = openDM(t, db)
+		if err := d.RegisterArchive(newArchive(t, "disk-0", archDir), "/archives/disk-0"); err != nil {
+			t.Fatalf("re-register on the reopened database: %v", err)
+		}
+		if n := db.TableLen(schema.TableLocArchives); n != 1 {
+			t.Fatalf("loc_archives rows = %d, want 1", n)
+		}
+		if data, _, err := d.ReadItem(d.systemSession(), itemID); err != nil || string(data) != "img" {
+			t.Fatalf("read after reopen: %q, %v", data, err)
+		}
+	})
+
+	t.Run("retry after a failed insert", func(t *testing.T) {
+		fs := fault.NewFS()
+		db, err := minidb.OpenVFS(fs, "db", schema.AllSchemas()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := openDM(t, db)
+		a := newArchive(t, "disk-0", t.TempDir())
+		fs.SetFault(fs.OpCount()+1, fault.ModeENOSPC)
+		if err := d.RegisterArchive(a, "/archives/disk-0"); err == nil {
+			t.Fatal("registration succeeded on a full disk")
+		}
+		if d.DefaultArchive() != nil {
+			t.Fatal("a failed registration left the archive mounted")
+		}
+		fs.ClearFault()
+		if err := d.RegisterArchive(a, "/archives/disk-0"); err != nil {
+			t.Fatalf("retry after the disk freed up: %v", err)
+		}
+		if d.DefaultArchive() != a {
+			t.Fatal("retry did not mount the archive")
+		}
+		if n := db.TableLen(schema.TableLocArchives); n != 1 {
+			t.Fatalf("loc_archives rows = %d, want 1", n)
+		}
+	})
 }
 
 func smallUnit(t *testing.T) *telemetry.Unit {
@@ -639,7 +733,6 @@ func TestVerticalPartitioning(t *testing.T) {
 	arch, _ := archive.NewLake("disk-0", archive.Disk, t.TempDir(), 0)
 	d, err := Open(Options{
 		MetaDB: metaDB, DomainDB: domainDB,
-		DefaultArchive: "disk-0", Logger: log.New(io.Discard, "", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -691,7 +784,7 @@ func TestDeleteANARemovesFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	ana, _ := d.GetANA(alice, anaID)
-	arch := d.archives.Get("disk-0")
+	arch := d.DefaultArchive()
 	filesBefore := len(arch.List())
 	entriesBefore := d.MetaDB().TableLen(schema.TableLocEntries)
 	if filesBefore != 2 || entriesBefore != 4 { // 2 files x (file + url entries)

@@ -207,9 +207,9 @@ func idNum(id string) int64 {
 // mirrors the serial path: a failed domain commit removes the archive
 // files and the location entries that reference them.
 func (d *DM) storeUnit(dv *derivedUnit) (*LoadReport, error) {
-	arch := d.archives.Get(d.defArch)
-	if arch == nil {
-		return nil, fmt.Errorf("dm: default archive %q not registered", d.defArch)
+	arch, err := d.mountedArchive()
+	if err != nil {
+		return nil, err
 	}
 	u := dv.u
 	nItems := 1 + len(dv.views)

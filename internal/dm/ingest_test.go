@@ -133,3 +133,88 @@ func TestNextIDsBulk(t *testing.T) {
 		t.Fatalf("nextID reissued %s", id)
 	}
 }
+
+// loadDays loads mission days 1..days, one unit per day.
+func loadDays(t *testing.T, d *DM, days int) {
+	t.Helper()
+	for day := 1; day <= days; day++ {
+		gen := telemetry.GenerateDay(day, telemetry.Config{
+			Seed: 123, DayLength: 600, BackgroundRate: 3, Flares: 1, Bursts: 0,
+		})
+		for _, u := range telemetry.SegmentDay(gen, 600) {
+			if _, err := d.LoadUnit(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func TestLoadUnitCompensatesOnArchiveFailure(t *testing.T) {
+	d := newTestDM(t)
+	day := telemetry.GenerateDay(1, telemetry.Config{
+		Seed: 321, DayLength: 600, BackgroundRate: 3, Flares: 1, Bursts: 0,
+	})
+	u := telemetry.SegmentDay(day, 600)[0]
+	// The archive dies before the load.
+	d.DefaultArchive().SetOnline(false)
+	if _, err := d.LoadUnit(u); err == nil {
+		t.Fatal("load succeeded against an offline archive")
+	}
+	// No partial state: no raw unit tuple, no orphan location entries.
+	if n := d.DomainDB().TableLen(schema.TableRawUnits); n != 0 {
+		t.Fatalf("raw_units = %d after failed load", n)
+	}
+	if n := d.MetaDB().TableLen(schema.TableLocEntries); n != 0 {
+		t.Fatalf("loc_entries = %d after failed load", n)
+	}
+	// The archive recovers and the same unit loads cleanly.
+	d.DefaultArchive().SetOnline(true)
+	if _, err := d.LoadUnit(u); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestLoadPhoenixSecondDataSource(t *testing.T) {
+	d := newTestDM(t)
+	p := telemetry.GeneratePhoenix(1, 0, telemetry.PhoenixConfig{
+		Seed: 17, Bursts: 2, TimeBins: 256, FreqBins: 32,
+	})
+	rep, err := d.LoadPhoenix(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Bursts == 0 {
+		t.Fatal("no radio bursts loaded")
+	}
+	// Double load rejected.
+	if _, err := d.LoadPhoenix(p); err == nil {
+		t.Fatal("phoenix file loaded twice")
+	}
+	// The events sit in both the Phoenix catalog and the extended catalog,
+	// publicly visible (§2.2).
+	phoenix, err := d.QueryHLEs(nil, HLEFilter{Catalog: PhoenixCat})
+	if err != nil || len(phoenix) != rep.Bursts {
+		t.Fatalf("phoenix catalog = %d %v", len(phoenix), err)
+	}
+	extended, err := d.QueryHLEs(nil, HLEFilter{Catalog: ExtendedCat, Kind: "radio-burst"})
+	if err != nil || len(extended) != rep.Bursts {
+		t.Fatalf("extended catalog radio bursts = %d %v", len(extended), err)
+	}
+	// The spectrogram file resolves through generic name mapping and
+	// parses back into the foreign format.
+	data, rn, err := d.ReadItem(nil, phoenix[0].ItemID)
+	if err != nil || rn.Format != "phx2" || rn.Transform != "phx2-decode" {
+		t.Fatalf("item = %+v %v", rn, err)
+	}
+	parsed, err := telemetry.ParsePhoenix(data)
+	if err != nil || parsed.Day != 1 {
+		t.Fatalf("parse = %+v %v", parsed, err)
+	}
+	// RHESSI data coexists: load a photon unit afterwards.
+	day := telemetry.GenerateDay(1, telemetry.Config{
+		Seed: 55, DayLength: 600, BackgroundRate: 3, Flares: 1, Bursts: 0,
+	})
+	if _, err := d.LoadUnit(telemetry.SegmentDay(day, 600)[0]); err != nil {
+		t.Fatal(err)
+	}
+}

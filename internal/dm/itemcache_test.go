@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/archive"
 	"repro/internal/epochcache"
 	"repro/internal/fits"
 	"repro/internal/minidb"
@@ -386,13 +385,6 @@ func editLocEntries(t *testing.T, d *DM, itemID string, edit func(minidb.Row) mi
 
 func TestWarmUnitStillChecksNameMapAccessAndMount(t *testing.T) {
 	d := newTestDM(t)
-	tape, err := archive.NewLake("tape-0", archive.Tape, t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RegisterArchive(tape, "/archives/tape-0"); err != nil {
-		t.Fatal(err)
-	}
 	u := smallUnit(t)
 	rep, err := d.LoadUnit(u)
 	if err != nil {
@@ -428,11 +420,7 @@ func TestWarmUnitStillChecksNameMapAccessAndMount(t *testing.T) {
 	}
 	again("after mutating a result", alice)
 
-	// Relocation and recalibration edit tuples, not item bytes.
-	if err := d.RelocateItem(rep.ItemID, "tape-0"); err != nil {
-		t.Fatal(err)
-	}
-	again("after RelocateItem", bob)
+	// Recalibration edits tuples, not item bytes.
 	if _, err := d.Recalibrate(rep.UnitID, "new gain tables"); err != nil {
 		t.Fatal(err)
 	}

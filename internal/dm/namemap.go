@@ -15,7 +15,9 @@ import (
 // construction is two extra database queries on an indexed field" — exactly
 // the two queries Resolve issues — and the payoff is that administrators
 // relocate files by editing location tuples, at run time, without touching
-// a single tuple in the domain part of the schema.
+// a single tuple in the domain part of the schema. A node mounts one
+// archive; a location row that names any other archive id resolves but
+// does not read ("not mounted").
 
 // ResolvedName is the outcome of name construction.
 type ResolvedName struct {
@@ -38,7 +40,7 @@ type StoredFile struct {
 	Data   []byte
 }
 
-// StoreItemFiles stores the files of a new item in the default archive and
+// StoreItemFiles stores the files of a new item in the node's archive and
 // registers location entries for them (one file entry and one URL entry
 // each). Item ids are allocated by the caller so entity tuples can
 // reference them. On any failure, previously stored files are removed —
@@ -54,9 +56,9 @@ type StoredFile struct {
 // reference them. internal/torture enumerates every crash point of this
 // path and verifies both halves of the contract.
 func (d *DM) StoreItemFiles(itemID, owner string, public bool, files []StoredFile) (err error) {
-	arch := d.archives.Get(d.defArch)
-	if arch == nil {
-		return fmt.Errorf("dm: default archive %q not registered", d.defArch)
+	arch, err := d.mountedArchive()
+	if err != nil {
+		return err
 	}
 	var storedPaths []string
 	defer func() {
@@ -212,8 +214,8 @@ func (d *DM) openItem(s *Session, itemID string) (*ResolvedName, *archive.Archiv
 		d.stats.AccessDenied.Add(1)
 		return nil, nil, errDenied("read", itemID)
 	}
-	arch := d.archives.Get(rn.ArchiveID)
-	if arch == nil {
+	arch := d.arch.Load()
+	if arch == nil || arch.ID() != rn.ArchiveID {
 		return nil, nil, fmt.Errorf("dm: archive %s not mounted", rn.ArchiveID)
 	}
 	return rn, arch, nil
@@ -231,7 +233,7 @@ func (d *DM) readResolved(arch *archive.Archive, rn *ResolvedName) ([]byte, erro
 }
 
 // readDecoded returns item itemID decoded, through the decoded-item cache.
-// A hit still pays openItem — a relocated, hidden, unmapped or unmounted
+// A hit still pays openItem — a remapped, hidden, unmapped or unmounted
 // item behaves exactly as under ReadItem — and skips only the archive read
 // and decode (which returns the value and its resident size). Concurrent
 // misses on one item decode it once; a failed decode is not cached and an
@@ -264,79 +266,50 @@ func (d *DM) readDecoded(s *Session, itemID string, decode func(data []byte) (an
 	return v, err
 }
 
-// RegisterArchive mounts an archive and records it in both the operational
-// archive table and the location-archive table.
-func (d *DM) RegisterArchive(a *archive.Archive, pathRoot string) error {
-	if err := d.archives.Add(a); err != nil {
-		return err
+// DefaultArchive returns the node's archive, or nil before RegisterArchive.
+func (d *DM) DefaultArchive() *archive.Archive { return d.arch.Load() }
+
+// mountedArchive returns the node's archive, or an error before
+// RegisterArchive.
+func (d *DM) mountedArchive() (*archive.Archive, error) {
+	if a := d.arch.Load(); a != nil {
+		return a, nil
 	}
-	err := d.exec(schema.TableArchives, func(tx minidb.Tx) error {
-		if _, err := tx.Insert(schema.TableArchives, minidb.Row{
-			minidb.S(a.ID()), minidb.S(a.Kind().String()), minidb.S("online"),
-			minidb.I(a.CapacityLeft()), minidb.S(a.Root()),
-		}); err != nil {
-			return err
-		}
-		_, err := tx.Insert(schema.TableLocArchives, minidb.Row{
-			minidb.S(a.ID()), minidb.S(a.Kind().String()), minidb.S(pathRoot), minidb.S("online"),
-		})
-		return err
-	})
-	if err == nil {
-		d.stats.Edits.Add(2)
-	}
-	return err
+	return nil, fmt.Errorf("dm: no archive registered")
 }
 
-// RelocateItem moves an item's file to another archive by copying the data
-// and then updating only the location tuples — the domain schema is not
-// touched, and the system keeps running (§4.3). If anything fails after the
-// copy, the copy is removed (compensation, §5.2).
-func (d *DM) RelocateItem(itemID, toArchive string) error {
-	rn, err := d.Resolve(itemID, schema.NameFile)
-	if err != nil {
-		return err
+// RegisterArchive mounts the node's one archive. It records the archive in
+// the location-archive table unless a row for its id is already there (a
+// reopened database, or a peer replica sharing it), and only then mounts
+// it, so a failed insert leaves nothing mounted and can be retried. A
+// second archive is refused.
+func (d *DM) RegisterArchive(a *archive.Archive, pathRoot string) error {
+	d.archMu.Lock()
+	defer d.archMu.Unlock()
+	if cur := d.arch.Load(); cur != nil {
+		return fmt.Errorf("dm: archive %s already mounted; a node has one archive", cur.ID())
 	}
-	if rn.ArchiveID == toArchive {
-		return nil
-	}
-	src := d.archives.Get(rn.ArchiveID)
-	dst := d.archives.Get(toArchive)
-	if src == nil || dst == nil {
-		return fmt.Errorf("dm: relocate %s: archive not mounted", itemID)
-	}
-	if err := archive.Copy(src, dst, rn.Path); err != nil {
-		return fmt.Errorf("dm: relocate %s: %w", itemID, err)
-	}
-	err = d.exec(schema.TableLocEntries, func(tx minidb.Tx) error {
-		res, qerr := tx.Query(minidb.Query{
-			Table: schema.TableLocEntries,
-			Where: []minidb.Pred{{Col: "item_id", Op: minidb.OpEq, Val: minidb.S(itemID)}},
+	inserted := false
+	err := d.exec(schema.TableLocArchives, func(tx minidb.Tx) error {
+		res, err := tx.Query(minidb.Query{
+			Table: schema.TableLocArchives,
+			Where: []minidb.Pred{{Col: "archive_id", Op: minidb.OpEq, Val: minidb.S(a.ID())}},
 		})
-		if qerr != nil {
-			return qerr
+		if err != nil || len(res.Rows) > 0 {
+			return err
 		}
-		for i, row := range res.Rows {
-			if row[3].Str() != rn.ArchiveID {
-				continue
-			}
-			updated := row.Clone()
-			updated[3] = minidb.S(toArchive)
-			if uerr := tx.Update(schema.TableLocEntries, res.RowIDs[i], updated); uerr != nil {
-				return uerr
-			}
-			d.stats.Edits.Add(1)
-		}
-		return nil
+		_, err = tx.Insert(schema.TableLocArchives, minidb.Row{
+			minidb.S(a.ID()), minidb.S(a.Kind().String()), minidb.S(pathRoot), minidb.S("online"),
+		})
+		inserted = err == nil
+		return err
 	})
 	if err != nil {
-		_ = dst.Remove(rn.Path) // compensate: drop the copy
 		return err
 	}
-	if err := src.Remove(rn.Path); err != nil {
-		d.logOp("warn", "relocate", "source %s on %s not removed: %v", rn.Path, rn.ArchiveID, err)
+	if inserted {
+		d.stats.Edits.Add(1)
 	}
-	_ = d.recordLineage(itemID, "", "migrate", 0, rn.ArchiveID+" -> "+toArchive)
-	d.logOp("info", "relocate", "item %s moved %s -> %s", itemID, rn.ArchiveID, toArchive)
+	d.arch.Store(a)
 	return nil
 }

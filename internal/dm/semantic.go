@@ -315,15 +315,14 @@ func (d *DM) dropItem(itemID string) {
 	if err != nil {
 		return
 	}
+	arch := d.arch.Load()
 	removed := map[string]bool{}
 	for i, row := range res.Rows {
-		archID, p := row[3].Str(), row[4].Str()
-		key := archID + "\x00" + p
-		if !removed[key] {
-			if arch := d.archives.Get(archID); arch != nil {
-				_ = arch.Remove(p)
-			}
-			removed[key] = true
+		// A file is removed once (its file and url entries share a path),
+		// and only from the mounted archive.
+		if p := row[4].Str(); !removed[p] && arch != nil && arch.ID() == row[3].Str() {
+			_ = arch.Remove(p)
+			removed[p] = true
 		}
 		_ = d.routeDB(schema.TableLocEntries).Delete(schema.TableLocEntries, res.RowIDs[i])
 	}

@@ -52,11 +52,10 @@ func newCountingShardedDM(t *testing.T, reads *atomic.Int64) (*DM, *shard.Router
 		t.Fatal(err)
 	}
 	d, err := Open(Options{
-		Node:           "dm-sharded-test",
-		MetaDB:         r,
-		DefaultArchive: "disk-0",
-		URLRoot:        "http://hedc.test",
-		Logger:         log.New(io.Discard, "", 0),
+		Node:    "dm-sharded-test",
+		MetaDB:  r,
+		URLRoot: "http://hedc.test",
+		Logger:  log.New(io.Discard, "", 0),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func newHEDCRig(t *testing.T) *hedcRig {
 		t.Fatal(err)
 	}
 	d, err := dm.Open(dm.Options{
-		MetaDB: db, DefaultArchive: "disk-0",
+		MetaDB: db,
 		Logger: log.New(io.Discard, "", 0),
 	})
 	if err != nil {

@@ -10,10 +10,12 @@
 // this package hard-codes table layouts.
 //
 // Every table is declared, but of the generic part this reproduction
-// writes only admin_config (id sequences and retention rules),
-// admin_users, op_lineage, op_archives and the four location tables.
-// admin_services, op_logs and op_usage stay empty: nothing reads them
-// back, so operational messages go to the process log.
+// writes only admin_config (id sequences), admin_users, op_lineage and
+// the four location tables. admin_services, op_logs, op_usage and
+// op_archives stay empty: nothing reads them back, so operational
+// messages go to the process log and a node's one archive is recorded in
+// loc_archives alone. Data directories written before may still hold
+// op_archives rows; nothing reads them.
 package schema
 
 import "repro/internal/minidb"

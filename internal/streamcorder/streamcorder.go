@@ -119,18 +119,12 @@ func New(opts Options) (*Client, error) {
 		}
 		local, err := dm.Open(dm.Options{
 			Node: "streamcorder", MetaDB: db,
-			DefaultArchive: "local-0",
-			Logger:         log.New(io.Discard, "", 0),
+			Logger: log.New(io.Discard, "", 0),
 		})
 		if err != nil {
 			return nil, err
 		}
-		// Register the local archive unless a previous run already did.
-		if db.TableLen(schema.TableLocArchives) == 0 {
-			if err := local.RegisterArchive(arch, "/local"); err != nil {
-				return nil, err
-			}
-		} else if err := local.Archives().Add(arch); err != nil {
+		if err := local.RegisterArchive(arch, "/local"); err != nil {
 			return nil, err
 		}
 		c.localDM = local

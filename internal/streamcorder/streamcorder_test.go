@@ -40,7 +40,7 @@ func newServerRig(t *testing.T) *serverRig {
 	}
 	arch, _ := archive.NewLake("disk-0", archive.Disk, t.TempDir(), 0)
 	d, err := dm.Open(dm.Options{
-		MetaDB: db, DefaultArchive: "disk-0", Logger: log.New(io.Discard, "", 0),
+		MetaDB: db, Logger: log.New(io.Discard, "", 0),
 	})
 	if err != nil {
 		t.Fatal(err)

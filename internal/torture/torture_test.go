@@ -126,11 +126,10 @@ func dmRun(fs *fault.FS) (acked map[string]bool, err error) {
 		return acked, err
 	}
 	d, err := dm.Open(dm.Options{
-		Node:           "dm-torture",
-		MetaDB:         db,
-		DefaultArchive: dmArchID,
-		URLRoot:        "http://hedc.test",
-		Logger:         log.New(io.Discard, "", 0),
+		Node:    "dm-torture",
+		MetaDB:  db,
+		URLRoot: "http://hedc.test",
+		Logger:  log.New(io.Discard, "", 0),
 	})
 	if err != nil {
 		return acked, err

@@ -44,7 +44,7 @@ func newWebRig(t *testing.T) *rig {
 	}
 	arch, _ := archive.NewLake("disk-0", archive.Disk, t.TempDir(), 0)
 	d, err := dm.Open(dm.Options{
-		MetaDB: db, DefaultArchive: "disk-0",
+		MetaDB:  db,
 		URLRoot: "http://hedc.test", Logger: log.New(io.Discard, "", 0),
 	})
 	if err != nil {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full verification: vet, build, a gofmt guard (gofmt -l lists no file),
-# eight structural guards (the retired manifest + pack-file archive
+# nine structural guards (the retired manifest + pack-file archive
 # format is named in no non-test file; only the harness-cell builder
 # internal/cluster/cell.go wires replicas to a gateway; internal/sim is
 # imported only by the paper-shape reproductions; internal/epochcache is
@@ -10,7 +10,9 @@
 # one cached read path — the brownout hook, the DM's stale-epoch mode and
 # the farm's bulk door stay gone; the farm keeps its managers — the
 # processing directory's liveness lease, the pool drain and estimate-only
-# job control stay gone; and the dead-weight audit, TestDeadWeightAudit
+# job control stay gone; one archive per node — the storage-tier
+# workflow (retention, relocation, archive copy) and the multi-archive
+# registry stay gone; and the dead-weight audit, TestDeadWeightAudit
 # in deadweight_test.go, which runs inside go test ./... with five classes:
 # (i) exported code no file references, (ii) option fields no code sets,
 # (iii) names only their own package's tests use, (iv) funcs and methods
@@ -71,6 +73,9 @@ if grep -rnE 'SetServeStale|StageActions|SetBrownoutHook|freshQuery|readFresh|Se
 
 echo "==> the farm keeps its managers (no directory liveness lease, pool drain or estimate-only job control)"
 if grep -rnE 'StaleAfter|Heartbeat\(|RemoveServer|EstimateOnly' --include='*.go' --exclude='*_test.go' internal cmd; then exit 1; fi
+
+echo "==> one archive per node (no retention or relocation workflow, archive copy or multi-archive registry)"
+if grep -rnE 'ApplyRetention|RetentionRule|RelocateItem|archive\.Copy|archive\.NewSet|Archives\(\)|DefaultArchive:' --include='*.go' --exclude='*_test.go' internal cmd; then exit 1; fi
 
 echo "==> go test (includes the dead-weight audit, TestDeadWeightAudit)"
 go test ./...
