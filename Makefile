@@ -81,7 +81,7 @@ torture:
 chaos:
 	$(GO) test -race -count=1 -v ./internal/chaos/
 
-# fuzz runs each WAL, dbnet wire, columnar segment, shard map/merge and
+# fuzz runs each WAL, dbnet wire, columnar segment, shard merge and
 # lake journal fuzz target for 30s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWalOp$$' -fuzztime 30s ./internal/minidb/
@@ -92,7 +92,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime 30s ./internal/dbnet/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 30s ./internal/dbnet/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime 30s ./internal/colseg/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShardMap$$' -fuzztime 30s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeReplies$$' -fuzztime 30s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJournal$$' -fuzztime 30s ./internal/lake/
 

@@ -1,33 +1,40 @@
-// Command hedc-server runs one HEDC process. Five modes:
+// Command hedc-server runs one HEDC process. Four modes:
 //
-//	-mode repo         (default) a full standalone node: web interface at /,
-//	                   DM RPC at /dm/ for remote DMs, StreamCorders and peers
-//	-mode db           serve the shared metadata database over the dbnet wire
-//	                   protocol, with the calibrated ops/sec ceiling
-//	-mode replica      a middle-tier replica: a full DM dialing a -db-addr
-//	                   database, serving /dm/ and /healthz
-//	-mode shard-router serve a sharded metadata tier as one dbnet endpoint:
-//	                   dials every -shard-addrs database, routes point ops
-//	                   to the owning shard and scatter-gathers the rest
-//	-mode gateway      the cluster front door: load-balances /dm/ across
-//	                   -replicas with health checks, circuit breakers and
-//	                   failover; serves the web UI and /stats over the cluster
+//	-mode repo     (default) a full standalone node: web interface at /,
+//	               DM RPC at /dm/ for remote DMs, StreamCorders and peers
+//	-mode db       serve one metadata database (or one shard of it) over
+//	               the dbnet wire protocol, with the calibrated ops/sec
+//	               ceiling
+//	-mode replica  a middle-tier replica: a full DM over the -db-addr
+//	               database, serving /dm/ and /healthz; given several
+//	               shard addresses it routes to them in process
+//	-mode gateway  the cluster front door: load-balances /dm/ across
+//	               -replicas with health checks, circuit breakers and
+//	               failover; serves the web UI and /stats over the cluster
 //
 // A shared-database cluster on one machine:
 //
-//	hedc-server -mode db -addr 127.0.0.1:7000 -data /var/hedc-db
+//	hedc-server -mode db -addr 127.0.0.1:7000 -data /var/hedc-db -bootstrap-password secret
 //	hedc-server -mode replica -addr 127.0.0.1:8081 -db-addr 127.0.0.1:7000 -node r1
 //	hedc-server -mode replica -addr 127.0.0.1:8082 -db-addr 127.0.0.1:7000 -node r2
 //	hedc-server -mode gateway -addr 127.0.0.1:8080 \
 //	    -replicas http://127.0.0.1:8081/dm/,http://127.0.0.1:8082/dm/
 //
-// A sharded metadata tier replaces the single -mode db process with N
-// shard databases plus a router; replicas dial the router unchanged:
+// A sharded metadata tier replaces the single database with N shard
+// databases. Each replica is given every shard address, index = shard
+// id, and routes to them itself: point operations go to the owning
+// shard, everything else scatter-gathers. Only shard 0, the home shard
+// that holds accounts and sessions, is bootstrapped. The first replica
+// to open a fresh shard writes its identity row (shard id and count), and
+// a later replica handed the shards in another order, or another number
+// of them, is refused:
 //
-//	hedc-server -mode db -addr 127.0.0.1:7001 -data /var/hedc-shard0
+//	hedc-server -mode db -addr 127.0.0.1:7001 -data /var/hedc-shard0 -bootstrap-password secret
 //	hedc-server -mode db -addr 127.0.0.1:7002 -data /var/hedc-shard1
-//	hedc-server -mode shard-router -addr 127.0.0.1:7000 -data /var/hedc-router \
-//	    -shard-addrs 127.0.0.1:7001,127.0.0.1:7002
+//	hedc-server -mode replica -addr 127.0.0.1:8081 -node r1 \
+//	    -db-addr 127.0.0.1:7001,127.0.0.1:7002
+//
+// -addr may name port 0; every mode prints the address it bound.
 //
 // Every mode shuts down gracefully on SIGINT/SIGTERM: the listener
 // closes, in-flight requests drain, and state is flushed.
@@ -38,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -61,22 +69,21 @@ import (
 
 func main() {
 	var (
-		mode       = flag.String("mode", "repo", "process role: repo|db|replica|shard-router|gateway")
-		data       = flag.String("data", "./hedc-data", "data directory (database + archives)")
-		addr       = flag.String("addr", ":8081", "listen address (HTTP, or TCP in db mode)")
-		node       = flag.String("node", "hedc-0", "node name")
-		loadDays   = flag.Int("load-days", 0, "generate and ingest this many synthetic mission days at startup (repo mode)")
-		seed       = flag.Int64("seed", 2002, "telemetry seed")
-		dayLen     = flag.Float64("day-length", 7200, "seconds of observation per synthetic day")
-		partDom    = flag.Bool("partition", false, "put the domain schema on a separate database instance (repo mode)")
-		importPw   = flag.String("import-password", "import", "password of the system import account")
-		dbAddr     = flag.String("db-addr", "", "dbnet address of the shared metadata database (replica mode)")
-		shardAddrs = flag.String("shard-addrs", "", "comma-separated dbnet addresses of the shard databases, index = shard id (shard-router mode)")
-		dbMaxOps   = flag.Float64("db-max-ops", 0, "database ops/sec ceiling, 0 = unlimited (db mode)")
-		replicas   = flag.String("replicas", "", "comma-separated replica /dm/ base URLs (gateway mode)")
-		adaptive   = flag.Bool("adaptive", false, "adaptive admission control: latency-gradient concurrency limit + brownout ladder (gateway mode)")
-		bootPw     = flag.String("bootstrap-password", "", "bootstrap the shared database with this admin password if empty (db mode)")
-		pprofAddr  = flag.String("pprof", "", "serve /debug/pprof on this address (e.g. 127.0.0.1:6060; empty: disabled)")
+		mode      = flag.String("mode", "repo", "process role: repo|db|replica|gateway")
+		data      = flag.String("data", "./hedc-data", "data directory (database + archives)")
+		addr      = flag.String("addr", ":8081", "listen address (HTTP, or TCP in db mode)")
+		node      = flag.String("node", "hedc-0", "node name")
+		loadDays  = flag.Int("load-days", 0, "generate and ingest this many synthetic mission days at startup (repo mode)")
+		seed      = flag.Int64("seed", 2002, "telemetry seed")
+		dayLen    = flag.Float64("day-length", 7200, "seconds of observation per synthetic day")
+		partDom   = flag.Bool("partition", false, "put the domain schema on a separate database instance (repo mode)")
+		importPw  = flag.String("import-password", "import", "password of the system import account")
+		dbAddr    = flag.String("db-addr", "", "dbnet address of the shared metadata database, or comma-separated shard addresses, index = shard id (replica mode)")
+		dbMaxOps  = flag.Float64("db-max-ops", 0, "database ops/sec ceiling, 0 = unlimited (db mode)")
+		replicas  = flag.String("replicas", "", "comma-separated replica /dm/ base URLs (gateway mode)")
+		adaptive  = flag.Bool("adaptive", false, "adaptive admission control: latency-gradient concurrency limit + brownout ladder (gateway mode)")
+		bootPw    = flag.String("bootstrap-password", "", "bootstrap the shared database with this admin password if empty (db mode)")
+		pprofAddr = flag.String("pprof", "", "serve /debug/pprof on this address (e.g. 127.0.0.1:6060; empty: disabled)")
 	)
 	flag.Parse()
 
@@ -112,12 +119,10 @@ func main() {
 		err = runDB(ctx, *data, *addr, *dbMaxOps, *bootPw)
 	case "replica":
 		err = runReplica(ctx, *addr, *dbAddr, *node)
-	case "shard-router":
-		err = runShardRouter(ctx, *data, *addr, *shardAddrs)
 	case "gateway":
 		err = runGateway(ctx, *addr, *replicas, *adaptive)
 	default:
-		err = fmt.Errorf("unknown -mode %q (repo|db|replica|shard-router|gateway)", *mode)
+		err = fmt.Errorf("unknown -mode %q (repo|db|replica|gateway)", *mode)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -133,11 +138,19 @@ type repoConfig struct {
 }
 
 func runRepo(ctx context.Context, cfg repoConfig) error {
+	// Bind first: download links persist the URL root, so it must name
+	// the port actually served.
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	root := urlRoot(ln.Addr())
 	repo, err := hedc.Open(hedc.Config{
 		DataDir:         cfg.data,
 		Node:            cfg.node,
 		ImportPassword:  cfg.importPw,
-		URLRoot:         "http://localhost" + cfg.addr,
+		URLRoot:         root,
 		PartitionDomain: cfg.partDom,
 		Logger:          log.New(os.Stderr, "hedc ", log.LstdFlags),
 	})
@@ -165,10 +178,10 @@ func runRepo(ctx context.Context, cfg repoConfig) error {
 	stopMaintenance := repo.Node().StartMaintenance(time.Minute)
 	defer stopMaintenance()
 
-	fmt.Printf("HEDC node %s serving on %s (data in %s)\n", cfg.node, cfg.addr, cfg.data)
-	fmt.Printf("  web UI:  http://localhost%s/\n", cfg.addr)
-	fmt.Printf("  DM RPC:  http://localhost%s/dm/\n", cfg.addr)
-	return serveHTTP(ctx, cfg.addr, repo.Handler())
+	fmt.Printf("HEDC node %s serving on %s (data in %s)\n", cfg.node, ln.Addr(), cfg.data)
+	fmt.Printf("  web UI:  %s/\n", root)
+	fmt.Printf("  DM RPC:  %s/dm/\n", root)
+	return serveHTTP(ctx, ln, repo.Handler())
 }
 
 // runDB serves one minidb over the dbnet wire protocol — the shared
@@ -241,98 +254,35 @@ func runDB(ctx context.Context, data, addr string, maxOps float64, bootPw string
 }
 
 // runReplica runs one middle-tier node: a full DM whose metadata engine
-// is a dbnet client dialing the shared database.
-func runReplica(ctx context.Context, addr, dbAddr, name string) error {
-	if dbAddr == "" {
-		return fmt.Errorf("replica mode requires -db-addr")
+// is a dbnet client dialing the shared database or, given several shard
+// addresses, a shard.Router over one client per shard.
+func runReplica(ctx context.Context, addr, dbAddrs, name string) error {
+	addrs := splitList(dbAddrs)
+	if len(addrs) == 0 {
+		return fmt.Errorf("replica mode requires -db-addr addr[,addr,...]")
 	}
-	cl, err := dbnet.Dial(dbnet.ClientOptions{Addr: dbAddr})
+	logger := log.New(os.Stderr, name+" ", log.LstdFlags)
+	eng, err := cluster.DialEngine(addrs, dbnet.ClientOptions{}, shard.Options{Logger: logger}, nil)
 	if err != nil {
 		return err
 	}
-	defer cl.Close()
-	rep, err := cluster.StartReplica(cluster.ReplicaOptions{
-		Name: name, DB: cl, Addr: addr,
-		Logger: log.New(os.Stderr, name+" ", log.LstdFlags),
-	})
+	defer eng.Close()
+	rep, err := cluster.StartReplica(cluster.ReplicaOptions{Name: name, DB: eng, Addr: addr, Logger: logger})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("HEDC replica %s serving on %s (database at %s)\n", name, rep.Addr(), dbAddr)
+	fmt.Printf("HEDC replica %s serving on %s (database at %s)\n", name, rep.Addr(), dbAddrs)
 	fmt.Printf("  DM RPC:  %s\n", rep.URL())
 	fmt.Printf("  health:  %s\n", rep.HealthURL())
 	<-ctx.Done()
 	log.Printf("%s: shutting down", name)
 	rep.Stop()
+	if router, ok := eng.(*shard.Router); ok {
+		st := router.Status()
+		log.Printf("%s: shutdown: shards=%d single-shard=%d scatter=%d fanout-calls=%d shard-failures=%d",
+			name, len(st.Shards), st.SingleShard, st.Scatter, st.FanoutCalls, st.ShardFailures)
+	}
 	return nil
-}
-
-// runShardRouter serves a sharded metadata tier behind the same dbnet
-// protocol a single -mode db process speaks. It dials each shard
-// database, loads (or lays out and persists) the hash-slot shard map
-// under -data, and serves the router: replicas dial it exactly as they
-// would a single shared database, and never learn the catalog is
-// partitioned.
-func runShardRouter(ctx context.Context, data, addr, shardList string) error {
-	var addrs []string
-	for _, a := range strings.Split(shardList, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	if len(addrs) == 0 {
-		return fmt.Errorf("shard-router mode requires -shard-addrs addr,addr,...")
-	}
-	dir := filepath.Join(data, "shardmap")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	engines := make(map[int]minidb.Engine, len(addrs))
-	defer func() {
-		for _, e := range engines {
-			if cl, isClient := e.(*dbnet.Client); isClient {
-				cl.Close()
-			}
-		}
-	}()
-	for sid, a := range addrs {
-		cl, err := dbnet.Dial(dbnet.ClientOptions{Addr: a})
-		if err != nil {
-			return fmt.Errorf("dial shard %d at %s: %w", sid, a, err)
-		}
-		engines[sid] = cl
-	}
-	router, err := shard.NewRouter(shard.Options{
-		Shards: engines,
-		Dir:    dir,
-		Logger: log.New(os.Stderr, "shard ", log.LstdFlags),
-	})
-	if err != nil {
-		return err
-	}
-	// The router owns the clients now; Close them exactly once through it.
-	engines = nil
-
-	// The router is both the engine and the analytics runner: point ops
-	// route to the owning shard, scatter ops fan out and merge.
-	srv, err := dbnet.Listen(addr, dbnet.Options{
-		DB: router, Analytics: router,
-		Logger: log.New(os.Stderr, "dbnet ", log.LstdFlags),
-	})
-	if err != nil {
-		router.Close()
-		return err
-	}
-	st := router.Status()
-	fmt.Printf("HEDC shard router serving dbnet on %s over %d shards (map v%d in %s)\n",
-		srv.Addr(), len(addrs), st.MapVersion, dir)
-	<-ctx.Done()
-	st = router.Status()
-	log.Printf("shard-router: shutdown: map=v%d single-shard=%d scatter=%d fanout-calls=%d shard-failures=%d",
-		st.MapVersion, st.SingleShard, st.Scatter, st.FanoutCalls, st.ShardFailures)
-	err = srv.Close()
-	router.Close()
-	return err
 }
 
 // runGateway fronts a set of replicas with the cluster gateway:
@@ -352,15 +302,11 @@ func runGateway(ctx context.Context, addr, replicaList string, adaptive bool) er
 	}
 	gw := cluster.NewGateway(opts)
 	defer gw.Close()
-	n := 0
-	for _, u := range strings.Split(replicaList, ",") {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			continue
-		}
-		n++
-		gw.AddReplica(fmt.Sprintf("replica-%d", n), dm.NewRemote(u, nil))
+	urls := splitList(replicaList)
+	for i, u := range urls {
+		gw.AddReplica(fmt.Sprintf("replica-%d", i+1), dm.NewRemote(u, nil))
 	}
+	n := len(urls)
 	if n == 0 {
 		return fmt.Errorf("gateway mode requires -replicas url,url,...")
 	}
@@ -382,8 +328,12 @@ func runGateway(ctx context.Context, addr, replicaList string, adaptive bool) er
 	// tier runs over the cluster; /stats adds the per-replica health,
 	// circuit and retry-budget view.
 	mux.Handle("/", web.New(web.Config{API: gw, Cluster: gw, Node: "gateway"}).Handler())
-	fmt.Printf("HEDC gateway serving on %s over %d replicas\n", addr, n)
-	err := serveHTTP(ctx, addr, mux)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("HEDC gateway serving on %s over %d replicas\n", ln.Addr(), n)
+	err = serveHTTP(ctx, ln, mux)
 	logGatewayStatus(gw)
 	return err
 }
@@ -402,12 +352,37 @@ func logGatewayStatus(gw *cluster.Gateway) {
 	}
 }
 
-// serveHTTP runs an HTTP server until ctx is cancelled, then drains
-// in-flight requests before returning.
-func serveHTTP(ctx context.Context, addr string, h http.Handler) error {
-	srv := &http.Server{Addr: addr, Handler: h}
+// splitList splits a comma-separated flag value, dropping empty items.
+func splitList(s string) []string {
+	var out []string
+	for _, item := range strings.Split(s, ",") {
+		if item = strings.TrimSpace(item); item != "" {
+			out = append(out, item)
+		}
+	}
+	return out
+}
+
+// urlRoot is the http URL root of a bound listener address. An
+// unspecified host (-addr :8081 binds every interface) is named
+// localhost.
+func urlRoot(a net.Addr) string {
+	host, port, err := net.SplitHostPort(a.String())
+	if err != nil {
+		return "http://" + a.String()
+	}
+	if ip := net.ParseIP(host); host == "" || ip != nil && ip.IsUnspecified() {
+		host = "localhost"
+	}
+	return "http://" + net.JoinHostPort(host, port)
+}
+
+// serveHTTP serves h on the bound listener ln until ctx is cancelled,
+// then drains in-flight requests before returning.
+func serveHTTP(ctx context.Context, ln net.Listener, h http.Handler) error {
+	srv := &http.Server{Handler: h}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
 		return err

@@ -166,9 +166,10 @@ type Cell struct {
 }
 
 // StartCell brings up o.Replicas replicas over the dbnet servers at
-// addrs (index = shard id) and a gateway in front. With one address each
-// replica dials the database directly, as `hedc-server -mode replica`
-// does; with more, each replica routes through its own shard.Router.
+// addrs (index = shard id) and a gateway in front. Each replica opens its
+// engine with DialEngine, as `hedc-server -mode replica` does: with one
+// address it dials the database directly, with more it routes through
+// its own shard.Router.
 // On error everything already opened is closed.
 func StartCell(addrs []string, o CellOptions) (*Cell, error) {
 	if len(addrs) == 0 {
@@ -191,9 +192,15 @@ func StartCell(addrs []string, o CellOptions) (*Cell, error) {
 // rotation — a replacement node joining.
 func (c *Cell) AddReplica() (*Replica, error) {
 	i := len(c.Replicas)
-	eng, err := c.dialEngine(i)
+	var dial func(int) DialFunc
+	if c.opts.Dial != nil {
+		dial = func(sid int) DialFunc { return c.opts.Dial(i, sid) }
+	}
+	ro := c.opts.Router
+	ro.Logger = c.opts.Logger
+	eng, err := DialEngine(c.addrs, c.opts.Client, ro, dial)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: replica %d: %w", i, err)
 	}
 	c.engines = append(c.engines, eng)
 	rep, err := StartReplica(ReplicaOptions{
@@ -219,40 +226,42 @@ func (c *Cell) AddReplica() (*Replica, error) {
 	return rep, nil
 }
 
-// dialEngine opens replica's database engine, closing its partial work
-// on failure.
-func (c *Cell) dialEngine(replica int) (minidb.Engine, error) {
-	clients := make(map[int]minidb.Engine, len(c.addrs))
+// DialEngine opens the metadata engine a replica programs against, over
+// the dbnet servers at addrs (index = shard id): a dbnet client for one
+// address, else a shard.Router over one client per address. co and ro
+// are templates (timeouts, breaker tuning); Addr and Shards are filled
+// in. dial, when set, may return the dialer for shard sid's link (nil =
+// dial normally). On error every client already dialled is closed.
+func DialEngine(addrs []string, co dbnet.ClientOptions, ro shard.Options, dial func(sid int) DialFunc) (minidb.Engine, error) {
+	clients := make(map[int]minidb.Engine, len(addrs))
 	closeClients := func() {
 		for _, cl := range clients {
 			cl.Close()
 		}
 	}
-	for sid, addr := range c.addrs {
-		co := c.opts.Client
-		co.Addr = addr
-		if c.opts.Dial != nil {
-			if d := c.opts.Dial(replica, sid); d != nil {
-				co.Dial = d
+	for sid, addr := range addrs {
+		o := co
+		o.Addr = addr
+		if dial != nil {
+			if d := dial(sid); d != nil {
+				o.Dial = d
 			}
 		}
-		cl, err := dbnet.Dial(co)
+		cl, err := dbnet.Dial(o)
 		if err != nil {
 			closeClients()
-			return nil, fmt.Errorf("cluster: replica %d dial shard %d: %w", replica, sid, err)
+			return nil, fmt.Errorf("cluster: dial shard %d at %s: %w", sid, addr, err)
 		}
 		clients[sid] = cl
 	}
 	if len(clients) == 1 {
 		return clients[0], nil
 	}
-	ro := c.opts.Router
 	ro.Shards = clients
-	ro.Logger = c.opts.Logger
 	router, err := shard.NewRouter(ro)
 	if err != nil {
 		closeClients()
-		return nil, fmt.Errorf("cluster: replica %d router: %w", replica, err)
+		return nil, err
 	}
 	return router, nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -304,22 +305,36 @@ func TestGatewayBrownoutLadder(t *testing.T) {
 	}
 }
 
-// TestDegradeStartsAtStaleReads: an overload shed degrades to the stale
-// cache from the stale-reads rung up, and not on the rungs below it.
-// Transport loss degrades on every rung.
+// TestDegradeStartsAtStaleReads crosses every error class with every
+// ladder rung. Losing the live path degrades on every rung; an overload
+// shed, bare or wrapped, only from the stale-reads rung up, and not on
+// the rungs below it; an answer the replicas gave (a refusal, a missing
+// entry) never, on any rung: a stale copy would hide it.
 func TestDegradeStartsAtStaleReads(t *testing.T) {
-	g := &Gateway{lad: overload.NewLadder(&overload.LadderConfig{Dwell: time.Nanosecond})}
 	shed := &overload.Error{Tier: "gateway"}
+	classes := []struct {
+		name                   string
+		err                    error
+		always, fromStaleReads bool
+	}{
+		{"no replicas", ErrNoReplicas, true, true},
+		{"replica unreachable", &dm.TransportError{Method: "QueryHLEs", Err: errors.New("connection refused")}, true, true},
+		{"database unavailable", &dm.DBUnavailableError{Node: "replica-0"}, true, true},
+		{"overload shed", shed, false, true},
+		{"wrapped overload shed", fmt.Errorf("gateway: %w", shed), false, true},
+		{"replica answer", errors.New("dm: permission denied"), false, false},
+	}
+	g := &Gateway{lad: overload.NewLadder(&overload.LadderConfig{Dwell: time.Nanosecond})}
 	now := time.Now()
 	for stage := overload.StageNormal; stage <= overload.StageShedBulk; stage++ {
 		if got := g.BrownoutStage(); got != stage {
 			t.Fatalf("ladder at %v, want %v", got, stage)
 		}
-		if want := stage >= overload.StageStaleReads; g.canDegrade(shed) != want {
-			t.Errorf("canDegrade(overload shed) at %v = %v, want %v", stage, !want, want)
-		}
-		if !g.canDegrade(ErrNoReplicas) {
-			t.Errorf("canDegrade(no replicas) at %v = false", stage)
+		for _, c := range classes {
+			want := c.always || c.fromStaleReads && stage >= overload.StageStaleReads
+			if got := g.canDegrade(c.err); got != want {
+				t.Errorf("canDegrade(%s) at %v = %v, want %v", c.name, stage, got, want)
+			}
 		}
 		now = now.Add(time.Second)
 		g.lad.Observe(now, 1)

@@ -44,8 +44,9 @@ func (c Capacity) enabled() bool { return c.CPUPerCall > 0 }
 type ReplicaOptions struct {
 	// Name is the node name (e.g. "replica-2").
 	Name string
-	// DB is the shared metadata engine — normally a dbnet.Client so all
-	// replicas see one database.
+	// DB is the shared metadata engine, as DialEngine opens it: a
+	// dbnet.Client, or a shard.Router over one per shard, so all replicas
+	// see one database.
 	DB minidb.Engine
 	// Addr is the HTTP listen address; empty means 127.0.0.1:0.
 	Addr string

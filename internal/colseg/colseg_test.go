@@ -438,6 +438,70 @@ func TestPropertyVectorizedEqualsRows(t *testing.T) {
 	}
 }
 
+// TestZoneEdgesPruneNothingTheyHold compares a predicate whose constant
+// is a segment's zone minimum or maximum against the row path, for every
+// comparison operator: a zone map that prunes a segment holding its own
+// edge value loses rows. Random constants almost never land on an edge.
+func TestZoneEdgesPruneNothingTheyHold(t *testing.T) {
+	const segRows, n = 32, 128
+	db := openEvents(t)
+	insertEvents(t, db, rand.New(rand.NewSource(7)), n, 0)
+	store, err := Open(Options{DB: db, SegmentRows: segRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Refresh("ev"); err != nil {
+		t.Fatal(err)
+	}
+
+	// The named case: 32 is segment 1's minimum and matches one row.
+	q := Query{Table: "ev", Agg: AggCount, Where: []minidb.Pred{
+		{Col: "event_id", Op: minidb.OpLe, Val: minidb.I(32)},
+		{Col: "event_id", Op: minidb.OpGe, Val: minidb.I(32)},
+	}}
+	if res, err := store.Run(q); err != nil || res.Rows != 1 {
+		t.Fatalf("event_id <= 32 AND event_id >= 32: %+v, %v; want 1 row", res, err)
+	}
+
+	all, err := db.Query(minidb.Query{Table: "ev", OrderBy: []minidb.Order{{Col: "event_id"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []minidb.Op{minidb.OpEq, minidb.OpNe, minidb.OpLt, minidb.OpLe, minidb.OpGt, minidb.OpGe}
+	for _, c := range []struct {
+		col string
+		idx int
+	}{{"event_id", 0}, {"t", 2}} {
+		col, ci := c.col, c.idx
+		for seg := 0; seg < n/segRows; seg++ {
+			lo, hi := all.Rows[seg*segRows][ci], all.Rows[seg*segRows][ci]
+			for _, row := range all.Rows[seg*segRows : (seg+1)*segRows] {
+				if minidb.Compare(row[ci], lo) < 0 {
+					lo = row[ci]
+				}
+				if minidb.Compare(row[ci], hi) > 0 {
+					hi = row[ci]
+				}
+			}
+			for _, edge := range []minidb.Value{lo, hi} {
+				for _, op := range ops {
+					q := Query{Table: "ev", Agg: AggCount,
+						Where: []minidb.Pred{{Col: col, Op: op, Val: edge}}}
+					vec, err := store.Run(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := RunRows(db, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, fmt.Sprintf("%s %v %v (segment %d edge)", col, op, edge, seg), vec, ref)
+				}
+			}
+		}
+	}
+}
+
 // TestWireRoundTrip checks query and result codecs.
 func TestWireRoundTrip(t *testing.T) {
 	q := Query{

@@ -73,7 +73,7 @@ var (
 func (db *DB) BeginTx() Tx { return db.Begin() }
 
 // FoldEpochs hashes a sequence of epochs (and whatever tags the caller
-// interleaves with them: map versions, shard ids) into one change-detecting
+// interleaves with them, such as shard ids) into one change-detecting
 // value, for cache keys that depend on several commit epochs at once. It is
 // order-sensitive and not monotone. A fresh table sits at epoch 0 until its
 // first commit, so 0 is a legitimate input; the fold itself never returns 0

@@ -142,6 +142,34 @@ func TestLimiterShedsWithRetryAfter(t *testing.T) {
 	}
 }
 
+// TestRetryAfterCoversQueueDelay: once the queue has stood at delay d,
+// a shed's retry-after hint is never shorter than d, whatever the
+// control interval: a client told to come back sooner would meet the
+// same standing queue.
+func TestRetryAfterCoversQueueDelay(t *testing.T) {
+	for _, d := range []time.Duration{0, 5 * time.Millisecond, 50 * time.Millisecond,
+		300 * time.Millisecond, 2 * time.Second} {
+		// One permit and no queue space for Bulk: a Bulk arrival sheds at
+		// the door while the permit is held.
+		l := NewLimiter(Config{Initial: 1, Min: 1, Max: 1, MaxQueue: 1})
+		p, err := l.Acquire(Interactive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.mu.Lock()
+		for i := 0; i < 50; i++ {
+			l.noteDelayLocked(d) // what each dequeued waiter's sojourn records
+		}
+		l.mu.Unlock()
+		_, err = l.Acquire(Bulk)
+		ra, ok := RetryAfterOf(err)
+		if !ok || ra < d {
+			t.Errorf("queue delay %v: shed %v carries retry-after %v", d, err, ra)
+		}
+		p.ReleaseLatency(time.Millisecond)
+	}
+}
+
 // TestLimiterPriorityGrantOrder: with capacity exhausted, a queued
 // interactive waiter must be granted before an earlier-queued browse
 // waiter.

@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -13,36 +12,6 @@ import (
 	"repro/internal/minidb"
 	"repro/internal/schema"
 )
-
-// mapSeeds builds deterministic seed inputs for FuzzDecodeShardMap:
-// well-formed maps plus truncated and corrupted variants, so the fuzzer
-// starts inside the format. The checked-in corpus also keeps two maps an
-// earlier build wrote mid-split (seed-03, seed-04), which must be refused.
-func mapSeeds() [][]byte {
-	var seeds [][]byte
-	for _, m := range []*Map{
-		NewMap([]int{0}),
-		NewMap([]int{0, 1}),
-		NewMap([]int{0, 1, 2, 5, 9}),
-	} {
-		seeds = append(seeds, EncodeMap(m))
-	}
-	bumped := NewMap([]int{0, 1, 3})
-	bumped.Version = 9
-	seeds = append(seeds, EncodeMap(bumped))
-	badFlag := EncodeMap(bumped)
-	badFlag[len(badFlag)-5] = 2 // an unknown move flag under a valid CRC
-	sum := crc32.ChecksumIEEE(badFlag[:len(badFlag)-4])
-	copy(badFlag[len(badFlag)-4:], []byte{byte(sum), byte(sum >> 8), byte(sum >> 16), byte(sum >> 24)})
-	seeds = append(seeds, badFlag)
-
-	whole := seeds[1]
-	seeds = append(seeds, whole[:len(whole)/2]) // truncated mid-body
-	flipped := append([]byte(nil), whole...)
-	flipped[len(flipped)/3] ^= 0x10 // CRC must catch this
-	seeds = append(seeds, flipped, []byte("SMAP1"), []byte("SMAP1\x02\x01\x00"))
-	return seeds
-}
 
 // mergeSeeds builds seed inputs for FuzzMergeReplies: a wire-encoded
 // query followed by wire-encoded per-shard results, the exact bytes a
@@ -98,8 +67,7 @@ func mergeSeeds() [][]byte {
 // corpus is stable once committed and self-heals if a file goes missing.
 func TestGenerateFuzzCorpus(t *testing.T) {
 	for dirName, seeds := range map[string][][]byte{
-		"FuzzDecodeShardMap": mapSeeds(),
-		"FuzzMergeReplies":   mergeSeeds(),
+		"FuzzMergeReplies": mergeSeeds(),
 	} {
 		dir := filepath.Join("testdata", "fuzz", dirName)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -116,41 +84,6 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 			}
 		}
 	}
-}
-
-// FuzzDecodeShardMap feeds arbitrary bytes to the shard-map decoder —
-// what a torn write or hostile file could leave at SHARDMAP. The
-// invariant: never panics, anything accepted passes Validate and
-// round-trips through encode/decode to the same map (a semantic fixed
-// point).
-func FuzzDecodeShardMap(f *testing.F) {
-	for _, seed := range mapSeeds() {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeMap(data)
-		if err != nil {
-			return
-		}
-		if err := m.Validate(); err != nil {
-			t.Fatalf("decoder accepted an invalid map: %v", err)
-		}
-		re := EncodeMap(m)
-		m2, err := DecodeMap(re)
-		if err != nil {
-			t.Fatalf("re-encoding of accepted map rejected: %v", err)
-		}
-		if !bytes.Equal(EncodeMap(m2), re) {
-			t.Fatal("re-encoding is not a fixed point")
-		}
-		// Routing off an accepted map must hold its invariants.
-		for slot := 0; slot < NumSlots; slot++ {
-			owner := m.ReadOwner(slot)
-			if !m.hasShard(owner) {
-				t.Fatalf("slot %d routed to unknown shard %d", slot, owner)
-			}
-		}
-	})
 }
 
 // FuzzMergeReplies drives the scatter-gather merge with arbitrary

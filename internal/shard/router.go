@@ -19,17 +19,11 @@ type Options struct {
 	// Shards maps shard id -> engine (in-process *minidb.DB or a
 	// dbnet.Client). Required, non-empty.
 	Shards map[int]minidb.Engine
-	// Dir persists the shard map through FS ("" = in-memory only). A map
-	// persisted there is loaded; otherwise a fresh one is laid out over the
-	// Shards ids.
-	Dir string
-	// FS is the VFS for map persistence (nil = the OS filesystem).
-	FS minidb.VFS
 	// breakerThreshold and BreakerCooldown tune the per-shard circuit
 	// breakers (defaults 3 failures / 500ms).
 	breakerThreshold int
 	BreakerCooldown  time.Duration
-	// Logger, if set, is told the map the router opened with.
+	// Logger, if set, is told the shards the router opened with.
 	Logger *log.Logger
 }
 
@@ -86,10 +80,10 @@ type routerStats struct {
 	anaFanout     atomic.Uint64
 }
 
-// NewRouter builds a router over the given shard engines. A persisted
-// map in Dir is reinstalled, and the engines must be exactly the shards
-// it names: with no split to give it slots, an extra engine would sit
-// idle, so it is refused.
+// NewRouter builds a router over the given shard engines. Each engine
+// must be the shard it is handed as: its identity row (identity.go) is
+// checked, or written on first open, so swapped, missing or extra
+// engines and a database laid out unsharded are refused.
 func NewRouter(o Options) (*Router, error) {
 	if len(o.Shards) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one shard")
@@ -112,42 +106,20 @@ func NewRouter(o Options) (*Router, error) {
 		if eng == nil {
 			return nil, fmt.Errorf("shard: nil engine for shard %d", id)
 		}
+		if id < 0 || id > 1<<15 {
+			return nil, fmt.Errorf("shard: shard id %d out of range", id)
+		}
 		r.nodes[id] = &node{id: id, eng: eng, bk: circuit.New(r.threshold, r.cooldown)}
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-
-	fsys := o.FS
-	if fsys == nil {
-		fsys = minidb.OSFS
-	}
-	var m *Map
-	if o.Dir != "" {
-		var err error
-		if m, err = LoadMap(fsys, o.Dir); err != nil {
-			return nil, err
-		}
-	}
-	if m == nil {
-		m = NewMap(ids)
-	}
-	if err := m.Validate(); err != nil {
+	if err := checkIdentities(o.Shards, ids); err != nil {
 		return nil, err
 	}
-	for _, id := range m.Shards {
-		if r.nodes[id] == nil {
-			return nil, fmt.Errorf("shard: map names shard %d but no engine was given", id)
-		}
-	}
-	for _, id := range ids {
-		if !m.hasShard(id) {
-			return nil, fmt.Errorf("shard: engine for shard %d is not in the persisted map v%d over shards %v; "+
-				"a cell keeps the shard count it was first opened with", id, m.Version, m.Shards)
-		}
-	}
+	m := NewMap(ids)
 	r.smap = m
 	if o.Logger != nil {
-		o.Logger.Printf("shard: map v%d over shards %v", m.Version, m.Shards)
+		o.Logger.Printf("shard: routing over shards %v", m.Shards)
 	}
 	home := r.nodes[m.Home()].eng
 	r.tables = append([]string(nil), home.TableNames()...)
@@ -158,11 +130,6 @@ func NewRouter(o Options) (*Router, error) {
 			return nil, fmt.Errorf("shard: home shard lists table %s but has no schema", name)
 		}
 		r.schemas[name] = sc
-	}
-	if o.Dir != "" {
-		if err := SaveMap(fsys, o.Dir, m); err != nil {
-			return nil, err
-		}
 	}
 	return r, nil
 }
@@ -471,27 +438,26 @@ func (r *Router) TableLen(name string) int {
 	return total
 }
 
-// TableEpoch folds (map version, shard id, per-shard epoch) over the
-// read set for sharded tables, so any shard's commit — or a map change —
-// moves the value. It is not monotone across shards, only change-
-// detecting: exactly what the DM's equality-checked cache keys need.
+// TableEpoch folds (shard id, per-shard epoch) over the read set for
+// sharded tables, so any shard's commit moves the value. It is not
+// monotone across shards, only change-detecting: exactly what the DM's
+// equality-checked cache keys need.
 func (r *Router) TableEpoch(name string) uint64 {
 	m, nodes := r.snapshotRouting()
 	if _, sharded := KeyColumn(name); !sharded {
 		return nodes[m.Home()].eng.TableEpoch(name)
 	}
 	shards := m.ReadShards()
-	// (version, shard id, epoch, shard id, epoch, ...) for minidb.FoldEpochs.
-	words := make([]uint64, 1+2*len(shards))
-	words[0] = m.Version
+	// (shard id, epoch, shard id, epoch, ...) for minidb.FoldEpochs.
+	words := make([]uint64, 2*len(shards))
 	var wg sync.WaitGroup
 	for i, sid := range shards {
 		i, n := i, nodes[sid]
-		words[1+2*i] = uint64(sid)
+		words[2*i] = uint64(sid)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			words[2+2*i] = n.eng.TableEpoch(name)
+			words[1+2*i] = n.eng.TableEpoch(name)
 		}()
 	}
 	wg.Wait()
@@ -506,9 +472,8 @@ func (r *Router) QueryEpoch(q minidb.Query) uint64 {
 	m, nodes := r.snapshotRouting()
 	if sid, ok := routeQuery(m, q); ok {
 		if _, sharded := KeyColumn(q.Table); sharded {
-			// Fold the owner id in: equal epochs on different owners must
-			// not collide after a map change re-homes the key.
-			return minidb.FoldEpochs(m.Version, uint64(sid), nodes[sid].eng.TableEpoch(q.Table))
+			// Fold the owner id in, as TableEpoch does.
+			return minidb.FoldEpochs(uint64(sid), nodes[sid].eng.TableEpoch(q.Table))
 		}
 		return nodes[m.Home()].eng.TableEpoch(q.Table)
 	}
@@ -631,7 +596,6 @@ type ShardStatus struct {
 
 // Status describes the router for the /stats page and tests.
 type Status struct {
-	MapVersion    uint64
 	Shards        []ShardStatus
 	SingleShard   uint64
 	Scatter       uint64
@@ -644,7 +608,6 @@ type Status struct {
 func (r *Router) Status() Status {
 	m, nodes := r.snapshotRouting()
 	st := Status{
-		MapVersion:    m.Version,
 		SingleShard:   r.stats.singleShard.Load(),
 		Scatter:       r.stats.scatter.Load(),
 		FanoutCalls:   r.stats.fanoutCalls.Load(),

@@ -128,30 +128,87 @@ func TestRouterPointOpsRoute(t *testing.T) {
 	}
 }
 
-// TestRouterRefusesEngineOutsideMap: a cell persisted over shards {0,1}
+// TestRouterRefusesEngineOutsideMap: a cell laid out over shards {0,1}
 // and reopened with a third engine must fail to open. Without a split the
-// extra shard could never own a slot, so serving on would silently run on
-// two shards while the operator believes there are three.
+// extra shard could never own its slots' existing keys, so serving on
+// would route keys to shards that do not hold them. Reopening with the
+// same shards succeeds and writes nothing.
 func TestRouterRefusesEngineOutsideMap(t *testing.T) {
-	dir := t.TempDir()
 	dbs := openShardDBs(t, 3)
-	first, err := NewRouter(Options{Shards: map[int]minidb.Engine{0: dbs[0], 1: dbs[1]}, Dir: dir})
+	pair := map[int]minidb.Engine{0: dbs[0], 1: dbs[1]}
+	if _, err := NewRouter(Options{Shards: pair}); err != nil {
+		t.Fatal(err)
+	}
+
+	var idErr *IdentityError
+	if _, err := NewRouter(Options{Shards: dbs}); !errors.As(err, &idErr) ||
+		idErr.Shard != 0 || idErr.Count != 3 || idErr.Have != "0/2" {
+		t.Fatalf("reopen with an extra engine: err %v", err)
+	}
+	if have, _ := readIdentity(dbs[2].Query); have != "" {
+		t.Fatalf("refused open still claimed the extra engine as %q", have)
+	}
+
+	commits := func() (n int64) {
+		for _, db := range pair {
+			n += db.Stats().Commits
+		}
+		return n
+	}
+	before := commits()
+	again, err := NewRouter(Options{Shards: pair})
+	if err != nil {
+		t.Fatalf("reopen with the same shards: %v", err)
+	}
+	if len(again.Map().Shards) != 2 {
+		t.Fatalf("reopened over %v, want 2 shards", again.Map().Shards)
+	}
+	if got := commits(); got != before {
+		t.Fatalf("reopening a laid-out cell committed %d times", got-before)
+	}
+}
+
+// TestRouterRefusesSwappedShards: the same two databases handed over in
+// the other order would route every key to the shard that does not hold
+// it. The identity rows refuse the swap with a typed error naming both
+// sides.
+func TestRouterRefusesSwappedShards(t *testing.T) {
+	dbs := openShardDBs(t, 2)
+	first, err := NewRouter(Options{Shards: dbs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	version := first.Map().Version
+	if _, err := first.Insert(schema.TableHLE, testHLE(1)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewRouter(Options{Shards: map[int]minidb.Engine{0: dbs[1], 1: dbs[0]}})
+	var idErr *IdentityError
+	if !errors.As(err, &idErr) || idErr.Shard != 0 || idErr.Count != 2 || idErr.Have != "1/2" {
+		t.Fatalf("swapped shards: err %v", err)
+	}
+	if !strings.Contains(err.Error(), "0/2") || !strings.Contains(err.Error(), "1/2") {
+		t.Fatalf("refusal does not name both identities: %v", err)
+	}
+}
 
-	if _, err := NewRouter(Options{Shards: dbs, Dir: dir}); err == nil ||
-		!strings.Contains(err.Error(), "engine for shard 2 is not in the persisted map") {
-		t.Fatalf("reopen with an extra engine: err %v", err)
+// TestRouterRefusesUnshardedDatabase: a database that already holds
+// partitioned rows but no identity row was laid out unsharded; its keys
+// sit wherever one node put them, so it is refused as a shard, and
+// nothing is written to it or to its would-be peers.
+func TestRouterRefusesUnshardedDatabase(t *testing.T) {
+	dbs := openShardDBs(t, 2)
+	if _, err := dbs[0].Insert(schema.TableHLE, testHLE(1)); err != nil {
+		t.Fatal(err)
 	}
-	again, err := NewRouter(Options{Shards: map[int]minidb.Engine{0: dbs[0], 1: dbs[1]}, Dir: dir})
-	if err != nil {
-		t.Fatalf("reopen with the persisted shards: %v", err)
+	_, err := NewRouter(Options{Shards: dbs})
+	var idErr *IdentityError
+	if !errors.As(err, &idErr) || idErr.Shard != 0 || idErr.Have != "" || idErr.Table != schema.TableHLE {
+		t.Fatalf("unsharded database as shard 0: err %v", err)
 	}
-	if again.Map().Version != version || len(again.Map().Shards) != 2 {
-		t.Fatalf("reopened map v%d over %v, want v%d over 2 shards",
-			again.Map().Version, again.Map().Shards, version)
+	for id, db := range dbs {
+		if have, _ := readIdentity(db.Query); have != "" {
+			t.Fatalf("refused open claimed shard %d as %q", id, have)
+		}
 	}
 }
 

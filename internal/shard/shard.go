@@ -5,13 +5,16 @@
 // kept catalog growth from capping throughput — partition the catalog,
 // route point lookups to their owner, scatter-gather the rest.
 //
-// The package has two parts:
+// The package has three parts:
 //
 //   - a shard Map (smap.go): 64 hash slots over the domain partition key,
-//     each owned by a shard, versioned and persisted through the
-//     minidb.VFS seam so crash recovery yields the old map or the new
-//     map, never a torn one. The layout is fixed when a cell is first
-//     opened: a cell keeps the shard count it was built with;
+//     each owned by a shard, computed from the shard id list alone, so
+//     every router handed the same shards routes the same way;
+//   - an identity row in each shard database (identity.go): which shard
+//     of how many it is, written by the first router to open it and
+//     checked by every later one. The layout is fixed when a cell is
+//     first opened: a cell keeps the shards, their order and their count,
+//     and a database laid out unsharded is refused;
 //   - a Router (router.go, merge.go, tx.go): implements minidb.Engine and
 //     colseg.Runner over N per-shard engines. Key-equality point ops
 //     route to the single owner; everything else fans out scatter-gather
@@ -47,7 +50,9 @@ const NumSlots = 64
 // keyColumns maps each sharded domain table to its partition key column.
 // Tables absent here are "homed": they live whole on the home shard
 // (lowest shard ID), which keeps admin tables — including the hi-lo
-// sequence rows in admin_config — single-shard transactional.
+// sequence rows in admin_config — single-shard transactional. The one
+// exception is the identity row every shard keeps in admin_config, which
+// only the router's open reads and writes, on each engine directly.
 var keyColumns = map[string]string{
 	schema.TableHLE:            "hle_id",
 	schema.TableANA:            "ana_id",

@@ -305,7 +305,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			st := router.Status()
 			u := func(v uint64) string { return strconv.FormatUint(v, 10) }
 			rows := []statRow{
-				{"shard map version", u(st.MapVersion)},
 				{"single-shard ops", u(st.SingleShard)},
 				{"scatter-gather ops", u(st.Scatter)},
 				{"fanout shard calls", u(st.FanoutCalls)},

@@ -682,8 +682,8 @@ func TestBrowseDegradedBanner(t *testing.T) {
 }
 
 // TestStatsShardSection: when the DM's metadata engine is a shard
-// router, /stats surfaces the routing split, the map version and
-// per-shard circuit state alongside the usual sections.
+// router, /stats surfaces the routing split and per-shard circuit state
+// alongside the usual sections.
 func TestStatsShardSection(t *testing.T) {
 	engines := make(map[int]minidb.Engine, 2)
 	for i := 0; i < 2; i++ {
@@ -726,7 +726,7 @@ func TestStatsShardSection(t *testing.T) {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	for _, want := range []string{
-		"Shard router", "shard map version", "single-shard ops",
+		"Shard router", "single-shard ops",
 		"scatter-gather ops", "shard 0", "shard 1", "circuit closed",
 	} {
 		if !strings.Contains(string(body), want) {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full verification: vet, build, a gofmt guard (gofmt -l lists no file),
-# nine structural guards (the retired manifest + pack-file archive
+# ten structural guards (the retired manifest + pack-file archive
 # format is named in no non-test file; only the harness-cell builder
 # internal/cluster/cell.go wires replicas to a gateway; internal/sim is
 # imported only by the paper-shape reproductions; internal/epochcache is
@@ -12,7 +12,9 @@
 # processing directory's liveness lease, the pool drain and estimate-only
 # job control stay gone; one archive per node — the storage-tier
 # workflow (retention, relocation, archive copy) and the multi-archive
-# registry stay gone; and the dead-weight audit, TestDeadWeightAudit
+# registry stay gone; replicas route to their shards in process — the
+# persisted SMAP1 shard-map file and the shard-router mode stay gone;
+# and the dead-weight audit, TestDeadWeightAudit
 # in deadweight_test.go, which runs inside go test ./... with five classes:
 # (i) exported code no file references, (ii) option fields no code sets,
 # (iii) names only their own package's tests use, (iv) funcs and methods
@@ -39,7 +41,7 @@
 # open-loop spike), and short runs of the WAL, planner equivalence (index
 # probe, bounded top-k and ordered walk against a brute-force oracle),
 # dbnet wire-decode (including the statusOverload response parser),
-# columnar segment, shard map/merge and lake journal fuzz targets.
+# columnar segment, shard merge and lake journal fuzz targets.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -76,6 +78,9 @@ if grep -rnE 'StaleAfter|Heartbeat\(|RemoveServer|EstimateOnly' --include='*.go'
 
 echo "==> one archive per node (no retention or relocation workflow, archive copy or multi-archive registry)"
 if grep -rnE 'ApplyRetention|RetentionRule|RelocateItem|archive\.Copy|archive\.NewSet|Archives\(\)|DefaultArchive:' --include='*.go' --exclude='*_test.go' internal cmd; then exit 1; fi
+
+echo "==> replicas route to their shards in process (no persisted shard-map file, shard-router mode or -shard-addrs)"
+if grep -rnE 'SaveMap|LoadMap|EncodeMap|DecodeMap|SMAP1|SHARDMAP|shard-router|shard-addrs' --include='*.go' --exclude='*_test.go' internal cmd; then exit 1; fi
 
 echo "==> go test (includes the dead-weight audit, TestDeadWeightAudit)"
 go test ./...
@@ -134,7 +139,6 @@ for spec in \
 	"./internal/dbnet/ FuzzDispatch" \
 	"./internal/dbnet/ FuzzParseResponse" \
 	"./internal/colseg/ FuzzDecodeSegment" \
-	"./internal/shard/ FuzzDecodeShardMap" \
 	"./internal/shard/ FuzzMergeReplies" \
 	"./internal/lake/ FuzzDecodeJournal"; do
 	pkg=${spec% *}
