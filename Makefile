@@ -37,10 +37,10 @@ bench-chaos:
 	$(GO) run ./cmd/hedc-bench -exp chaos -json .
 
 # bench-stampede runs the flare-alert stampede A/B (fixed cap, the
-# limiter pinned at Min = Max with no brownout ladder, + naive retries
-# vs adaptive limiter + brownout ladder + hint-honoring
+# limiter pinned at Min = Max with no degrade switch, + naive retries
+# vs adaptive limiter + degrade switch + hint-honoring
 # clients under the same open-loop 10x spike) and records
-# BENCH_stampede.json.
+# BENCH_stampede.json, goodput split into fresh and stale answers.
 bench-stampede:
 	$(GO) run ./cmd/hedc-bench -exp stampede -json .
 

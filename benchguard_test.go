@@ -11,10 +11,12 @@ import (
 )
 
 // TestBenchmarkCellRunsNoAdmission: the benchmark harness measures the
-// gateway as deployed without -adaptive, with no admission control and
-// no brownout ladder. Its non-test files may not name the gateway's two
-// overload knobs, GatewayOptions.Admission and GatewayOptions.Brownout,
-// so neither can be turned on in the measured cell unseen.
+// gateway's request path with admission off: no limiter and no degrade
+// switch. Its non-test files may not name the gateway's two overload
+// knobs, GatewayOptions.Admission and GatewayOptions.Degrade, so neither
+// can be turned on in the measured cell unseen. hedc-server deploys both;
+// ROADMAP 1(d)'s overload_cell workload is where that default will be
+// measured end to end.
 func TestBenchmarkCellRunsNoAdmission(t *testing.T) {
 	const dir = "benchmark"
 	entries, err := os.ReadDir(dir)
@@ -34,7 +36,7 @@ func TestBenchmarkCellRunsNoAdmission(t *testing.T) {
 		}
 		parsed++
 		ast.Inspect(file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && (id.Name == "Admission" || id.Name == "Brownout") {
+			if id, ok := n.(*ast.Ident); ok && (id.Name == "Admission" || id.Name == "Degrade") {
 				t.Errorf("%s names %s", fset.Position(id.Pos()), id.Name)
 			}
 			return true

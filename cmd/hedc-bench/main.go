@@ -280,7 +280,7 @@ func writeBenchJSON(dir string, fig4, fig5 []bench.BrowsePoint, live []bench.Liv
 	if stampedeRes != nil {
 		err := write("BENCH_stampede.json", map[string]any{
 			"experiment": "stampede",
-			"note":       "open-loop 10x flare-alert browse spike against a live cell: fixed cap (the gateway limiter pinned at Min = Max = 64, no brownout ladder) + naive-retry clients vs adaptive limiter + brownout ladder + hint-honoring clients; goodput = requests answered within the 2s SLO",
+			"note":       "open-loop 10x flare-alert browse spike against a live cell: fixed cap (the gateway limiter pinned at Min = Max = 64, no degrade switch) + naive-retry clients vs adaptive limiter + degrade switch + hint-honoring clients; goodput = requests answered within the 2s SLO, split into good_fresh (live) and good_degraded (stale cache)",
 			"results":    stampedeRes,
 		})
 		if err != nil {

@@ -81,7 +81,6 @@ func main() {
 		dbAddr    = flag.String("db-addr", "", "dbnet address of the shared metadata database, or comma-separated shard addresses, index = shard id (replica mode)")
 		dbMaxOps  = flag.Float64("db-max-ops", 0, "database ops/sec ceiling, 0 = unlimited (db mode)")
 		replicas  = flag.String("replicas", "", "comma-separated replica /dm/ base URLs (gateway mode)")
-		adaptive  = flag.Bool("adaptive", false, "adaptive admission control: latency-gradient concurrency limit + brownout ladder (gateway mode)")
 		bootPw    = flag.String("bootstrap-password", "", "bootstrap the shared database with this admin password if empty (db mode)")
 		pprofAddr = flag.String("pprof", "", "serve /debug/pprof on this address (e.g. 127.0.0.1:6060; empty: disabled)")
 	)
@@ -120,7 +119,7 @@ func main() {
 	case "replica":
 		err = runReplica(ctx, *addr, *dbAddr, *node)
 	case "gateway":
-		err = runGateway(ctx, *addr, *replicas, *adaptive)
+		err = runGateway(ctx, *addr, *replicas)
 	default:
 		err = fmt.Errorf("unknown -mode %q (repo|db|replica|gateway)", *mode)
 	}
@@ -287,20 +286,16 @@ func runReplica(ctx context.Context, addr, dbAddrs, name string) error {
 
 // runGateway fronts a set of replicas with the cluster gateway:
 // health-checked, cache-affine load balancing with failover, exposed as
-// the same /dm/ protocol the replicas speak.
-func runGateway(ctx context.Context, addr, replicaList string, adaptive bool) error {
-	opts := cluster.GatewayOptions{
-		Logger: log.New(os.Stderr, "gateway ", log.LstdFlags),
-	}
-	if adaptive {
-		// Zero-value configs take the package defaults. Without the
-		// flag the gateway has no admission control and admits
-		// everything; with it, the AIMD limiter admits and the brownout
-		// ladder runs.
-		opts.Admission = &overload.Config{}
-		opts.Brownout = &overload.LadderConfig{}
-	}
-	gw := cluster.NewGateway(opts)
+// the same /dm/ protocol the replicas speak. Every request passes the
+// AIMD admission limiter, and the degrade switch turns overload sheds of
+// anonymous reads into stale-cache answers while pressure holds (both
+// with the package defaults).
+func runGateway(ctx context.Context, addr, replicaList string) error {
+	gw := cluster.NewGateway(cluster.GatewayOptions{
+		Admission: &overload.Config{},
+		Degrade:   &overload.SwitchConfig{},
+		Logger:    log.New(os.Stderr, "gateway ", log.LstdFlags),
+	})
 	defer gw.Close()
 	urls := splitList(replicaList)
 	for i, u := range urls {
@@ -343,9 +338,9 @@ func runGateway(ctx context.Context, addr, replicaList string, adaptive bool) er
 // absorbed: load shed, failovers, circuit opens, degraded serves.
 func logGatewayStatus(gw *cluster.Gateway) {
 	st := gw.Status()
-	log.Printf("gateway: shutdown: shed=%d failovers=%d retries-denied=%d retry-tokens=%.1f/%d degraded-serves=%d demotions=%d writes-failed-fast=%d write-epoch=%d stale-entries=%d",
+	log.Printf("gateway: shutdown: shed=%d failovers=%d retries-denied=%d retry-tokens=%.1f/%d degraded-serves=%d degrade-flips=%d demotions=%d writes-failed-fast=%d write-epoch=%d stale-entries=%d",
 		st.Shed, st.Failovers, st.RetriesDenied, st.RetryTokens, st.RetryBurst,
-		st.DegradedServes, st.SessionDemotions, st.WritesFailedFast, st.WriteEpoch, st.StaleEntries)
+		st.DegradedServes, st.Overload.Flips, st.SessionDemotions, st.WritesFailedFast, st.WriteEpoch, st.StaleEntries)
 	for _, m := range st.Members {
 		log.Printf("gateway: replica %s: healthy=%v circuit=%s fails=%d opens=%d served=%d failed=%d",
 			m.Name, m.Healthy, m.Circuit, m.CircuitFails, m.CircuitOpens, m.Served, m.Failed)

@@ -91,7 +91,8 @@ func TestCommandsSmoke(t *testing.T) {
 // runShardedCell starts the deployed topology as separate processes on
 // loopback: two shard databases (only shard 0 bootstrapped), two
 // replicas that each route to both shards in process, and a gateway.
-// It browses, logs in and writes through the gateway, loses a replica to
+// It browses, checks that the gateway runs its default overload control,
+// logs in and writes through the gateway, loses a replica to
 // SIGKILL and keeps browsing, then stops the rest with SIGTERM, each of
 // which must exit 0.
 func runShardedCell(t *testing.T, server string) {
@@ -135,6 +136,17 @@ func runShardedCell(t *testing.T, server string) {
 		get(base + "/browse")
 	}
 	browse()
+	// The gateway runs overload control by default: the AIMD limiter
+	// admits every request, and the degrade switch is off at this load.
+	stats := get(base + "/stats")
+	for _, want := range []string{
+		"adaptive (latency-gradient AIMD)",
+		`degrade switch</td><td style="text-align:right">off<`,
+	} {
+		if !strings.Contains(stats, want) {
+			t.Fatalf("gateway /stats lacks %q:\n%s", want, stats)
+		}
+	}
 
 	api := dm.NewRemote(base+"/dm/", nil)
 	const ip = "10.7.0.1"

@@ -10,11 +10,12 @@ import (
 
 // Flare-alert stampede A/B: the same open-loop 10x browse spike driven
 // against the same live cell under the two admission disciplines — the
-// fixed cap (the gateway limiter pinned at Min = Max, no brownout ladder)
-// with naive-retry clients, and the adaptive limiter + brownout ladder
+// fixed cap (the gateway limiter pinned at Min = Max, no degrade switch)
+// with naive-retry clients, and the adaptive limiter + degrade switch
 // with hint-honoring clients.
-// The record is goodput through the spike, the interactive tail, the
-// retry discipline, and how fast the cell stands back down afterwards.
+// The record is goodput through the spike, split into fresh answers and
+// answers from the stale cache, the interactive tail, the retry
+// discipline, and how fast the cell stands back down afterwards.
 
 // StampedeSide is one policy's measurement across the schedules.
 type StampedeSide struct {
@@ -24,13 +25,16 @@ type StampedeSide struct {
 	// Aggregates over the plain spike10x schedule (the comparable one).
 	GoodputRPS       float64 `json:"goodput_rps"`
 	GoodFraction     float64 `json:"good_fraction"`
+	GoodFresh        int     `json:"good_fresh"`
+	GoodDegraded     int     `json:"good_degraded"`
 	InteractiveP50Ms float64 `json:"interactive_p50_ms"`
 	InteractiveP99Ms float64 `json:"interactive_p99_ms"`
 	Retries          int64   `json:"retries"`
 	PrematureRetries int64   `json:"premature_retries"`
 	RecoverMs        float64 `json:"recover_ms"`
 	BaselineP99Ms    float64 `json:"baseline_p99_ms"`
-	MaxStage         string  `json:"max_stage"`
+	DegradedAtPeak   bool    `json:"degraded_at_peak"`
+	SwitchFlips      int64   `json:"switch_flips"`
 }
 
 // StampedeResult is the whole experiment.
@@ -54,13 +58,14 @@ func runStampedeSide(adaptive bool, scheds []chaos.StampedeSchedule, logf func(s
 		if s.Name == "spike10x" {
 			side.GoodputRPS = r.GoodputRPS
 			side.GoodFraction = r.GoodFraction()
+			side.GoodFresh, side.GoodDegraded = r.GoodFresh, r.GoodDegraded
 			side.InteractiveP50Ms = float64(r.InteractiveP50) / float64(time.Millisecond)
 			side.InteractiveP99Ms = float64(r.InteractiveP99) / float64(time.Millisecond)
 			side.Retries = r.Retries
 			side.PrematureRetries = r.PrematureRetries
 			side.RecoverMs = float64(r.RecoverTime) / float64(time.Millisecond)
 			side.BaselineP99Ms = float64(r.BaselineP99) / float64(time.Millisecond)
-			side.MaxStage = r.MaxStage
+			side.DegradedAtPeak, side.SwitchFlips = r.DegradedAtPeak, r.SwitchFlips
 		}
 	}
 	return side, nil
@@ -103,11 +108,14 @@ func FormatStampede(r *StampedeResult) string {
 	}
 	row("goodput (req/s)", fmt.Sprintf("%.1f", r.Fixed.GoodputRPS), fmt.Sprintf("%.1f", r.Adaptive.GoodputRPS))
 	row("answered within SLO", fmt.Sprintf("%.0f%%", 100*r.Fixed.GoodFraction), fmt.Sprintf("%.0f%%", 100*r.Adaptive.GoodFraction))
+	row("...fresh", fmt.Sprint(r.Fixed.GoodFresh), fmt.Sprint(r.Adaptive.GoodFresh))
+	row("...from the stale cache", fmt.Sprint(r.Fixed.GoodDegraded), fmt.Sprint(r.Adaptive.GoodDegraded))
 	row("interactive p50 (ms)", fmt.Sprintf("%.0f", r.Fixed.InteractiveP50Ms), fmt.Sprintf("%.0f", r.Adaptive.InteractiveP50Ms))
 	row("interactive p99 (ms)", fmt.Sprintf("%.0f", r.Fixed.InteractiveP99Ms), fmt.Sprintf("%.0f", r.Adaptive.InteractiveP99Ms))
 	row("retries", fmt.Sprint(r.Fixed.Retries), fmt.Sprint(r.Adaptive.Retries))
 	row("...before the hint", fmt.Sprint(r.Fixed.PrematureRetries), fmt.Sprint(r.Adaptive.PrematureRetries))
-	row("deepest brownout rung", r.Fixed.MaxStage, r.Adaptive.MaxStage)
+	row("degrading at peak", fmt.Sprint(r.Fixed.DegradedAtPeak), fmt.Sprint(r.Adaptive.DegradedAtPeak))
+	row("degrade switch flips", fmt.Sprint(r.Fixed.SwitchFlips), fmt.Sprint(r.Adaptive.SwitchFlips))
 	row("recovery (ms)", fmt.Sprintf("%.0f", r.Fixed.RecoverMs), fmt.Sprintf("%.0f", r.Adaptive.RecoverMs))
 	row("post-spike p99 (ms)", fmt.Sprintf("%.0f", r.Fixed.BaselineP99Ms), fmt.Sprintf("%.0f", r.Adaptive.BaselineP99Ms))
 	fmt.Fprintf(&b, "  goodput ratio (adaptive/fixed): %.1fx\n", r.GoodputRatio)

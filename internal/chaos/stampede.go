@@ -8,10 +8,10 @@
 // live cell, under either admission policy:
 //
 //   - Fixed: the gateway's limiter pinned at one cap (Min = Max, so it
-//     never moves, and no brownout ladder), no database queue bound,
+//     never moves, and no degrade switch), no database queue bound,
 //     fronted by naive clients that retry every shed after a fixed
 //     short pause.
-//   - Adaptive: the latency-gradient limiter + brownout ladder, a
+//   - Adaptive: the latency-gradient limiter + degrade switch, a
 //     queue-bounded database tier that refuses doomed work at the
 //     socket, and well-behaved clients that honor retry-after hints.
 //
@@ -19,8 +19,8 @@
 // every failure is typed, no request outlives the hard wall, a goodput
 // floor holds through the spike, interactive p99 stays bounded, clients
 // never retried into a tier before its hint elapsed, and after the
-// crowd leaves the brownout ladder walks back to normal and the cell
-// serves at baseline again.
+// crowd leaves the degrade switch turns off and the cell serves at
+// baseline again.
 package chaos
 
 import (
@@ -46,13 +46,13 @@ type StampedeSchedule struct {
 	// serving capacity is limping.
 	SlowReplica bool
 	// RecoveryFocus shortens the spike and stretches the recovery phase;
-	// the schedule exists to prove the ladder walks DOWN.
+	// the schedule exists to prove the degrade switch turns OFF.
 	RecoveryFocus bool
 }
 
 // StampedeSchedules enumerates the scenarios: the plain 10x spike, the
 // spike landing on a cell with one slow replica, and the post-spike
-// recovery walk-down.
+// recovery.
 func StampedeSchedules() []StampedeSchedule {
 	return []StampedeSchedule{
 		{Name: "spike10x"},
@@ -65,7 +65,7 @@ func StampedeSchedules() []StampedeSchedule {
 type StampedeConfig struct {
 	// Adaptive selects the admission policy (the A/B axis): false is the
 	// pinned-limiter + naive-retry baseline, true is the breathing
-	// limiter + brownout + hint-honoring stack.
+	// limiter + degrade switch + hint-honoring stack.
 	Adaptive bool
 	// Spike and Recover are phase durations (defaults 2s and 1.5s;
 	// RecoveryFocus schedules override both).
@@ -117,6 +117,11 @@ type StampedeResult struct {
 	Shed     int `json:"shed"`     // typed overload after client retry policy
 	TypedErr int `json:"typed_errors"`
 
+	// GoodFresh and GoodDegraded split Good into live answers and
+	// answers from the stale cache.
+	GoodFresh    int `json:"good_fresh"`
+	GoodDegraded int `json:"good_degraded"`
+
 	GoodputRPS       float64       `json:"goodput_rps"` // Good / spike seconds
 	InteractiveP99   time.Duration `json:"interactive_p99_ns"`
 	InteractiveP50   time.Duration `json:"interactive_p50_ns"`
@@ -125,13 +130,13 @@ type StampedeResult struct {
 	PrematureRetries int64         `json:"premature_retries"` // fired before the hint elapsed
 	DBRefusals       int64         `json:"db_refusals"`       // statusOverload frames from the DB tier
 
-	MaxStage    string `json:"max_stage"` // deepest brownout rung reached
-	Transitions int64  `json:"ladder_transitions"`
+	DegradedAtPeak bool  `json:"degraded_at_peak"` // degrade switch on as the spike ended
+	SwitchFlips    int64 `json:"switch_flips"`
 
 	// Recovery: measured after the crowd leaves.
-	RecoveredStage string        `json:"recovered_stage"`
-	RecoverTime    time.Duration `json:"recover_time_ns"` // spike end -> normal stage + clean round
-	BaselineP99    time.Duration `json:"baseline_p99_ns"` // post-recovery probe p99
+	DegradedAfter bool          `json:"degraded_after"`  // degrade switch on after the probe round
+	RecoverTime   time.Duration `json:"recover_time_ns"` // spike end -> switch off + clean round
+	BaselineP99   time.Duration `json:"baseline_p99_ns"` // post-recovery probe p99
 }
 
 // Goodput fraction of spike arrivals answered within the SLO.
@@ -181,11 +186,10 @@ func startStampedeCell(s StampedeSchedule, cfg StampedeConfig) (*cell, error) {
 			MaxWait:       100 * time.Millisecond,
 			QueueInterval: 100 * time.Millisecond,
 		}
-		gopts.Brownout = &overload.LadderConfig{Dwell: 200 * time.Millisecond}
-		gopts.BrownoutTick = 25 * time.Millisecond
+		gopts.Degrade = &overload.SwitchConfig{Dwell: 200 * time.Millisecond}
 	} else {
 		// A generous fixed cap: the limiter pinned at Min = Max, with
-		// no brownout ladder and so no stale-read rung.
+		// no degrade switch, so sheds never turn into stale answers.
 		gopts.Admission = &overload.Config{Initial: 64, Min: 64, Max: 64}
 	}
 	o := cluster.CellOptions{
@@ -218,6 +222,7 @@ type recorder struct {
 	served   atomic.Int64
 	degraded atomic.Int64
 	good     atomic.Int64 // served or degraded within stampedeSLO
+	goodDeg  atomic.Int64 // the degraded part of good
 	shed     atomic.Int64
 	typed    atomic.Int64
 
@@ -315,7 +320,8 @@ func (c *cell) request(rec *recorder, cfg StampedeConfig, interactive, inSpike b
 // counts as served or degraded; only one whose wall time is within
 // stampedeSLO also counts as good, the numerator of goodput.
 func (r *recorder) score(interactive bool, wall time.Duration, err error) {
-	switch outcome(err) {
+	o := outcome(err)
+	switch o {
 	case "ok":
 		r.served.Add(1)
 	case "degraded":
@@ -336,6 +342,9 @@ func (r *recorder) score(interactive bool, wall time.Duration, err error) {
 	}
 	if wall <= stampedeSLO {
 		r.good.Add(1)
+		if o == "degraded" {
+			r.goodDeg.Add(1)
+		}
 	}
 	r.record(interactive, wall)
 }
@@ -359,21 +368,6 @@ func (c *cell) generate(rec *recorder, cfg StampedeConfig, interactive, inSpike 
 			}(seq)
 		}
 		time.Sleep(tick)
-	}
-}
-
-// trackStage samples the brownout ladder until stop closes, keeping the
-// deepest rung seen in max.
-func trackStage(gw *cluster.Gateway, max *atomic.Int32, stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case <-time.After(10 * time.Millisecond):
-			if s := int32(gw.BrownoutStage()); s > max.Load() {
-				max.Store(s)
-			}
-		}
 	}
 }
 
@@ -401,9 +395,6 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 	}
 
 	rec := &recorder{}
-	stopTrack := make(chan struct{})
-	var maxStage atomic.Int32
-	go trackStage(c.GW, &maxStage, stopTrack)
 
 	var wg sync.WaitGroup
 	phase := func(inSpike bool, crowdRPS float64, d time.Duration) {
@@ -422,6 +413,7 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 	db0 := c.Srvs[0].OverloadRefusals()
 	phase(true, browseRPS*spikeFactor, cfg.Spike)
 	spikeEnd := time.Now()
+	atPeak := c.GW.Status().Overload.Degrading
 	if s.SlowReplica {
 		c.rig.ClearFault()
 	}
@@ -429,7 +421,6 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 	// Recovery phase: the crowd leaves, baseline load continues.
 	phase(false, browseRPS, cfg.Recover)
 	wg.Wait()
-	close(stopTrack)
 	if v := rec.violation.Load(); v != nil {
 		return nil, fmt.Errorf("invariant violated: %s", *v)
 	}
@@ -441,28 +432,29 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 		Served:           int(rec.served.Load()),
 		Degraded:         int(rec.degraded.Load()),
 		Good:             int(rec.good.Load()),
+		GoodDegraded:     int(rec.goodDeg.Load()),
 		Shed:             int(rec.shed.Load()),
 		TypedErr:         int(rec.typed.Load()),
 		Retries:          rec.retries.Load(),
 		PrematureRetries: rec.premature.Load(),
 		DBRefusals:       int64(c.Srvs[0].OverloadRefusals() - db0),
-		MaxStage:         overload.Stage(maxStage.Load()).String(),
+		DegradedAtPeak:   atPeak,
 	}
+	res.GoodFresh = res.Good - res.GoodDegraded
 	rec.mu.Lock()
 	res.InteractiveP99 = pctile(rec.interactive, 0.99)
 	res.InteractiveP50 = pctile(rec.interactive, 0.50)
 	res.BrowseP99 = pctile(rec.browse, 0.99)
 	rec.mu.Unlock()
 	res.GoodputRPS = float64(res.Good) / cfg.Spike.Seconds()
-	res.Transitions = c.GW.Status().Overload.Transitions
 
-	// Recovery: wait for the ladder to stand down, then probe a quiet
-	// baseline round and score its tail.
+	// Recovery: wait for the degrade switch to turn off (each Status
+	// call feeds it the decaying pressure), then probe a quiet baseline
+	// round and score its tail.
 	deadline := time.Now().Add(recoverWall)
-	for c.GW.BrownoutStage() != overload.StageNormal {
+	for c.GW.Status().Overload.Degrading {
 		if time.Now().After(deadline) {
-			return res, fmt.Errorf("brownout ladder stuck at %v %v after the spike",
-				c.GW.BrownoutStage(), recoverWall)
+			return res, fmt.Errorf("degrade switch still on %v after the spike", recoverWall)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -479,7 +471,8 @@ func RunStampede(s StampedeSchedule, cfg StampedeConfig) (*StampedeResult, error
 		}
 		probes = append(probes, time.Since(t0))
 	}
-	res.RecoveredStage = c.GW.BrownoutStage().String()
+	ov := c.GW.Status().Overload
+	res.DegradedAfter, res.SwitchFlips = ov.Degrading, ov.Flips
 	res.RecoverTime = time.Since(spikeEnd) - cfg.Recover // probe time beyond the scripted phase
 	if res.RecoverTime < 0 {
 		res.RecoverTime = 0

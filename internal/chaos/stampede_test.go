@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/overload"
 )
 
 // shortStampede trims the phases for the short -race smoke lane: one
@@ -55,6 +54,9 @@ func TestStampedeGoodputWithinSLO(t *testing.T) {
 	if s, d, g := rec.served.Load(), rec.degraded.Load(), rec.good.Load(); s != 2 || d != 2 || g != 2 {
 		t.Fatalf("served/degraded/good = %d/%d/%d, want 2/2/2", s, d, g)
 	}
+	if gd := rec.goodDeg.Load(); gd != 1 {
+		t.Fatalf("good degraded = %d, want 1: only the in-time stale answer", gd)
+	}
 	if n := len(rec.interactive) + len(rec.browse); n != 4 {
 		t.Fatalf("%d latencies recorded, want all 4", n)
 	}
@@ -67,7 +69,7 @@ func TestStampedeGoodputWithinSLO(t *testing.T) {
 // TestStampedeAdaptive is the stampede contract under the adaptive
 // policy, per schedule: every failure typed, a goodput floor through
 // the spike, interactive p99 bounded, zero retries fired before a
-// hinted interval elapsed, and the ladder stood down afterwards.
+// hinted interval elapsed, and the degrade switch off afterwards.
 func TestStampedeAdaptive(t *testing.T) {
 	scheds := StampedeSchedules()
 	if testing.Short() {
@@ -104,18 +106,18 @@ func TestStampedeAdaptive(t *testing.T) {
 			if res.PrematureRetries != 0 {
 				t.Fatalf("%d retries fired before the hinted interval", res.PrematureRetries)
 			}
-			// Recovery: ladder down, baseline tail back.
-			if res.RecoveredStage != overload.StageNormal.String() {
-				t.Fatalf("post-spike stage = %s, want normal", res.RecoveredStage)
+			// Recovery: switch off, baseline tail back.
+			if res.DegradedAfter {
+				t.Fatal("degrade switch still on after the spike, want off")
 			}
 			if res.BaselineP99 > time.Second {
 				t.Fatalf("post-spike baseline p99 = %v, want <= 1s", res.BaselineP99)
 			}
-			t.Logf("%s/%s: %d arrivals, %d served + %d degraded + %d shed (goodput %.1f/s), interactive p50/p99 %v/%v, db refusals %d, max stage %s, recovered in %v (baseline p99 %v)",
+			t.Logf("%s/%s: %d arrivals, %d served + %d degraded + %d shed (goodput %.1f/s: %d fresh, %d stale), interactive p50/p99 %v/%v, db refusals %d, degrading at peak %v, %d switch flips, recovered in %v (baseline p99 %v)",
 				res.Schedule, res.Policy, res.Arrivals, res.Served, res.Degraded, res.Shed,
-				res.GoodputRPS, res.InteractiveP50.Round(time.Millisecond),
+				res.GoodputRPS, res.GoodFresh, res.GoodDegraded, res.InteractiveP50.Round(time.Millisecond),
 				res.InteractiveP99.Round(time.Millisecond), res.DBRefusals,
-				res.MaxStage, res.RecoverTime.Round(time.Millisecond),
+				res.DegradedAtPeak, res.SwitchFlips, res.RecoverTime.Round(time.Millisecond),
 				res.BaselineP99.Round(time.Millisecond))
 		})
 	}

@@ -228,10 +228,11 @@ func (c *Cell) AddReplica() (*Replica, error) {
 
 // DialEngine opens the metadata engine a replica programs against, over
 // the dbnet servers at addrs (index = shard id): a dbnet client for one
-// address, else a shard.Router over one client per address. co and ro
-// are templates (timeouts, breaker tuning); Addr and Shards are filled
-// in. dial, when set, may return the dialer for shard sid's link (nil =
-// dial normally). On error every client already dialled is closed.
+// address, refused if that database is one shard of several, else a
+// shard.Router over one client per address. co and ro are templates
+// (timeouts, breaker tuning); Addr and Shards are filled in. dial, when
+// set, may return the dialer for shard sid's link (nil = dial
+// normally). On error every client already dialled is closed.
 func DialEngine(addrs []string, co dbnet.ClientOptions, ro shard.Options, dial func(sid int) DialFunc) (minidb.Engine, error) {
 	clients := make(map[int]minidb.Engine, len(addrs))
 	closeClients := func() {
@@ -255,6 +256,10 @@ func DialEngine(addrs []string, co dbnet.ClientOptions, ro shard.Options, dial f
 		clients[sid] = cl
 	}
 	if len(clients) == 1 {
+		if err := shard.CheckUnsharded(clients[0]); err != nil {
+			closeClients()
+			return nil, err
+		}
 		return clients[0], nil
 	}
 	ro.Shards = clients

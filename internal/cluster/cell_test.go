@@ -85,6 +85,40 @@ func (tc *testCell) waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// TestDialEngineOneAddressIsWhole: one address of a two-shard cell is
+// refused with the shard's identity, not opened as the whole catalog;
+// one address of a one-shard cell, whose database has no identity row,
+// still opens.
+func TestDialEngineOneAddressIsWhole(t *testing.T) {
+	two, err := StartBackends(2, dbnet.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer two.Close()
+	eng, err := DialEngine(two.Addrs()[:1], dbnet.ClientOptions{}, shard.Options{}, nil)
+	var ie *shard.IdentityError
+	if !errors.As(err, &ie) {
+		if eng != nil {
+			eng.Close()
+		}
+		t.Fatalf("shard 0 of 2 as the only address: err = %v, want *shard.IdentityError", err)
+	}
+	if ie.Have != "0/2" {
+		t.Fatalf("IdentityError names %q, want the shard's own 0/2", ie.Have)
+	}
+
+	one, err := StartBackends(1, dbnet.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	eng, err = DialEngine(one.Addrs(), dbnet.ClientOptions{}, shard.Options{}, nil)
+	if err != nil {
+		t.Fatalf("unsharded database refused: %v", err)
+	}
+	eng.Close()
+}
+
 // TestCellServes is the builder's smoke over its shapes: the cell comes
 // up, scatter queries and counts through the gateway see every seeded
 // row regardless of which shard holds it, point reads route, a write

@@ -57,14 +57,11 @@ type GatewayOptions struct {
 	// lets the cap breathe with measured latency (AIMD); a fixed cap of
 	// n is Initial = Min = Max = n, a limit that never moves.
 	Admission *overload.Config
-	// Brownout enables the pressure ladder: from its stale-reads rung up,
-	// overload-shed anonymous reads degrade to the stale cache (zero
-	// fields take the defaults). Nil runs no ladder; ignored without
-	// Admission.
-	Brownout *overload.LadderConfig
-	// BrownoutTick is how often the ladder samples limiter pressure
-	// (default 100ms).
-	BrownoutTick time.Duration
+	// Degrade runs the degrade switch over the limiter's pressure: while
+	// it is on, overload-shed anonymous reads degrade to the stale cache
+	// (a zero Dwell takes the default). Nil runs no switch; ignored
+	// without Admission.
+	Degrade *overload.SwitchConfig
 	// BreakerThreshold is how many consecutive transport failures open a
 	// replica's circuit (default 3). An open circuit takes the replica
 	// out of rotation until a half-open probe succeeds.
@@ -119,7 +116,7 @@ type Gateway struct {
 	pins  map[string]*member // session token -> replica holding the session
 
 	lim *overload.Limiter // admission control (nil = off)
-	lad *overload.Ladder  // brownout ladder (nil unless Brownout and Admission are set)
+	deg *overload.Switch  // degrade switch (nil unless Degrade and Admission are set)
 
 	retry *retryBudget
 	stale *epochcache.Cache[uint64, staleValue] // anonymous read results, keyed on writeEpoch
@@ -152,9 +149,6 @@ func NewGateway(opts GatewayOptions) *Gateway {
 	if opts.BreakerCooldown <= 0 {
 		opts.BreakerCooldown = time.Second
 	}
-	if opts.BrownoutTick <= 0 {
-		opts.BrownoutTick = 100 * time.Millisecond
-	}
 	g := &Gateway{
 		opts:  opts,
 		pins:  make(map[string]*member),
@@ -168,10 +162,8 @@ func NewGateway(opts GatewayOptions) *Gateway {
 			cfg.Tier = "gateway"
 		}
 		g.lim = overload.NewLimiter(cfg)
-		if opts.Brownout != nil {
-			g.lad = overload.NewLadder(opts.Brownout)
-			g.wg.Add(1)
-			go g.brownoutLoop()
+		if opts.Degrade != nil {
+			g.deg = overload.NewSwitch(*opts.Degrade)
 		}
 	}
 	g.wg.Add(1)
@@ -179,36 +171,14 @@ func NewGateway(opts GatewayOptions) *Gateway {
 	return g
 }
 
-// BrownoutStage reports the ladder's current rung (StageNormal when the
-// gateway runs no ladder).
-func (g *Gateway) BrownoutStage() overload.Stage {
-	if g.lad == nil {
-		return overload.StageNormal
+// degrading feeds the degrade switch the limiter's pressure at now and
+// reports whether it is on, with its flip count (false, 0 when the
+// gateway runs no switch).
+func (g *Gateway) degrading(now time.Time) (bool, int64) {
+	if g.deg == nil {
+		return false, 0
 	}
-	return g.lad.Stage()
-}
-
-// brownoutLoop samples limiter pressure on a fixed tick and walks the
-// ladder one rung at a time, logging each transition. canDegrade reads
-// the rung it reaches.
-func (g *Gateway) brownoutLoop() {
-	defer g.wg.Done()
-	ticker := time.NewTicker(g.opts.BrownoutTick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-g.stop:
-			return
-		case now := <-ticker.C:
-			from := g.lad.Stage()
-			pressure := g.lim.Pressure()
-			to := g.lad.Observe(now, pressure)
-			if to == from {
-				continue
-			}
-			g.logf("cluster: brownout %v -> %v (pressure %.2f)", from, to, pressure)
-		}
-	}
+	return g.deg.Observe(now, g.lim.Pressure())
 }
 
 // priorityOf maps a request to its admission class: mutations and
@@ -276,29 +246,23 @@ type Status struct {
 	Stale epochcache.Stats // the stale cache's whole counter set (StaleEntries is its Entries)
 }
 
-// OverloadStatus is the admission-control and brownout snapshot for
-// /stats: the limiter's own snapshot (all zero when admission is off;
-// Min == Max is a fixed cap), and which rung of the brownout ladder the
-// cluster stands on.
+// OverloadStatus is the admission-control snapshot for /stats: the
+// limiter's own snapshot (all zero when admission is off; Min == Max is
+// a fixed cap), and the degrade switch's state.
 type OverloadStatus struct {
 	overload.LimiterStats
-	DBOverloads int64  // downstream tiers' overload refusals observed
-	Stage       string // brownout rung ("normal", "no-hedge", ...)
-	Transitions int64  // lifetime brownout rung changes
+	DBOverloads int64 // downstream tiers' overload refusals observed
+	Degrading   bool  // the degrade switch is on (false when none runs)
+	Flips       int64 // lifetime degrade switch flips
 }
 
 // Status reports every resilience counter in one consistent-enough view.
 func (g *Gateway) Status() Status {
-	ov := OverloadStatus{
-		DBOverloads: g.dbOverloads.Load(),
-		Stage:       g.BrownoutStage().String(),
-	}
+	ov := OverloadStatus{DBOverloads: g.dbOverloads.Load()}
 	if g.lim != nil {
 		ov.LimiterStats = g.lim.Stats()
 	}
-	if g.lad != nil {
-		ov.Transitions = g.lad.Transitions()
-	}
+	ov.Degrading, ov.Flips = g.degrading(time.Now())
 	stale := g.stale.Stats()
 	return Status{
 		Members:          g.Members(),
@@ -443,8 +407,11 @@ func (g *Gateway) pick(candidates []*member, affinity string) *member {
 // answer what the shared database cannot.
 func (g *Gateway) do(affinity, token string, mutation bool, fn func(api dm.API) error) error {
 	if g.lim != nil {
-		// The limiter decides, carrying its own priority queueing, CoDel
-		// sojourn bound, and retry-after hints.
+		// Every arrival samples pressure for the degrade switch, so it
+		// sees a queue build before the first shed. The limiter decides,
+		// carrying its own priority queueing, CoDel sojourn bound, and
+		// retry-after hints.
+		g.degrading(time.Now())
 		permit, err := g.lim.Acquire(priorityOf(token, mutation))
 		if err != nil {
 			return err
@@ -618,16 +585,20 @@ func (g *Gateway) noteFailure(m *member) {
 // canDegrade reports whether a read failure may be answered from the
 // stale cache instead. Two regimes qualify: the live path is GONE (no
 // replicas, transport failure everywhere, the shared database partitioned
-// away), or the live path is DROWNING and the brownout ladder has climbed
-// to its stale-reads rung — at which point a cached answer for an
-// anonymous browse is exactly the load-shedding the ladder asked for.
-// Below that rung, overload sheds pass through untouched: the caller
-// should back off, and serving cache would hide early saturation.
+// away), or the live path is DROWNING and the degrade switch is on — at
+// which point a cached answer for an anonymous browse is exactly the
+// load-shedding the switch stands for. While it is off, overload sheds
+// pass through untouched: the caller should back off, and serving cache
+// would hide early saturation.
 func (g *Gateway) canDegrade(err error) bool {
 	if errors.Is(err, ErrNoReplicas) || dm.IsUnreachable(err) || dm.IsDBUnavailable(err) {
 		return true
 	}
-	return overload.IsOverload(err) && g.BrownoutStage() >= overload.StageStaleReads
+	if !overload.IsOverload(err) {
+		return false
+	}
+	on, _ := g.degrading(time.Now())
+	return on
 }
 
 // --- dm.API ---

@@ -137,25 +137,23 @@ func TestGatewayReportsAdmission(t *testing.T) {
 		if st.Inflight != wantIn {
 			t.Fatalf("%s: inflight=%d, want %d", tt.name, st.Inflight, wantIn)
 		}
-		if st.Stage != overload.StageNormal.String() || st.Transitions != 0 {
-			t.Fatalf("%s: no Brownout set, yet stage %s after %d transitions", tt.name, st.Stage, st.Transitions)
+		if st.Degrading || st.Flips != 0 {
+			t.Fatalf("%s: no Degrade set, yet degrading=%v after %d flips", tt.name, st.Degrading, st.Flips)
 		}
 	}
 }
 
-// TestGatewayFixedCapRunsNoLadder: a gateway with Admission but no
-// Brownout — the stampede's fixed arm — runs no brownout ladder. Under
-// a shed storm long enough for the default ladder to reach its
-// stale-reads rung, it stays at StageNormal and never answers a shed
-// anonymous read from the stale cache.
-func TestGatewayFixedCapRunsNoLadder(t *testing.T) {
+// TestGatewayFixedCapRunsNoSwitch: a gateway with Admission but no
+// Degrade — the stampede's fixed arm — runs no degrade switch. Under a
+// shed storm long enough for the default switch to turn on, it never
+// degrades and never answers a shed anonymous read from the stale cache.
+func TestGatewayFixedCapRunsNoSwitch(t *testing.T) {
 	gw := NewGateway(GatewayOptions{
 		HealthInterval: time.Minute,
 		Admission: &overload.Config{
 			Initial: 1, Min: 1, Max: 1, MaxQueue: 2,
 			MaxWait: 5 * time.Millisecond,
 		},
-		BrownoutTick: 10 * time.Millisecond,
 	})
 	defer gw.Close()
 	stub := &stubAPI{}
@@ -167,7 +165,6 @@ func TestGatewayFixedCapRunsNoLadder(t *testing.T) {
 	stub.delay.Store(int64(30 * time.Millisecond))
 
 	var degraded atomic.Int64
-	var climbed atomic.Pointer[string]
 	stop := time.Now().Add(1500 * time.Millisecond)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -178,22 +175,18 @@ func TestGatewayFixedCapRunsNoLadder(t *testing.T) {
 				if _, err := gw.CountHLEs("", "10.9.0.4", f); IsDegraded(err) {
 					degraded.Add(1)
 				}
-				if s := gw.BrownoutStage(); s != overload.StageNormal {
-					name := s.String()
-					climbed.CompareAndSwap(nil, &name)
-				}
 			}
 		}()
 	}
 	wg.Wait()
 	if st := gw.Status(); st.Shed == 0 {
-		t.Fatal("the storm shed nothing, so no ladder could have climbed")
+		t.Fatal("the storm shed nothing, so no switch could have turned on")
 	}
-	if s := climbed.Load(); s != nil {
-		t.Fatalf("brownout ladder ran without Brownout: reached %s", *s)
+	if ov := gw.Status().Overload; ov.Degrading || ov.Flips != 0 {
+		t.Fatalf("degrade switch ran without Degrade: on=%v after %d flips", ov.Degrading, ov.Flips)
 	}
 	if n := degraded.Load(); n != 0 {
-		t.Fatalf("%d sheds answered from the stale cache without a ladder", n)
+		t.Fatalf("%d sheds answered from the stale cache without a switch", n)
 	}
 }
 
@@ -236,31 +229,145 @@ func TestGatewayBackpressureOnDownstreamOverload(t *testing.T) {
 	}
 }
 
-// TestGatewayBrownoutLadder: a sustained shed storm drives limiter
-// pressure up and the ladder climbs rung by rung to shed-bulk; when the
-// storm stops the pressure decays and the ladder walks back down to
-// normal.
-func TestGatewayBrownoutLadder(t *testing.T) {
+// TestGatewayDegradeSwitch: a sustained shed storm drives limiter
+// pressure up and the degrade switch turns on, after which sheds of a
+// warmed anonymous read are answered from the stale cache; when the
+// storm stops the pressure decays and the switch turns off.
+func TestGatewayDegradeSwitch(t *testing.T) {
 	gw := NewGateway(GatewayOptions{
 		Admission: &overload.Config{
 			Initial: 1, Min: 1, Max: 1, MaxQueue: 2,
 			MaxWait:       5 * time.Millisecond,
 			QueueInterval: 40 * time.Millisecond,
 		},
-		Brownout: &overload.LadderConfig{
-			Enter: [4]float64{0, 0.30, 0.55, 0.80},
-			Exit:  [4]float64{0, 0.10, 0.25, 0.45},
-			Dwell: 20 * time.Millisecond,
-		},
-		BrownoutTick: 10 * time.Millisecond,
+		Degrade: &overload.SwitchConfig{Dwell: 20 * time.Millisecond},
 	})
 	defer gw.Close()
 	stub := &stubAPI{}
-	stub.delay.Store(int64(30 * time.Millisecond))
 	gw.AddReplica("r0", stub)
+	f := dm.HLEFilter{Kind: "flare"}
+	if _, err := gw.CountHLEs("", "10.9.0.3", f); err != nil {
+		t.Fatal(err) // warms the stale cache for f
+	}
+	stub.delay.Store(int64(30 * time.Millisecond))
 
 	// Storm: a closed swarm hammering a 1-permit gateway sheds nearly
 	// everything, holding pressure high while it lasts.
+	stop := make(chan struct{})
+	var degraded atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := gw.CountHLEs("", "10.9.0.3", f); IsDegraded(err) {
+					degraded.Add(1)
+				}
+			}
+		}()
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for !gw.Status().Overload.Degrading || degraded.Load() == 0 {
+		if time.Now().After(deadline) {
+			st := gw.Status().Overload
+			t.Fatalf("switch never degraded a shed: on=%v pressure %.2f, %d degraded",
+				st.Degrading, st.Pressure, degraded.Load())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+
+	// Recovery: arrivals stopped, pressure decays, the switch turns off.
+	deadline = time.Now().Add(5 * time.Second)
+	for gw.Status().Overload.Degrading {
+		if time.Now().After(deadline) {
+			t.Fatalf("switch never turned off; pressure %.2f", gw.Status().Overload.Pressure)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if fl := gw.Status().Overload.Flips; fl < 2 {
+		t.Fatalf("flips = %d, want on and off (>= 2)", fl)
+	}
+}
+
+// TestGatewayArrivalsFeedSwitch: every arrival samples pressure for the
+// degrade switch, so a queue that builds without a single shed turns it
+// on, as the brownout ladder's ticker did. Nothing else reads the switch
+// until the one Status call at the end, which on its own could only arm
+// it.
+func TestGatewayArrivalsFeedSwitch(t *testing.T) {
+	gw := NewGateway(GatewayOptions{
+		HealthInterval: time.Minute,
+		Admission: &overload.Config{
+			Initial: 1, Min: 1, Max: 1, MaxQueue: 16,
+			MaxWait: 2 * time.Second,
+			// A long control interval: the queue stands without CoDel
+			// shedding from it, and pressure barely decays.
+			QueueInterval: 10 * time.Second,
+		},
+		Degrade: &overload.SwitchConfig{Dwell: 200 * time.Millisecond},
+	})
+	defer gw.Close()
+	stub := &stubAPI{}
+	stub.delay.Store(int64(20 * time.Millisecond))
+	gw.AddReplica("r0", stub)
+
+	stop := time.Now().Add(600 * time.Millisecond)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				gw.CountHLEs("", "10.9.0.9", dm.HLEFilter{Kind: "flare"})
+			}
+		}()
+	}
+	wg.Wait()
+	if st := gw.lim.Stats(); st.Sheds != 0 || st.Pressure < 0.55 {
+		t.Fatalf("%d sheds, pressure %.2f; the test needs a queue that sheds nothing and holds pressure high", st.Sheds, st.Pressure)
+	}
+	if !gw.Status().Overload.Degrading {
+		t.Fatal("a standing queue with no sheds left the switch off: arrivals did not sample it")
+	}
+}
+
+// TestGatewaySwitchRestartsAfterQuiet: a storm turns the degrade switch
+// on, then nothing reads it for longer than its dwell. The first shed
+// after the quiet spell comes while pressure is still above the switch's
+// exit level, yet it is not answered from the stale cache: a switch left
+// unread restarts off, where the brownout ladder, ticking through the
+// quiet, could have stepped all the way down.
+func TestGatewaySwitchRestartsAfterQuiet(t *testing.T) {
+	gw := NewGateway(GatewayOptions{
+		HealthInterval: time.Minute,
+		Admission: &overload.Config{
+			Initial: 1, Min: 1, Max: 1, MaxQueue: 2,
+			MaxWait: 5 * time.Millisecond,
+			// Pressure halves only every 2s, so it is still high after
+			// the quiet spell.
+			QueueInterval: 2 * time.Second,
+		},
+		Degrade: &overload.SwitchConfig{Dwell: 20 * time.Millisecond},
+	})
+	defer gw.Close()
+	stub := &stubAPI{}
+	gw.AddReplica("r0", stub)
+	f := dm.HLEFilter{Kind: "flare"}
+	if _, err := gw.CountHLEs("", "10.9.0.6", f); err != nil {
+		t.Fatal(err) // warms the stale cache for f
+	}
+	stub.delay.Store(int64(30 * time.Millisecond))
+
+	var degraded atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -273,49 +380,53 @@ func TestGatewayBrownoutLadder(t *testing.T) {
 					return
 				default:
 				}
-				gw.CountHLEs("", "10.9.0.3", dm.HLEFilter{Kind: "flare"})
+				if _, err := gw.CountHLEs("", "10.9.0.6", f); IsDegraded(err) {
+					degraded.Add(1)
+				}
 			}
 		}()
 	}
-
-	// The ladder moves one rung per 20ms dwell, so a 2ms poll sees every
-	// rung it stands on.
 	deadline := time.Now().Add(5 * time.Second)
-	for gw.BrownoutStage() != overload.StageShedBulk {
+	for degraded.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("ladder never reached shed-bulk; stage %v pressure %.2f",
-				gw.BrownoutStage(), gw.Status().Overload.Pressure)
+			t.Fatal("the storm never turned the switch on")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
 
-	// Recovery: arrivals stopped, pressure decays, ladder exits brownout.
-	deadline = time.Now().Add(5 * time.Second)
-	for gw.BrownoutStage() != overload.StageNormal {
-		if time.Now().After(deadline) {
-			t.Fatalf("ladder never recovered; stage %v pressure %.2f",
-				gw.BrownoutStage(), gw.Status().Overload.Pressure)
-		}
-		time.Sleep(10 * time.Millisecond)
+	time.Sleep(100 * time.Millisecond) // quiet: five dwells, nobody reads the switch
+	if p := gw.lim.Pressure(); p <= 0.25 {
+		t.Fatalf("pressure %.2f after the quiet spell; the test needs it above the exit level", p)
 	}
-	if tr := gw.Status().Overload.Transitions; tr < 6 {
-		t.Fatalf("transitions = %d, want the full climb and descent (>= 6)", tr)
+	held := make(chan struct{})
+	go func() { // holds the one permit while the probe below queues and sheds
+		defer close(held)
+		gw.CountHLEs("", "10.9.0.7", f)
+	}()
+	time.Sleep(5 * time.Millisecond)
+	_, err := gw.CountHLEs("", "10.9.0.8", f)
+	<-held
+	if IsDegraded(err) {
+		t.Fatalf("first shed after the quiet spell answered from the stale cache: %v", err)
+	}
+	if !overload.IsOverload(err) {
+		t.Fatalf("probe was not shed (err %v); the test needs a shed", err)
 	}
 }
 
-// TestDegradeStartsAtStaleReads crosses every error class with every
-// ladder rung. Losing the live path degrades on every rung; an overload
-// shed, bare or wrapped, only from the stale-reads rung up, and not on
-// the rungs below it; an answer the replicas gave (a refusal, a missing
-// entry) never, on any rung: a stale copy would hide it.
+// TestDegradeStartsAtStaleReads crosses every error class with the
+// degrade switch off and on. Losing the live path degrades either way;
+// an overload shed, bare or wrapped, only while the switch is on; an
+// answer the replicas gave (a refusal, a missing entry) never: a stale
+// copy would hide it.
 func TestDegradeStartsAtStaleReads(t *testing.T) {
 	shed := &overload.Error{Tier: "gateway"}
 	classes := []struct {
-		name                   string
-		err                    error
-		always, fromStaleReads bool
+		name         string
+		err          error
+		always, ifOn bool
 	}{
 		{"no replicas", ErrNoReplicas, true, true},
 		{"replica unreachable", &dm.TransportError{Method: "QueryHLEs", Err: errors.New("connection refused")}, true, true},
@@ -324,19 +435,53 @@ func TestDegradeStartsAtStaleReads(t *testing.T) {
 		{"wrapped overload shed", fmt.Errorf("gateway: %w", shed), false, true},
 		{"replica answer", errors.New("dm: permission denied"), false, false},
 	}
-	g := &Gateway{lad: overload.NewLadder(&overload.LadderConfig{Dwell: time.Nanosecond})}
-	now := time.Now()
-	for stage := overload.StageNormal; stage <= overload.StageShedBulk; stage++ {
-		if got := g.BrownoutStage(); got != stage {
-			t.Fatalf("ladder at %v, want %v", got, stage)
+	// An idle limiter reads pressure 0; the hour-long dwell keeps the
+	// switch where the explicit samples below put it: armed 90 minutes
+	// ago, on for the last 30.
+	g := &Gateway{
+		lim: overload.NewLimiter(overload.Config{}),
+		deg: overload.NewSwitch(overload.SwitchConfig{Dwell: time.Hour}),
+	}
+	armed := time.Now().Add(-90 * time.Minute)
+	for _, on := range []bool{false, true} {
+		if on {
+			g.deg.Observe(armed, 1)
+			g.deg.Observe(armed.Add(time.Hour), 1)
 		}
 		for _, c := range classes {
-			want := c.always || c.fromStaleReads && stage >= overload.StageStaleReads
+			want := c.always || c.ifOn && on
 			if got := g.canDegrade(c.err); got != want {
-				t.Errorf("canDegrade(%s) at %v = %v, want %v", c.name, stage, got, want)
+				t.Errorf("canDegrade(%s) with the switch on=%v = %v, want %v", c.name, on, got, want)
 			}
 		}
-		now = now.Add(time.Second)
-		g.lad.Observe(now, 1)
+	}
+}
+
+// BenchmarkGatewayAdmission times one anonymous read through the gateway
+// to a stub replica with admission off (the benchmark cell's gateway) and
+// with the limiter and degrade switch at their defaults (what hedc-server
+// deploys): the price each deployed request pays for overload control.
+func BenchmarkGatewayAdmission(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		opts GatewayOptions
+	}{
+		{"off", GatewayOptions{}},
+		{"limiter+switch", GatewayOptions{Admission: &overload.Config{}, Degrade: &overload.SwitchConfig{}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bc.opts.HealthInterval = time.Minute
+			gw := NewGateway(bc.opts)
+			defer gw.Close()
+			gw.AddReplica("r0", &stubAPI{})
+			f := dm.HLEFilter{Kind: "flare"}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := gw.CountHLEs("", "10.9.0.5", f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -128,9 +128,9 @@ type staleValue struct {
 // replicas, transport failure everywhere, the shared database partitioned
 // away) is converted — for anonymous callers with a cached value — into
 // that value plus a DegradedError tag. An overload shed is converted only
-// once the brownout ladder stands at its stale-reads rung (canDegrade);
-// below it the data path works, the caller should back off, and serving
-// cache would hide early saturation.
+// while the degrade switch is on (canDegrade); while it is off the data
+// path works, the caller should back off, and serving cache would hide
+// early saturation.
 func serveRead[T any](g *Gateway, method, affinity, token string, fn func(dm.API) (T, error)) (T, error) {
 	v, err := call(g, affinity, token, false, fn)
 	if token != "" {

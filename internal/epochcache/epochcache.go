@@ -13,7 +13,7 @@
 // rather than a stale hit. Conservative, never stale — unless the caller
 // asks, with GetStale, for whatever sits under the key together with the
 // epoch it was stored under (the gateway's degraded answers, when the live
-// path is gone or sheds at the brownout ladder's stale-reads rung). Epochs
+// path is gone, or sheds while the degrade switch is on). Epochs
 // are compared for equality only; a cache whose values can never go stale
 // passes a constant.
 //

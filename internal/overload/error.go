@@ -3,7 +3,7 @@
 // drift between a window's p99 and the baseline p50, in the style of
 // Netflix's concurrency-limits), a CoDel-style adaptive queue timeout
 // that sheds from a standing queue instead of letting it grow, and a
-// brownout ladder with hysteresis that trades result quality for
+// degrade switch with hysteresis that trades result freshness for
 // goodput under sustained pressure.
 //
 // The package is a leaf: it imports only the standard library, so the

@@ -235,8 +235,8 @@ func (l *Limiter) Acquire(pri Priority) (*Permit, error) {
 }
 
 // queueCap scopes the waiter queue per class: Interactive gets the full
-// depth, Browse half, Bulk a quarter — the shed order of the brownout
-// ladder expressed as queue space.
+// depth, Browse half, Bulk a quarter — the shed order expressed as
+// queue space.
 func (l *Limiter) queueCap(pri Priority) int {
 	switch pri {
 	case Browse:
@@ -439,7 +439,7 @@ func (l *Limiter) noteDelayLocked(sojourn time.Duration) {
 }
 
 // decayLocked halves the pressure inputs per quiet control interval, so
-// pressure (and with it the brownout ladder) falls after a spike even
+// pressure (and with it the degrade switch) falls after a spike even
 // if no further arrivals refresh the EWMAs.
 func (l *Limiter) decayLocked(now time.Time) {
 	if l.lastEvent.IsZero() {
@@ -457,7 +457,7 @@ func (l *Limiter) decayLocked(now time.Time) {
 }
 
 // Pressure folds the limiter's congestion signals into [0,1] for the
-// brownout ladder: the decayed shed fraction, the decayed queue delay
+// degrade switch: the decayed shed fraction, the decayed queue delay
 // relative to 4× target, whichever is worse.
 func (l *Limiter) Pressure() float64 {
 	now := time.Now()

@@ -240,7 +240,7 @@ func TestLimiterMaxWaitSheds(t *testing.T) {
 }
 
 // TestPressureDecays: pressure spikes with sheds and falls back toward
-// zero once arrivals stop, so the ladder can exit brownout.
+// zero once arrivals stop, so the degrade switch can turn off.
 func TestPressureDecays(t *testing.T) {
 	l := NewLimiter(Config{Initial: 1, Min: 1, Max: 1, MaxQueue: 4,
 		QueueInterval: 20 * time.Millisecond, MaxWait: 10 * time.Millisecond})
@@ -260,49 +260,174 @@ func TestPressureDecays(t *testing.T) {
 	p.ReleaseLatency(time.Millisecond)
 }
 
-func TestLadderHysteresis(t *testing.T) {
-	lad := NewLadder(&LadderConfig{
-		Enter: [4]float64{0, 0.30, 0.55, 0.80},
-		Exit:  [4]float64{0, 0.10, 0.25, 0.45},
-		Dwell: 10 * time.Millisecond,
-	})
+// TestSwitchHysteresis: the switch arms at degradeArm, turns on at
+// degradeEnter a dwell after arming, holds on past degradeExit once
+// pressure reached degradeHold, and steps back down one move per dwell.
+func TestSwitchHysteresis(t *testing.T) {
+	sw := NewSwitch(SwitchConfig{Dwell: 10 * time.Millisecond})
 	now := time.Now()
-	step := func(p float64, want Stage) {
+	step := func(p float64, want bool) {
 		t.Helper()
-		now = now.Add(11 * time.Millisecond) // one dwell per observation
-		if got := lad.Observe(now, p); got != want {
+		now = now.Add(10 * time.Millisecond) // one dwell per observation
+		if got, _ := sw.Observe(now, p); got != want {
 			t.Fatalf("Observe(%.2f) = %v, want %v", p, got, want)
 		}
 	}
-	step(0.2, StageNormal)  // below enter: stays put
-	step(0.4, StageNoHedge) // crosses enter[1]
-	step(0.2, StageNoHedge) // above exit[1]=0.10: hysteresis holds
-	step(0.9, StageStaleReads)
-	step(0.9, StageShedBulk) // one rung per dwell, not a jump
-	step(0.5, StageShedBulk) // above exit[3]=0.45: holds
-	step(0.3, StageStaleReads)
-	step(0.05, StageNoHedge)
-	step(0.05, StageNormal)
-	if lad.Transitions() != 6 {
-		t.Fatalf("transitions = %d, want 6", lad.Transitions())
+	step(0.2, false)  // below arming: stays off
+	step(0.4, false)  // arms
+	step(0.2, false)  // above disarming: hysteresis keeps it armed
+	step(0.9, true)   // armed a dwell: on
+	step(0.9, true)   // held: one move per dwell, and this one is the hold
+	step(0.5, true)   // above release: the hold keeps it on
+	step(0.3, true)   // the hold releases; above exit, still on
+	step(0.05, false) // off
+	step(0.05, false) // disarms
+	step(0.9, false)  // disarmed: it has to arm again first
+	if _, flips := sw.Observe(now, 0.9); flips != 2 {
+		t.Fatalf("flips = %d, want 2", flips)
 	}
 }
 
-func TestLadderDwellBlocksFlapping(t *testing.T) {
-	lad := NewLadder(&LadderConfig{
-		Enter: [4]float64{0, 0.30, 0.55, 0.80},
-		Exit:  [4]float64{0, 0.10, 0.25, 0.45},
-		Dwell: time.Hour,
-	})
+// TestSwitchDwellBlocksFlapping: inside the dwell window nothing moves,
+// no matter the pressure — neither on within a dwell of arming, nor off
+// within a dwell of turning on.
+func TestSwitchDwellBlocksFlapping(t *testing.T) {
+	sw := NewSwitch(SwitchConfig{Dwell: time.Hour})
 	now := time.Now()
-	if got := lad.Observe(now, 0.9); got != StageNoHedge {
-		t.Fatalf("first observation = %v, want no-hedge", got)
+	for i := 0; i < 5; i++ {
+		if on, _ := sw.Observe(now, 0.9); on {
+			t.Fatalf("on %v after arming, inside the dwell", time.Duration(i)*time.Second)
+		}
+		now = now.Add(time.Second)
 	}
-	// Within the dwell window nothing moves, no matter the pressure.
+	// Samples stay under a dwell apart, so none of them restarts it.
+	for i := 0; i < 4; i++ {
+		now = now.Add(20 * time.Minute)
+		sw.Observe(now, 0.9)
+	}
+	if on, _ := sw.Observe(now, 0.9); !on {
+		t.Fatal("off a dwell after arming at full pressure")
+	}
 	for i := 0; i < 5; i++ {
 		now = now.Add(time.Second)
-		if got := lad.Observe(now, 0.9); got != StageNoHedge {
-			t.Fatalf("stage moved inside dwell window: %v", got)
+		if on, flips := sw.Observe(now, 0); !on || flips != 1 {
+			t.Fatalf("moved inside the dwell window: on=%v after %d flips", on, flips)
+		}
+	}
+}
+
+// TestSwitchRestartsAfterUnseenDwell: a switch nobody sampled for over a
+// dwell does not trust its old state. Left on by a storm, it is off at
+// the next sample however high pressure is, and it needs a dwell to arm
+// and another to turn on again.
+func TestSwitchRestartsAfterUnseenDwell(t *testing.T) {
+	sw := NewSwitch(SwitchConfig{Dwell: 10 * time.Millisecond})
+	now := time.Now()
+	for i := 0; i < 4; i++ {
+		now = now.Add(10 * time.Millisecond)
+		sw.Observe(now, 0.9)
+	}
+	if on, _ := sw.Observe(now, 0.9); !on {
+		t.Fatal("storm did not turn the switch on")
+	}
+	now = now.Add(time.Second)
+	for i, want := range []bool{false, false, false, false, true} {
+		if on, _ := sw.Observe(now, 0.9); on != want {
+			t.Fatalf("sample %d after the unseen second: on=%v, want %v", i, on, want)
+		}
+		now = now.Add(6 * time.Millisecond)
+	}
+}
+
+func hold(p float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = p
+	}
+	return out
+}
+
+// alternate is n samples a, b, a, b, ...
+func alternate(a, b float64, n int) []float64 {
+	out := hold(a, n)
+	for i := 1; i < n; i += 2 {
+		out[i] = b
+	}
+	return out
+}
+
+// ramp is n samples from from (inclusive) toward to (exclusive).
+func ramp(from, to float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = from + (to-from)*float64(i)/float64(n)
+	}
+	return out
+}
+
+func concat(parts ...[]float64) []float64 {
+	var out []float64
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// TestSwitchNeverOnBeforeLadder feeds pressure traces sampled every 25ms
+// to a switch with a 200ms dwell (the stampede harness's settings). Each
+// row's ladder column holds the sample spans [from, to) in which the
+// four-rung brownout ladder the switch replaced (enter 0.30/0.55/0.80,
+// exit 0.10/0.25/0.45, at most one rung per dwell; in git history before
+// the switch), ticking on every sample, stood at its stale-reads rung or
+// above on the same trace. Where the switch sees every sample it must be
+// on in exactly those spans. A row's unseen samples [from, to) reach the
+// ladder only, as when no request reads the switch; around them the
+// switch may be on only where the ladder was.
+func TestSwitchNeverOnBeforeLadder(t *testing.T) {
+	const tick, dwell = 25 * time.Millisecond, 200 * time.Millisecond
+	for _, tt := range []struct {
+		name   string
+		trace  []float64
+		unseen [2]int
+		ladder [][2]int
+	}{
+		{name: "step to saturation", trace: concat(hold(0, 4), hold(0.9, 40)), ladder: [][2]int{{12, 44}}},
+		{name: "slow ramp", trace: concat(ramp(0, 1, 40), hold(1, 10)), ladder: [][2]int{{22, 50}}},
+		{name: "brief spike", trace: concat(hold(0, 4), hold(0.9, 6), hold(0, 30))},
+		{name: "hover at arming level", trace: hold(0.4, 60)},
+		{name: "moderate storm", trace: concat(hold(0.6, 30), hold(0.2, 20)), ladder: [][2]int{{8, 30}}},
+		{name: "dip below arming", trace: concat(hold(0.9, 4), hold(0.2, 2), hold(0.9, 30)), ladder: [][2]int{{8, 36}}},
+		{name: "noisy high", trace: alternate(0.5, 0.7, 40), ladder: [][2]int{{9, 40}}},
+		{name: "flapping across arming", trace: alternate(0.2, 0.6, 40), ladder: [][2]int{{9, 18}, {27, 36}}},
+		{name: "second storm", trace: concat(hold(0.9, 20), hold(0, 20), hold(0.9, 20)), ladder: [][2]int{{8, 32}, {40, 60}}},
+		{name: "slow decay then storm", trace: concat(hold(0.9, 20), ramp(0.9, 0, 40), hold(0.9, 20)), ladder: [][2]int{{8, 49}, {73, 80}}},
+		{name: "relapse after the lowest exit", trace: concat(hold(0.35, 10), hold(0.05, 1), hold(0.9, 30)), ladder: [][2]int{{26, 41}}},
+		{name: "relapse above the lowest exit", trace: concat(hold(0.35, 10), hold(0.2, 1), hold(0.9, 30)), ladder: [][2]int{{11, 41}}},
+		{name: "relapse after a deep storm", trace: concat(hold(0.9, 20), hold(0.2, 13), hold(0.9, 20)), ladder: [][2]int{{8, 32}, {40, 53}}},
+		{name: "unseen quiet, then moderate", trace: concat(hold(0.9, 20), hold(0, 16), hold(0.4, 20)), unseen: [2]int{20, 36}, ladder: [][2]int{{8, 32}}},
+		{name: "unseen decay, then storm", trace: concat(hold(0.9, 20), ramp(0.9, 0, 16), hold(0.6, 30)), unseen: [2]int{20, 36}, ladder: [][2]int{{8, 66}}},
+		{name: "unseen for under a dwell", trace: concat(hold(0.9, 20), hold(0.9, 6), hold(0.9, 10)), unseen: [2]int{20, 26}, ladder: [][2]int{{8, 36}}},
+	} {
+		ladderOn := make([]bool, len(tt.trace))
+		for _, span := range tt.ladder {
+			for i := span[0]; i < span[1]; i++ {
+				ladderOn[i] = true
+			}
+		}
+		sw := NewSwitch(SwitchConfig{Dwell: dwell})
+		base := time.Now()
+		var diff []int
+		for i, p := range tt.trace {
+			if i >= tt.unseen[0] && i < tt.unseen[1] {
+				continue
+			}
+			on, _ := sw.Observe(base.Add(time.Duration(i)*tick), p)
+			if on && !ladderOn[i] || !on && ladderOn[i] && tt.unseen[1] == 0 {
+				diff = append(diff, i)
+			}
+		}
+		if diff != nil {
+			t.Errorf("%s: switch and ladder (on in %v) disagree at samples %v", tt.name, tt.ladder, diff)
 		}
 	}
 }

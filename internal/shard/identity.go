@@ -143,3 +143,19 @@ func claimIdentity(eng minidb.Engine, id, count int) error {
 	}
 	return nil
 }
+
+// CheckUnsharded refuses, with an *IdentityError, an engine whose
+// identity row names it one shard of several: a replica given that one
+// address would serve part of the catalog as the whole. No row, or the
+// row 0/1, passes, so a database laid out unsharded opens as it always
+// did. It only reads.
+func CheckUnsharded(eng minidb.Engine) error {
+	have, err := readIdentity(eng.Query)
+	if err != nil {
+		return fmt.Errorf("shard: read identity: %w", err)
+	}
+	if have != "" && have != identityValue(0, 1) {
+		return &IdentityError{Shard: 0, Count: 1, Have: have}
+	}
+	return nil
+}

@@ -192,8 +192,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		data.Sections = append(data.Sections, statSection{Title: "Cluster gateway", Rows: rows})
 
 		// Overload control: the admission limiter's live posture (limit,
-		// inflight, queue), the pressure signal the brownout ladder
-		// observes, the current rung, and the shed/backpressure record.
+		// inflight, queue), the pressure signal the degrade switch
+		// observes, the switch itself, and the shed/backpressure record.
 		ov := st.Overload
 		mode, limit := "off", "none"
 		switch {
@@ -203,6 +203,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		default:
 			mode, limit = "adaptive (latency-gradient AIMD)", strconv.Itoa(ov.Limit)
 		}
+		degrade := "off"
+		if ov.Degrading {
+			degrade = "on"
+		}
 		ovRows := []statRow{
 			{"admission control", mode},
 			{"concurrency limit", limit},
@@ -210,8 +214,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			{"queue delay (recent avg)", ov.QueueDelay.String()},
 			{"baseline p50", ov.Baseline.String()},
 			{"pressure", fmt.Sprintf("%.2f", ov.Pressure)},
-			{"brownout stage", ov.Stage},
-			{"brownout transitions", n(ov.Transitions)},
+			{"degrade switch", degrade},
+			{"degrade switch flips", n(ov.Flips)},
 			{"requests shed (limiter)", n(ov.Sheds)},
 			{"sheds by class (int/browse/bulk)", fmt.Sprintf("%d / %d / %d",
 				ov.ShedByPri[0], ov.ShedByPri[1], ov.ShedByPri[2])},

@@ -593,6 +593,7 @@ func TestStatsClusterSection(t *testing.T) {
 		// No Admission: admission control is off.
 		`admission control</td><td style="text-align:right">off<`,
 		`concurrency limit</td><td style="text-align:right">none<`,
+		`degrade switch</td><td style="text-align:right">off<`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("stats page missing %q", want)
@@ -601,21 +602,23 @@ func TestStatsClusterSection(t *testing.T) {
 }
 
 // TestStatsOverloadSection: the same page surfaces the admission
-// limiter's posture — mode, limit, pressure, brownout rung, shed
+// limiter's posture — mode, limit, pressure, the degrade switch, shed
 // accounting — when the gateway runs the adaptive stack, and names a
 // limiter pinned at Min = Max a fixed cap.
 func TestStatsOverloadSection(t *testing.T) {
 	r := newWebRig(t)
 	for _, tt := range []struct {
 		admission *overload.Config
+		degrade   *overload.SwitchConfig
 		mode      string
 	}{
-		{&overload.Config{Initial: 8, Min: 2, Max: 16}, "adaptive (latency-gradient AIMD)"},
-		{&overload.Config{Initial: 8, Min: 8, Max: 8}, "fixed (limiter pinned at Min = Max)"},
+		{&overload.Config{Initial: 8, Min: 2, Max: 16}, &overload.SwitchConfig{}, "adaptive (latency-gradient AIMD)"},
+		{&overload.Config{Initial: 8, Min: 8, Max: 8}, nil, "fixed (limiter pinned at Min = Max)"},
 	} {
 		gw := cluster.NewGateway(cluster.GatewayOptions{
 			HealthInterval: time.Minute,
 			Admission:      tt.admission,
+			Degrade:        tt.degrade,
 		})
 		gw.AddReplica("replica-0", dm.Local{DM: r.dm})
 		s := New(Config{API: dm.Local{DM: r.dm}, LocalDM: r.dm, Cluster: gw, Node: "gw-test"})
@@ -633,7 +636,9 @@ func TestStatsOverloadSection(t *testing.T) {
 		}
 		for _, want := range []string{
 			"Overload", tt.mode, "concurrency limit",
-			"pressure", "brownout stage", "normal", "downstream overload refusals",
+			"pressure", "downstream overload refusals",
+			`degrade switch</td><td style="text-align:right">off<`,
+			`degrade switch flips</td><td style="text-align:right">0<`,
 		} {
 			if !strings.Contains(string(body), want) {
 				t.Fatalf("stats page missing %q", want)

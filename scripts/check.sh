@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full verification: vet, build, a gofmt guard (gofmt -l lists no file),
-# ten structural guards (the retired manifest + pack-file archive
+# eleven structural guards (the retired manifest + pack-file archive
 # format is named in no non-test file; only the harness-cell builder
 # internal/cluster/cell.go wires replicas to a gateway; internal/sim is
 # imported only by the paper-shape reproductions; internal/epochcache is
@@ -14,6 +14,8 @@
 # workflow (retention, relocation, archive copy) and the multi-archive
 # registry stay gone; replicas route to their shards in process — the
 # persisted SMAP1 shard-map file and the shard-router mode stay gone;
+# one degrade switch — the four-rung brownout ladder, its ticker
+# goroutine and hedc-server's -adaptive flag stay gone;
 # and the dead-weight audit, TestDeadWeightAudit
 # in deadweight_test.go, which runs inside go test ./... with five classes:
 # (i) exported code no file references, (ii) option fields no code sets,
@@ -31,10 +33,11 @@
 # includes the cross-shard batch and transaction crash sites and the lake
 # journal/compaction/GC ones, and chaos the ten lake storm schedules), one iteration each of the parallel query,
 # browse-shape query, redirect round-trip (BenchmarkRedirectRoundTrip),
-# raw-unit pack (BenchmarkPackGz), partitioned-view
-# (BenchmarkPartitionViews) and ingest benchmarks (smoke-checks the
-# concurrent read, index-probe/top-k/ordered-walk, /dm/ JSON hop,
-# gzip-FITS codec, wavelet view and fast write paths), a miniature run of
+# gateway admission (BenchmarkGatewayAdmission), raw-unit pack
+# (BenchmarkPackGz), partitioned-view (BenchmarkPartitionViews) and
+# ingest benchmarks (smoke-checks the concurrent read,
+# index-probe/top-k/ordered-walk, /dm/ JSON hop, overload-control
+# admission, gzip-FITS codec, wavelet view and fast write paths), a miniature run of
 # every processing-farm phase (work stealing, preemption, hedging,
 # epoch-keyed memoization with its bit-identity oracle) under -race, a
 # short-mode stampede smoke (the adaptive overload stack under a 10x
@@ -82,6 +85,9 @@ if grep -rnE 'ApplyRetention|RetentionRule|RelocateItem|archive\.Copy|archive\.N
 echo "==> replicas route to their shards in process (no persisted shard-map file, shard-router mode or -shard-addrs)"
 if grep -rnE 'SaveMap|LoadMap|EncodeMap|DecodeMap|SMAP1|SHARDMAP|shard-router|shard-addrs' --include='*.go' --exclude='*_test.go' internal cmd; then exit 1; fi
 
+echo "==> one degrade switch (no brownout ladder, its ticker goroutine or hedc-server -adaptive)"
+if grep -rnE 'LadderConfig|BrownoutTick|brownoutLoop|StageNoHedge|StageShedBulk|BrownoutStage|flag\.[A-Za-z0-9]+\("adaptive"' --include='*.go' --exclude='*_test.go' internal cmd; then exit 1; fi
+
 echo "==> go test (includes the dead-weight audit, TestDeadWeightAudit)"
 go test ./...
 
@@ -116,6 +122,9 @@ go test -run '^$' -bench BenchmarkBrowseShardQueries -benchtime=1x ./internal/mi
 
 echo "==> redirect round-trip benchmark (1 iteration)"
 go test -run '^$' -bench BenchmarkRedirectRoundTrip -benchtime=1x ./internal/dm/
+
+echo "==> gateway admission benchmark (1 iteration)"
+go test -run '^$' -bench BenchmarkGatewayAdmission -benchtime=1x -benchmem ./internal/cluster/
 
 echo "==> raw-unit pack benchmark (1 iteration)"
 go test -run '^$' -bench BenchmarkPackGz -benchtime=1x ./internal/telemetry/
